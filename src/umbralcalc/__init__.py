@@ -30,6 +30,7 @@ from .errors import (
     UmbralError,
     UmbraSyntaxError,
     UnknownUmbraError,
+    WorkspaceError,
 )
 from .expressions import (
     Adjoint,
@@ -56,7 +57,7 @@ from .expressions import (
 )
 from .parser import parse, pretty_print, tokenize
 from .poly import Poly, Value, collapse, poly_definite_integral, poly_derivative
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .series import (
     TruncatedEGF,
     egf_compose,
@@ -124,7 +125,6 @@ from .umbra import (
     disjoint_sum,
     dot,
     dot_power,
-    dot_via_egf,
     dot_via_partitions,
     factorial_moments,
     factorial_umbra,

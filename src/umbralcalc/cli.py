@@ -5,7 +5,7 @@ example, define, list.  All computation is exact and deterministic; identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage/parse/unknown-name, 2 mathematical failure,
-3 I/O failure.
+3 I/O failure (including an unreadable workspace file).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .errors import UmbralError, UmbraSyntaxError, UnknownUmbraError
+from .errors import UmbralError, UmbraSyntaxError, UnknownUmbraError, WorkspaceError
 from .expressions import Expr, evaluate
 from .parser import RESERVED_NAMES, parse, pretty_print
 from .poly import Poly, value_to_json, value_to_str
@@ -268,7 +268,7 @@ def cmd_example(args, config: CliConfig) -> dict:
 def _parse_csv_rationals(text: str, what: str) -> list[Fraction]:
     try:
         return [parse_rational(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliUsageError(f"bad {what}: {exc}") from None
 
 
@@ -295,6 +295,7 @@ def cmd_define(args, config: CliConfig) -> dict:
         )
         umbra = Umbra(moments_from_egf(egf_exp(series)), name=name)
     raw = ws.load_raw(config.workspace)
+    ws.umbrae_from_raw(raw, str(config.workspace))  # never rewrite a malformed workspace
     ws.set_umbra(raw, name, umbra)
     ws.save_raw(config.workspace, raw)
     return {
@@ -472,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     except UmbralError as exc:
         print(f"umbra: math error: {exc}", file=sys.stderr)
         return 2
+    except WorkspaceError as exc:
+        print(f"umbra: workspace error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ZeroDivisionError, AssertionError) as exc:
         print(f"umbra: math error: {exc}", file=sys.stderr)
         return 2

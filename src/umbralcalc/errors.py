@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
 The CLI maps these onto exit codes: syntax/name problems are user-input
-errors, UmbralError subclasses are mathematical failures.
+errors, UmbralError subclasses are mathematical failures, and a
+WorkspaceError is an I/O failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ class SingularSeriesError(UmbralError):
 
 class NonInvertibleError(UmbralError):
     """Compositional inversion needs a nonzero (scalar) first-order term."""
+
+
+class WorkspaceError(ValueError):
+    """A workspace file that cannot be read as a workspace (corrupt JSON,
+    wrong version, malformed or non-unital entry); the message names the
+    file or entry."""
 
 
 class UnknownUmbraError(Exception):

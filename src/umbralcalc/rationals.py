@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def format_rational(value: Fraction | int) -> str:
     q = Fraction(value)
@@ -21,8 +19,11 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"``; raises ValueError on anything else."""
+    """Parse ``"p/q"`` or ``"p"``; raises ValueError on anything else, q = 0 included."""
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

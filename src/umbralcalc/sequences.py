@@ -17,10 +17,10 @@ from math import factorial
 from .combinatorics import binomial, falling_factorial
 from .combinatorics import bernoulli_numbers as bernoulli_numbers  # re-exported here
 from .combinatorics import stirling_first_classical, stirling_second_classical
-from .errors import NonInvertibleError
-from .poly import Poly, Value, collapse, poly_definite_integral
+from .poly import X, Y, Poly, Value, collapse, poly_definite_integral
 from .sheffer import (
     IdentityReport,
+    _as_poly,
     _first_violation,
     PolySequence,
     poisson_charlier_pair,
@@ -28,6 +28,7 @@ from .sheffer import (
 )
 from .umbra import (
     Umbra,
+    _require_scalar_first_moment,
     bell_umbra,
     bernoulli_umbra,
     comp_inverse,
@@ -41,14 +42,6 @@ from .umbra import (
     ubar_umbra,
     umbral_sum,
 )
-
-X = Poly.variable("x")
-Y = Poly.variable("y")
-
-
-def _as_poly(v) -> Poly:
-    return v if isinstance(v, Poly) else Poly(v)
-
 
 # ---------------------------------------------------------------------------
 # Fibonacci-flavoured umbrae (coefficients of 1/(1 - t - t^2))
@@ -107,9 +100,7 @@ def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if gamma.order < n:
         raise ValueError(f"need gamma to order {n}, have {gamma.order}")
-    g1 = collapse(gamma.moment(1))
-    if not isinstance(g1, Fraction) or g1 == 0:
-        raise NonInvertibleError("first moment is zero")
+    g1 = _require_scalar_first_moment(gamma)
     gbar = overbar_umbra(gamma)
     value = collapse(dot(-n, gbar).moment(n - 1))
     via_reversion = collapse(g1**n * comp_inverse(gamma).moment(n))
@@ -274,9 +265,7 @@ def bell_expansion_general(gamma: Umbra, n: int) -> Poly:
         raise ValueError("n must be >= 0")
     if gamma.order <= n:
         raise ValueError(f"need gamma to order {n + 1}, have {gamma.order}")
-    g1 = collapse(gamma.moment(1))
-    if not isinstance(g1, Fraction) or g1 == 0:
-        raise NonInvertibleError("first moment is zero")
+    g1 = _require_scalar_first_moment(gamma)
     chain = dot(X, dot(bell_umbra(gamma.order), gamma))
     lhs = _as_poly(collapse(chain.moment(n)))
     gbar = overbar_umbra(gamma)

@@ -126,16 +126,36 @@ def egf_reciprocal(f: TruncatedEGF) -> TruncatedEGF:
 
 
 def egf_compose(f: TruncatedEGF, h: TruncatedEGF) -> TruncatedEGF:
-    """f(h(t)) mod t^(N+1); h must have zero constant term."""
+    """f(h(t)) = sum_k f_k h(t)^k mod t^(N+1); h must have zero constant term.
+
+    Each power h^k is built from the previous one.  Since h has no constant
+    term, h^k vanishes below t^k, so those coefficients are never computed;
+    zero coefficients of h are skipped, and the powers stop at f's last
+    nonzero coefficient.
+    """
     n = _check_orders(f, h)
     if collapse(h.coeffs[0]) != 0:
         raise ValueError("inner series of a composition must have zero constant term")
-    # Horner over truncated series.
-    result = TruncatedEGF((collapse(f.coeffs[n]),) + (Fraction(0),) * n)
-    for k in range(n - 1, -1, -1):
-        result = egf_mul(result, h)
-        result = TruncatedEGF((result.coeffs[0] + f.coeffs[k],) + result.coeffs[1:])
-    return result
+    top = max((k for k in range(1, n + 1) if f.coeffs[k]), default=0)
+    h_terms = [(d, c) for d, c in enumerate(h.coeffs) if d and c]
+    out: list[Value] = [f.coeffs[0]] + [Fraction(0)] * n
+    power = list(h.coeffs)  # h^k
+    for k in range(1, top + 1):
+        fk = f.coeffs[k]
+        if fk:
+            for i in range(k, n + 1):
+                out[i] = out[i] + fk * power[i]
+        if k < top:
+            nxt: list[Value] = [Fraction(0)] * (n + 1)
+            for i in range(k + 1, n + 1):
+                acc: Value = Fraction(0)
+                for d, c in h_terms:
+                    if d > i - k:
+                        break
+                    acc = acc + power[i - d] * c
+                nxt[i] = acc
+            power = nxt
+    return TruncatedEGF(tuple(out))
 
 
 def egf_revert(h: TruncatedEGF) -> TruncatedEGF:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .combinatorics import binomial
 from .errors import NonInvertibleError
-from .poly import Poly, Value, collapse
+from .poly import X, Y, Poly, Value, collapse
 from .series import (
     TruncatedEGF,
     egf_compose,
@@ -42,9 +42,6 @@ from .umbra import (
     unity,
     with_x_shift,
 )
-
-X = Poly.variable("x")
-Y = Poly.variable("y")
 
 
 def _as_poly(v: Value) -> Poly:

@@ -6,9 +6,9 @@ are exact rationals or polynomials in x, y.  All the classical operations are
 moment-level maps:
 
 * ``umbral_sum``      -- binomial convolution (product of generating functions)
-* ``dot(g, a)``       -- E[(g.a)^i] = sum_j g_(j) B_{i,j}(a_1, ...), the
-                         factorial-moment / partial-Bell-polynomial formula;
-                         scalar left operands go through the series power path
+* ``dot(g, a)``       -- the series route: f(g.a, t) = f(g, log f(a, t)) for
+                         an umbra g, f(a, t)^n for a scalar or polynomial n;
+                         the partition sums below are kept only as oracles
 * ``dot_power``       -- k-th moment is a_k^n
 * ``inverse_dot``     -- reciprocal generating function
 * ``comp_inverse``    -- reversion of f(t) - 1
@@ -24,11 +24,11 @@ its moments.  That convention lives in the expression evaluator
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Sequence
 
 from .combinatorics import (
     bell_numbers,
-    bell_partial,
     bernoulli_numbers,
     binomial,
     falling_factorial,
@@ -148,15 +148,8 @@ def uinv_umbra(order: int) -> Umbra:
     """uinv: the compositional inverse of u; 1 + log(1 + t)."""
     ms: list[Fraction] = [Fraction(1)]
     for n in range(1, order + 1):
-        ms.append(Fraction((-1) ** (n - 1)) * _factorial(n - 1))
+        ms.append(Fraction((-1) ** (n - 1) * factorial(n - 1)))
     return Umbra(ms, name="uinv")
-
-
-def _factorial(n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 BUILTIN_UMBRAE: dict[str, Callable[[int], Umbra]] = {
@@ -248,55 +241,19 @@ def factorial_umbra(a: Umbra) -> Umbra:
     return Umbra(factorial_moments(a))
 
 
-def _dot_weights(weights: Sequence[Value], a: Umbra) -> Umbra:
-    """Moments i -> sum_{j=1..i} weights[j] * B_{i,j}(a_1, ...)."""
-    tail = [a.moment(k) for k in range(1, a.order + 1)]
-    out: list[Value] = [Fraction(1)]
-    for i in range(1, a.order + 1):
-        acc: Value = Fraction(0)
-        for j in range(1, i + 1):
-            w = weights[j]
-            if w == 0:
-                continue
-            acc = acc + w * bell_partial(i, j, tail)
-        out.append(acc)
-    return Umbra(out)
-
-
 def dot(left, a: Umbra) -> Umbra:
-    """The dot-product left.a.
+    """The dot-product left.a, computed on generating functions.
 
-    * left an Umbra g: factorial moments of g weight the partial Bell
-      polynomials of a's moments (requires equal orders);
-    * left a Poly p (x, x + c, ...): weights are the falling factorials (p)_j,
-      equivalently the series power f(a, t)^p;
-    * left a rational c (any sign): the series power f(a, t)^c.
-    """
-    if isinstance(left, Umbra):
-        _check_same_order(left, a)
-        return _dot_weights(factorial_moments(left), a)
-    if isinstance(left, Poly):
-        c = left.as_fraction()
-        if c is None:
-            weights = [falling_factorial(left, j) for j in range(a.order + 1)]
-            return _dot_weights(weights, a)
-        left = c
-    if isinstance(left, int):
-        left = Fraction(left)
-    return Umbra.from_egf(egf_power(a.egf(), left))
+    * left an Umbra g: f(g.a, t) = f(g, log f(a, t)) (requires equal orders);
+    * left a rational c (any sign) or a Poly p (x, x + c, ...): the series
+      power f(a, t)^c or f(a, t)^p.
 
-
-def dot_via_egf(left, a: Umbra) -> Umbra:
-    """Series-side computation of dot(), used as an independent cross-check.
-
-    f(g.a, t) = f(g, log f(a, t)) for umbra g; f(a, t)^p for scalar or
-    polynomial p.
+    The partition sums of :func:`dot_via_partitions` give the same moments
+    and serve as its test oracle.
     """
     if isinstance(left, Umbra):
         _check_same_order(left, a)
         return Umbra.from_egf(egf_compose(left.egf(), egf_log(a.egf())))
-    if isinstance(left, int):
-        left = Fraction(left)
     return Umbra.from_egf(egf_power(a.egf(), left))
 
 

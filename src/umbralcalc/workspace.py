@@ -6,7 +6,8 @@ Format::
 
 Moments are rational strings indexed by power.  Unknown fields anywhere in
 the document are preserved across read/modify/write cycles, and writes are
-atomic (write to a temp file in the same directory, then rename).
+atomic (write to a temp file in the same directory, then rename).  A document
+that does not have this shape raises :class:`WorkspaceError`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import WorkspaceError
 from .rationals import format_rational, parse_rational
 from .umbra import Umbra
 
@@ -31,28 +33,43 @@ def load_raw(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         return empty_workspace()
-    with open(p, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(p, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise WorkspaceError(f"{p}: not a JSON document ({exc})") from None
     if not isinstance(data, dict):
-        raise ValueError("workspace root must be a JSON object")
+        raise WorkspaceError(f"{p}: workspace root must be a JSON object")
     version = data.get("version", WORKSPACE_VERSION)
     if version != WORKSPACE_VERSION:
-        raise ValueError(f"unsupported workspace version {version!r}")
+        raise WorkspaceError(f"{p}: unsupported workspace version {version!r}")
     data.setdefault("version", WORKSPACE_VERSION)
-    data.setdefault("umbrae", {})
+    if not isinstance(data.setdefault("umbrae", {}), dict):
+        raise WorkspaceError(f"{p}: 'umbrae' must be a JSON object")
     return data
 
 
-def umbrae_from_raw(data: dict) -> dict[str, Umbra]:
+def umbrae_from_raw(data: dict, source: str = "workspace") -> dict[str, Umbra]:
+    """The umbrae of a raw document; ``source`` names it in error messages."""
+    umbrae = data.get("umbrae", {})
+    if not isinstance(umbrae, dict):
+        raise WorkspaceError(f"{source}: 'umbrae' must be a JSON object")
     out: dict[str, Umbra] = {}
-    for name, entry in data.get("umbrae", {}).items():
-        moments = [parse_rational(m) for m in entry["moments"]]
-        out[name] = Umbra(moments, name=name)
+    for name, entry in umbrae.items():
+        moments = entry.get("moments") if isinstance(entry, dict) else None
+        if not isinstance(moments, list) or not all(isinstance(m, str) for m in moments):
+            raise WorkspaceError(
+                f"{source}: umbra {name!r} must be an object with a 'moments' list of strings"
+            )
+        try:
+            out[name] = Umbra([parse_rational(m) for m in moments], name=name)
+        except ValueError as exc:
+            raise WorkspaceError(f"{source}: umbra {name!r}: {exc}") from None
     return out
 
 
 def load_umbrae(path: str | Path) -> dict[str, Umbra]:
-    return umbrae_from_raw(load_raw(path))
+    return umbrae_from_raw(load_raw(path), str(path))
 
 
 def set_umbra(data: dict, name: str, umbra: Umbra) -> None:

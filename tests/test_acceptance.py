@@ -67,7 +67,6 @@ from umbralcalc.umbra import (
     comp_inverse,
     derivative_umbra,
     dot,
-    dot_via_egf,
     dot_via_partitions,
     inverse_dot,
     scalar_multiple,
@@ -132,13 +131,11 @@ def test_criterion_03_dot_dual_paths():
         }
         for gname, g in lefts.items():
             for aname, a in rights.items():
-                bell_path = dot(g, a)
-                series_path = dot_via_egf(g, a)
-                assert bell_path == series_path, (gname, aname)
+                series_path = dot(g, a)
                 for i in range(1, order + 1):
-                    assert bell_path.moment(i) == dot_via_partitions(g, a, i), (gname, aname, i)
+                    assert series_path.moment(i) == dot_via_partitions(g, a, i), (gname, aname, i)
 
-    _report(3, "dot-product: Bell-polynomial, series, and partition paths agree", check)
+    _report(3, "dot-product: series route and partition sums agree", check)
 
 
 def test_criterion_04_binomial_and_sheffer_identities():

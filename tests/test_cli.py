@@ -272,3 +272,30 @@ def test_order_zero_is_degenerate_but_valid(run):
     ):
         code, out, err = run(*argv, "--order", "0")
         assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"umbrae": {"a": {}}}',
+        '{"umbrae": []}',
+        '{"umbrae": {"a": {"moments": "12"}}}',
+        '{"umbrae": {"a": {"moments": ["2", "1"]}}}',
+        '{"umbrae":',
+        '{"version": 99, "umbrae": {}}',
+    ],
+)
+def test_malformed_workspace_exits_3(run, text):
+    run.workspace.write_text(text)
+    for argv in (["list"], ["eval", "u"], ["define", "b", "--moments", "1,2"]):
+        code, out, err = run(*argv)
+        assert code == 3, (argv, err)
+        assert out == ""
+        assert err.startswith("umbra: workspace error: ") and err.count("\n") == 1, err
+        assert str(run.workspace) in err
+    assert run.workspace.read_text() == text  # define left the file alone
+
+
+def test_define_rejects_zero_denominator(run):
+    code, _, err = run("define", "q", "--moments", "1,1/0")
+    assert code == 1 and "zero denominator" in err

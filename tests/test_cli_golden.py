@@ -1,0 +1,82 @@
+"""Golden CLI output: sha256 of the JSON stdout of the README's example commands.
+
+The CLI promises byte-identical output for identical invocations, and kernel
+rewrites must keep that promise across versions.  Each digest below pins one
+command's ``--format json`` stdout.  The commands run in order against one
+scratch workspace (``define`` comes before the ``eval`` and ``list`` that read
+it), given as the relative path ``umbrae.json`` so that the ``define`` output
+does not depend on the temporary directory.
+
+After an intended output change, print fresh digests by running this file
+from the repository root: ``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from umbralcalc.cli import main
+
+CONNECT = [
+    "connect",
+    "--from-alpha", "2 . bell", "--from-gamma", "chi . (2 . bell)",
+    "--to-alpha", "1 . bell", "--to-gamma", "chi . (1 . bell)",
+    "--order", "4",
+]
+
+# (argv without --format/--workspace, sha256 of the JSON stdout)
+GOLDEN = [
+    (["eval", "x . adj(u)", "--order", "4"],
+     "4b91fb98a0345be4c5a3b5eed30d90218b82ee48b92efe7a6ac6763612592f19"),
+    (["eval", "bell ^. 2", "--order", "3"],
+     "51af160b26ae23c3834ccf33cc4953cbf35d47e473a4d43a2d26fae2dde011dc"),
+    (["sheffer", "--alpha", "1 . bell", "--gamma", "chi . (1 . bell)", "--order", "4"],
+     "92d691c3b9f90604e77d24bcb3346befd2e8e473fb28c5319d1c74a8cc060141"),
+    (["associated", "--gamma", "u", "--order", "3"],
+     "17d92430557f2668b20f953255384edfd7b2ff538d4f332a1911c7e547189347"),
+    (["appell", "--alpha", "inv(bern)", "--order", "2"],
+     "ea6ed78615b01923f779cb317ce0db5ba97525d969a900d2c84e6fa9e66f064b"),
+    (CONNECT,
+     "915ad221e0c7190aeb58c81fc8a9e720dc9811805e360243041b390bf5f68527"),
+    (["stirling", "second", "--n", "6"],
+     "faf35bb4bbb0b89574427a678312bf9e7c4b0dabe04e267306d4e330e0feb864"),
+    (["abel", "--gamma", "u", "--order", "5"],
+     "66be4d2936d9f1d7d6b621c836387c59a24bcbc3e2e60d068367e690ecd1d403"),
+    (["example", "bernoulli-diff", "--order", "5"],
+     "c8e12305904a7395e1a3a7cabdb909b41fcc87cd4866f0024a7f04f65df0e958"),
+    (["define", "myu", "--moments", "1,1,2,5"],
+     "f6e861afffe207272ca72ba34300be10c2be8de7741325786d03199a721d60fd"),
+    (["eval", "myu", "--order", "3"],
+     "f3bf963a62592cc9e42c4d73f89ad7a3540916018ed3c339c5d5a006c4083717"),
+    (["list"],
+     "513092fa70933faf47230b8065e9653a1b53f6b03aa8bceee150455e93a6c79d"),
+]
+
+
+def _digests() -> list[str]:
+    """Run every golden command in order in the current directory."""
+    out = []
+    for argv, _ in GOLDEN:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([*argv, "--format", "json", "--workspace", "umbrae.json"])
+        assert code == 0, argv
+        out.append(hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest())
+    return out
+
+
+def test_readme_commands_json_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.delenv("UMBRA_WORKSPACE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for (argv, expected), got in zip(GOLDEN, _digests()):
+        assert got == expected, argv
+
+
+if __name__ == "__main__":
+    os.environ.pop("UMBRA_WORKSPACE", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for (argv, _), digest in zip(GOLDEN, _digests()):
+            print(digest, argv)

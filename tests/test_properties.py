@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import stirling_second_classical
+from umbralcalc.poly import Poly, X
 from umbralcalc.umbra import (
     Umbra,
     adjoint,
@@ -19,6 +20,7 @@ from umbralcalc.umbra import (
     bell_umbra,
     derivative_umbra,
     dot,
+    dot_via_partitions,
     factorial_moments,
     inverse_dot,
     singleton,
@@ -127,3 +129,36 @@ def test_lagrange_link_random(g):
     inv = comp_inverse(derivative_umbra(normalized))
     for n in range(1, ORDER + 1):
         assert inv.moment(n) == dot(-n, normalized).moment(n - 1)
+
+
+small_polys = st.builds(lambda c, cx, cy: Poly({(0, 0): c, (1, 0): cx, (0, 1): cy}), fractions, fractions, fractions)
+
+
+def poly_umbrae(order):
+    """Umbrae whose moments mix scalars and polynomials in x, y."""
+    values = st.one_of(fractions, small_polys)
+    return st.builds(lambda tail: Umbra([F(1)] + tail), st.lists(values, min_size=order, max_size=order))
+
+
+def dot_lefts(order):
+    """Every kind of left operand: rational, x + c, scalar umbra, Poly-moment umbra."""
+    return st.one_of(
+        fractions,
+        fractions.map(lambda c: X + c),
+        umbrae(order),
+        poly_umbrae(order),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(dot_lefts(n), st.one_of(umbrae(n), poly_umbrae(n)))
+    )
+)
+def test_dot_matches_partition_oracle(left_and_right):
+    """The series route of dot() equals the partition-sum oracle moment by moment."""
+    left, a = left_and_right
+    got = dot(left, a)
+    for i in range(a.order + 1):
+        assert got.moment(i) == dot_via_partitions(left, a, i)

@@ -129,6 +129,14 @@ def test_exponential_polynomials():
     assert [p(x=1) for p in phi] == bell_numbers(8)
 
 
+def test_exponential_polynomials_at_the_order_cap():
+    """x.bell at --order 64 matches the Stirling triangle row by row."""
+    from umbralcalc.combinatorics import stirling_second_classical
+
+    phi = exponential_polynomials(64)  # raises if dot(x, bell) disagrees anywhere
+    assert phi.coefficients(64) == [stirling_second_classical(64, k) for k in range(65)]
+
+
 def test_abel_identity():
     assert abel_identity_check(unity(8), 4).ok
     assert abel_identity_check(augmentation(8), 5).ok

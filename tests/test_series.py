@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import bell_partial, falling_factorial
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
+from umbralcalc.poly import Poly
 from umbralcalc.series import (
     TruncatedEGF,
     egf_compose,
@@ -90,6 +91,39 @@ def test_compose_examples():
     assert egf_compose(egf_from_moments([1, 2, 3, 4, 5]), zero) == egf_one(4)
     with pytest.raises(ValueError):
         egf_compose(e, egf_one(4))
+
+
+def horner_compose(f: TruncatedEGF, h: TruncatedEGF) -> TruncatedEGF:
+    """Composition oracle: Horner's rule f(h) = f_0 + h (f_1 + h (f_2 + ...))."""
+    n = f.order
+    result = TruncatedEGF((f.coeffs[n],) + (F(0),) * n)
+    for k in range(n - 1, -1, -1):
+        result = egf_mul(result, h)
+        result = TruncatedEGF((result.coeffs[0] + f.coeffs[k],) + result.coeffs[1:])
+    return result
+
+
+small_polys = st.builds(
+    lambda c, cx, cy: Poly({(0, 0): c, (1, 0): cx, (0, 1): cy}), fractions, fractions, fractions
+)
+# Scalars, polynomials in x, y, and plenty of zeros (to exercise the sparse paths).
+coefficients = st.one_of(st.just(F(0)), fractions, small_polys)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.lists(coefficients, min_size=n + 1, max_size=n + 1),
+            st.lists(coefficients, min_size=n, max_size=n),
+        )
+    )
+)
+def test_compose_matches_horner_oracle(fh):
+    f_coeffs, h_tail = fh
+    f = TruncatedEGF(tuple(f_coeffs))
+    h = TruncatedEGF((F(0),) + tuple(h_tail))
+    assert egf_compose(f, h) == horner_compose(f, h)
 
 
 def test_revert_examples():

@@ -24,7 +24,6 @@ from umbralcalc.umbra import (
     disjoint_sum,
     dot,
     dot_power,
-    dot_via_egf,
     dot_via_partitions,
     factorial_moments,
     factorial_umbra,
@@ -142,16 +141,14 @@ def test_composition_umbra_weights_raw_moments():
 
 
 def test_dot_triple_path_agreement():
-    """Factorial-moment formula == series path == partition sum."""
+    """The series route of dot() == the factorial-moment partition sum."""
     umbrae = pool()
     lefts = list(umbrae.values()) + [scalar_multiple(2, unity(N))]
     for g in lefts:
         for a in umbrae.values():
-            via_bell = dot(g, a)
-            via_egf = dot_via_egf(g, a)
-            assert via_bell == via_egf, (g.name, a.name)
+            got = dot(g, a)
             for i in range(1, N + 1):
-                assert via_bell.moment(i) == dot_via_partitions(g, a, i)
+                assert got.moment(i) == dot_via_partitions(g, a, i), (g.name, a.name, i)
 
 
 def test_dot_product_laws():

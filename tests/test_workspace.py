@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from umbralcalc.errors import WorkspaceError
 from umbralcalc.umbra import Umbra
 from umbralcalc.workspace import (
     empty_workspace,
@@ -68,3 +69,40 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 def test_umbrae_from_raw_rejects_non_unital():
     with pytest.raises(ValueError):
         umbrae_from_raw({"umbrae": {"bad": {"moments": ["2", "1"]}}})
+
+
+MALFORMED = {
+    "entry not an object": '{"umbrae": {"a": []}}',
+    "entry without moments": '{"umbrae": {"a": {}}}',
+    "umbrae not an object": '{"umbrae": []}',
+    "moments a string": '{"umbrae": {"a": {"moments": "12"}}}',
+    "moments not strings": '{"umbrae": {"a": {"moments": [1, 2]}}}',
+    "bad rational": '{"umbrae": {"a": {"moments": ["1", "x"]}}}',
+    "zero denominator": '{"umbrae": {"a": {"moments": ["1", "1/0"]}}}',
+    "no moments at all": '{"umbrae": {"a": {"moments": []}}}',
+    "non-unital": '{"umbrae": {"a": {"moments": ["2", "1"]}}}',
+    "corrupt JSON": '{"umbrae":',
+    "root not an object": "[1]",
+    "version mismatch": '{"version": 2, "umbrae": {}}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_workspace_raises_workspace_error(tmp_path, text):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    with pytest.raises(WorkspaceError) as info:
+        load_umbrae(path)
+    assert str(path) in str(info.value)
+
+
+def test_malformed_entry_is_named():
+    with pytest.raises(WorkspaceError, match="'bad'"):
+        umbrae_from_raw({"umbrae": {"ok": {"moments": ["1"]}, "bad": {"moments": "12"}}})
+
+
+def test_non_utf8_workspace_raises_workspace_error(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(WorkspaceError):
+        load_raw(path)
