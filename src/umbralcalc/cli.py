@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import UmbralError, UmbraSyntaxError, UnknownUmbraError, WorkspaceError
 from .expressions import Expr, evaluate
-from .parser import RESERVED_NAMES, parse, pretty_print
+from .parser import parse, pretty_print
 from .poly import Poly, value_to_json, value_to_str
 from .rationals import format_rational, parse_rational
 from .sequences import (
@@ -32,7 +32,7 @@ from .sequences import (
     stirling_first_umbral,
     stirling_second_umbral,
 )
-from .series import TruncatedEGF, egf_exp, moments_from_egf
+from .series import TruncatedEGF, egf_exp
 from .sheffer import (
     PolySequence,
     ShefferPair,
@@ -274,10 +274,10 @@ def _parse_csv_rationals(text: str, what: str) -> list[Fraction]:
 
 def cmd_define(args, config: CliConfig) -> dict:
     name = args.name
-    if name in RESERVED_NAMES or name in BUILTIN_UMBRAE:
-        raise CliUsageError(f"name {name!r} is reserved")
-    if not name.isidentifier():
-        raise CliUsageError(f"name {name!r} is not a valid umbra name")
+    try:
+        ws.check_name(name)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
     if args.moments is not None:
         moments = _parse_csv_rationals(args.moments, "--moments")
         if not moments or moments[0] != 1:
@@ -293,7 +293,7 @@ def cmd_define(args, config: CliConfig) -> dict:
         series = TruncatedEGF(
             (Fraction(0),) + tuple(k / factorial(n + 1) for n, k in enumerate(kappa))
         )
-        umbra = Umbra(moments_from_egf(egf_exp(series)), name=name)
+        umbra = Umbra.from_egf(egf_exp(series), name=name)
     raw = ws.load_raw(config.workspace)
     ws.umbrae_from_raw(raw, str(config.workspace))  # never rewrite a malformed workspace
     ws.set_umbra(raw, name, umbra)

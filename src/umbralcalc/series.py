@@ -82,11 +82,6 @@ def egf_identity(order: int) -> TruncatedEGF:
     return TruncatedEGF(tuple(coeffs))
 
 
-def egf_add(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
-    _check_orders(f, g)
-    return TruncatedEGF(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
-
-
 def egf_scale(c, f: TruncatedEGF) -> TruncatedEGF:
     return TruncatedEGF(tuple(c * a for a in f.coeffs))
 
@@ -159,10 +154,10 @@ def egf_compose(f: TruncatedEGF, h: TruncatedEGF) -> TruncatedEGF:
 
 
 def egf_revert(h: TruncatedEGF) -> TruncatedEGF:
-    """The series r with h(r(t)) = t mod t^(N+1).
+    """The series r with h(r(t)) = t mod t^(N+1), by the Lagrange formula.
 
-    Solved coefficient by coefficient: the unknown r_n enters the t^n
-    coefficient of h(r) linearly with factor h_1.
+    r_m = [t^(m-1)] q^m / m with q = t/h(t) and q^m built from q^(m-1) (Knuth,
+    TAOCP vol. 2 §4.7): the coefficient form of the umbral E[(-m.g)^(m-1)].
     """
     if collapse(h.coeffs[0]) != 0:
         raise NonInvertibleError("reversion needs a zero constant term")
@@ -171,14 +166,11 @@ def egf_revert(h: TruncatedEGF) -> TruncatedEGF:
     h1 = _leading_scalar(h.coeffs[1], "linear coefficient of a reversion")
     if h1 == 0:
         raise NonInvertibleError("reversion needs a nonzero linear coefficient")
-    n = h.order
-    r = [Fraction(0)] * (n + 1)
-    r[1] = Fraction(1) / h1
-    for m in range(2, n + 1):
-        # Coefficients above t^m cannot influence [t^m] h(r), so work mod t^(m+1).
-        trial = TruncatedEGF(tuple(r[: m + 1]))
-        err = egf_compose(truncated(h, m), trial).coeffs[m]
-        r[m] = -collapse(err) / h1
+    power = q = egf_reciprocal(TruncatedEGF(h.coeffs[1:]))  # t/h mod t^N
+    r: list[Value] = [Fraction(0), q.coeffs[0]]
+    for m in range(2, h.order + 1):
+        power = egf_mul(power, q)
+        r.append(power.coeffs[m - 1] / m)
     return TruncatedEGF(tuple(r))
 
 

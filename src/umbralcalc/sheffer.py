@@ -21,17 +21,16 @@ from .combinatorics import binomial
 from .errors import NonInvertibleError
 from .poly import X, Y, Poly, Value, collapse
 from .series import (
-    TruncatedEGF,
     egf_compose,
     egf_exp,
     egf_mul,
     egf_reciprocal,
-    egf_revert,
     egf_scale,
     moments_from_egf,
 )
 from .umbra import (
     Umbra,
+    _reversion,
     adjoint,
     bell_umbra,
     comp_inverse,
@@ -135,8 +134,7 @@ def sheffer_moments(pair: ShefferPair) -> PolySequence:
     if n == 0:
         return PolySequence((Poly(1),), kind="sheffer")
     # Series route: s_n(x) = n! [t^n] e^{x r(t)} / f(a, r(t)), r = revert(f(g) - 1).
-    fg = pair.gamma.egf()
-    r = egf_revert(TruncatedEGF((Fraction(0),) + fg.coeffs[1:]))
+    r = _reversion(pair.gamma)
     fa_at_r = egf_compose(pair.alpha.egf(), r)
     series = egf_mul(egf_reciprocal(fa_at_r), egf_exp(egf_scale(X, r)))
     via_series = moments_from_egf(series)

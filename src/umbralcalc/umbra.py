@@ -11,8 +11,8 @@ moment-level maps:
                          the partition sums below are kept only as oracles
 * ``dot_power``       -- k-th moment is a_k^n
 * ``inverse_dot``     -- reciprocal generating function
-* ``comp_inverse``    -- reversion of f(t) - 1
-* ``adjoint``         -- exp of that reversion (partition umbra of the inverse)
+* ``comp_inverse``    -- 1 + r, r the Lagrange reversion of f(a, t) - 1
+* ``adjoint``         -- exp(r) (partition umbra of the inverse)
 * ``derivative_umbra``-- moments n * a_{n-1}
 
 Auxiliary umbrae produced by these operations carry no correlation with
@@ -282,20 +282,20 @@ def _require_scalar_first_moment(a: Umbra) -> Fraction:
     return m1
 
 
+def _reversion(g: Umbra) -> TruncatedEGF:
+    """The reversion r of f(g, t) - 1; needs a nonzero scalar g_1."""
+    _require_scalar_first_moment(g)
+    return egf_revert(TruncatedEGF((Fraction(0),) + g.egf().coeffs[1:]))
+
+
 def comp_inverse(a: Umbra) -> Umbra:
-    """a^<-1>: 1 + reversion of f(a, t) - 1; needs a_1 != 0."""
-    _require_scalar_first_moment(a)
-    f = a.egf()
-    r = egf_revert(TruncatedEGF((Fraction(0),) + f.coeffs[1:]))
-    return Umbra.from_egf(TruncatedEGF((Fraction(1),) + r.coeffs[1:]))
+    """a^<-1>: f(a^<-1>, t) = 1 + r with r the reversion of f(a, t) - 1."""
+    return Umbra.from_egf(TruncatedEGF((Fraction(1),) + _reversion(a).coeffs[1:]))
 
 
 def adjoint(g: Umbra) -> Umbra:
-    """g* : the partition umbra of g^<-1>; f(g*, t) = exp(f^<-1>(g, t) - 1)."""
-    _require_scalar_first_moment(g)
-    f = g.egf()
-    r = egf_revert(TruncatedEGF((Fraction(0),) + f.coeffs[1:]))
-    return Umbra.from_egf(egf_exp(r))
+    """g* : the partition umbra of g^<-1>; f(g*, t) = exp(r), r as in comp_inverse."""
+    return Umbra.from_egf(egf_exp(_reversion(g)))
 
 
 def derivative_umbra(a: Umbra) -> Umbra:

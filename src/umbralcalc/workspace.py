@@ -18,8 +18,9 @@ import tempfile
 from pathlib import Path
 
 from .errors import WorkspaceError
+from .parser import RESERVED_NAMES
 from .rationals import format_rational, parse_rational
-from .umbra import Umbra
+from .umbra import BUILTIN_UMBRAE, Umbra
 
 WORKSPACE_VERSION = 1
 
@@ -49,6 +50,14 @@ def load_raw(path: str | Path) -> dict:
     return data
 
 
+def check_name(name: str) -> None:
+    """Raise ValueError unless ``name`` may name a user umbra."""
+    if name in RESERVED_NAMES or name in BUILTIN_UMBRAE:
+        raise ValueError(f"name {name!r} is reserved")
+    if not name.isidentifier():
+        raise ValueError(f"name {name!r} is not a valid umbra name")
+
+
 def umbrae_from_raw(data: dict, source: str = "workspace") -> dict[str, Umbra]:
     """The umbrae of a raw document; ``source`` names it in error messages."""
     umbrae = data.get("umbrae", {})
@@ -62,6 +71,7 @@ def umbrae_from_raw(data: dict, source: str = "workspace") -> dict[str, Umbra]:
                 f"{source}: umbra {name!r} must be an object with a 'moments' list of strings"
             )
         try:
+            check_name(name)
             out[name] = Umbra([parse_rational(m) for m in moments], name=name)
         except ValueError as exc:
             raise WorkspaceError(f"{source}: umbra {name!r}: {exc}") from None

@@ -283,6 +283,9 @@ def test_order_zero_is_degenerate_but_valid(run):
         '{"umbrae": {"a": {"moments": ["2", "1"]}}}',
         '{"umbrae":',
         '{"version": 99, "umbrae": {}}',
+        '{"umbrae": {"chi": {"moments": ["1", "5", "7"]}}}',
+        '{"umbrae": {"x": {"moments": ["1", "1"]}}}',
+        '{"umbrae": {"a b": {"moments": ["1", "1"]}}}',
     ],
 )
 def test_malformed_workspace_exits_3(run, text):

@@ -1,4 +1,5 @@
-"""Golden CLI output: sha256 of the JSON stdout of the README's example commands.
+"""Golden CLI output: sha256 of the JSON stdout of the README's example commands
+and of two high-order reversions.
 
 The CLI promises byte-identical output for identical invocations, and kernel
 rewrites must keep that promise across versions.  Each digest below pins one
@@ -52,6 +53,11 @@ GOLDEN = [
      "f3bf963a62592cc9e42c4d73f89ad7a3540916018ed3c339c5d5a006c4083717"),
     (["list"],
      "513092fa70933faf47230b8065e9653a1b53f6b03aa8bceee150455e93a6c79d"),
+    # High orders, where a reversion kernel rewrite would first show.
+    (["eval", "cinv(bell)", "--order", "32"],
+     "a4770d2039646965624c3fa305b7f0f377c82772f0eb6ee9e6c6acfefc85da83"),
+    (["associated", "--gamma", "bell", "--order", "24"],
+     "d8a7434bf819dc804c215f23c6882696cfd9279bd7876d5575c4c63d2ad2a65e"),
 ]
 
 

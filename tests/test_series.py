@@ -31,15 +31,6 @@ def exp_series(order):
     return egf_from_moments([1] * (order + 1))
 
 
-def invertible_series(order=8):
-    """Random h with h(0) = 0 and h'(0) != 0."""
-    return st.builds(
-        lambda c1, rest: TruncatedEGF(tuple([F(0), c1] + rest)),
-        fractions.filter(lambda c: c != 0),
-        st.lists(fractions, min_size=order - 1, max_size=order - 1),
-    )
-
-
 def test_moment_coefficient_bridge():
     f = egf_from_moments([1, 1, 1, 1])
     assert f.coeffs == (1, 1, F(1, 2), F(1, 6))
@@ -103,11 +94,38 @@ def horner_compose(f: TruncatedEGF, h: TruncatedEGF) -> TruncatedEGF:
     return result
 
 
+def recompose_revert(h: TruncatedEGF) -> TruncatedEGF:
+    """Reversion oracle: solve h(r) = t coefficient by coefficient.
+
+    The unknown r_m enters the t^m coefficient of h(r) linearly with factor
+    h_1, and coefficients above t^m cannot influence it, so each step
+    recomposes mod t^(m+1).
+    """
+    n = h.order
+    r = [F(0)] * (n + 1)
+    r[1] = F(1) / h.coeffs[1]
+    for m in range(2, n + 1):
+        err = egf_compose(truncated(h, m), TruncatedEGF(tuple(r[: m + 1]))).coeffs[m]
+        r[m] = -err / h.coeffs[1]
+    return TruncatedEGF(tuple(r))
+
+
 small_polys = st.builds(
     lambda c, cx, cy: Poly({(0, 0): c, (1, 0): cx, (0, 1): cy}), fractions, fractions, fractions
 )
 # Scalars, polynomials in x, y, and plenty of zeros (to exercise the sparse paths).
 coefficients = st.one_of(st.just(F(0)), fractions, small_polys)
+
+
+def invertible_series(max_order, tail=coefficients):
+    """Random h of order 1..max_order with h(0) = 0 and a nonzero scalar h'(0)."""
+    return st.integers(min_value=1, max_value=max_order).flatmap(
+        lambda n: st.builds(
+            lambda c1, rest: TruncatedEGF(tuple([F(0), c1] + rest)),
+            fractions.filter(lambda c: c != 0),
+            st.lists(tail, min_size=n - 1, max_size=n - 1),
+        )
+    )
 
 
 @settings(max_examples=60)
@@ -139,30 +157,18 @@ def test_revert_examples():
         egf_revert(TruncatedEGF((1, 1)))
 
 
-def lagrange_coefficients(h):
-    """Independent reversion oracle: r_n = [t^{n-1}] (t/h)^n / n."""
-    n = h.order
-    t_over_h = egf_reciprocal(TruncatedEGF(h.coeffs[1:] + (F(0),)))
-    out = [F(0), F(1) / h.coeffs[1]]
-    power = t_over_h
-    for m in range(2, n + 1):
-        power = egf_mul(power, t_over_h)
-        out.append(power.coeffs[m - 1] / m)
-    return TruncatedEGF(tuple(out[: n + 1]))
-
-
-@settings(max_examples=40)
-@given(invertible_series(8))
-def test_revert_matches_lagrange_formula(h):
-    assert egf_revert(h) == lagrange_coefficients(h)
+@settings(max_examples=40, deadline=None)
+@given(invertible_series(12))
+def test_revert_matches_recompose_oracle(h):
+    assert egf_revert(h) == recompose_revert(h)
 
 
 @settings(max_examples=30)
-@given(invertible_series(8))
+@given(invertible_series(8, fractions))
 def test_revert_is_two_sided_inverse(h):
     r = egf_revert(h)
-    assert egf_compose(h, r) == egf_identity(8)
-    assert egf_compose(r, h) == egf_identity(8)
+    assert egf_compose(h, r) == egf_identity(h.order)
+    assert egf_compose(r, h) == egf_identity(h.order)
 
 
 def test_revert_two_sided_inverse_order_16():

@@ -213,6 +213,7 @@ def test_adjoint_fixed_points():
     assert adjoint(unity(N)) == singleton(N)
     assert adjoint(bell_umbra(N)) == uinv_umbra(N)
     assert adjoint(uinv_umbra(N)) == bell_umbra(N)
+    assert adjoint(bell_umbra(64)) == uinv_umbra(64)  # the CLI's order cap
     with pytest.raises(NonInvertibleError):
         adjoint(augmentation(4))
 

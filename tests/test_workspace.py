@@ -84,6 +84,9 @@ MALFORMED = {
     "corrupt JSON": '{"umbrae":',
     "root not an object": "[1]",
     "version mismatch": '{"version": 2, "umbrae": {}}',
+    "builtin name": '{"umbrae": {"chi": {"moments": ["1", "5", "7"]}}}',
+    "indeterminate name": '{"umbrae": {"x": {"moments": ["1", "1"]}}}',
+    "not an identifier": '{"umbrae": {"a b": {"moments": ["1", "1"]}}}',
 }
 
 
