@@ -21,8 +21,7 @@ from umbralcalc import (
     recurrence_example_backward,
     recurrence_example_bernoulli,
     recurrence_example_fibonacci,
-    stirling_first_umbral,
-    stirling_second_umbral,
+    stirling_triangle,
     unity,
 )
 
@@ -54,11 +53,10 @@ def main():
     show_solution(recurrence_example_fibonacci(order))
 
     banner("Stirling triangles from the umbral closed forms")
-    for kind, fn in (("second", stirling_second_umbral), ("first", stirling_first_umbral)):
+    for kind in ("second", "first"):
         print(f"  {kind} kind:")
-        for n in range(order + 1):
-            row = " ".join(format_rational(fn(n, k)) for k in range(n + 1))
-            print(f"    {row}")
+        for row in stirling_triangle(kind, order):
+            print("    " + " ".join(format_rational(c) for c in row))
 
     banner("Poisson-Charlier connection constants, basis a=1 from b=2")
     cc = connection_constants(poisson_charlier_pair(2, order), poisson_charlier_pair(1, order))

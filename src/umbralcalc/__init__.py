@@ -90,6 +90,7 @@ from .sequences import (
     stirling_first_column,
     stirling_first_umbral,
     stirling_second_umbral,
+    stirling_triangle,
 )
 from .sheffer import (
     ConnectionConstants,

@@ -29,8 +29,7 @@ from .sequences import (
     recurrence_example_backward,
     recurrence_example_bernoulli,
     recurrence_example_fibonacci,
-    stirling_first_umbral,
-    stirling_second_umbral,
+    stirling_triangle,
 )
 from .series import TruncatedEGF, egf_exp
 from .sheffer import (
@@ -229,11 +228,8 @@ def cmd_stirling(args, config: CliConfig) -> dict:
     n_max = config.order if args.n is None else args.n
     if not 0 <= n_max <= MAX_ORDER:
         raise CliUsageError(f"--n must be between 0 and {MAX_ORDER}")
-    fn = stirling_first_umbral if args.kind == "first" else stirling_second_umbral
-    triangle = []
-    for n in range(n_max + 1):
-        triangle.append([format_rational(fn(n, k)) for k in range(n + 1)])
-    # fn() raises if the umbral value ever disagrees with the triangle recurrence.
+    # stirling_triangle raises if any umbral entry disagrees with the classical triangle.
+    triangle = [[format_rational(c) for c in row] for row in stirling_triangle(args.kind, n_max)]
     return {
         "command": "stirling",
         "kind": args.kind,
@@ -365,6 +361,14 @@ def _poly_map_to_str(m: dict) -> str:
     return Poly.from_json_map(m).__str__()
 
 
+# The result key that holds each table command's rows.
+_TABLE_KEYS = {
+    **dict.fromkeys(("sheffer", "associated", "appell", "abel", "example"), "coefficients"),
+    "connect": "matrix",
+    "stirling": "triangle",
+}
+
+
 def _render_csv(result: dict) -> str:
     cmd = result["command"]
     rows: list[list[str]] = []
@@ -374,16 +378,10 @@ def _render_csv(result: dict) -> str:
             for n, m in enumerate(entry["moments"]):
                 shown = m if isinstance(m, str) else _poly_map_to_str(m)
                 rows.append([entry["expr"], str(n), shown])
-    elif cmd in ("sheffer", "associated", "appell", "abel", "example"):
+    elif cmd in _TABLE_KEYS:
         order = result["order"]
         rows.append(["n"] + [f"c{k}" for k in range(order + 1)])
-        for n, row in enumerate(result["coefficients"]):
-            rows.append([str(n)] + row + ["0"] * (order + 1 - len(row)))
-    elif cmd in ("connect", "stirling"):
-        key = "matrix" if cmd == "connect" else "triangle"
-        order = result["order"]
-        rows.append(["n"] + [f"c{k}" for k in range(order + 1)])
-        for n, row in enumerate(result[key]):
+        for n, row in enumerate(result[_TABLE_KEYS[cmd]]):
             rows.append([str(n)] + row + ["0"] * (order + 1 - len(row)))
     elif cmd == "define":
         rows.append(["name", "order", "workspace"])
@@ -411,18 +409,10 @@ def _render_latex(result: dict) -> str:
                 shown = m if isinstance(m, str) else _poly_map_to_str(m)
                 lines.append(f"{n} & {_latex_math(shown)} \\\\")
             lines.append(r"\end{array}")
-    elif cmd in ("sheffer", "associated", "appell", "abel", "example"):
+    elif cmd in _TABLE_KEYS:
         order = result["order"]
         lines.append(r"\begin{array}{r|" + "r" * (order + 1) + "}")
-        for n, row in enumerate(result["coefficients"]):
-            padded = row + ["0"] * (order + 1 - len(row))
-            lines.append(f"{n} & " + " & ".join(padded) + r" \\")
-        lines.append(r"\end{array}")
-    elif cmd in ("connect", "stirling"):
-        key = "matrix" if cmd == "connect" else "triangle"
-        order = result["order"]
-        lines.append(r"\begin{array}{r|" + "r" * (order + 1) + "}")
-        for n, row in enumerate(result[key]):
+        for n, row in enumerate(result[_TABLE_KEYS[cmd]]):
             padded = row + ["0"] * (order + 1 - len(row))
             lines.append(f"{n} & " + " & ".join(padded) + r" \\")
         lines.append(r"\end{array}")

@@ -2,11 +2,14 @@
 umbral Stirling numbers, Poisson-Charlier polynomials, and three worked
 difference-equation solutions.
 
-Most operations here are deliberately redundant: a closed umbral formula is
-evaluated next to an independent route (classical triangle recurrence, series
-reversion, recursive initial-condition expansion) and the two must agree
-exactly.  The redundancy is the point -- these are the consistency theorems
-of the calculus, kept executable.
+Each table is read off one umbra: the Abel polynomials are the sequence
+associated to the derivative umbra g_D, column k of a Stirling triangle comes
+from one dot product with the Bernoulli umbra, and the Poisson-Charlier rows
+from one Sheffer table.  Most operations are also deliberately redundant: the
+umbral result is compared with an independent route (classical triangle
+recurrence, closed formula, series reversion, recursive initial-condition
+expansion) and the two must agree exactly.  The redundancy is the point --
+these are the consistency theorems of the calculus, kept executable.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .combinatorics import stirling_first_classical, stirling_second_classical
 from .poly import X, Y, Poly, Value, collapse, poly_definite_integral
 from .sheffer import (
     IdentityReport,
+    associated_moments,
     _as_poly,
     _first_violation,
     PolySequence,
@@ -41,6 +45,7 @@ from .umbra import (
     substitute,
     ubar_umbra,
     umbral_sum,
+    with_x_shift,
 )
 
 # ---------------------------------------------------------------------------
@@ -68,17 +73,14 @@ def fibonacci_factorial_umbra(order: int) -> Umbra:
 
 
 def abel_polynomials(gamma: Umbra, n_max: int) -> PolySequence:
-    """p_n(x) = x (x - n.g)^{n-1}, with (-n).g read as the series power f^{-n}."""
+    """p_n(x) = x (x - n.g)^{n-1}: the sequence associated to the derivative umbra g_D.
+
+    g_D (moments n g_{n-1}) is built to order n_max from g_0..g_{n_max-1}.
+    """
     if gamma.order < max(n_max - 1, 0):
         raise ValueError(f"need gamma to order {n_max - 1}, have {gamma.order}")
-    polys: list[Poly] = [Poly(1)]
-    for n in range(1, n_max + 1):
-        neg = dot(-n, gamma)
-        p: Value = Fraction(0)
-        for k in range(n):
-            p = p + binomial(n - 1, k) * neg.moment(n - 1 - k) * X**k
-        polys.append(_as_poly(collapse(X * p)))
-    return PolySequence(tuple(polys), kind=f"abel({gamma.name})")
+    gamma_d = Umbra([Fraction(1)] + [Fraction(n) * gamma.moment(n - 1) for n in range(1, n_max + 1)])
+    return PolySequence(associated_moments(gamma_d).polys, kind=f"abel({gamma.name})")
 
 
 def lagrange_inversion(gamma: Umbra, n: int) -> Fraction:
@@ -109,25 +111,49 @@ def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
     return value
 
 
+def _stirling_column(kind: str, k: int, n_max: int) -> list[Fraction]:
+    """Column k, rows k..n_max, of a Stirling triangle from one dot product.
+
+    S(n,k) = C(n,k) E[(-k.bern)^{n-k}] and s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}];
+    every entry is checked against the classical triangle.
+    """
+    bern = bernoulli_umbra(n_max - k)
+    if kind == "second":
+        umbra, classical, label = dot(-k, bern), stirling_second_classical, "S"
+    else:
+        umbra, classical, label = dot(k, factorial_umbra(bern)), stirling_first_classical, "s"
+    column = []
+    for n in range(k, n_max + 1):
+        value = collapse(binomial(n, k) * umbra.moment(n - k))
+        if value != classical(n, k):
+            raise AssertionError(f"umbral {label}({n},{k}) disagrees with the triangle")
+        column.append(value)
+    return column
+
+
+def stirling_triangle(kind: str, n_max: int) -> list[list[Fraction]]:
+    """Rows 0..n_max of the "first" or "second" kind umbral Stirling triangle.
+
+    Built from n_max + 1 columns, one dot product each; every entry is checked.
+    """
+    if kind not in ("first", "second"):
+        raise ValueError("kind must be 'first' or 'second'")
+    columns = [_stirling_column(kind, k, n_max) for k in range(n_max + 1)]
+    return [[columns[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
+
+
 def stirling_second_umbral(n: int, k: int) -> Fraction:
-    """S(n,k) = C(n,k) E[(-k.bern)^{n-k}], checked against the triangle."""
+    """S(n,k) = C(n,k) E[(-k.bern)^{n-k}]: entry n of column k, checked against the triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    value = collapse(binomial(n, k) * dot(-k, bernoulli_umbra(max(n - k, 0))).moment(n - k))
-    if value != stirling_second_classical(n, k):
-        raise AssertionError(f"umbral S({n},{k}) disagrees with the triangle")
-    return value
+    return _stirling_column("second", k, n)[-1]
 
 
 def stirling_first_umbral(n: int, k: int) -> Fraction:
-    """s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}], checked against the triangle."""
+    """s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}]: entry n of column k, checked against the triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    base = factorial_umbra(bernoulli_umbra(max(n - k, 0)))
-    value = collapse(binomial(n, k) * dot(k, base).moment(n - k))
-    if value != stirling_first_classical(n, k):
-        raise AssertionError(f"umbral s({n},{k}) disagrees with the triangle")
-    return value
+    return _stirling_column("first", k, n)[-1]
 
 
 def stirling_first_column(n: int) -> Fraction:
@@ -142,26 +168,28 @@ def stirling_first_column(n: int) -> Fraction:
 
 
 def poisson_charlier(n: int, a) -> Poly:
-    """c_n(x; a) = a^{-n} sum_k C(n,k) (-a)^{n-k} (x)_k, cross-checked."""
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("parameter a must be nonzero")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc: Value = Fraction(0)
-    for k in range(n + 1):
-        acc = acc + binomial(n, k) * (-a) ** (n - k) * falling_factorial(X, k)
-    value = _as_poly(collapse(acc / a**n))
-    via_sheffer = sheffer_moments(poisson_charlier_pair(a, n))[n]
-    if value != via_sheffer:
-        raise AssertionError("Poisson-Charlier formula disagrees with the Sheffer route")
-    return value
+    """c_n(x; a) = a^{-n} sum_k C(n,k) (-a)^{n-k} (x)_k: row n of poisson_charlier_sequence."""
+    return poisson_charlier_sequence(n, a)[n]
 
 
 def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
-    return PolySequence(
-        tuple(poisson_charlier(n, a) for n in range(n_max + 1)), kind=f"poisson_charlier(a={a})"
-    )
+    """c_0..c_{n_max}, read off one Sheffer table of the pair (a.bell, chi.a.bell).
+
+    Each row is checked against the closed formula of poisson_charlier.
+    """
+    b = Fraction(a)
+    if b == 0:
+        raise ValueError("parameter a must be nonzero")
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    table = sheffer_moments(poisson_charlier_pair(b, n_max))
+    for n in range(n_max + 1):
+        acc: Value = Fraction(0)
+        for k in range(n + 1):
+            acc = acc + binomial(n, k) * (-b) ** (n - k) * falling_factorial(X, k)
+        if _as_poly(collapse(acc / b**n)) != table[n]:
+            raise AssertionError("Poisson-Charlier formula disagrees with the Sheffer route")
+    return PolySequence(table.polys, kind=f"poisson_charlier(a={a})")
 
 
 def exponential_polynomials(n_max: int) -> PolySequence:
@@ -187,27 +215,19 @@ def abel_identity_check(gamma: Umbra, n_max: int) -> IdentityReport:
     """(x+y)^n = sum_k C(n,k) [y(y - k.g)^{k-1}] (x + k.g)^{n-k}, exactly.
 
     The two k.g factors in each term are distinct auxiliary umbrae, so the
-    term is a product of two independently evaluated polynomials.
+    term is a product of two independently evaluated polynomials: the Abel
+    polynomial p_k at y and moment n - k of k.g + x.u.  The moments of g may
+    involve y but not x.
     """
     if gamma.order < n_max:
         raise ValueError(f"need gamma to order {n_max}, have {gamma.order}")
+    abel_y = [p.substitute(x=Y) for p in abel_polynomials(gamma, n_max)]
+    shifts = [with_x_shift(dot(k, gamma)) for k in range(n_max + 1)]  # moments (x + k.g)^m
     for n in range(n_max + 1):
         lhs = _as_poly((X + Y) ** n)
         rhs: Value = Fraction(0)
         for k in range(n + 1):
-            if k == 0:
-                rhs = rhs + X**n  # p_0 = 1 times the pure power
-                continue
-            neg = dot(-k, gamma)
-            abel_y: Value = Fraction(0)
-            for j in range(k):
-                abel_y = abel_y + binomial(k - 1, j) * neg.moment(k - 1 - j) * Y**j
-            abel_y = Y * abel_y
-            pos = dot(k, gamma)
-            shift: Value = Fraction(0)
-            for j in range(n - k + 1):
-                shift = shift + binomial(n - k, j) * pos.moment(n - k - j) * X**j
-            rhs = rhs + binomial(n, k) * abel_y * shift
+            rhs = rhs + binomial(n, k) * abel_y[k] * shifts[k].moment(n - k)
         if lhs != collapse(rhs):
             return IdentityReport("abel", n_max, False, _first_violation(n, lhs, collapse(rhs)))
     return IdentityReport("abel", n_max, True)
@@ -331,8 +351,8 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
     core = dot(ubar_umbra(order), dot(bell_umbra(order), derivative_umbra(fib_bar)))
     closed: list[Poly] = []
     for n in range(n_max + 1):
-        shifted = dot(X + (n - 1), singleton(order))
-        total = umbral_sum(core, shifted)
+        shifted = dot(X + (n - 1), singleton(n))
+        total = umbral_sum(core.truncated(n), shifted)
         closed.append(_as_poly(collapse(total.moment(n) / Fraction(factorial(n)))))
 
     # Recursive route from the initial condition.

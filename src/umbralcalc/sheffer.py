@@ -156,14 +156,7 @@ def associated_moments(gamma: Umbra) -> PolySequence:
 
 def appell_moments(alpha: Umbra) -> PolySequence:
     """Moments of -1.a + x.u: p_n(x) = sum_k C(n,k) b_{n-k} x^k, b = -1.a."""
-    b = inverse_dot(alpha)
-    polys = []
-    for n in range(alpha.order + 1):
-        p: Value = Fraction(0)
-        for k in range(n + 1):
-            p = p + binomial(n, k) * b.moment(n - k) * X**k
-        polys.append(_as_poly(collapse(p)))
-    return PolySequence(tuple(polys), kind=f"appell({alpha.name})")
+    return _moments_to_sequence(with_x_shift(inverse_dot(alpha)).moments, kind=f"appell({alpha.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +283,25 @@ def _x_to_y(p: Poly) -> Poly:
     return p.substitute(x=Y)
 
 
+def _check_convolution(
+    name: str, s: PolySequence, q: Sequence[Value], max_degree: int | None
+) -> IdentityReport:
+    """s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for n up to max_degree."""
+    n_max = s.order if max_degree is None else max_degree
+    for n in range(n_max + 1):
+        lhs = _shift_to_xy(s[n])
+        rhs: Value = Fraction(0)
+        for k in range(n + 1):
+            rhs = rhs + binomial(n, k) * s[k] * q[n - k]
+        if lhs != collapse(rhs):
+            return IdentityReport(name, n_max, False, _first_violation(n, lhs, collapse(rhs)))
+    return IdentityReport(name, n_max, True)
+
+
 def check_binomial_identity(gamma: Umbra, max_degree: int | None = None) -> IdentityReport:
     """p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for the associated sequence."""
     seq = associated_moments(gamma)
-    n_max = seq.order if max_degree is None else max_degree
-    for n in range(n_max + 1):
-        lhs = _shift_to_xy(seq[n])
-        rhs: Value = Fraction(0)
-        for k in range(n + 1):
-            rhs = rhs + binomial(n, k) * seq[k] * _x_to_y(seq[n - k])
-        if lhs != collapse(rhs):
-            return IdentityReport("binomial", n_max, False, _first_violation(n, lhs, collapse(rhs)))
-    return IdentityReport("binomial", n_max, True)
+    return _check_convolution("binomial", seq, [_x_to_y(p) for p in seq], max_degree)
 
 
 def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> IdentityReport:
@@ -312,14 +312,10 @@ def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> 
     """
     s = sheffer_moments(pair)
     p = associated_moments(pair.gamma)
-    n_max = s.order if max_degree is None else max_degree
-    for n in range(n_max + 1):
-        lhs = _shift_to_xy(s[n])
-        rhs: Value = Fraction(0)
-        for k in range(n + 1):
-            rhs = rhs + binomial(n, k) * s[k] * _x_to_y(p[n - k])
-        if lhs != collapse(rhs):
-            return IdentityReport("sheffer", n_max, False, _first_violation(n, lhs, collapse(rhs)))
+    report = _check_convolution("sheffer", s, [_x_to_y(q) for q in p], max_degree)
+    if not report.ok:
+        return report
+    n_max = report.max_degree
     shifted = with_x_shift(pair.gamma)
     lhs_list = substitute(list(s), shifted)
     for k in range(n_max + 1):
@@ -328,21 +324,13 @@ def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> 
             return IdentityReport(
                 "sheffer-derivative", n_max, False, _first_violation(k, collapse(lhs_list[k]), rhs_k)
             )
-    return IdentityReport("sheffer", n_max, True)
+    return report
 
 
 def check_appell_identity(alpha: Umbra, max_degree: int | None = None) -> IdentityReport:
     """p_n(x+y) = sum_k C(n,k) p_k(x) y^{n-k} for the Appell sequence of a."""
     seq = appell_moments(alpha)
-    n_max = seq.order if max_degree is None else max_degree
-    for n in range(n_max + 1):
-        lhs = _shift_to_xy(seq[n])
-        rhs: Value = Fraction(0)
-        for k in range(n + 1):
-            rhs = rhs + binomial(n, k) * seq[k] * Y ** (n - k)
-        if lhs != collapse(rhs):
-            return IdentityReport("appell", n_max, False, _first_violation(n, lhs, collapse(rhs)))
-    return IdentityReport("appell", n_max, True)
+    return _check_convolution("appell", seq, [Y**m for m in range(len(seq))], max_degree)
 
 
 def power_pair(order: int) -> ShefferPair:

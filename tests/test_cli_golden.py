@@ -1,9 +1,10 @@
-"""Golden CLI output: sha256 of the JSON stdout of the README's example commands
-and of two high-order reversions.
+"""Golden CLI output: sha256 of the stdout of the README's example commands,
+of high-order reversions and sequence tables, and of the csv and latex tables.
 
 The CLI promises byte-identical output for identical invocations, and kernel
 rewrites must keep that promise across versions.  Each digest below pins one
-command's ``--format json`` stdout.  The commands run in order against one
+command's stdout, in ``--format json`` unless the entry gives its own
+``--format``.  The commands run in order against one
 scratch workspace (``define`` comes before the ``eval`` and ``list`` that read
 it), given as the relative path ``umbrae.json`` so that the ``define`` output
 does not depend on the temporary directory.
@@ -27,7 +28,7 @@ CONNECT = [
     "--order", "4",
 ]
 
-# (argv without --format/--workspace, sha256 of the JSON stdout)
+# (argv without --workspace, sha256 of the stdout); --format defaults to json
 GOLDEN = [
     (["eval", "x . adj(u)", "--order", "4"],
      "4b91fb98a0345be4c5a3b5eed30d90218b82ee48b92efe7a6ac6763612592f19"),
@@ -58,6 +59,28 @@ GOLDEN = [
      "a4770d2039646965624c3fa305b7f0f377c82772f0eb6ee9e6c6acfefc85da83"),
     (["associated", "--gamma", "bell", "--order", "24"],
      "d8a7434bf819dc804c215f23c6882696cfd9279bd7876d5575c4c63d2ad2a65e"),
+    # Sequence tables, where a table built from one umbra would first show.
+    (["abel", "--gamma", "bell", "--order", "16"],
+     "0f63e2efb97b4150a463622dcd054a9c3e6c2fa573639121e1ea19baf73ee8e8"),
+    (["appell", "--alpha", "bell", "--order", "12"],
+     "970a76049b69e0d58aad6ae319cefe52fcf8288b765390e6fbd518bcb238d778"),
+    (["stirling", "first", "--n", "24"],
+     "8a2cd193810d648473b2a7a4ccd1acd0c1449ba81df1e14012c99610a3ac30a7"),
+    (["example", "backward-diff", "--order", "12"],
+     "2e8aa8678178c21adfd000da6ac5ab0b5e656ce052a190b7989c4470407e2ff0"),
+    # The csv and latex table renderers, one entry per result key.
+    (["stirling", "second", "--n", "6", "--format", "csv"],
+     "9623f9cac959c580ff0adf1caccdf71389f89776c7b909a7e92cb41dcfc8f114"),
+    (["stirling", "second", "--n", "6", "--format", "latex"],
+     "ac9a7e03f02ce013ef1b97365ae19b27c076558e3bb6ef9e2a050e8af27eec48"),
+    (["abel", "--gamma", "u", "--order", "5", "--format", "csv"],
+     "9fb9d3bf5b1bb11a154a5f28f34c7ed8bad8893361b0b75b75b86ab1504de244"),
+    (["abel", "--gamma", "u", "--order", "5", "--format", "latex"],
+     "69c25b87663bf71dfbf1e615ee769ee9d6328752d5aac3f8714d274674f16ac4"),
+    ([*CONNECT, "--format", "csv"],
+     "94b8d2e8280768993584a5dd278808f0fe73b6d4d6cec37babf3fc40840e51cd"),
+    ([*CONNECT, "--format", "latex"],
+     "8cd5013e0d7ed1966aaaa494d1062c75d183a184aff91619d5d5c4e6840d6f01"),
 ]
 
 
@@ -67,7 +90,8 @@ def _digests() -> list[str]:
     for argv, _ in GOLDEN:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = main([*argv, "--format", "json", "--workspace", "umbrae.json"])
+            fmt = [] if "--format" in argv else ["--format", "json"]
+            code = main([*argv, *fmt, "--workspace", "umbrae.json"])
         assert code == 0, argv
         out.append(hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest())
     return out

@@ -2,12 +2,16 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from umbralcalc import sequences
 from umbralcalc.combinatorics import (
+    binomial,
     stirling_first_classical,
     stirling_second_classical,
 )
-from umbralcalc.poly import Poly, X, collapse, poly_definite_integral
+from umbralcalc.poly import Poly, X, Y, collapse, poly_definite_integral
 from umbralcalc.sequences import (
     abel_identity_check,
     abel_polynomials,
@@ -27,9 +31,11 @@ from umbralcalc.sequences import (
     stirling_first_column,
     stirling_first_umbral,
     stirling_second_umbral,
+    stirling_triangle,
 )
-from umbralcalc.sheffer import associated_moments
+from umbralcalc.sheffer import PolySequence, associated_moments, poisson_charlier_pair, sheffer_moments
 from umbralcalc.umbra import (
+    Umbra,
     augmentation,
     bernoulli_umbra,
     comp_inverse,
@@ -55,11 +61,38 @@ def test_abel_polynomial_examples():
         assert ab[n] == collapse(X * (X - n) ** (n - 1))
 
 
+def abel_by_powers(gamma, n_max):
+    """Oracle: p_n(x) = x (x - n.g)^{n-1}, one dot(-n, g) per row (g to order >= n_max - 1)."""
+    polys = [Poly(1)]
+    for n in range(1, n_max + 1):
+        neg = dot(-n, gamma)
+        p = F(0)
+        for k in range(n):
+            p = p + binomial(n - 1, k) * neg.moment(n - 1 - k) * X**k
+        polys.append(collapse(X * p))
+    return polys
+
+
 def test_abel_equals_associated_of_derivative():
     for gamma in (unity(N), singleton(N), bernoulli_umbra(N), augmentation(N)):
-        ab = abel_polynomials(gamma, N)
         assoc = associated_moments(derivative_umbra(gamma))
-        assert list(ab) == list(assoc), gamma.name
+        assert abel_by_powers(gamma, N) == list(assoc), gamma.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(0, 10),
+    extra=st.sampled_from([-1, 0, 2]),
+    tail=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=12, max_size=12),
+    in_y=st.booleans(),
+)
+@example(n_max=6, extra=-1, tail=[F(k, 3) for k in range(1, 13)], in_y=True)
+def test_abel_matches_power_oracle(n_max, extra, tail, in_y):
+    """abel_polynomials (through g_D) against one dot(-n, g) per row, g of order n_max - 1 and up."""
+    order = max(n_max + extra, 0)
+    moments = [F(1)] + [c + (Y * c if in_y else 0) for c in tail[:order]]
+    gamma = Umbra(moments)
+    assert list(abel_polynomials(gamma, n_max)) == abel_by_powers(gamma, n_max)
 
 
 def test_lagrange_inversion_values():
@@ -107,6 +140,47 @@ def test_umbral_stirling_triangles():
     assert stirling_first_umbral(3, 2) == -3
     with pytest.raises(ValueError):
         stirling_second_umbral(2, 3)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_stirling_triangle_is_one_dot_per_column(kind, monkeypatch):
+    calls = []
+    real_dot = sequences.dot
+    monkeypatch.setattr(sequences, "dot", lambda left, a: calls.append(left) or real_dot(left, a))
+    classical = stirling_first_classical if kind == "first" else stirling_second_classical
+    assert stirling_triangle(kind, 24) == [[classical(n, k) for k in range(n + 1)] for n in range(25)]
+    assert len(calls) == 25
+
+
+def test_stirling_triangle_checks_every_entry(monkeypatch):
+    def off_at_5_2(n, k):
+        return stirling_second_classical(n, k) + (1 if (n, k) == (5, 2) else 0)
+
+    monkeypatch.setattr(sequences, "stirling_second_classical", off_at_5_2)
+    with pytest.raises(AssertionError, match=r"S\(5,2\)"):
+        stirling_triangle("second", 6)
+    with pytest.raises(ValueError):
+        stirling_triangle("third", 3)
+
+
+@pytest.mark.parametrize("a", [1, F(3, 2)])
+def test_poisson_charlier_sequence_is_one_sheffer_table(a, monkeypatch):
+    orders = []
+    monkeypatch.setattr(sequences, "sheffer_moments", lambda pair: orders.append(pair.order) or sheffer_moments(pair))
+    seq = poisson_charlier_sequence(12, a)
+    assert list(seq) == list(sheffer_moments(poisson_charlier_pair(a, 12)))
+    assert orders == [12]
+
+
+def test_poisson_charlier_sequence_checks_every_row(monkeypatch):
+    def one_row_off(pair):
+        table = list(sheffer_moments(pair))
+        table[3] = table[3] + 1
+        return PolySequence(tuple(table))
+
+    monkeypatch.setattr(sequences, "sheffer_moments", one_row_off)
+    with pytest.raises(AssertionError, match="Poisson-Charlier"):
+        poisson_charlier_sequence(5, 2)
 
 
 def test_poisson_charlier_examples():
