@@ -3,11 +3,11 @@
 Umbrae are truncated unital moment sequences over exact rationals (or
 polynomials in x, y).  The package provides the dot-operation algebra
 (dot-products, dot-powers, inverses, compositional inverses, adjoints,
-derivative umbrae), a truncated exponential-generating-function kernel, the
-Sheffer/associated/Appell sequence toolkit with connection constants, the
-classical special sequences (Abel, Poisson-Charlier, umbral Stirling numbers,
-Lagrange inversion), a small expression DSL, and the `umbra` command-line
-front end.
+derivative umbrae), a truncated exponential-generating-function kernel that
+works on the moment sequences themselves, the Sheffer/associated/Appell
+sequence toolkit with connection constants, the classical special sequences
+(Abel, Poisson-Charlier, umbral Stirling numbers, Lagrange inversion), a
+small expression DSL, and the `umbra` command-line front end.
 """
 
 from .combinatorics import (
@@ -59,16 +59,13 @@ from .parser import parse, pretty_print, tokenize
 from .poly import Poly, Value, collapse, poly_definite_integral, poly_derivative
 from .rationals import format_rational, parse_rational
 from .series import (
-    TruncatedEGF,
     egf_compose,
     egf_exp,
-    egf_from_moments,
     egf_log,
     egf_mul,
     egf_power,
     egf_reciprocal,
     egf_revert,
-    moments_from_egf,
 )
 from .sequences import (
     RecurrenceSolution,

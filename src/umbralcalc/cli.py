@@ -4,8 +4,9 @@ Subcommands: eval, sheffer, associated, appell, connect, stirling, abel,
 example, define, list.  All computation is exact and deterministic; identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage/parse/unknown-name, 2 mathematical failure,
-3 I/O failure (including an unreadable workspace file).
+Exit codes: 0 success, 1 usage/parse/unknown-name or an expression past the
+order cap, 2 mathematical failure, 3 I/O failure (including an unreadable
+workspace file).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .errors import UmbralError, UmbraSyntaxError, UnknownUmbraError, WorkspaceError
-from .expressions import Expr, evaluate
+from .errors import OrderCapError, UmbralError, UmbraSyntaxError, UnknownUmbraError, WorkspaceError
+from .expressions import MAX_ORDER, Expr, evaluate
 from .parser import parse, pretty_print
 from .poly import Poly, value_to_json, value_to_str
 from .rationals import format_rational, parse_rational
@@ -31,7 +32,7 @@ from .sequences import (
     recurrence_example_fibonacci,
     stirling_triangle,
 )
-from .series import TruncatedEGF, egf_exp
+from .series import egf_exp
 from .sheffer import (
     PolySequence,
     ShefferPair,
@@ -43,7 +44,6 @@ from .sheffer import (
 from .umbra import BUILTIN_UMBRAE, Umbra
 from . import workspace as ws
 
-MAX_ORDER = 64
 FORMATS = ("pretty", "json", "csv", "latex")
 
 
@@ -285,11 +285,9 @@ def cmd_define(args, config: CliConfig) -> dict:
             raise CliUsageError("series must have constant term 1")
         umbra = Umbra([c * factorial(n) for n, c in enumerate(coeffs)], name=name)
     else:
+        # The cumulants are the moments of log f, so f is their exp.
         kappa = _parse_csv_rationals(args.cumulants, "--cumulants")
-        series = TruncatedEGF(
-            (Fraction(0),) + tuple(k / factorial(n + 1) for n, k in enumerate(kappa))
-        )
-        umbra = Umbra.from_egf(egf_exp(series), name=name)
+        umbra = Umbra(egf_exp((Fraction(0), *kappa)), name=name)
     raw = ws.load_raw(config.workspace)
     ws.umbrae_from_raw(raw, str(config.workspace))  # never rewrite a malformed workspace
     ws.set_umbra(raw, name, umbra)
@@ -451,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _config(args)
         result = _COMMANDS[args.command](args, config)
-    except CliUsageError as exc:
+    except (CliUsageError, OrderCapError) as exc:
         print(f"umbra: error: {exc}", file=sys.stderr)
         return 1
     except UmbraSyntaxError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from .poly import Poly, Value, collapse
@@ -32,6 +32,8 @@ def binomial(n, k: int) -> Value:
     """Generalized binomial C(n, k) = (n)_k / k!; n may be a Poly."""
     if k < 0:
         raise ValueError("binomial needs k >= 0")
+    if isinstance(n, int) and n >= 0:
+        return Fraction(comb(n, k))
     return collapse(falling_factorial(n, k) / Fraction(factorial(k)))
 
 

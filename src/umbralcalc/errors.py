@@ -1,8 +1,8 @@
 """Error types shared across the package.
 
-The CLI maps these onto exit codes: syntax/name problems are user-input
-errors, UmbralError subclasses are mathematical failures, and a
-WorkspaceError is an I/O failure.
+The CLI maps these onto exit codes: syntax/name problems and expressions
+past the order cap are user-input errors, UmbralError subclasses are
+mathematical failures, and a WorkspaceError is an I/O failure.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ class WorkspaceError(ValueError):
     """A workspace file that cannot be read as a workspace (corrupt JSON,
     wrong version, malformed or non-unital entry); the message names the
     file or entry."""
+
+
+class OrderCapError(Exception):
+    """An expression needs moments past the order cap; the message names the
+    order it needs and the cap."""
 
 
 class UnknownUmbraError(Exception):

@@ -18,6 +18,12 @@ environment if you need two correlated occurrences of it.
 ``evaluate(e, order)`` returns the umbra denoted by ``e``: its n-th moment is
 E[e^n], computed by expanding e^n into monomials over the labelled atoms and
 applying the product rule above.  Moments may be polynomials in x, y.
+
+A power multiplies the order at which an atom's moments are needed: moment n
+of a^k needs a to order n k.  The evaluator works that order out before it
+computes anything and refuses, with :class:`OrderCapError`, an expression
+that needs an operand past max(order, MAX_ORDER), or a ``^`` exponent past
+that cap.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .errors import OrderMismatchError, UnknownUmbraError
+from .errors import OrderCapError, OrderMismatchError, UnknownUmbraError
 from .poly import Poly, Value, collapse
 from .umbra import (
     BUILTIN_UMBRAE,
@@ -43,6 +49,11 @@ from .umbra import (
 )
 
 Span = Union[tuple[int, int], None]
+
+# The CLI's --order cap.  The evaluator computes no operand's moments past
+# max(order, MAX_ORDER); the excess over MAX_ORDER admits bar(a), which needs
+# a to one order more than its own.
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -200,9 +211,15 @@ def _umul(p: dict, q: dict) -> dict:
     return out
 
 
+def _degree(upoly: dict) -> int:
+    """The highest power of any one atom in an umbral polynomial."""
+    return max((e for atoms, _, _ in upoly for _, e in atoms), default=0)
+
+
 class _Evaluator:
     def __init__(self, order: int, env: Environment):
         self.order = order
+        self.cap = max(order, MAX_ORDER)
         self.env = env
         self._fresh = 0
         self._sources: dict[tuple, Callable[[int], Umbra]] = {}
@@ -230,6 +247,10 @@ class _Evaluator:
             else:
                 self._sources[label] = src
         return label
+
+    def require(self, need: int) -> None:
+        if need > self.cap:
+            raise OrderCapError(f"expression needs order {need}, past the order cap {self.cap}")
 
     def _opaque(self, fn: Callable[[int], Umbra]) -> tuple:
         self._fresh += 1
@@ -274,6 +295,7 @@ class _Evaluator:
                 raise ValueError("powers must be nonnegative")
             out = {_UNIT: Fraction(1)}
             base = self.upoly(expr.expr)
+            self.require(expr.power * max(_degree(base), 1))
             for _ in range(expr.power):
                 out = _umul(out, base)
             return out
@@ -328,6 +350,7 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None) -> Umbra:
         raise ValueError("order must be >= 0")
     ev = _Evaluator(order, default_environment() if env is None else env)
     base = ev.upoly(expr)
+    ev.require(order * _degree(base))
     moments: list[Value] = [Fraction(1)]
     power = {_UNIT: Fraction(1)}
     for _ in range(order):
@@ -339,4 +362,6 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None) -> Umbra:
 def expectation(expr: Expr, env: Environment | None = None) -> Value:
     """E[expr] for an umbral polynomial (the first moment of its umbra)."""
     ev = _Evaluator(1, default_environment() if env is None else env)
-    return ev.apply_E(ev.upoly(expr))
+    base = ev.upoly(expr)
+    ev.require(_degree(base))
+    return ev.apply_E(base)

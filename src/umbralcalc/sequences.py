@@ -351,9 +351,12 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
     core = dot(ubar_umbra(order), dot(bell_umbra(order), derivative_umbra(fib_bar)))
     closed: list[Poly] = []
     for n in range(n_max + 1):
+        # Only moment n of core + (x + n - 1).chi is needed: one convolution row.
         shifted = dot(X + (n - 1), singleton(n))
-        total = umbral_sum(core.truncated(n), shifted)
-        closed.append(_as_poly(collapse(total.moment(n) / Fraction(factorial(n)))))
+        moment: Value = Fraction(0)
+        for k in range(n + 1):
+            moment = moment + binomial(n, k) * core.moment(k) * shifted.moment(n - k)
+        closed.append(_as_poly(collapse(moment / Fraction(factorial(n)))))
 
     # Recursive route from the initial condition.
     recursive: list[Poly] = [Poly(1)]

@@ -26,7 +26,6 @@ from .series import (
     egf_mul,
     egf_reciprocal,
     egf_scale,
-    moments_from_egf,
 )
 from .umbra import (
     Umbra,
@@ -135,9 +134,8 @@ def sheffer_moments(pair: ShefferPair) -> PolySequence:
         return PolySequence((Poly(1),), kind="sheffer")
     # Series route: s_n(x) = n! [t^n] e^{x r(t)} / f(a, r(t)), r = revert(f(g) - 1).
     r = _reversion(pair.gamma)
-    fa_at_r = egf_compose(pair.alpha.egf(), r)
-    series = egf_mul(egf_reciprocal(fa_at_r), egf_exp(egf_scale(X, r)))
-    via_series = moments_from_egf(series)
+    fa_at_r = egf_compose(pair.alpha.moments, r)
+    via_series = egf_mul(egf_reciprocal(fa_at_r), egf_exp(egf_scale(X, r)))
     # Moment route: dot the Appell-style umbra into the adjoint.
     appell_part = with_x_shift(inverse_dot(pair.alpha))
     via_moments = dot(appell_part, adjoint(pair.gamma)).moments

@@ -2,7 +2,10 @@
 
 An :class:`Umbra` is the computational residue of a formal symbol a with
 E[a^n] = a_n: a unital moment sequence (a_0 = 1, a_1, ..., a_N) whose entries
-are exact rationals or polynomials in x, y.  All the classical operations are
+are exact rationals or polynomials in x, y.  The moment tuple is also the
+series kernel's representation of f(a, t) (:mod:`umbralcalc.series`), so
+every operation below hands moments to the kernel and wraps what it returns,
+with no conversion in between.  All the classical operations are
 moment-level maps:
 
 * ``umbral_sum``      -- binomial convolution (product of generating functions)
@@ -30,7 +33,6 @@ from typing import Callable, Sequence
 from .combinatorics import (
     bell_numbers,
     bernoulli_numbers,
-    binomial,
     falling_factorial,
     partition_coefficient,
     partitions_of,
@@ -39,15 +41,14 @@ from .combinatorics import (
 from .errors import NonInvertibleError, OrderMismatchError
 from .poly import Poly, Value, collapse
 from .series import (
-    TruncatedEGF,
+    Series,
     egf_compose,
     egf_exp,
-    egf_from_moments,
     egf_log,
+    egf_mul,
     egf_power,
     egf_reciprocal,
     egf_revert,
-    moments_from_egf,
 )
 
 
@@ -75,13 +76,6 @@ class Umbra:
 
     def moment(self, n: int) -> Value:
         return self._moments[n]
-
-    def egf(self) -> TruncatedEGF:
-        return egf_from_moments(self._moments)
-
-    @staticmethod
-    def from_egf(f: TruncatedEGF, name: str | None = None) -> "Umbra":
-        return Umbra(moments_from_egf(f), name=name)
 
     def truncated(self, order: int) -> "Umbra":
         if order > self.order:
@@ -190,14 +184,7 @@ def _check_same_order(a: Umbra, b: Umbra) -> int:
 
 def umbral_sum(a: Umbra, b: Umbra) -> Umbra:
     """Moments of a + b' for uncorrelated a, b: binomial convolution."""
-    n = _check_same_order(a, b)
-    out: list[Value] = []
-    for i in range(n + 1):
-        acc: Value = Fraction(0)
-        for k in range(i + 1):
-            acc = acc + binomial(i, k) * a.moment(k) * b.moment(i - k)
-        out.append(acc)
-    return Umbra(out)
+    return Umbra(egf_mul(a.moments, b.moments))
 
 
 def disjoint_sum(a: Umbra, b: Umbra) -> Umbra:
@@ -253,8 +240,8 @@ def dot(left, a: Umbra) -> Umbra:
     """
     if isinstance(left, Umbra):
         _check_same_order(left, a)
-        return Umbra.from_egf(egf_compose(left.egf(), egf_log(a.egf())))
-    return Umbra.from_egf(egf_power(a.egf(), left))
+        return Umbra(egf_compose(left.moments, egf_log(a.moments)))
+    return Umbra(egf_power(a.moments, left))
 
 
 def dot_power(a: Umbra, n: int) -> Umbra:
@@ -268,7 +255,7 @@ def dot_power(a: Umbra, n: int) -> Umbra:
 
 def inverse_dot(a: Umbra) -> Umbra:
     """-1.a, the inverse umbra: reciprocal generating function."""
-    return Umbra.from_egf(egf_reciprocal(a.egf()))
+    return Umbra(egf_reciprocal(a.moments))
 
 
 def _require_scalar_first_moment(a: Umbra) -> Fraction:
@@ -282,20 +269,20 @@ def _require_scalar_first_moment(a: Umbra) -> Fraction:
     return m1
 
 
-def _reversion(g: Umbra) -> TruncatedEGF:
+def _reversion(g: Umbra) -> Series:
     """The reversion r of f(g, t) - 1; needs a nonzero scalar g_1."""
     _require_scalar_first_moment(g)
-    return egf_revert(TruncatedEGF((Fraction(0),) + g.egf().coeffs[1:]))
+    return egf_revert((Fraction(0),) + g.moments[1:])
 
 
 def comp_inverse(a: Umbra) -> Umbra:
     """a^<-1>: f(a^<-1>, t) = 1 + r with r the reversion of f(a, t) - 1."""
-    return Umbra.from_egf(TruncatedEGF((Fraction(1),) + _reversion(a).coeffs[1:]))
+    return Umbra((Fraction(1),) + _reversion(a)[1:])
 
 
 def adjoint(g: Umbra) -> Umbra:
     """g* : the partition umbra of g^<-1>; f(g*, t) = exp(r), r as in comp_inverse."""
-    return Umbra.from_egf(egf_exp(_reversion(g)))
+    return Umbra(egf_exp(_reversion(g)))
 
 
 def derivative_umbra(a: Umbra) -> Umbra:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -302,3 +303,21 @@ def test_malformed_workspace_exits_3(run, text):
 def test_define_rejects_zero_denominator(run):
     code, _, err = run("define", "q", "--moments", "1,1/0")
     assert code == 1 and "zero denominator" in err
+
+
+@pytest.mark.parametrize("expr, order, need", [("cinv(bell)^12", "10", "120"), ("u^100000", "1", "100000")])
+def test_power_past_order_cap_exits_1(run, expr, order, need):
+    """A ^ exponent may not lift the order an operand is computed to past the
+    cap: refused before any moment is computed."""
+    start = time.perf_counter()
+    code, out, err = run("eval", expr, "--order", order)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"umbra: error: expression needs order {need}, past the order cap 64\n"
+
+
+def test_bar_at_max_order(run):
+    """bar(a) at the top --order needs a one order past the cap, and gets it."""
+    code, out, _ = run("eval", "bar(bell)", "--order", "64", "--format", "json")
+    assert code == 0
+    assert len(_assert_valid_json(out)["results"][0]["moments"]) == 65

@@ -81,6 +81,25 @@ GOLDEN = [
      "94b8d2e8280768993584a5dd278808f0fe73b6d4d6cec37babf3fc40840e51cd"),
     ([*CONNECT, "--format", "latex"],
      "8cd5013e0d7ed1966aaaa494d1062c75d183a184aff91619d5d5c4e6840d6f01"),
+    # Kernel paths not pinned above: exp of cumulants, the coefficient-form
+    # define input, dot with x and with an umbra, reciprocal, rational power,
+    # and a Sheffer table and connection constants past the README orders.
+    (["define", "kap", "--cumulants", "1,1/2,-1/3,2,0,5"],
+     "fb474620ef340f4a16d6701fc520649bd0b10be109b1b7a481f391c214cebd03"),
+    (["define", "ser", "--egf", "1,1/2,1/3,1/4,1/5"],
+     "4780e5fec3e31697c63836c58a3e397671c896a8aff241731798374c0f551277"),
+    (["eval", "x . bell", "--order", "24"],
+     "58d378f13584da40296e713c0463093a5c48e084e11b87c1b67490d79496b332"),
+    (["eval", "chi . bern", "--order", "28"],
+     "8aa79718040bb9bd09c58ee9aaf9c3b144f8a16fec4d9ee4d8a732d7c870c647"),
+    (["eval", "inv(bell)", "--order", "28"],
+     "7a1a8bd398723e12d464f4df0c525123238b3e5341b435c3bdfffe1718f0463a"),
+    (["eval", "(3/2) . ubar", "--order", "28"],
+     "c439424570d1264ea9a0626278754d7a355729591d4eaa4f5e820d19fe301eec"),
+    (["sheffer", "--alpha", "bern", "--gamma", "uinv", "--order", "16"],
+     "33df8e0b3e96c812df2ffff35de0d61105a4e7ba9d7af8b94fbf4b8140dc624f"),
+    ([*CONNECT[:-1], "10"],
+     "bc216ce73223719bd662edce9e9e5189ec0837cb65c2cc545e0cec050a866464"),
 ]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,12 @@ def test_binomial_pascal_recurrence():
     for n in range(1, 21):
         for k in range(1, n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=45))
+def test_binomial_integer_matches_falling_factorial(n, k):
+    """The integer fast path agrees with (n)_k / k!, including 0 for k > n."""
+    assert binomial(n, k) == falling_factorial(n, k) / factorial(k)
 
 
 def test_binomial_poly_argument():

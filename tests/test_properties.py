@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import stirling_second_classical
 from umbralcalc.poly import Poly, X
+from umbralcalc.series import egf_mul
 from umbralcalc.umbra import (
     Umbra,
     adjoint,
@@ -117,8 +118,8 @@ def test_adjoint_laws_random(g):
 @given(umbrae())
 def test_derivative_umbra_shifts_series(a):
     d = derivative_umbra(a)
-    f = a.egf().coeffs
-    assert d.egf().coeffs == (F(1),) + f[:-1]
+    t = (F(0), F(1)) + (F(0),) * (a.order - 1)
+    assert d.moments == (F(1),) + egf_mul(t, a.moments)[1:]  # 1 + t f(a, t)
 
 
 @settings(max_examples=25)

@@ -33,6 +33,7 @@ from umbralcalc.sequences import (
     stirling_second_umbral,
     stirling_triangle,
 )
+from umbralcalc.series import egf_mul
 from umbralcalc.sheffer import PolySequence, associated_moments, poisson_charlier_pair, sheffer_moments
 from umbralcalc.umbra import (
     Umbra,
@@ -306,16 +307,9 @@ def test_recurrence_backward():
     assert seq[1] == X + 1
     for n in range(1, 9):
         assert collapse(seq[n] - seq[n].substitute(x=X - 1)) == seq[n - 1]
-    # f(fib_bar, t)(1 - t - t^2) = 1 mod t^9 directly
-    fb = fibonacci_factorial_umbra(8).egf()
-    ident = [F(0)] * 9
-    for n in range(9):
-        ident[n] = fb.coeffs[n]
-        if n >= 1:
-            ident[n] -= fb.coeffs[n - 1]
-        if n >= 2:
-            ident[n] -= fb.coeffs[n - 2]
-    assert ident == [F(1)] + [F(0)] * 8
+    # f(fib_bar, t)(1 - t - t^2) = 1 mod t^9 directly; 1 - t - t^2 has moments 1, -1, -2
+    one_minus = (F(1), F(-1), F(-2)) + (F(0),) * 6
+    assert egf_mul(fibonacci_factorial_umbra(8).moments, one_minus) == (F(1),) + (F(0),) * 8
 
 
 def test_recurrence_fibonacci():
