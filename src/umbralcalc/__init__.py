@@ -11,15 +11,11 @@ small expression DSL, and the `umbra` command-line front end.
 """
 
 from .combinatorics import (
-    Partition,
-    bell_complete,
     bell_numbers,
     bell_partial,
     bernoulli_numbers,
     binomial,
     falling_factorial,
-    partition_coefficient,
-    partitions_of,
     stirling_first_classical,
     stirling_second_classical,
 )
@@ -123,13 +119,11 @@ from .umbra import (
     disjoint_sum,
     dot,
     dot_power,
-    dot_via_partitions,
     factorial_moments,
     factorial_umbra,
     indeterminate_umbra,
     inverse_dot,
     overbar_umbra,
-    partition_expand,
     scalar_multiple,
     scale_moments,
     scalar_umbra,

@@ -1,21 +1,21 @@
-"""Integer partitions, Bell polynomials, Stirling triangles and friends.
+"""Binomials, partial Bell polynomials, Stirling triangles and friends.
 
-Everything here is an exact, order-deterministic building block: partitions
-are enumerated in reverse-lexicographic order, Stirling triangles come from
-the classical recurrences, and the partial/complete Bell polynomials are
-partition sums so they can serve as independent oracles for the series and
-dot-product machinery layered on top.
+Everything here is an exact, order-deterministic building block.  Stirling
+triangles come from the classical recurrences, so they stay independent
+oracles for the umbral Stirling formulas; the partial Bell polynomials are
+read off the series kernel (the partition sums they replace are test
+oracles in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .poly import Poly, Value, collapse
+from .poly import Value, collapse
+from .series import egf_compose
 
 
 def falling_factorial(a, n: int) -> Value:
@@ -37,95 +37,21 @@ def binomial(n, k: int) -> Value:
     return collapse(falling_factorial(n, k) / Fraction(factorial(k)))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """An integer partition as a weakly decreasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("partition parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        """Map part size j -> r_j, the number of parts equal to j."""
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
-
-@lru_cache(maxsize=None)
-def _partitions_cached(i: int) -> tuple[Partition, ...]:
-    def gen(rest: int, maxpart: int):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, maxpart), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
-
-    return tuple(Partition(parts) for parts in gen(i, i))
-
-
-def partitions_of(i: int) -> list[Partition]:
-    """All partitions of i, reverse-lexicographic on the part tuples."""
-    if i < 0:
-        raise ValueError("cannot partition a negative integer")
-    return list(_partitions_cached(i))
-
-
-def partition_coefficient(p: Partition) -> Fraction:
-    """d = i! / (r_1! r_2! ...) * 1 / ((1!)^r_1 (2!)^r_2 ...)."""
-    if p.length == 0:
-        raise ValueError("the empty partition has no coefficient")
-    denom = 1
-    for part, r in p.multiplicities().items():
-        denom *= factorial(r) * factorial(part) ** r
-    return Fraction(factorial(p.weight), denom)
-
-
-def _part_values(a: Sequence, parts: tuple[int, ...]) -> Value:
-    prod: Value = Fraction(1)
-    for part in parts:
-        prod = prod * a[part - 1]
-    return prod
-
-
 def bell_partial(i: int, j: int, a: Sequence) -> Value:
-    """Partial Bell polynomial B_{i,j}(a_1, ..., a_{i-j+1}).
+    """Partial Bell polynomial B_{i,j}(a_1, ..., a_{i-j+1}), read off the kernel.
 
-    ``a`` supplies a_1, a_2, ... starting at index 0; entries may be
-    rationals or polynomials.
+    B_{i,j}(h) is moment i of h^j / j!, the composition of the moment tuple
+    with a single 1 at index j and h = (0, a_1, a_2, ...), padded with
+    zeros to order i.  ``a`` supplies a_1, a_2, ... starting at index 0;
+    entries may be rationals or polynomials.
     """
     if i < 1 or j < 1 or j > i:
         raise ValueError("bell_partial needs 1 <= j <= i")
-    total: Value = Fraction(0)
-    for p in partitions_of(i):
-        if p.length != j:
-            continue
-        total = total + partition_coefficient(p) * _part_values(a, p.parts)
-    return collapse(total)
-
-
-def bell_complete(i: int, a: Sequence) -> Value:
-    """Complete Bell polynomial Y_i = sum_j B_{i,j}."""
-    if i < 1:
-        raise ValueError("bell_complete needs i >= 1")
-    total: Value = Fraction(0)
-    for j in range(1, i + 1):
-        total = total + bell_partial(i, j, a)
-    return collapse(total)
+    f = [Fraction(0)] * (i + 1)
+    f[j] = Fraction(1)
+    h = [Fraction(0), *a[:i]]
+    h += [Fraction(0)] * (i + 1 - len(h))
+    return egf_compose(f, h)[i]
 
 
 @lru_cache(maxsize=None)

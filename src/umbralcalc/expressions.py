@@ -21,9 +21,9 @@ applying the product rule above.  Moments may be polynomials in x, y.
 
 A power multiplies the order at which an atom's moments are needed: moment n
 of a^k needs a to order n k.  The evaluator works that order out before it
-computes anything and refuses, with :class:`OrderCapError`, an expression
-that needs an operand past max(order, MAX_ORDER), or a ``^`` exponent past
-that cap.
+computes anything and fetches each atom once, at that order.  It refuses,
+with :class:`OrderCapError`, an expression that needs an operand past
+max(order, MAX_ORDER), or a ``^`` exponent past that cap.
 """
 
 from __future__ import annotations
@@ -223,7 +223,8 @@ class _Evaluator:
         self.env = env
         self._fresh = 0
         self._sources: dict[tuple, Callable[[int], Umbra]] = {}
-        self._cache: dict[tuple, list[Value]] = {}
+        self._need: dict[tuple, int] = {}
+        self._cache: dict[tuple, tuple[Value, ...]] = {}
 
     # -- atom bookkeeping ----------------------------------------------
 
@@ -258,12 +259,17 @@ class _Evaluator:
         self._sources[label] = fn
         return label
 
+    def plan(self, base: dict) -> None:
+        """Fix the order each atom is fetched at: moment n of base^order needs
+        a to order n e, e the highest power of a in base."""
+        for atoms, _, _ in base:
+            for label, e in atoms:
+                self._need[label] = max(self._need.get(label, self.order), e * self.order)
+
     def _atom_moment(self, label: tuple, e: int) -> Value:
         have = self._cache.get(label)
-        if have is None or len(have) <= e:
-            u = self._sources[label](max(e, self.order))
-            have = list(u.moments)
-            self._cache[label] = have
+        if have is None:
+            have = self._cache[label] = self._sources[label](self._need[label]).moments
         return have[e]
 
     # -- normalization to a polynomial over atoms ------------------------
@@ -351,6 +357,7 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None) -> Umbra:
     ev = _Evaluator(order, default_environment() if env is None else env)
     base = ev.upoly(expr)
     ev.require(order * _degree(base))
+    ev.plan(base)
     moments: list[Value] = [Fraction(1)]
     power = {_UNIT: Fraction(1)}
     for _ in range(order):
@@ -364,4 +371,5 @@ def expectation(expr: Expr, env: Environment | None = None) -> Value:
     ev = _Evaluator(1, default_environment() if env is None else env)
     base = ev.upoly(expr)
     ev.require(_degree(base))
+    ev.plan(base)
     return ev.apply_E(base)

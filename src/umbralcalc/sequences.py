@@ -72,28 +72,33 @@ def fibonacci_factorial_umbra(order: int) -> Umbra:
 # Abel polynomials and Lagrange inversion
 
 
+def _derivative_to(gamma: Umbra, order: int) -> Umbra:
+    """The derivative umbra g_D (moments n g_{n-1}) to ``order``, from g_0..g_{order-1}.
+
+    Its overbar umbra is g itself and its first moment is g_0 = 1, which is
+    why the Abel, Lagrange and Bell theorems for g are the general ones for g_D.
+    """
+    return Umbra([Fraction(1)] + [Fraction(n) * gamma.moment(n - 1) for n in range(1, order + 1)])
+
+
 def abel_polynomials(gamma: Umbra, n_max: int) -> PolySequence:
     """p_n(x) = x (x - n.g)^{n-1}: the sequence associated to the derivative umbra g_D.
 
-    g_D (moments n g_{n-1}) is built to order n_max from g_0..g_{n_max-1}.
+    g_D is built to order n_max from g_0..g_{n_max-1}.
     """
     if gamma.order < max(n_max - 1, 0):
         raise ValueError(f"need gamma to order {n_max - 1}, have {gamma.order}")
-    gamma_d = Umbra([Fraction(1)] + [Fraction(n) * gamma.moment(n - 1) for n in range(1, n_max + 1)])
-    return PolySequence(associated_moments(gamma_d).polys, kind=f"abel({gamma.name})")
+    return PolySequence(associated_moments(_derivative_to(gamma, n_max)).polys, kind=f"abel({gamma.name})")
 
 
 def lagrange_inversion(gamma: Umbra, n: int) -> Fraction:
-    """E[(-n.g)^{n-1}], asserted equal to the n-th moment of (g_D)^<-1>."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if gamma.order < n:
-        raise ValueError(f"need gamma to order {n}, have {gamma.order}")
-    value = collapse(dot(-n, gamma).moment(n - 1))
-    via_reversion = collapse(comp_inverse(derivative_umbra(gamma)).moment(n))
-    if value != via_reversion:
-        raise AssertionError("Lagrange inversion mismatch against series reversion")
-    return value
+    """E[(-n.g)^{n-1}], the n-th moment of (g_D)^<-1>.
+
+    This is lagrange_inversion_general for g_D, whose overbar umbra is g and
+    whose first moment is 1; the run-time check against series reversion
+    happens there.
+    """
+    return lagrange_inversion_general(derivative_umbra(gamma), n)
 
 
 def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
@@ -111,17 +116,24 @@ def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
     return value
 
 
-def _stirling_column(kind: str, k: int, n_max: int) -> list[Fraction]:
+def _stirling_base(kind: str, order: int) -> Umbra:
+    """The umbra every column of a Stirling triangle is a dot power of: bern, or bern.chi."""
+    bern = bernoulli_umbra(order)
+    return bern if kind == "second" else factorial_umbra(bern)
+
+
+def _stirling_column(kind: str, k: int, n_max: int, base: Umbra) -> list[Fraction]:
     """Column k, rows k..n_max, of a Stirling triangle from one dot product.
 
-    S(n,k) = C(n,k) E[(-k.bern)^{n-k}] and s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}];
-    every entry is checked against the classical triangle.
+    S(n,k) = C(n,k) E[(-k.bern)^{n-k}] and s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}],
+    with ``base`` the umbra of :func:`_stirling_base` to order n_max - k or
+    more; every entry is checked against the classical triangle.
     """
-    bern = bernoulli_umbra(n_max - k)
+    base = base.truncated(n_max - k)
     if kind == "second":
-        umbra, classical, label = dot(-k, bern), stirling_second_classical, "S"
+        umbra, classical, label = dot(-k, base), stirling_second_classical, "S"
     else:
-        umbra, classical, label = dot(k, factorial_umbra(bern)), stirling_first_classical, "s"
+        umbra, classical, label = dot(k, base), stirling_first_classical, "s"
     column = []
     for n in range(k, n_max + 1):
         value = collapse(binomial(n, k) * umbra.moment(n - k))
@@ -134,11 +146,13 @@ def _stirling_column(kind: str, k: int, n_max: int) -> list[Fraction]:
 def stirling_triangle(kind: str, n_max: int) -> list[list[Fraction]]:
     """Rows 0..n_max of the "first" or "second" kind umbral Stirling triangle.
 
-    Built from n_max + 1 columns, one dot product each; every entry is checked.
+    Built from n_max + 1 columns, one dot product each, all read off one base
+    umbra built at order n_max; every entry is checked.
     """
     if kind not in ("first", "second"):
         raise ValueError("kind must be 'first' or 'second'")
-    columns = [_stirling_column(kind, k, n_max) for k in range(n_max + 1)]
+    base = _stirling_base(kind, n_max)
+    columns = [_stirling_column(kind, k, n_max, base) for k in range(n_max + 1)]
     return [[columns[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
 
 
@@ -146,14 +160,14 @@ def stirling_second_umbral(n: int, k: int) -> Fraction:
     """S(n,k) = C(n,k) E[(-k.bern)^{n-k}]: entry n of column k, checked against the triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _stirling_column("second", k, n)[-1]
+    return _stirling_column("second", k, n, _stirling_base("second", n - k))[-1]
 
 
 def stirling_first_umbral(n: int, k: int) -> Fraction:
     """s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}]: entry n of column k, checked against the triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _stirling_column("first", k, n)[-1]
+    return _stirling_column("first", k, n, _stirling_base("first", n - k))[-1]
 
 
 def stirling_first_column(n: int) -> Fraction:
@@ -264,19 +278,17 @@ def polynomial_expand_abel(p: Poly, gamma: Umbra) -> list[Fraction]:
 
 
 def bell_expansion(gamma: Umbra, n: int) -> Poly:
-    """(x.bell.g_D)^n computed two ways: dot chain vs sum_k C(n,k)(k.g)^{n-k} x^k."""
+    """(x.bell.g_D)^n = sum_k C(n,k) (k.g)^{n-k} x^k, computed two ways.
+
+    This is bell_expansion_general for g_D, built one order past g: its
+    overbar umbra is g and its first moment is 1.  The run-time check of the
+    dot chain against the sum happens there.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if gamma.order < n:
         raise ValueError(f"need gamma to order {n}, have {gamma.order}")
-    chain = dot(X, dot(bell_umbra(gamma.order), derivative_umbra(gamma)))
-    lhs = _as_poly(collapse(chain.moment(n)))
-    rhs: Value = Fraction(0)
-    for k in range(n + 1):
-        rhs = rhs + binomial(n, k) * dot(k, gamma).moment(n - k) * X**k
-    if lhs != collapse(rhs):
-        raise AssertionError("Bell-expansion two-path mismatch")
-    return lhs
+    return bell_expansion_general(_derivative_to(gamma, gamma.order + 1), n)
 
 
 def bell_expansion_general(gamma: Umbra, n: int) -> Poly:

@@ -21,6 +21,7 @@ from .combinatorics import binomial
 from .errors import NonInvertibleError
 from .poly import X, Y, Poly, Value, collapse
 from .series import (
+    Series,
     egf_compose,
     egf_exp,
     egf_mul,
@@ -29,10 +30,11 @@ from .series import (
 )
 from .umbra import (
     Umbra,
+    _adjoint_of,
+    _comp_inverse_of,
     _reversion,
     adjoint,
     bell_umbra,
-    comp_inverse,
     dot,
     inverse_dot,
     substitute,
@@ -127,18 +129,26 @@ def _moments_to_sequence(moments: Sequence[Value], kind: str) -> PolySequence:
 # The three sequence constructors
 
 
+def _reversion_of(gamma: Umbra) -> Series | None:
+    """The reversion r of f(g, t) - 1, or None at order 0, where every table is (1,)."""
+    return _reversion(gamma) if gamma.order else None
+
+
 def sheffer_moments(pair: ShefferPair) -> PolySequence:
     """Moments of (-1.a + x.u).g*, computed by two independent routes."""
-    n = pair.order
-    if n == 0:
+    return _sheffer_table(pair, _reversion_of(pair.gamma))
+
+
+def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
+    """sheffer_moments, given r = _reversion_of(pair.gamma)."""
+    if r is None:
         return PolySequence((Poly(1),), kind="sheffer")
-    # Series route: s_n(x) = n! [t^n] e^{x r(t)} / f(a, r(t)), r = revert(f(g) - 1).
-    r = _reversion(pair.gamma)
+    # Series route: s_n(x) = n! [t^n] e^{x r(t)} / f(a, r(t)).
     fa_at_r = egf_compose(pair.alpha.moments, r)
     via_series = egf_mul(egf_reciprocal(fa_at_r), egf_exp(egf_scale(X, r)))
-    # Moment route: dot the Appell-style umbra into the adjoint.
+    # Moment route: dot the Appell-style umbra into the adjoint g* = exp(r).
     appell_part = with_x_shift(inverse_dot(pair.alpha))
-    via_moments = dot(appell_part, adjoint(pair.gamma)).moments
+    via_moments = dot(appell_part, _adjoint_of(r)).moments
     if list(via_series) != list(via_moments):
         raise AssertionError("sheffer dual-path mismatch; series kernel is inconsistent")
     return _moments_to_sequence(via_moments, kind=f"sheffer({pair.alpha.name}, {pair.gamma.name})")
@@ -146,10 +156,14 @@ def sheffer_moments(pair: ShefferPair) -> PolySequence:
 
 def associated_moments(gamma: Umbra) -> PolySequence:
     """Moments of x.g*: the binomial-type sequence associated to g."""
-    if gamma.order == 0:
+    return _associated_table(gamma, _reversion_of(gamma))
+
+
+def _associated_table(gamma: Umbra, r: Series | None) -> PolySequence:
+    """associated_moments, given r = _reversion_of(gamma)."""
+    if r is None:
         return PolySequence((Poly(1),), kind=f"associated({gamma.name})")
-    seq = dot(Poly.variable("x"), adjoint(gamma))
-    return _moments_to_sequence(seq.moments, kind=f"associated({gamma.name})")
+    return _moments_to_sequence(dot(X, _adjoint_of(r)).moments, kind=f"associated({gamma.name})")
 
 
 def appell_moments(alpha: Umbra) -> PolySequence:
@@ -178,9 +192,8 @@ def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
 
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
     """The pair whose Sheffer sequence is the umbral-composition inverse."""
-    alpha2 = dot(inverse_dot(pair.alpha), adjoint(pair.gamma))
-    gamma2 = comp_inverse(pair.gamma)
-    return ShefferPair(alpha2, gamma2)
+    r = _reversion(pair.gamma)
+    return ShefferPair(dot(inverse_dot(pair.alpha), _adjoint_of(r)), _comp_inverse_of(r))
 
 
 def inverse_sequence(pair: ShefferPair) -> PolySequence:
@@ -230,8 +243,9 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     if n == 0:
         # Both sequences are the constant 1; either route gives the 1x1 identity.
         return ConnectionConstants(((Fraction(1),),), verified=True)
+    r_to = _reversion(to.gamma)
     s = sheffer_moments(frm)
-    r = sheffer_moments(to)
+    r = _sheffer_table(to, r_to)
     solve = []
     for i in range(n + 1):
         row = _triangular_expand(s[i], r)
@@ -239,8 +253,8 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
         solve.append(tuple(row[: i + 1]))
 
     # Umbral route.
-    d_part = dot(umbral_sum(to.alpha, inverse_dot(frm.alpha)), adjoint(to.gamma))
-    g_comp = dot(frm.gamma, dot(bell_umbra(n), comp_inverse(to.gamma)))
+    d_part = dot(umbral_sum(to.alpha, inverse_dot(frm.alpha)), _adjoint_of(r_to))
+    g_comp = dot(frm.gamma, dot(bell_umbra(n), _comp_inverse_of(r_to)))
     eta = dot(with_x_shift(d_part), adjoint(g_comp))
     umbral = []
     for i in range(n + 1):
@@ -308,8 +322,8 @@ def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> 
     The second clause is the substitution characterization: replacing x by
     g + x.u sends s_k to s_k + k s_{k-1}.
     """
-    s = sheffer_moments(pair)
-    p = associated_moments(pair.gamma)
+    r = _reversion_of(pair.gamma)
+    s, p = _sheffer_table(pair, r), _associated_table(pair.gamma, r)
     report = _check_convolution("sheffer", s, [_x_to_y(q) for q in p], max_degree)
     if not report.ok:
         return report

@@ -10,13 +10,16 @@ moment-level maps:
 
 * ``umbral_sum``      -- binomial convolution (product of generating functions)
 * ``dot(g, a)``       -- the series route: f(g.a, t) = f(g, log f(a, t)) for
-                         an umbra g, f(a, t)^n for a scalar or polynomial n;
-                         the partition sums below are kept only as oracles
+                         an umbra g, f(a, t)^n for a scalar or polynomial n
 * ``dot_power``       -- k-th moment is a_k^n
 * ``inverse_dot``     -- reciprocal generating function
 * ``comp_inverse``    -- 1 + r, r the Lagrange reversion of f(a, t) - 1
 * ``adjoint``         -- exp(r) (partition umbra of the inverse)
 * ``derivative_umbra``-- moments n * a_{n-1}
+* ``factorial_umbra`` -- a.chi, whose moments are E[(a)_n]
+
+Each operation has one algorithm; the classical partition and Stirling sums
+these maps replace are kept as test oracles in ``tests/oracles.py``.
 
 Auxiliary umbrae produced by these operations carry no correlation with
 their operands: each application denotes a fresh symbol, known only through
@@ -30,14 +33,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .combinatorics import (
-    bell_numbers,
-    bernoulli_numbers,
-    falling_factorial,
-    partition_coefficient,
-    partitions_of,
-    stirling_first_classical,
-)
+from .combinatorics import bell_numbers, bernoulli_numbers
 from .errors import NonInvertibleError, OrderMismatchError
 from .poly import Poly, Value, collapse
 from .series import (
@@ -212,20 +208,14 @@ def scalar_multiple(c, a: Umbra) -> Umbra:
     return Umbra(out)
 
 
-def factorial_moments(a: Umbra) -> list[Value]:
-    """a_(n) = E[(a)_n] = sum_k s(n, k) a_k, via signed Stirling numbers."""
-    out: list[Value] = []
-    for n in range(a.order + 1):
-        acc: Value = Fraction(0)
-        for k in range(n + 1):
-            acc = acc + stirling_first_classical(n, k) * a.moment(k)
-        out.append(collapse(acc))
-    return out
-
-
 def factorial_umbra(a: Umbra) -> Umbra:
-    """a.chi, whose moments are the factorial moments of a."""
-    return Umbra(factorial_moments(a))
+    """a.chi, whose moments are the factorial moments a_(n) = E[(a)_n] of a."""
+    return dot(a, singleton(a.order))
+
+
+def factorial_moments(a: Umbra) -> list[Value]:
+    """a_(n) = E[(a)_n]: the moments of a.chi."""
+    return list(factorial_umbra(a).moments)
 
 
 def dot(left, a: Umbra) -> Umbra:
@@ -234,9 +224,6 @@ def dot(left, a: Umbra) -> Umbra:
     * left an Umbra g: f(g.a, t) = f(g, log f(a, t)) (requires equal orders);
     * left a rational c (any sign) or a Poly p (x, x + c, ...): the series
       power f(a, t)^c or f(a, t)^p.
-
-    The partition sums of :func:`dot_via_partitions` give the same moments
-    and serve as its test oracle.
     """
     if isinstance(left, Umbra):
         _check_same_order(left, a)
@@ -275,14 +262,24 @@ def _reversion(g: Umbra) -> Series:
     return egf_revert((Fraction(0),) + g.moments[1:])
 
 
+def _comp_inverse_of(r: Series) -> Umbra:
+    """The umbra with generating function 1 + r."""
+    return Umbra((Fraction(1),) + r[1:])
+
+
+def _adjoint_of(r: Series) -> Umbra:
+    """The umbra with generating function exp(r)."""
+    return Umbra(egf_exp(r))
+
+
 def comp_inverse(a: Umbra) -> Umbra:
     """a^<-1>: f(a^<-1>, t) = 1 + r with r the reversion of f(a, t) - 1."""
-    return Umbra((Fraction(1),) + _reversion(a)[1:])
+    return _comp_inverse_of(_reversion(a))
 
 
 def adjoint(g: Umbra) -> Umbra:
     """g* : the partition umbra of g^<-1>; f(g*, t) = exp(r), r as in comp_inverse."""
-    return Umbra(egf_exp(_reversion(g)))
+    return _adjoint_of(_reversion(g))
 
 
 def derivative_umbra(a: Umbra) -> Umbra:
@@ -313,61 +310,6 @@ def overbar_umbra(g: Umbra) -> Umbra:
 def with_x_shift(a: Umbra) -> Umbra:
     """The polynomial umbra a + x.u: moments sum_k C(n,k) a_{n-k} x^k."""
     return umbral_sum(a, indeterminate_umbra("x", a.order))
-
-
-# ---------------------------------------------------------------------------
-# Partition expansions (independent oracles for the dot machinery)
-
-
-def _partition_sum(weights: Sequence[Value], a: Umbra, i: int) -> Value:
-    acc: Value = Fraction(0)
-    for p in partitions_of(i):
-        term = partition_coefficient(p)
-        for part in p.parts:
-            term = term * a.moment(part)
-        acc = acc + weights[p.length] * term
-    return collapse(acc)
-
-
-def partition_expand(left, a: Umbra, i: int) -> Value:
-    """Multinomial-expansion value of the i-th moment.
-
-    For scalar or polynomial left n this is (n.a)^i with weights (n)_len;
-    for an umbra g it is the composition umbra (g.bell.a)^i with weights
-    g^len (raw moments).
-    """
-    if i < 0:
-        raise ValueError("moment index must be >= 0")
-    if i == 0:
-        return Fraction(1)
-    if isinstance(left, Umbra):
-        if left.order < i:
-            _raise_order(left, i)
-        return _partition_sum([left.moment(j) for j in range(i + 1)], a, i)
-    weights = [falling_factorial(left, j) for j in range(i + 1)]
-    return _partition_sum(weights, a, i)
-
-
-def _raise_order(u: Umbra, i: int):
-    raise OrderMismatchError(f"umbra holds moments only to order {u.order}, need {i}")
-
-
-def dot_via_partitions(left, a: Umbra, i: int) -> Value:
-    """Partition-sum value of E[(left.a)^i]; the multinomial oracle for dot().
-
-    Scalar/polynomial left uses falling-factorial weights; an umbra left uses
-    its factorial moments.
-    """
-    if i < 0:
-        raise ValueError("moment index must be >= 0")
-    if i == 0:
-        return Fraction(1)
-    if isinstance(left, Umbra):
-        if left.order < i:
-            _raise_order(left, i)
-        return _partition_sum(factorial_moments(left), a, i)
-    weights = [falling_factorial(left, j) for j in range(i + 1)]
-    return _partition_sum(weights, a, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,181 @@
+"""Partition sums, kept as test oracles for the series kernel.
+
+The umbral calculus replaces the classical sums over integer partitions by
+moment-level operations; the package computes every one of them on the
+series kernel.  The sums themselves live here, exponential in the order and
+sharing no code with the kernel, so the tests can check production against
+them:
+
+* ``bell_partial`` / ``bell_complete`` -- partial and complete Bell
+  polynomials as partition sums (production: moment i of h^j / j!);
+* ``partition_expand`` / ``dot_via_partitions`` -- the multinomial values of
+  dot-product moments (production: ``umbra.dot``);
+* ``factorial_moments`` -- a_(n) = sum_k s(n, k) a_k by the signed Stirling
+  triangle (production: the moments of a.chi).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+from typing import Sequence
+
+from umbralcalc.combinatorics import falling_factorial, stirling_first_classical
+from umbralcalc.errors import OrderMismatchError
+from umbralcalc.poly import Value, collapse
+from umbralcalc.umbra import Umbra
+
+
+@dataclass(frozen=True)
+class Partition:
+    """An integer partition as a weakly decreasing tuple of positive parts."""
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(p <= 0 for p in self.parts):
+            raise ValueError("partition parts must be positive")
+        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+            raise ValueError("partition parts must be weakly decreasing")
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
+
+    def multiplicities(self) -> dict[int, int]:
+        """Map part size j -> r_j, the number of parts equal to j."""
+        mult: dict[int, int] = {}
+        for p in self.parts:
+            mult[p] = mult.get(p, 0) + 1
+        return mult
+
+
+@lru_cache(maxsize=None)
+def _partitions_cached(i: int) -> tuple[Partition, ...]:
+    def gen(rest: int, maxpart: int):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, maxpart), 0, -1):
+            for tail in gen(rest - first, first):
+                yield (first,) + tail
+
+    return tuple(Partition(parts) for parts in gen(i, i))
+
+
+def partitions_of(i: int) -> list[Partition]:
+    """All partitions of i, reverse-lexicographic on the part tuples."""
+    if i < 0:
+        raise ValueError("cannot partition a negative integer")
+    return list(_partitions_cached(i))
+
+
+def partition_coefficient(p: Partition) -> Fraction:
+    """d = i! / (r_1! r_2! ...) * 1 / ((1!)^r_1 (2!)^r_2 ...)."""
+    if p.length == 0:
+        raise ValueError("the empty partition has no coefficient")
+    denom = 1
+    for part, r in p.multiplicities().items():
+        denom *= factorial(r) * factorial(part) ** r
+    return Fraction(factorial(p.weight), denom)
+
+
+def _part_values(a: Sequence, parts: tuple[int, ...]) -> Value:
+    prod: Value = Fraction(1)
+    for part in parts:
+        prod = prod * a[part - 1]
+    return prod
+
+
+def bell_partial(i: int, j: int, a: Sequence) -> Value:
+    """Partial Bell polynomial B_{i,j}(a_1, ..., a_{i-j+1}) as a partition sum.
+
+    ``a`` supplies a_1, a_2, ... starting at index 0; entries may be
+    rationals or polynomials.
+    """
+    if i < 1 or j < 1 or j > i:
+        raise ValueError("bell_partial needs 1 <= j <= i")
+    total: Value = Fraction(0)
+    for p in partitions_of(i):
+        if p.length != j:
+            continue
+        total = total + partition_coefficient(p) * _part_values(a, p.parts)
+    return collapse(total)
+
+
+def bell_complete(i: int, a: Sequence) -> Value:
+    """Complete Bell polynomial Y_i = sum_j B_{i,j}."""
+    if i < 1:
+        raise ValueError("bell_complete needs i >= 1")
+    total: Value = Fraction(0)
+    for j in range(1, i + 1):
+        total = total + bell_partial(i, j, a)
+    return collapse(total)
+
+
+def factorial_moments(a: Umbra) -> list[Value]:
+    """a_(n) = E[(a)_n] = sum_k s(n, k) a_k, via signed Stirling numbers."""
+    out: list[Value] = []
+    for n in range(a.order + 1):
+        acc: Value = Fraction(0)
+        for k in range(n + 1):
+            acc = acc + stirling_first_classical(n, k) * a.moment(k)
+        out.append(collapse(acc))
+    return out
+
+
+def _partition_sum(weights: Sequence[Value], a: Umbra, i: int) -> Value:
+    acc: Value = Fraction(0)
+    for p in partitions_of(i):
+        term = partition_coefficient(p)
+        for part in p.parts:
+            term = term * a.moment(part)
+        acc = acc + weights[p.length] * term
+    return collapse(acc)
+
+
+def _raise_order(u: Umbra, i: int):
+    raise OrderMismatchError(f"umbra holds moments only to order {u.order}, need {i}")
+
+
+def partition_expand(left, a: Umbra, i: int) -> Value:
+    """Multinomial-expansion value of the i-th moment.
+
+    For scalar or polynomial left n this is (n.a)^i with weights (n)_len;
+    for an umbra g it is the composition umbra (g.bell.a)^i with weights
+    g^len (raw moments).
+    """
+    if i < 0:
+        raise ValueError("moment index must be >= 0")
+    if i == 0:
+        return Fraction(1)
+    if isinstance(left, Umbra):
+        if left.order < i:
+            _raise_order(left, i)
+        return _partition_sum([left.moment(j) for j in range(i + 1)], a, i)
+    weights = [falling_factorial(left, j) for j in range(i + 1)]
+    return _partition_sum(weights, a, i)
+
+
+def dot_via_partitions(left, a: Umbra, i: int) -> Value:
+    """Partition-sum value of E[(left.a)^i]; the multinomial oracle for dot().
+
+    Scalar/polynomial left uses falling-factorial weights; an umbra left uses
+    its factorial moments, from the Stirling sum above.
+    """
+    if i < 0:
+        raise ValueError("moment index must be >= 0")
+    if i == 0:
+        return Fraction(1)
+    if isinstance(left, Umbra):
+        if left.order < i:
+            _raise_order(left, i)
+        return _partition_sum(factorial_moments(left), a, i)
+    weights = [falling_factorial(left, j) for j in range(i + 1)]
+    return _partition_sum(weights, a, i)

@@ -66,7 +66,6 @@ from umbralcalc.umbra import (
     comp_inverse,
     derivative_umbra,
     dot,
-    dot_via_partitions,
     inverse_dot,
     scalar_multiple,
     singleton,
@@ -74,6 +73,7 @@ from umbralcalc.umbra import (
     unity,
 )
 
+from oracles import dot_via_partitions
 from test_sequences import abel_by_powers
 
 

@@ -2,23 +2,22 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import (
-    Partition,
-    bell_complete,
     bell_numbers,
     bell_partial,
     bernoulli_numbers,
     binomial,
     falling_factorial,
-    partition_coefficient,
-    partitions_of,
     stirling_first_classical,
     stirling_second_classical,
 )
-from umbralcalc.poly import X
+from umbralcalc.poly import Poly, X, Y
+
+import oracles
+from oracles import Partition, bell_complete, partition_coefficient, partitions_of
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
@@ -142,6 +141,9 @@ def test_partition_validation():
 
 
 # -- Bell polynomials ----------------------------------------------------------
+#
+# bell_partial is the production kernel wrapper; bell_complete and the
+# partition sums are the oracles of tests/oracles.py.
 
 
 def test_bell_partial_examples():
@@ -204,6 +206,45 @@ def test_partition_coefficient_bridge_symbolic():
                     prod = prod * a[part - 1]
                 total = total + prod
             assert total == bell_partial(i, j, a)
+
+
+def bell_arguments():
+    """(i, j, a): 1 <= j <= i <= 12, a holding exactly a_1..a_{i-j+1} or more,
+    with rational or polynomial (in x, y) entries and many zeros."""
+    entries = st.one_of(
+        st.just(F(0)),
+        fractions,
+        st.builds(lambda c, cx, cy: Poly({(0, 0): c, (1, 0): cx, (0, 1): cy}), fractions, fractions, fractions),
+    )
+    return (
+        st.integers(min_value=1, max_value=12)
+        .flatmap(lambda i: st.tuples(st.just(i), st.integers(min_value=1, max_value=i)))
+        .flatmap(
+            lambda ij: st.tuples(
+                st.just(ij[0]),
+                st.just(ij[1]),
+                st.integers(min_value=ij[0] - ij[1] + 1, max_value=ij[0] + 2).flatmap(
+                    lambda n: st.lists(entries, min_size=n, max_size=n)
+                ),
+            )
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(bell_arguments())
+def test_bell_partial_matches_partition_oracle(args):
+    """The kernel's B_{i,j} (moment i of h^j/j!) equals the partition sum."""
+    i, j, a = args
+    assert bell_partial(i, j, a) == oracles.bell_partial(i, j, a)
+
+
+def test_bell_partial_short_polynomial_arguments():
+    a = [X + m * Y for m in range(1, 13)]
+    for i in range(1, 13):
+        for j in range(1, i + 1):
+            short = a[: i - j + 1]
+            assert bell_partial(i, j, short) == oracles.bell_partial(i, j, short), (i, j)
 
 
 # -- Stirling triangles --------------------------------------------------------

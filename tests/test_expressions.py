@@ -31,6 +31,7 @@ from umbralcalc.umbra import (
     adjoint,
     augmentation,
     bell_umbra,
+    bernoulli_umbra,
     comp_inverse,
     derivative_umbra,
     disjoint_sum,
@@ -158,3 +159,16 @@ def test_power_node_matches_moment_indexing(i, j):
     base = Sum(Atom("u"), Atom("chi"))
     e = Product(Power(base, i), Power(base, j))
     assert expectation(e) == evaluate(base, i + j).moment(i + j)
+
+
+def test_each_atom_is_fetched_once_at_the_order_it_needs(monkeypatch):
+    """(bell . bern)^2 at order 20 needs the dot product to order 40: one call."""
+    from umbralcalc import expressions
+
+    orders = []
+    real_dot = expressions.dot
+    monkeypatch.setattr(expressions, "dot", lambda left, a: orders.append(a.order) or real_dot(left, a))
+    got = evaluate(Power(Dot(Atom("bell"), Atom("bern")), 2), 20)
+    assert orders == [40]
+    prod = dot(bell_umbra(40), bernoulli_umbra(40))
+    assert got.moments == tuple(prod.moment(2 * n) for n in range(21))

@@ -21,12 +21,13 @@ from umbralcalc.umbra import (
     bell_umbra,
     derivative_umbra,
     dot,
-    dot_via_partitions,
     factorial_moments,
     inverse_dot,
     singleton,
     umbral_sum,
 )
+
+from oracles import dot_via_partitions
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 

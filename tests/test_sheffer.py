@@ -334,3 +334,24 @@ def test_poly_sequence_serialization():
     rows = seq.to_csv_rows()
     assert rows[2] == ["2", "1", "-3", "1", "0"]
     assert all(len(row) == 5 for row in rows)  # n plus c0..c3, rectangular
+
+
+def test_each_call_reverts_each_gamma_once(monkeypatch):
+    """sheffer_moments, inverse_pair and check_sheffer_identity revert their
+    gamma once; connection_constants reverts its two gammas and the change of
+    basis once each."""
+    from umbralcalc import umbra
+
+    calls = []
+    real_revert = umbra.egf_revert
+    monkeypatch.setattr(umbra, "egf_revert", lambda h: calls.append(len(h)) or real_revert(h))
+    frm, to = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
+    for run, expected in [
+        (lambda: sheffer_moments(frm), 1),
+        (lambda: connection_constants(frm, to), 3),
+        (lambda: inverse_pair(frm), 1),
+        (lambda: check_sheffer_identity(frm), 1),
+    ]:
+        calls.clear()
+        run()
+        assert len(calls) == expected

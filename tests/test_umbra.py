@@ -23,13 +23,11 @@ from umbralcalc.umbra import (
     disjoint_sum,
     dot,
     dot_power,
-    dot_via_partitions,
     factorial_moments,
     factorial_umbra,
     indeterminate_umbra,
     inverse_dot,
     overbar_umbra,
-    partition_expand,
     scalar_multiple,
     scale_moments,
     scalar_umbra,
@@ -41,6 +39,9 @@ from umbralcalc.umbra import (
     unity,
     with_x_shift,
 )
+
+import oracles
+from oracles import bell_complete, bell_partial, dot_via_partitions, partition_expand
 
 N = 10
 
@@ -106,8 +107,6 @@ def test_dot_poly_left_shift():
 
 def test_partition_umbra_is_complete_bell():
     """bell.a has moments Y_i(a_1, ..., a_i)."""
-    from umbralcalc.combinatorics import bell_complete
-
     for a in (unity(8), singleton(8), bernoulli_umbra(8)):
         got = dot(bell_umbra(8), a)
         tail = [a.moment(k) for k in range(1, 9)]
@@ -117,8 +116,6 @@ def test_partition_umbra_is_complete_bell():
 
 def test_polynomial_partition_umbra_grades_by_block_count():
     """x.bell.a has moments sum_j x^j B_{i,j}(a_1, ...)."""
-    from umbralcalc.combinatorics import bell_partial
-
     a = bernoulli_umbra(7)
     got = dot(X, dot(bell_umbra(7), a))
     tail = [a.moment(k) for k in range(1, 8)]
@@ -129,8 +126,6 @@ def test_polynomial_partition_umbra_grades_by_block_count():
 
 def test_composition_umbra_weights_raw_moments():
     """g.bell.a has moments sum_j g_j B_{i,j}(a_1, ...)."""
-    from umbralcalc.combinatorics import bell_partial
-
     g, a = bell_umbra(7), singleton(7)
     got = dot(g, dot(bell_umbra(7), a))
     tail = [a.moment(k) for k in range(1, 8)]
@@ -274,9 +269,10 @@ def test_factorial_moments_examples():
 
 
 def test_factorial_moment_bridge():
-    for a in pool(8).values():
-        assert factorial_moments(a) == list(dot(a, singleton(8)).moments)
-        assert factorial_umbra(a) == dot(a, singleton(8))
+    """a.chi (production) against the signed-Stirling sum (oracle)."""
+    for a in list(pool(8).values()) + [dot(X, bell_umbra(8)), with_x_shift(bernoulli_umbra(8))]:
+        assert factorial_moments(a) == oracles.factorial_moments(a)
+        assert factorial_umbra(a) == Umbra(oracles.factorial_moments(a))
 
 
 def test_factorial_of_partition_umbra_recovers_moments():
