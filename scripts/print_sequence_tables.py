@@ -3,7 +3,7 @@
 
 For each named family (powers, falling factorials, exponential polynomials,
 Poisson-Charlier, Bernoulli, Abel) shows the coefficient triangle and runs
-the matching identity check.
+the matching identity check.  Exits 1 if any check fails.
 
 Usage: python scripts/print_sequence_tables.py [ORDER]
 """
@@ -32,35 +32,42 @@ from umbralcalc import (
 
 
 def show(title, seq, report=None):
+    """Print the table and its check; return False if the check failed."""
     print(f"\n{title}")
     for n in range(len(seq)):
         row = " ".join(format_rational(c) for c in seq.coefficients(n))
         print(f"  {n}: {row}")
-    if report is not None:
-        print(f"  identity check: {'pass' if report.ok else 'FAIL'}")
+    if report is None:
+        return True
+    print(f"  identity check: {'pass' if report.ok else 'FAIL'}")
+    return report.ok
 
 
 def main():
     order = int(sys.argv[1]) if len(sys.argv) > 1 else 6
 
-    show("powers x^n (associated to the singleton)",
+    tables = [
+        ("powers x^n (associated to the singleton)",
          associated_moments(singleton(order)),
-         check_binomial_identity(singleton(order)))
-    show("falling factorials (x)_n (associated to the unity umbra)",
+         check_binomial_identity(singleton(order))),
+        ("falling factorials (x)_n (associated to the unity umbra)",
          associated_moments(unity(order)),
-         check_binomial_identity(unity(order)))
-    show("exponential polynomials (associated to the inverse of the unity umbra)",
+         check_binomial_identity(unity(order))),
+        ("exponential polynomials (associated to the inverse of the unity umbra)",
          associated_moments(uinv_umbra(order)),
-         check_binomial_identity(uinv_umbra(order)))
-    show("Poisson-Charlier polynomials, a = 1",
+         check_binomial_identity(uinv_umbra(order))),
+        ("Poisson-Charlier polynomials, a = 1",
          sheffer_moments(poisson_charlier_pair(1, order)),
-         check_sheffer_identity(poisson_charlier_pair(1, order)))
-    show("Bernoulli polynomials (Appell family)",
+         check_sheffer_identity(poisson_charlier_pair(1, order))),
+        ("Bernoulli polynomials (Appell family)",
          sheffer_moments(bernoulli_appell_pair(order)),
-         check_appell_identity(inverse_dot(bernoulli_umbra(order))))
-    show("Abel polynomials x(x - n.u)^(n-1)",
-         abel_polynomials(unity(order + 1), order))
+         check_appell_identity(inverse_dot(bernoulli_umbra(order)))),
+        ("Abel polynomials x(x - n.u)^(n-1)",
+         abel_polynomials(unity(order + 1), order)),
+    ]
+    ok = [show(*table) for table in tables]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,7 @@
 
 Prints the three solved difference equations, the umbral Stirling triangles,
 the Poisson-Charlier connection constants, and the classical Lagrange
-inversion values, all in exact arithmetic.
+inversion values, all in exact arithmetic.  Exits 1 if any check fails.
 
 Usage: python scripts/run_worked_examples.py [ORDER]
 """
@@ -31,6 +31,7 @@ def banner(title):
 
 
 def show_solution(sol):
+    """Print the solution and its checks; return whether every check passed."""
     for n, p in enumerate(sol.sequence):
         print(f"  s_{n}(x) = {p}")
     for name, ok in sol.checks:
@@ -38,19 +39,20 @@ def show_solution(sol):
     for key, values in sol.notes.items():
         shown = ", ".join(format_rational(v) for v in values)
         print(f"  note {key}: {shown}")
+    return sol.ok
 
 
 def main():
     order = int(sys.argv[1]) if len(sys.argv) > 1 else 6
 
     banner("forward difference with unit integral")
-    show_solution(recurrence_example_bernoulli(order))
+    ok = show_solution(recurrence_example_bernoulli(order))
 
     banner("backward difference with diagonal initial condition")
-    show_solution(recurrence_example_backward(order))
+    ok &= show_solution(recurrence_example_backward(order))
 
     banner("Fibonacci-type recurrence")
-    show_solution(recurrence_example_fibonacci(order))
+    ok &= show_solution(recurrence_example_fibonacci(order))
 
     banner("Stirling triangles from the umbral closed forms")
     for kind in ("second", "first"):
@@ -61,13 +63,15 @@ def main():
     banner("Poisson-Charlier connection constants, basis a=1 from b=2")
     cc = connection_constants(poisson_charlier_pair(2, order), poisson_charlier_pair(1, order))
     print(f"  verified against triangular solve: {cc.verified}")
+    ok &= cc.verified
     for row in cc.matrix:
         print("    " + " ".join(format_rational(c) for c in row))
 
     banner("Lagrange inversion values for the unity umbra: (-n)^(n-1)")
     values = [lagrange_inversion(unity(order + 1), n) for n in range(1, order + 1)]
     print("  " + ", ".join(format_rational(v) for v in values))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

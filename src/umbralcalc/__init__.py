@@ -15,6 +15,7 @@ from .combinatorics import (
     bell_partial,
     bernoulli_numbers,
     binomial,
+    binomial_row,
     falling_factorial,
     stirling_first_classical,
     stirling_second_classical,

@@ -21,7 +21,7 @@ from math import factorial
 from pathlib import Path
 
 from .errors import OrderCapError, UmbralError, UmbraSyntaxError, UnknownUmbraError, WorkspaceError
-from .expressions import MAX_ORDER, Expr, evaluate
+from .expressions import MAX_ORDER, evaluate
 from .parser import parse, pretty_print
 from .poly import Poly, value_to_json, value_to_str
 from .rationals import format_rational, parse_rational
@@ -142,12 +142,8 @@ def _environment(config: CliConfig) -> dict:
     return env
 
 
-def _parse_expr(text: str) -> Expr:
-    return parse(text)
-
-
 def _eval_expr(text: str, config: CliConfig, env) -> tuple[str, Umbra]:
-    ast = _parse_expr(text)
+    ast = parse(text)
     return pretty_print(ast), evaluate(ast, config.order, env)
 
 

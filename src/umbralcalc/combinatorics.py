@@ -1,6 +1,8 @@
 """Binomials, partial Bell polynomials, Stirling triangles and friends.
 
-Everything here is an exact, order-deterministic building block.  Stirling
+Everything here is an exact, order-deterministic building block.  A row of
+generalized binomials C(a, 0..m) is built entry from entry, and a single
+generalized binomial is the last entry of its row.  Stirling
 triangles come from the classical recurrences, so they stay independent
 oracles for the umbral Stirling formulas; the partial Bell polynomials are
 read off the series kernel (the partition sums they replace are test
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 from .poly import Value, collapse
@@ -28,13 +30,23 @@ def falling_factorial(a, n: int) -> Value:
     return collapse(result)
 
 
+def binomial_row(a, m: int) -> list[Value]:
+    """[C(a,0), ..., C(a,m)] by C(a,j) = C(a,j-1) (a-j+1) / j; a may be a Poly."""
+    if m < 0:
+        raise ValueError("binomial row needs m >= 0")
+    row: list[Value] = [Fraction(1)]
+    for j in range(1, m + 1):
+        row.append(collapse(row[-1] * (a - (j - 1)) / j))
+    return row
+
+
 def binomial(n, k: int) -> Value:
     """Generalized binomial C(n, k) = (n)_k / k!; n may be a Poly."""
     if k < 0:
         raise ValueError("binomial needs k >= 0")
     if isinstance(n, int) and n >= 0:
         return Fraction(comb(n, k))
-    return collapse(falling_factorial(n, k) / Fraction(factorial(k)))
+    return binomial_row(n, k)[k]
 
 
 def bell_partial(i: int, j: int, a: Sequence) -> Value:

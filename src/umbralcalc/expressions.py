@@ -23,7 +23,7 @@ A power multiplies the order at which an atom's moments are needed: moment n
 of a^k needs a to order n k.  The evaluator works that order out before it
 computes anything and fetches each atom once, at that order.  It refuses,
 with :class:`OrderCapError`, an expression that needs an operand past
-max(order, MAX_ORDER), or a ``^`` exponent past that cap.
+max(order, MAX_ORDER), or a ``^`` or ``^.`` exponent past that cap.
 """
 
 from __future__ import annotations
@@ -305,6 +305,8 @@ class _Evaluator:
             for _ in range(expr.power):
                 out = _umul(out, base)
             return out
+        if isinstance(expr, DotPower) and expr.power > self.cap:
+            raise OrderCapError(f"dot-power exponent {expr.power} is past the order cap {self.cap}")
         return {(((self._opaque(self._opaque_fn(expr)), 1),), 0, 0): Fraction(1)}
 
     def _opaque_fn(self, expr: Expr) -> Callable[[int], Umbra]:

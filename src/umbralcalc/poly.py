@@ -69,9 +69,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_constant(self) -> bool:
-        return not self._coeffs or set(self._coeffs) == {(0, 0)}
-
     def as_fraction(self) -> Fraction | None:
         """The scalar value if constant, else None."""
         if not self._coeffs:
@@ -195,28 +192,24 @@ class Poly:
         return collapse(anti.substitute(**kw_hi) - anti.substitute(**kw_lo))
 
     def substitute(self, x=None, y=None) -> "Poly":
-        """Substitute values (scalars or Polys) for x and/or y."""
-        subs = {}
-        if x is not None:
-            subs[0] = x if isinstance(x, Poly) else Poly(_as_fraction(x))
-        if y is not None:
-            subs[1] = y if isinstance(y, Poly) else Poly(_as_fraction(y))
-        result = Poly(0)
-        powers: dict[tuple[int, int], Poly] = {}
+        """Substitute values (scalars or Polys) for x and/or y.
+
+        Each power of a value is its predecessor times the value, up to this
+        polynomial's degree in that variable; a scalar stays a Fraction, so
+        evaluating at a number does no polynomial arithmetic.
+        """
+        table_x = _power_table(X if x is None else x, self.degree_in("x"))
+        table_y = _power_table(Y if y is None else y, self.degree_in("y"))
+        out: dict[tuple[int, int], Fraction] = {}
         for (dx, dy), c in sorted(self._coeffs.items()):
-            term = Poly(c)
-            for i, d in ((0, dx), (1, dy)):
-                if d == 0:
-                    continue
-                if i in subs:
-                    key = (i, d)
-                    if key not in powers:
-                        powers[key] = subs[i] ** d
-                    term = term * powers[key]
+            term = table_x[dx] * table_y[dy] if dx and dy else table_x[dx] if dx else table_y[dy]
+            for key, v in term._coeffs.items() if isinstance(term, Poly) else (((0, 0), term),):
+                s = out.get(key, Fraction(0)) + c * v
+                if s:
+                    out[key] = s
                 else:
-                    term = term * Poly({(d, 0) if i == 0 else (0, d): Fraction(1)})
-            result = result + term
-        return result
+                    out.pop(key, None)
+        return _wrap(out)
 
     def __call__(self, x=None, y=None) -> Value:
         return collapse(self.substitute(x=x, y=y))
@@ -285,6 +278,16 @@ def _var_index(var: str) -> int:
         return _VARS.index(var)
     except ValueError:
         raise ValueError(f"unknown indeterminate {var!r}") from None
+
+
+def _power_table(base, degree: int) -> list:
+    """[1, base, ..., base^degree], each entry the one before times base."""
+    if not isinstance(base, Poly):
+        base = _as_fraction(base)
+    table = [Fraction(1)]
+    for _ in range(degree):
+        table.append(table[-1] * base)
+    return table
 
 
 def _coerce(obj) -> Poly | None:

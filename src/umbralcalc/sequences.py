@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from .combinatorics import binomial, falling_factorial
+from .combinatorics import binomial, binomial_row
 from .combinatorics import bernoulli_numbers as bernoulli_numbers  # re-exported here
 from .combinatorics import stirling_first_classical, stirling_second_classical
 from .poly import X, Y, Poly, Value, collapse, poly_definite_integral
@@ -197,10 +197,11 @@ def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
     if n_max < 0:
         raise ValueError("n must be >= 0")
     table = sheffer_moments(poisson_charlier_pair(b, n_max))
+    falling = [factorial(k) * c for k, c in enumerate(binomial_row(X, n_max))]  # (x)_k = k! C(x, k)
     for n in range(n_max + 1):
         acc: Value = Fraction(0)
         for k in range(n + 1):
-            acc = acc + binomial(n, k) * (-b) ** (n - k) * falling_factorial(X, k)
+            acc = acc + binomial(n, k) * (-b) ** (n - k) * falling[k]
         if _as_poly(collapse(acc / b**n)) != table[n]:
             raise AssertionError("Poisson-Charlier formula disagrees with the Sheffer route")
     return PolySequence(table.polys, kind=f"poisson_charlier(a={a})")
@@ -357,18 +358,22 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
 
     Two routes: the closed form [ubar.bell.(fib_bar)_D + (x+n-1).chi]^n / n!
     and the recursive expansion s_n(x) = sum_k s_k(1-k) C(x+n-1, n-k).
+    Moment j of (x+n-1).chi is the factorial moment (x+n-1)_j, so both routes
+    weight one shared row C(x+n-1, j), j <= n: one by the umbral moments
+    core_k / k!, the other by the diagonal values it evaluates itself.  A wrong
+    row would still fail the difference and initial-condition checks.
     """
     order = n_max
     fib_bar = fibonacci_factorial_umbra(order)
     core = dot(ubar_umbra(order), dot(bell_umbra(order), derivative_umbra(fib_bar)))
-    closed: list[Poly] = []
-    for n in range(n_max + 1):
-        # Only moment n of core + (x + n - 1).chi is needed: one convolution row.
-        shifted = dot(X + (n - 1), singleton(n))
-        moment: Value = Fraction(0)
-        for k in range(n + 1):
-            moment = moment + binomial(n, k) * core.moment(k) * shifted.moment(n - k)
-        closed.append(_as_poly(collapse(moment / Fraction(factorial(n)))))
+    rows = [binomial_row(X + (n - 1), n) for n in range(n_max + 1)]  # rows[n][j] = C(x+n-1, j)
+
+    def against_row(weights: list[Fraction], n: int) -> Poly:
+        """sum_k weights[k] C(x+n-1, n-k) over k <= n."""
+        return _as_poly(collapse(sum((weights[k] * rows[n][n - k] for k in range(n + 1)), Fraction(0))))
+
+    weights = [core.moment(k) / factorial(k) for k in range(order + 1)]  # core_k / k!
+    closed = [against_row(weights, n) for n in range(n_max + 1)]
 
     # Recursive route from the initial condition.
     recursive: list[Poly] = [Poly(1)]
@@ -376,10 +381,7 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
     for n in range(1, n_max + 1):
         v_n = collapse(sum((recursive[i](x=Fraction(n - 2 * i)) for i in range(n)), Fraction(0)))
         diag.append(v_n)
-        p: Value = Fraction(0)
-        for k in range(n + 1):
-            p = p + diag[k] * binomial(X + (n - 1), n - k)
-        recursive.append(_as_poly(collapse(p)))
+        recursive.append(against_row(diag, n))
 
     seq = PolySequence(tuple(closed), kind="backward-diff")
     route_ok = closed == recursive
@@ -422,11 +424,12 @@ def recurrence_example_fibonacci(n_max: int) -> RecurrenceSolution:
     reported (it fails for n >= 2) but never asserted.
     """
     order = n_max
+    rows = [binomial_row(X + k, n_max - k) for k in range(n_max + 1)]  # rows[k][j] = C(x+k, j)
     closed: list[Poly] = []
     for n in range(n_max + 1):
         p: Value = Fraction(0)
         for k in range(n + 1):
-            p = p + binomial(X + k, n - k)
+            p = p + rows[k][n - k]
         closed.append(_as_poly(collapse(p)))
     seq = PolySequence(tuple(closed), kind="fibonacci")
 

@@ -105,21 +105,6 @@ class PolySequence:
     def coefficient_table(self) -> list[list[Fraction]]:
         return [self.coefficients(n) for n in range(len(self.polys))]
 
-    def to_json(self) -> list[dict[str, str]]:
-        """Wire form: one monomial->rational-string map per polynomial."""
-        return [p.to_json_map() for p in self.polys]
-
-    def to_csv_rows(self) -> list[list[str]]:
-        """Rows [n, c_0, ..., c_N] padded with zeros to a rectangle."""
-        from .rationals import format_rational
-
-        width = len(self.polys)
-        out = []
-        for n, _ in enumerate(self.polys):
-            row = [format_rational(c) for c in self.coefficients(n)]
-            out.append([str(n)] + row + ["0"] * (width - len(row)))
-        return out
-
 
 def _moments_to_sequence(moments: Sequence[Value], kind: str) -> PolySequence:
     return PolySequence(tuple(_as_poly(collapse(m)) for m in moments), kind=kind)

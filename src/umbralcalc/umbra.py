@@ -78,9 +78,6 @@ class Umbra:
             raise OrderMismatchError(f"umbra holds moments only to order {self.order}")
         return Umbra(self._moments[: order + 1], name=self.name)
 
-    def is_scalar(self) -> bool:
-        return all(isinstance(m, Fraction) for m in self._moments)
-
     def __eq__(self, other):
         if isinstance(other, Umbra):
             return self._moments == other._moments

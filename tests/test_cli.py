@@ -316,6 +316,16 @@ def test_power_past_order_cap_exits_1(run, expr, order, need):
     assert err == f"umbra: error: expression needs order {need}, past the order cap 64\n"
 
 
+def test_dot_power_past_order_cap_exits_1(run):
+    """A ^. exponent past the cap is refused before any power is taken."""
+    start = time.perf_counter()
+    code, out, err = run("eval", "bell^.100000", "--order", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "umbra: error: dot-power exponent 100000 is past the order cap 64\n"
+    assert run("eval", "bell^.64", "--order", "64")[0] == 0
+
+
 def test_bar_at_max_order(run):
     """bar(a) at the top --order needs a one order past the cap, and gets it."""
     code, out, _ = run("eval", "bar(bell)", "--order", "64", "--format", "json")

@@ -68,6 +68,13 @@ GOLDEN = [
      "8a2cd193810d648473b2a7a4ccd1acd0c1449ba81df1e14012c99610a3ac30a7"),
     (["example", "backward-diff", "--order", "12"],
      "2e8aa8678178c21adfd000da6ac5ab0b5e656ce052a190b7989c4470407e2ff0"),
+    # The worked difference equations, where a shared binomial row would first show.
+    (["example", "bernoulli-diff", "--order", "24"],
+     "78c561837414e2cc60453c011dd1f5992d79ecce4cda5f84e195cd3e4e9ef086"),
+    (["example", "backward-diff", "--order", "24"],
+     "f3d93d121b9ac652ae987e8e5461f466d8696cfee9b422957502fba16eaddd66"),
+    (["example", "fibonacci", "--order", "24"],
+     "6be59651f3d13b78ada1de4ea8002d39f6daa82050baec630dcc7c18092a05f7"),
     # The csv and latex table renderers, one entry per result key.
     (["stirling", "second", "--n", "6", "--format", "csv"],
      "9623f9cac959c580ff0adf1caccdf71389f89776c7b909a7e92cb41dcfc8f114"),

@@ -10,6 +10,7 @@ from umbralcalc.combinatorics import (
     bell_partial,
     bernoulli_numbers,
     binomial,
+    binomial_row,
     falling_factorial,
     stirling_first_classical,
     stirling_second_classical,
@@ -96,6 +97,23 @@ def test_binomial_integer_matches_falling_factorial(n, k):
 def test_binomial_poly_argument():
     assert binomial(X, 2) == (X**2 - X) / 2
     assert binomial(X + 1, 1) == X + 1
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(
+        st.fractions(min_value=-6, max_value=6, max_denominator=5),
+        st.fractions(min_value=-6, max_value=6, max_denominator=5).map(lambda c: X + c),
+        st.just(X + Y),
+    ),
+    st.integers(min_value=0, max_value=12),
+)
+def test_binomial_row_matches_falling_factorial(a, m):
+    row = binomial_row(a, m)
+    assert len(row) == m + 1
+    for j, entry in enumerate(row):
+        assert entry == falling_factorial(a, j) / factorial(j)
+    assert binomial(a, m) == row[m]
 
 
 def test_falling_factorial():

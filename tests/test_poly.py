@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.poly import Poly, X, Y, collapse, poly_definite_integral, poly_derivative
@@ -50,6 +50,28 @@ def test_substitution_two_vars():
     assert p.substitute(x=X + Y) == X**2 + 2 * X * Y + Y**2 + Y
     assert p(x=2, y=3) == 7
     assert (X**3).substitute(x=Y) == Y**3
+
+
+def _substitute_oracle(p, x=None, y=None):
+    """Substitution as a per-monomial sum with each power taken by ``**``."""
+    vx = X if x is None else x
+    vy = Y if y is None else y
+    total = Poly(0)
+    for (dx, dy), c in p.items():
+        total = total + c * vx**dx * vy**dy
+    return total
+
+
+polys_xy = st.builds(
+    Poly, st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), fractions, max_size=8)
+)
+values = st.one_of(fractions, fractions.map(lambda c: X + c), st.just(X + Y), st.just(Y))
+
+
+@settings(max_examples=80)
+@given(polys_xy, st.one_of(st.none(), values), st.one_of(st.none(), values))
+def test_substitute_matches_per_monomial_powers(p, x, y):
+    assert p.substitute(x=x, y=y) == _substitute_oracle(p, x, y)
 
 
 def test_power_rule_examples():

@@ -327,15 +327,6 @@ def test_order_zero_sequences():
     assert cc.verified and cc.matrix == ((F(1),),)
 
 
-def test_poly_sequence_serialization():
-    seq = sheffer_moments(poisson_charlier_pair(1, 3))
-    maps = seq.to_json()
-    assert maps[2] == {"1": "1", "x": "-3", "x^2": "1"}
-    rows = seq.to_csv_rows()
-    assert rows[2] == ["2", "1", "-3", "1", "0"]
-    assert all(len(row) == 5 for row in rows)  # n plus c0..c3, rectangular
-
-
 def test_each_call_reverts_each_gamma_once(monkeypatch):
     """sheffer_moments, inverse_pair and check_sheffer_identity revert their
     gamma once; connection_constants reverts its two gammas and the change of
