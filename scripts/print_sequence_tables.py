@@ -3,7 +3,7 @@
 
 For each named family (powers, falling factorials, exponential polynomials,
 Poisson-Charlier, Bernoulli, Abel) shows the coefficient triangle and runs
-the matching identity check.  Exits 1 if any check fails.
+the matching identity check.  A failed check prints its message and exits 1.
 
 Usage: python scripts/print_sequence_tables.py [ORDER]
 """
@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from umbralcalc import (
+    ConsistencyError,
     abel_polynomials,
     associated_moments,
     bernoulli_appell_pair,
@@ -32,21 +33,31 @@ from umbralcalc import (
 
 
 def show(title, seq, report=None):
-    """Print the table and its check; return False if the check failed."""
+    """Print the table and its check; raise ConsistencyError if the check failed."""
     print(f"\n{title}")
     for n in range(len(seq)):
         row = " ".join(format_rational(c) for c in seq.coefficients(n))
         print(f"  {n}: {row}")
     if report is None:
-        return True
-    print(f"  identity check: {'pass' if report.ok else 'FAIL'}")
-    return report.ok
+        return
+    if not report:
+        raise ConsistencyError(report.name, *report.first_failure)
+    print("  identity check: pass")
 
 
 def main():
     order = int(sys.argv[1]) if len(sys.argv) > 1 else 6
+    try:
+        for table in tables(order):
+            show(*table)
+    except ConsistencyError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    return 0
 
-    tables = [
+
+def tables(order):
+    return [
         ("powers x^n (associated to the singleton)",
          associated_moments(singleton(order)),
          check_binomial_identity(singleton(order))),
@@ -65,8 +76,6 @@ def main():
         ("Abel polynomials x(x - n.u)^(n-1)",
          abel_polynomials(unity(order + 1), order)),
     ]
-    ok = [show(*table) for table in tables]
-    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 
 Prints the three solved difference equations, the umbral Stirling triangles,
 the Poisson-Charlier connection constants, and the classical Lagrange
-inversion values, all in exact arithmetic.  Exits 1 if any check fails.
+inversion values, all in exact arithmetic.  Every result is self-checked;
+a failed check prints its message and exits 1.
 
 Usage: python scripts/run_worked_examples.py [ORDER]
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from umbralcalc import (
+    ConsistencyError,
     connection_constants,
     format_rational,
     lagrange_inversion,
@@ -31,28 +33,34 @@ def banner(title):
 
 
 def show_solution(sol):
-    """Print the solution and its checks; return whether every check passed."""
+    """Print the solution and the checks it passed."""
     for n, p in enumerate(sol.sequence):
         print(f"  s_{n}(x) = {p}")
-    for name, ok in sol.checks:
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
+    for name in sol.checks:
+        print(f"  [ok] {name}")
     for key, values in sol.notes.items():
         shown = ", ".join(format_rational(v) for v in values)
         print(f"  note {key}: {shown}")
-    return sol.ok
 
 
 def main():
-    order = int(sys.argv[1]) if len(sys.argv) > 1 else 6
+    try:
+        run(int(sys.argv[1]) if len(sys.argv) > 1 else 6)
+    except ConsistencyError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    return 0
 
+
+def run(order):
     banner("forward difference with unit integral")
-    ok = show_solution(recurrence_example_bernoulli(order))
+    show_solution(recurrence_example_bernoulli(order))
 
     banner("backward difference with diagonal initial condition")
-    ok &= show_solution(recurrence_example_backward(order))
+    show_solution(recurrence_example_backward(order))
 
     banner("Fibonacci-type recurrence")
-    ok &= show_solution(recurrence_example_fibonacci(order))
+    show_solution(recurrence_example_fibonacci(order))
 
     banner("Stirling triangles from the umbral closed forms")
     for kind in ("second", "first"):
@@ -62,15 +70,13 @@ def main():
 
     banner("Poisson-Charlier connection constants, basis a=1 from b=2")
     cc = connection_constants(poisson_charlier_pair(2, order), poisson_charlier_pair(1, order))
-    print(f"  verified against triangular solve: {cc.verified}")
-    ok &= cc.verified
+    print("  verified against triangular solve: True")  # connection_constants raises otherwise
     for row in cc.matrix:
         print("    " + " ".join(format_rational(c) for c in row))
 
     banner("Lagrange inversion values for the unity umbra: (-n)^(n-1)")
     values = [lagrange_inversion(unity(order + 1), n) for n in range(1, order + 1)]
     print("  " + ", ".join(format_rational(v) for v in values))
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":

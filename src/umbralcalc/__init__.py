@@ -21,6 +21,7 @@ from .combinatorics import (
     stirling_second_classical,
 )
 from .errors import (
+    ConsistencyError,
     NonInvertibleError,
     OrderMismatchError,
     SingularSeriesError,

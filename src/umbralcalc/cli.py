@@ -6,7 +6,9 @@ invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage/parse/unknown-name or an expression past the
 order cap, 2 mathematical failure, 3 I/O failure (including an unreadable
-workspace file).
+workspace file), 4 a failed run-time self-check (ConsistencyError: two routes
+to one result disagree; stdout stays empty and one stderr line names the check
+and the first differing coefficient).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .errors import OrderCapError, UmbralError, UmbraSyntaxError, UnknownUmbraError, WorkspaceError
+from .errors import ConsistencyError, OrderCapError, UmbralError
+from .errors import UmbraSyntaxError, UnknownUmbraError, WorkspaceError
 from .expressions import MAX_ORDER, evaluate
 from .parser import parse, pretty_print
 from .poly import Poly, value_to_json, value_to_str
@@ -216,7 +219,7 @@ def cmd_connect(args, config: CliConfig) -> dict:
         "command": "connect",
         "order": config.order,
         "matrix": [[format_rational(c) for c in row] for row in cc.matrix],
-        "verified": cc.verified,
+        "verified": True,  # connection_constants raises ConsistencyError otherwise
     }
 
 
@@ -224,7 +227,7 @@ def cmd_stirling(args, config: CliConfig) -> dict:
     n_max = config.order if args.n is None else args.n
     if not 0 <= n_max <= MAX_ORDER:
         raise CliUsageError(f"--n must be between 0 and {MAX_ORDER}")
-    # stirling_triangle raises if any umbral entry disagrees with the classical triangle.
+    # stirling_triangle raises ConsistencyError if an umbral entry disagrees with the classical triangle.
     triangle = [[format_rational(c) for c in row] for row in stirling_triangle(args.kind, n_max)]
     return {
         "command": "stirling",
@@ -251,7 +254,7 @@ def cmd_example(args, config: CliConfig) -> dict:
         solution.sequence,
         extra={
             "name": solution.name,
-            "checks": [{"name": name, "ok": ok} for name, ok in solution.checks],
+            "checks": [{"name": name, "ok": True} for name in solution.checks],
             "notes": notes,
         },
     )
@@ -325,18 +328,16 @@ def _render_pretty(result: dict) -> str:
         for n, p in enumerate(result["polynomials"]):
             lines.append(f"  s_{n}(x) = {p}")
         for check in result.get("checks", []):
-            lines.append(f"check {check['name']}: {'pass' if check['ok'] else 'FAIL'}")
+            lines.append(f"check {check['name']}: pass")
         for key, val in sorted(result.get("notes", {}).items()):
             shown = ", ".join(val) if isinstance(val, list) else val
             lines.append(f"note {key}: {shown}")
     elif cmd == "connect":
-        lines.append(f"connection constants to order {result['order']} "
-                     f"(verified: {'yes' if result['verified'] else 'NO'}):")
+        lines.append(f"connection constants to order {result['order']} (verified: yes):")
         for n, row in enumerate(result["matrix"]):
             lines.append(f"  {n}: " + " ".join(row))
     elif cmd == "stirling":
-        lines.append(f"{result['kind']}-kind Stirling triangle to n = {result['order']} "
-                     f"(verified: {'yes' if result['verified'] else 'NO'}):")
+        lines.append(f"{result['kind']}-kind Stirling triangle to n = {result['order']} (verified: yes):")
         for n, row in enumerate(result["triangle"]):
             lines.append(f"  {n}: " + " ".join(row))
     elif cmd == "define":
@@ -454,13 +455,16 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownUmbraError as exc:
         print(f"umbra: {exc}", file=sys.stderr)
         return 1
+    except ConsistencyError as exc:
+        print(f"umbra: consistency error: {exc}", file=sys.stderr)
+        return 4
     except UmbralError as exc:
         print(f"umbra: math error: {exc}", file=sys.stderr)
         return 2
     except WorkspaceError as exc:
         print(f"umbra: workspace error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, AssertionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"umbra: math error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,11 +1,17 @@
 """Error types shared across the package.
 
 The CLI maps these onto exit codes: syntax/name problems and expressions
-past the order cap are user-input errors, UmbralError subclasses are
-mathematical failures, and a WorkspaceError is an I/O failure.
+past the order cap are user-input errors (1), UmbralError subclasses are
+mathematical failures (2), a WorkspaceError is an I/O failure (3), and a
+ConsistencyError -- two routes to one result disagreeing in a run-time
+self-check -- is an engine fault (4).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from .rationals import format_rational
 
 
 class UmbralError(Exception):
@@ -22,6 +28,22 @@ class SingularSeriesError(UmbralError):
 
 class NonInvertibleError(UmbralError):
     """Compositional inversion needs a nonzero (scalar) first-order term."""
+
+
+class ConsistencyError(UmbralError):
+    """A run-time self-check failed: at entry n, the coefficient of ``monomial``
+    is ``lhs`` on the returned route and ``rhs`` on the checking route."""
+
+    def __init__(self, check: str, n: int, monomial: str, lhs: Fraction, rhs: Fraction):
+        super().__init__(
+            f"self-check '{check}' failed at n = {n}: coefficient of {monomial} is "
+            f"{format_rational(lhs)}, expected {format_rational(rhs)}"
+        )
+        self.check = check
+        self.n = n
+        self.monomial = monomial
+        self.lhs = lhs
+        self.rhs = rhs
 
 
 class WorkspaceError(ValueError):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from .errors import OrderCapError, OrderMismatchError, UnknownUmbraError
-from .poly import Poly, Value, collapse
+from .poly import Poly, Value, _madd, collapse
 from .umbra import (
     BUILTIN_UMBRAE,
     Umbra,
@@ -189,14 +189,6 @@ def default_environment() -> dict[str, MomentSource]:
 # A monomial over labelled atoms: (sorted ((label, exp), ...), x-exp, y-exp).
 _Monomial = tuple[tuple[tuple, ...], int, int]
 _UNIT: _Monomial = ((), 0, 0)
-
-
-def _madd(p: dict, key: _Monomial, c: Fraction) -> None:
-    s = p.get(key, Fraction(0)) + c
-    if s:
-        p[key] = s
-    else:
-        p.pop(key, None)
 
 
 def _umul(p: dict, q: dict) -> dict:

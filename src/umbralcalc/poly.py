@@ -54,10 +54,6 @@ class Poly:
             raise ValueError(f"unknown indeterminate {name!r}")
         return Poly({(1, 0) if name == "x" else (0, 1): Fraction(1)})
 
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly(_as_fraction(c))
-
     # -- inspection ------------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
@@ -104,11 +100,7 @@ class Poly:
             return NotImplemented
         out = dict(self._coeffs)
         for key, c in other._coeffs.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _madd(out, key, c)
         return _wrap(out)
 
     __radd__ = __add__
@@ -135,12 +127,7 @@ class Poly:
         out: dict[tuple[int, int], Fraction] = {}
         for (ax, ay), ac in self._coeffs.items():
             for (bx, by), bc in other._coeffs.items():
-                key = (ax + bx, ay + by)
-                s = out.get(key, Fraction(0)) + ac * bc
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _madd(out, (ax + bx, ay + by), ac * bc)
         return _wrap(out)
 
     __rmul__ = __mul__
@@ -204,11 +191,7 @@ class Poly:
         for (dx, dy), c in sorted(self._coeffs.items()):
             term = table_x[dx] * table_y[dy] if dx and dy else table_x[dx] if dx else table_y[dy]
             for key, v in term._coeffs.items() if isinstance(term, Poly) else (((0, 0), term),):
-                s = out.get(key, Fraction(0)) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _madd(out, key, c * v)
         return _wrap(out)
 
     def __call__(self, x=None, y=None) -> Value:
@@ -288,6 +271,17 @@ def _power_table(base, degree: int) -> list:
     for _ in range(degree):
         table.append(table[-1] * base)
     return table
+
+
+def _madd(out: dict, key, c: Fraction) -> None:
+    """out[key] += c without building a zero default; a zero sum is never stored."""
+    s = out.get(key)
+    if s is not None:
+        c = s + c
+    if c:
+        out[key] = c
+    elif s is not None:
+        del out[key]
 
 
 def _coerce(obj) -> Poly | None:

@@ -8,8 +8,9 @@ from one dot product with the Bernoulli umbra, and the Poisson-Charlier rows
 from one Sheffer table.  Most operations are also deliberately redundant: the
 umbral result is compared with an independent route (classical triangle
 recurrence, closed formula, series reversion, recursive initial-condition
-expansion) and the two must agree exactly.  The redundancy is the point --
-these are the consistency theorems of the calculus, kept executable.
+expansion) and the two must agree exactly, or ``require_equal`` raises
+ConsistencyError.  The redundancy is the point -- these are the consistency
+theorems of the calculus, kept executable.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+
 from .combinatorics import binomial, binomial_row
 from .combinatorics import bernoulli_numbers as bernoulli_numbers  # re-exported here
 from .combinatorics import stirling_first_classical, stirling_second_classical
@@ -25,9 +27,10 @@ from .sheffer import (
     IdentityReport,
     associated_moments,
     _as_poly,
-    _first_violation,
+    first_difference,
     PolySequence,
     poisson_charlier_pair,
+    require_equal,
     sheffer_moments,
 )
 from .umbra import (
@@ -72,15 +75,6 @@ def fibonacci_factorial_umbra(order: int) -> Umbra:
 # Abel polynomials and Lagrange inversion
 
 
-def _derivative_to(gamma: Umbra, order: int) -> Umbra:
-    """The derivative umbra g_D (moments n g_{n-1}) to ``order``, from g_0..g_{order-1}.
-
-    Its overbar umbra is g itself and its first moment is g_0 = 1, which is
-    why the Abel, Lagrange and Bell theorems for g are the general ones for g_D.
-    """
-    return Umbra([Fraction(1)] + [Fraction(n) * gamma.moment(n - 1) for n in range(1, order + 1)])
-
-
 def abel_polynomials(gamma: Umbra, n_max: int) -> PolySequence:
     """p_n(x) = x (x - n.g)^{n-1}: the sequence associated to the derivative umbra g_D.
 
@@ -88,7 +82,7 @@ def abel_polynomials(gamma: Umbra, n_max: int) -> PolySequence:
     """
     if gamma.order < max(n_max - 1, 0):
         raise ValueError(f"need gamma to order {n_max - 1}, have {gamma.order}")
-    return PolySequence(associated_moments(_derivative_to(gamma, n_max)).polys, kind=f"abel({gamma.name})")
+    return PolySequence(associated_moments(derivative_umbra(gamma, n_max)).polys, kind=f"abel({gamma.name})")
 
 
 def lagrange_inversion(gamma: Umbra, n: int) -> Fraction:
@@ -110,9 +104,8 @@ def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
     g1 = _require_scalar_first_moment(gamma)
     gbar = overbar_umbra(gamma)
     value = collapse(dot(-n, gbar).moment(n - 1))
-    via_reversion = collapse(g1**n * comp_inverse(gamma).moment(n))
-    if value != via_reversion:
-        raise AssertionError("generalized Lagrange inversion mismatch")
+    via_reversion = g1**n * comp_inverse(gamma).moment(n)
+    require_equal("lagrange inversion vs reversion", (value,), (via_reversion,), first=n)
     return value
 
 
@@ -131,15 +124,12 @@ def _stirling_column(kind: str, k: int, n_max: int, base: Umbra) -> list[Fractio
     """
     base = base.truncated(n_max - k)
     if kind == "second":
-        umbra, classical, label = dot(-k, base), stirling_second_classical, "S"
+        umbra, classical = dot(-k, base), stirling_second_classical
     else:
-        umbra, classical, label = dot(k, base), stirling_first_classical, "s"
-    column = []
-    for n in range(k, n_max + 1):
-        value = collapse(binomial(n, k) * umbra.moment(n - k))
-        if value != classical(n, k):
-            raise AssertionError(f"umbral {label}({n},{k}) disagrees with the triangle")
-        column.append(value)
+        umbra, classical = dot(k, base), stirling_first_classical
+    column = [collapse(binomial(n, k) * umbra.moment(n - k)) for n in range(k, n_max + 1)]
+    triangle = (classical(n, k) for n in range(k, n_max + 1))
+    require_equal(f"stirling {kind} column {k} vs triangle", column, triangle, first=k)
     return column
 
 
@@ -198,27 +188,19 @@ def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
         raise ValueError("n must be >= 0")
     table = sheffer_moments(poisson_charlier_pair(b, n_max))
     falling = [factorial(k) * c for k, c in enumerate(binomial_row(X, n_max))]  # (x)_k = k! C(x, k)
-    for n in range(n_max + 1):
-        acc: Value = Fraction(0)
-        for k in range(n + 1):
-            acc = acc + binomial(n, k) * (-b) ** (n - k) * falling[k]
-        if _as_poly(collapse(acc / b**n)) != table[n]:
-            raise AssertionError("Poisson-Charlier formula disagrees with the Sheffer route")
+    closed = (
+        sum((binomial(n, k) * (-b) ** (n - k) * falling[k] for k in range(n + 1)), Fraction(0)) / b**n
+        for n in range(n_max + 1)
+    )
+    require_equal("poisson-charlier table vs closed form", table, closed)
     return PolySequence(table.polys, kind=f"poisson_charlier(a={a})")
 
 
 def exponential_polynomials(n_max: int) -> PolySequence:
     """Phi_n(x) = sum_i S(n,i) x^i; equals the moments of x.bell."""
-    polys = []
-    for n in range(n_max + 1):
-        p: Value = Fraction(0)
-        for i in range(n + 1):
-            p = p + stirling_second_classical(n, i) * X**i
-        polys.append(_as_poly(collapse(p)))
+    polys = [Poly({(i, 0): stirling_second_classical(n, i) for i in range(n + 1)}) for n in range(n_max + 1)]
     seq = PolySequence(tuple(polys), kind="exponential")
-    via_dot = dot(X, bell_umbra(n_max))
-    if list(seq) != [_as_poly(m) for m in via_dot.moments]:
-        raise AssertionError("exponential polynomials disagree with x.bell")
+    require_equal("exponential polynomials vs x.bell", seq, dot(X, bell_umbra(n_max)).moments)
     return seq
 
 
@@ -238,14 +220,13 @@ def abel_identity_check(gamma: Umbra, n_max: int) -> IdentityReport:
         raise ValueError(f"need gamma to order {n_max}, have {gamma.order}")
     abel_y = [p.substitute(x=Y) for p in abel_polynomials(gamma, n_max)]
     shifts = [with_x_shift(dot(k, gamma)) for k in range(n_max + 1)]  # moments (x + k.g)^m
-    for n in range(n_max + 1):
-        lhs = _as_poly((X + Y) ** n)
-        rhs: Value = Fraction(0)
-        for k in range(n + 1):
-            rhs = rhs + binomial(n, k) * abel_y[k] * shifts[k].moment(n - k)
-        if lhs != collapse(rhs):
-            return IdentityReport("abel", n_max, False, _first_violation(n, lhs, collapse(rhs)))
-    return IdentityReport("abel", n_max, True)
+    lhs = ((X + Y) ** n for n in range(n_max + 1))
+    rhs = (
+        sum((binomial(n, k) * abel_y[k] * shifts[k].moment(n - k) for k in range(n + 1)), Fraction(0))
+        for n in range(n_max + 1)
+    )
+    failure = first_difference(lhs, rhs)
+    return IdentityReport("abel", n_max, failure is None, failure)
 
 
 def polynomial_expand_abel(p: Poly, gamma: Umbra) -> list[Fraction]:
@@ -270,11 +251,8 @@ def polynomial_expand_abel(p: Poly, gamma: Umbra) -> list[Fraction]:
         coeffs.append(collapse(value / Fraction(factorial(k))))
         deriv = deriv.derivative("x")
     abel = abel_polynomials(gamma, d)
-    recon: Value = Fraction(0)
-    for k, c in enumerate(coeffs):
-        recon = recon + c * abel[k]
-    if collapse(recon) != p:
-        raise AssertionError("Abel expansion failed to reconstruct the polynomial")
+    recon = sum((c * abel[k] for k, c in enumerate(coeffs)), Fraction(0))
+    require_equal("abel expansion reconstructs the polynomial", (recon,), (p,), first=d)
     return coeffs
 
 
@@ -289,7 +267,7 @@ def bell_expansion(gamma: Umbra, n: int) -> Poly:
         raise ValueError("n must be >= 0")
     if gamma.order < n:
         raise ValueError(f"need gamma to order {n}, have {gamma.order}")
-    return bell_expansion_general(_derivative_to(gamma, gamma.order + 1), n)
+    return bell_expansion_general(derivative_umbra(gamma, gamma.order + 1), n)
 
 
 def bell_expansion_general(gamma: Umbra, n: int) -> Poly:
@@ -302,11 +280,8 @@ def bell_expansion_general(gamma: Umbra, n: int) -> Poly:
     chain = dot(X, dot(bell_umbra(gamma.order), gamma))
     lhs = _as_poly(collapse(chain.moment(n)))
     gbar = overbar_umbra(gamma)
-    rhs: Value = Fraction(0)
-    for k in range(n + 1):
-        rhs = rhs + binomial(n, k) * g1**k * dot(k, gbar).moment(n - k) * X**k
-    if lhs != collapse(rhs):
-        raise AssertionError("generalized Bell-expansion two-path mismatch")
+    rhs = sum((binomial(n, k) * g1**k * dot(k, gbar).moment(n - k) * X**k for k in range(n + 1)), Fraction(0))
+    require_equal("bell expansion dot chain vs sum", (lhs,), (rhs,), first=n)
     return lhs
 
 
@@ -316,16 +291,13 @@ def bell_expansion_general(gamma: Umbra, n: int) -> Poly:
 
 @dataclass(frozen=True)
 class RecurrenceSolution:
-    """A solved difference equation: the sequence plus its verified checks."""
+    """A solved difference equation: the sequence plus the names of the checks
+    it passed (a failed check raises ConsistencyError instead)."""
 
     name: str
     sequence: PolySequence
-    checks: tuple[tuple[str, bool], ...]
+    checks: tuple[str, ...]
     notes: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(flag for _, flag in self.checks)
 
 
 def recurrence_example_bernoulli(n_max: int) -> RecurrenceSolution:
@@ -342,15 +314,16 @@ def recurrence_example_bernoulli(n_max: int) -> RecurrenceSolution:
     sheffer = dot(carrier, singleton(order))
     polys = [_as_poly(collapse(sheffer.moment(n) / Fraction(factorial(n)))) for n in range(n_max + 1)]
     seq = PolySequence(tuple(polys), kind="bernoulli-diff")
-    rec_ok = all(
-        collapse(polys[n].substitute(x=X + 1) - polys[n]) == polys[n - 1] for n in range(1, n_max + 1)
+    difference = require_equal(
+        "forward difference s_n(x+1) - s_n(x) = s_{n-1}(x)",
+        (polys[n].substitute(x=X + 1) - polys[n] for n in range(1, n_max + 1)),
+        polys[:-1],
+        first=1,
     )
-    int_ok = all(poly_definite_integral(polys[n], "x", 0, 1) == 1 for n in range(n_max + 1))
-    return RecurrenceSolution(
-        "bernoulli-diff",
-        seq,
-        (("forward difference s_n(x+1) - s_n(x) = s_{n-1}(x)", rec_ok), ("unit integral over [0,1]", int_ok)),
+    integral = require_equal(
+        "unit integral over [0,1]", (poly_definite_integral(p, "x", 0, 1) for p in polys), [1] * len(polys)
     )
+    return RecurrenceSolution("bernoulli-diff", seq, (difference, integral))
 
 
 def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
@@ -372,6 +345,10 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
         """sum_k weights[k] C(x+n-1, n-k) over k <= n."""
         return _as_poly(collapse(sum((weights[k] * rows[n][n - k] for k in range(n + 1)), Fraction(0))))
 
+    def diagonal_sum(polys: list[Poly], n: int) -> Fraction:
+        """sum_{i<n} s_i(n - 2i), the value the initial condition gives s_n(1-n)."""
+        return collapse(sum((polys[i](x=Fraction(n - 2 * i)) for i in range(n)), Fraction(0)))
+
     weights = [core.moment(k) / factorial(k) for k in range(order + 1)]  # core_k / k!
     closed = [against_row(weights, n) for n in range(n_max + 1)]
 
@@ -379,42 +356,37 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
     recursive: list[Poly] = [Poly(1)]
     diag: list[Fraction] = [Fraction(1)]  # s_k(1-k)
     for n in range(1, n_max + 1):
-        v_n = collapse(sum((recursive[i](x=Fraction(n - 2 * i)) for i in range(n)), Fraction(0)))
-        diag.append(v_n)
+        diag.append(diagonal_sum(recursive, n))
         recursive.append(against_row(diag, n))
 
     seq = PolySequence(tuple(closed), kind="backward-diff")
-    route_ok = closed == recursive
-    rec_ok = all(
-        collapse(closed[n] - closed[n].substitute(x=X - 1)) == closed[n - 1] for n in range(1, n_max + 1)
+    route = require_equal("closed form equals initial-condition expansion", closed, recursive)
+    difference = require_equal(
+        "backward difference s_n(x) - s_n(x-1) = s_{n-1}(x)",
+        (closed[n] - closed[n].substitute(x=X - 1) for n in range(1, n_max + 1)),
+        closed[:-1],
+        first=1,
     )
-    init_ok = all(
-        collapse(closed[n](x=Fraction(1 - n)))
-        == collapse(sum((closed[i](x=Fraction(n - 2 * i)) for i in range(n)), Fraction(0)))
-        for n in range(1, n_max + 1)
-    ) and closed[0](x=Fraction(-1)) == 1
+    initial = require_equal(
+        "initial condition on the shifted diagonal",
+        (p(x=Fraction(1 - n)) for n, p in enumerate(closed)),
+        (diagonal_sum(closed, n) if n else 1 for n in range(n_max + 1)),
+    )
 
     # Generating-function identities for the shifted-Fibonacci umbra.
     fib = fibonacci_numbers(order)
-    gf_ok = all(
-        fib[n] - (fib[n - 1] if n >= 1 else 0) - (fib[n - 2] if n >= 2 else 0) == (1 if n == 0 else 0)
-        for n in range(order + 1)
+    gf = require_equal(
+        "f(fib_bar, t) (1 - t - t^2) = 1",
+        (fib[n] - (fib[n - 1] if n >= 1 else 0) - (fib[n - 2] if n >= 2 else 0) for n in range(order + 1)),
+        [1] + [0] * order,
     )
     boolean_chain = dot(ubar_umbra(order), dot(bell_umbra(order), derivative_umbra(singleton(order))))
-    chain_ok = boolean_chain == fib_bar
-
-    return RecurrenceSolution(
-        "backward-diff",
-        seq,
-        (
-            ("closed form equals initial-condition expansion", route_ok),
-            ("backward difference s_n(x) - s_n(x-1) = s_{n-1}(x)", rec_ok),
-            ("initial condition on the shifted diagonal", init_ok),
-            ("f(fib_bar, t) (1 - t - t^2) = 1", gf_ok),
-            ("ubar.bell.chi_D has the shifted-Fibonacci moments", chain_ok),
-        ),
-        notes={"diagonal values s_n(1-n)": diag},
+    chain = require_equal(
+        "ubar.bell.chi_D has the shifted-Fibonacci moments", boolean_chain.moments, fib_bar.moments
     )
+
+    checks = (route, difference, initial, gf, chain)
+    return RecurrenceSolution("backward-diff", seq, checks, notes={"diagonal values s_n(1-n)": diag})
 
 
 def recurrence_example_fibonacci(n_max: int) -> RecurrenceSolution:
@@ -433,27 +405,25 @@ def recurrence_example_fibonacci(n_max: int) -> RecurrenceSolution:
         closed.append(_as_poly(collapse(p)))
     seq = PolySequence(tuple(closed), kind="fibonacci")
 
-    rec_ok = all(
-        collapse(closed[n].substitute(x=X + 1)) == collapse(closed[n] + closed[n - 1])
-        for n in range(1, n_max + 1)
+    recurrence = require_equal(
+        "shifted recurrence G_n(x+1) = G_n(x) + G_{n-1}(x)",
+        (closed[n].substitute(x=X + 1) for n in range(1, n_max + 1)),
+        (closed[n] + closed[n - 1] for n in range(1, n_max + 1)),
+        first=1,
     )
-    fib = fibonacci_numbers(n_max)
-    diag_ok = all(closed[n](x=Fraction(0)) == fib[n] for n in range(n_max + 1))
+    diagonal = require_equal(
+        "diagonal G_n(0) = Fib(n)", (p(x=Fraction(0)) for p in closed), fibonacci_numbers(n_max)
+    )
 
     # Same polynomials from the umbral closed form (fib_bar + x.chi)^n / n!.
     total = umbral_sum(fibonacci_factorial_umbra(order), dot(X, singleton(order)))
-    umbral_ok = all(
-        collapse(total.moment(n) / Fraction(factorial(n))) == closed[n] for n in range(n_max + 1)
+    umbral = require_equal(
+        "umbral closed form (fib_bar + x.chi)^n / n!",
+        closed,
+        (total.moment(n) / factorial(n) for n in range(n_max + 1)),
     )
 
     f_at_zero = [collapse(closed[n](x=Fraction(-n))) for n in range(n_max + 1)]
     return RecurrenceSolution(
-        "fibonacci",
-        seq,
-        (
-            ("shifted recurrence G_n(x+1) = G_n(x) + G_{n-1}(x)", rec_ok),
-            ("diagonal G_n(0) = Fib(n)", diag_ok),
-            ("umbral closed form (fib_bar + x.chi)^n / n!", umbral_ok),
-        ),
-        notes={"F_n(0) by direct evaluation": f_at_zero},
+        "fibonacci", seq, (recurrence, diagonal, umbral), notes={"F_n(0) by direct evaluation": f_at_zero}
     )

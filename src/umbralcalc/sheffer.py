@@ -9,6 +9,8 @@ and insists the two agree, so every returned sequence is self-checked.
 
 Connection constants between two Sheffer sequences are likewise computed both
 by the closed umbral formula and by an unconditional triangular linear solve.
+Every such run-time check goes through ``require_equal``, which raises
+``ConsistencyError`` naming the check and the first differing coefficient.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import binomial
-from .errors import NonInvertibleError
-from .poly import X, Y, Poly, Value, collapse
+from .errors import ConsistencyError, NonInvertibleError
+from .poly import X, Y, Poly, Value, _monomial_str, collapse
 from .series import (
     Series,
     egf_compose,
@@ -46,6 +48,31 @@ from .umbra import (
 
 def _as_poly(v: Value) -> Poly:
     return v if isinstance(v, Poly) else Poly(v)
+
+
+def first_difference(lhs_seq, rhs_seq, first: int = 0) -> tuple | None:
+    """(n, monomial, lhs coefficient, rhs coefficient) where two equally long
+    sequences of values first differ, or None; entry i is numbered first + i.
+
+    Generators are read only up to the first difference.
+    """
+    for n, (lhs, rhs) in enumerate(zip(lhs_seq, rhs_seq, strict=True), first):
+        if lhs != rhs:
+            lhs, rhs = _as_poly(lhs), _as_poly(rhs)
+            key = min(key for key, _ in (lhs - rhs).items())
+            return (n, _monomial_str(key), lhs.coefficient(*key), rhs.coefficient(*key))
+    return None
+
+
+def require_equal(check: str, lhs_seq, rhs_seq, first: int = 0) -> str:
+    """The run-time self-check: raise ConsistencyError at the first_difference
+    of the returned route ``lhs_seq`` and the checking route ``rhs_seq``, else
+    return ``check`` (so callers can list the checks that passed).
+    """
+    failure = first_difference(lhs_seq, rhs_seq, first)
+    if failure is not None:
+        raise ConsistencyError(check, *failure)
+    return check
 
 
 @dataclass(frozen=True)
@@ -134,8 +161,7 @@ def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
     # Moment route: dot the Appell-style umbra into the adjoint g* = exp(r).
     appell_part = with_x_shift(inverse_dot(pair.alpha))
     via_moments = dot(appell_part, _adjoint_of(r)).moments
-    if list(via_series) != list(via_moments):
-        raise AssertionError("sheffer dual-path mismatch; series kernel is inconsistent")
+    require_equal("sheffer moments vs series", via_moments, via_series)
     return _moments_to_sequence(via_moments, kind=f"sheffer({pair.alpha.name}, {pair.gamma.name})")
 
 
@@ -191,7 +217,7 @@ class ConnectionConstants:
     """Lower-triangular c_{n,k} with s_n(x) = sum_k c_{n,k} r_k(x)."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
-    verified: bool  # umbral formula agreed with the triangular solve
+    verified: bool  # always True: connection_constants raises ConsistencyError instead
 
     def __getitem__(self, nk: tuple[int, int]) -> Fraction:
         n, k = nk
@@ -210,8 +236,7 @@ def _triangular_expand(p: Poly, basis: PolySequence) -> list[Fraction]:
         out[k] = c
         if c:
             residue = residue - c * basis[k]
-    if not residue.is_zero():
-        raise AssertionError("triangular expansion left a residue")
+    require_equal("triangular expansion residue", (residue,), (0,), first=deg)
     return out
 
 
@@ -220,10 +245,13 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
 
     The reference values come from a triangular linear solve over the two
     sequences; the umbral route evaluates the change-of-basis Sheffer umbra
-    [(d - 1.a).z* + x.u].(g.bell.z^<-1>)* and must agree exactly.
+    [(d - 1.a).z* + x.u].(g.bell.z^<-1>)*, whose moment n is sum_k c_{n,k} x^k,
+    and must agree exactly.
     """
     if frm.order != to.order:
         raise ValueError("pairs must share one truncation order")
+    if any(isinstance(m, Poly) for u in (frm.alpha, frm.gamma, to.alpha, to.gamma) for m in u.moments):
+        raise ValueError("connection constants need pairs with scalar moments")
     n = frm.order
     if n == 0:
         # Both sequences are the constant 1; either route gives the 1x1 identity.
@@ -231,24 +259,15 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     r_to = _reversion(to.gamma)
     s = sheffer_moments(frm)
     r = _sheffer_table(to, r_to)
-    solve = []
-    for i in range(n + 1):
-        row = _triangular_expand(s[i], r)
-        row += [Fraction(0)] * (i + 1 - len(row))
-        solve.append(tuple(row[: i + 1]))
+    solve = [tuple(_triangular_expand(s[i], r)) for i in range(n + 1)]
 
     # Umbral route.
     d_part = dot(umbral_sum(to.alpha, inverse_dot(frm.alpha)), _adjoint_of(r_to))
     g_comp = dot(frm.gamma, dot(bell_umbra(n), _comp_inverse_of(r_to)))
     eta = dot(with_x_shift(d_part), adjoint(g_comp))
-    umbral = []
-    for i in range(n + 1):
-        p = _as_poly(collapse(eta.moment(i)))
-        row = p.coeffs_in_x()
-        row += [Fraction(0)] * (i + 1 - len(row))
-        umbral.append(tuple(row[: i + 1]))
-
-    return ConnectionConstants(tuple(solve), verified=(solve == umbral))
+    solve_polys = [Poly({(k, 0): c for k, c in enumerate(row)}) for row in solve]
+    require_equal("connection constants formula vs solve", eta.moments, solve_polys)
+    return ConnectionConstants(tuple(solve), verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +279,10 @@ class IdentityReport:
     name: str
     max_degree: int
     ok: bool
-    first_failure: tuple | None = None  # (n, monomial key, lhs coeff, rhs coeff)
+    first_failure: tuple | None = None  # first_difference: (n, monomial, lhs coeff, rhs coeff)
 
     def __bool__(self):
         return self.ok
-
-
-def _first_violation(n: int, lhs, rhs) -> tuple:
-    diff = _as_poly(lhs) - _as_poly(rhs)
-    key = min(diff.to_json_map())
-    return (n, key, _as_poly(lhs).to_json_map().get(key, "0"), _as_poly(rhs).to_json_map().get(key, "0"))
 
 
 def _shift_to_xy(p: Poly) -> Poly:
@@ -285,14 +298,12 @@ def _check_convolution(
 ) -> IdentityReport:
     """s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for n up to max_degree."""
     n_max = s.order if max_degree is None else max_degree
-    for n in range(n_max + 1):
-        lhs = _shift_to_xy(s[n])
-        rhs: Value = Fraction(0)
-        for k in range(n + 1):
-            rhs = rhs + binomial(n, k) * s[k] * q[n - k]
-        if lhs != collapse(rhs):
-            return IdentityReport(name, n_max, False, _first_violation(n, lhs, collapse(rhs)))
-    return IdentityReport(name, n_max, True)
+    lhs = (_shift_to_xy(s[n]) for n in range(n_max + 1))
+    rhs = (
+        sum((binomial(n, k) * s[k] * q[n - k] for k in range(n + 1)), Fraction(0)) for n in range(n_max + 1)
+    )
+    failure = first_difference(lhs, rhs)
+    return IdentityReport(name, n_max, failure is None, failure)
 
 
 def check_binomial_identity(gamma: Umbra, max_degree: int | None = None) -> IdentityReport:
@@ -314,14 +325,9 @@ def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> 
         return report
     n_max = report.max_degree
     shifted = with_x_shift(pair.gamma)
-    lhs_list = substitute(list(s), shifted)
-    for k in range(n_max + 1):
-        rhs_k = collapse(s[k] + (k * s[k - 1] if k else 0))
-        if collapse(lhs_list[k]) != rhs_k:
-            return IdentityReport(
-                "sheffer-derivative", n_max, False, _first_violation(k, collapse(lhs_list[k]), rhs_k)
-            )
-    return report
+    lhs = substitute(list(s), shifted)[: n_max + 1]
+    failure = first_difference(lhs, (s[k] + (k * s[k - 1] if k else 0) for k in range(n_max + 1)))
+    return IdentityReport("sheffer-derivative", n_max, False, failure) if failure else report
 
 
 def check_appell_identity(alpha: Umbra, max_degree: int | None = None) -> IdentityReport:

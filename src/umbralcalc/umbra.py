@@ -279,10 +279,15 @@ def adjoint(g: Umbra) -> Umbra:
     return _adjoint_of(_reversion(g))
 
 
-def derivative_umbra(a: Umbra) -> Umbra:
-    """a_D: moments n * a_{n-1}; generating function 1 + t f(a, t)."""
+def derivative_umbra(a: Umbra, order: int | None = None) -> Umbra:
+    """a_D: moments n * a_{n-1}; generating function 1 + t f(a, t).
+
+    Built to ``order`` (default a.order, at most a.order + 1) from
+    a_0..a_{order-1}.  Its overbar umbra is a and its first moment is 1, which
+    is why the Abel, Lagrange and Bell theorems for a are the general ones for a_D.
+    """
     out: list[Value] = [Fraction(1)]
-    for n in range(1, a.order + 1):
+    for n in range(1, (a.order if order is None else order) + 1):
         out.append(collapse(Fraction(n) * a.moment(n - 1)))
     return Umbra(out)
 

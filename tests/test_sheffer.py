@@ -169,6 +169,13 @@ def test_connection_constants_identity_and_stirling():
             assert cc[n, k] == stirling_second_classical(n, k)
 
 
+def test_connection_constants_need_scalar_moments():
+    """Moments in x or y are outside the domain (exit 2 in the CLI), not a failed self-check."""
+    for alpha in (dot(Y, bell_umbra(N)), dot(X, bell_umbra(N))):
+        with pytest.raises(ValueError, match="scalar moments"):
+            connection_constants(ShefferPair(alpha, singleton(N)), power_pair(N))
+
+
 def test_connection_constants_third_combination():
     cc = connection_constants(bernoulli_appell_pair(6), power_pair(6))
     assert cc.verified
@@ -193,15 +200,16 @@ def test_identity_check_reports_failure():
     assert check_binomial_identity(scalar_multiple(2, unity(6))).ok
     # force a violation through the report plumbing: Bernoulli polynomials
     # are Sheffer but not of binomial type, so feed them to the binomial check
-    from umbralcalc.sheffer import IdentityReport, _first_violation
+    from umbralcalc.sheffer import IdentityReport, first_difference
 
     seq = sheffer_moments(bernoulli_appell_pair(4))
     lhs = seq[1].substitute(x=X + Y)
     rhs = sum((binomial(1, k) * seq[k] * seq[1 - k].substitute(x=Y) for k in range(2)), Poly(0))
     assert lhs != rhs
-    n, key, lhs_c, rhs_c = _first_violation(1, lhs, rhs)
+    failure = first_difference([lhs], [rhs], first=1)
+    n, key, lhs_c, rhs_c = failure
     assert n == 1 and key == "1" and lhs_c != rhs_c
-    report = IdentityReport("probe", 1, False, (n, key, lhs_c, rhs_c))
+    report = IdentityReport("probe", 1, False, failure)
     assert not report
 
 
