@@ -4,11 +4,12 @@ Subcommands: eval, sheffer, associated, appell, connect, stirling, abel,
 example, define, list.  All computation is exact and deterministic; identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage/parse/unknown-name or an expression past the
-order cap, 2 mathematical failure, 3 I/O failure (including an unreadable
-workspace file), 4 a failed run-time self-check (ConsistencyError: two routes
-to one result disagree; stdout stays empty and one stderr line names the check
-and the first differing coefficient).
+Exit codes: 0 success, 1 usage/parse/unknown-name, an expression past the
+order cap or a result too large to print (OutputSizeError), 2 mathematical
+failure, 3 I/O failure (including an unreadable workspace file), 4 a failed
+run-time self-check (ConsistencyError: two routes to one result disagree;
+stdout stays empty and one stderr line names the check and the first
+differing coefficient).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .errors import ConsistencyError, OrderCapError, UmbralError
+from .errors import ConsistencyError, OrderCapError, OutputSizeError, UmbralError
 from .errors import UmbraSyntaxError, UnknownUmbraError, WorkspaceError
 from .expressions import MAX_ORDER, evaluate
 from .parser import parse, pretty_print
@@ -446,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _config(args)
         result = _COMMANDS[args.command](args, config)
-    except (CliUsageError, OrderCapError) as exc:
+    except (CliUsageError, OrderCapError, OutputSizeError) as exc:
         print(f"umbra: error: {exc}", file=sys.stderr)
         return 1
     except UmbraSyntaxError as exc:

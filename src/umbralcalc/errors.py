@@ -1,17 +1,18 @@
 """Error types shared across the package.
 
-The CLI maps these onto exit codes: syntax/name problems and expressions
-past the order cap are user-input errors (1), UmbralError subclasses are
-mathematical failures (2), a WorkspaceError is an I/O failure (3), and a
-ConsistencyError -- two routes to one result disagreeing in a run-time
-self-check -- is an engine fault (4).
+The CLI maps these onto exit codes: syntax/name problems, expressions past
+the order cap and results too large to print (OutputSizeError, defined beside
+the wire format in ``rationals``) are user-input errors (1), UmbralError
+subclasses are mathematical failures (2), a WorkspaceError is an I/O failure
+(3), and a ConsistencyError -- two routes to one result disagreeing in a
+run-time self-check -- is an engine fault (4).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import format_rational
+from .rationals import OutputSizeError, format_rational
 
 
 class UmbralError(Exception):
@@ -37,13 +38,20 @@ class ConsistencyError(UmbralError):
     def __init__(self, check: str, n: int, monomial: str, lhs: Fraction, rhs: Fraction):
         super().__init__(
             f"self-check '{check}' failed at n = {n}: coefficient of {monomial} is "
-            f"{format_rational(lhs)}, expected {format_rational(rhs)}"
+            f"{_show(lhs)}, expected {_show(rhs)}"
         )
         self.check = check
         self.n = n
         self.monomial = monomial
         self.lhs = lhs
         self.rhs = rhs
+
+
+def _show(q: Fraction) -> str:
+    try:
+        return format_rational(q)
+    except OutputSizeError as exc:
+        return f"<{exc}>"
 
 
 class WorkspaceError(ValueError):

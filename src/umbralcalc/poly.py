@@ -4,6 +4,9 @@ Coefficients are ``fractions.Fraction``; storage is a map from the
 multi-degree ``(deg_x, deg_y)`` to the coefficient, with zero coefficients
 never stored.  A constant polynomial compares equal (and hashes equal) to the
 corresponding scalar, so values of type ``Fraction | Poly`` mix freely.
+The series kernel also holds Polys with ``int`` coefficients, the numerators
+of ``numerator_over``; they stay inside the kernel, which divides each one
+back to Fraction coefficients.
 
 Two indeterminates are all the calculus ever needs: x carries polynomial
 moments, y shows up only in two-variable identity checks.
@@ -12,6 +15,7 @@ moments, y shows up only in two-variable identity checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Union
 
 from .rationals import format_rational, parse_rational
@@ -121,6 +125,8 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a scalar scales each coefficient, keeping ints ints
+            return _wrap({key: c * other for key, c in self._coeffs.items()} if other else {})
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -325,6 +331,21 @@ def collapse(value) -> Value:
         c = value.as_fraction()
         return c if c is not None else value
     return _as_fraction(value)
+
+
+def denominator(value: Value) -> int:
+    """The least common denominator of a value's coefficients (1 for zero)."""
+    if isinstance(value, Poly):
+        return lcm(*(c.denominator for c in value._coeffs.values()))
+    return value.denominator
+
+
+def numerator_over(value: Value, d: int):
+    """value * d for a multiple d of denominator(value): an int, or a Poly
+    whose coefficients are ints, so arithmetic on it does no gcd."""
+    if not isinstance(value, Poly):
+        return value.numerator * (d // value.denominator)
+    return _wrap({key: c.numerator * (d // c.denominator) for key, c in value._coeffs.items()})
 
 
 def value_to_json(value: Value):

@@ -8,20 +8,29 @@ binomial recurrences of the same shape, and reversion is the Lagrange
 formula: moment m of the reversion of h is moment m - 1 of (t/h)^m, the
 umbral E[(-m.g)^(m-1)] with g the overbar umbra of h, up to a factor h_1^m.
 
-Every operation is exact.  Binary operations insist on equal truncation
-orders (mixing orders silently is how truncation bugs are born).  Moments
-may be rationals or polynomials in x, y; reciprocal/reversion additionally
-need an invertible scalar leading moment.
+Every operation is exact and fraction-free inside.  An op splits each
+operand once into numerators over the operand's least common denominator D
+(f = F / D: an ``int`` for a rational moment, a Poly with int coefficients
+for a moment in x, y), folds the powers of D and of the leading term that
+its recurrence needs into the binomial rows it builds once per call, runs
+the recurrence on the numerators with no gcd, and divides each output
+entry once (Knuth, TAOCP vol. 2 §4.5.1, on what the gcds cost).  Results are
+reduced ``Fraction``s and collapsed Polys, as if computed in Q[x, y].
+
+Binary operations insist on equal truncation orders (mixing orders silently
+is how truncation bugs are born).  Moments may be rationals or polynomials
+in x, y; reciprocal/reversion additionally need an invertible scalar
+leading moment.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
-from .poly import Value, collapse
+from .poly import Poly, Value, collapse, denominator, numerator_over
 
 Series = tuple[Value, ...]
 
@@ -38,7 +47,24 @@ def _check_orders(f: Sequence[Value], g: Sequence[Value]) -> int:
     return len(f) - 1
 
 
-def _binomial_rows(a: Sequence[Value], first: int = 0) -> list[list[tuple[int, Value]]]:
+def _split(f: Sequence[Value]) -> tuple[list, int]:
+    """(F, D) with f = F / D: D the least common denominator of f's moments,
+    F their numerators (ints, or Polys with int coefficients)."""
+    d = lcm(*map(denominator, f))
+    return [numerator_over(v, d) for v in f], d
+
+
+def _times(v, c: int):
+    """v * c, with no pass over a Poly when c is 1."""
+    return v if c == 1 else v * c
+
+
+def _over(num, den: int) -> Value:
+    """num / den as a reduced Fraction, or a collapsed Poly with Fraction coefficients."""
+    return collapse(num / den) if isinstance(num, Poly) else Fraction(num, den)
+
+
+def _binomial_rows(a: Sequence, first: int = 0) -> list[list[tuple[int, Value]]]:
     """Row n lists (k, C(n,k) a_k) for the nonzero a_k with first <= k <= n.
 
     The binomial weights of a convolution are folded into the operand that
@@ -49,9 +75,9 @@ def _binomial_rows(a: Sequence[Value], first: int = 0) -> list[list[tuple[int, V
     return [[(k, c * comb(n, k)) for k, c in terms if k <= n] for n in range(len(a))]
 
 
-def _convolve(rows: list[list[tuple[int, Value]]], g: Sequence[Value]) -> Series:
-    """sum_k C(n,k) a_k g_(n-k) for every n, from the rows of a."""
-    return tuple(collapse(sum((w * g[n - k] for k, w in row), Fraction(0))) for n, row in enumerate(rows))
+def _convolve(rows: list[list[tuple[int, Value]]], g: Sequence) -> list:
+    """sum_k C(n,k) a_k g_(n-k) for every n, from the rows of a; no division."""
+    return [sum((w * g[n - k] for k, w in row), 0) for n, row in enumerate(rows)]
 
 
 def egf_scale(c, f: Sequence[Value]) -> Series:
@@ -59,9 +85,14 @@ def egf_scale(c, f: Sequence[Value]) -> Series:
 
 
 def egf_mul(f: Sequence[Value], g: Sequence[Value]) -> Series:
-    """Product f g mod t^(N+1): the binomial convolution of the moments."""
+    """Product f g mod t^(N+1): the binomial convolution of the moments.
+
+    With f = F / D_f and g = G / D_g, moment n is
+    sum_k C(n,k) F_k G_(n-k) / (D_f D_g).
+    """
     _check_orders(f, g)
-    return _convolve(_binomial_rows(f), g)
+    (nf, df), (ng, dg) = _split(f), _split(g)
+    return tuple(_over(c, df * dg) for c in _convolve(_binomial_rows(nf), ng))
 
 
 def _leading_scalar(value: Value, what: str) -> Fraction:
@@ -72,16 +103,26 @@ def _leading_scalar(value: Value, what: str) -> Fraction:
 
 
 def egf_reciprocal(f: Sequence[Value]) -> Series:
-    """The series g with f g = 1: g_n = -g_0 sum_(k>=1) C(n,k) f_k g_(n-k)."""
+    """The series g with f g = 1, g_n = -g_0 sum_(k>=1) C(n,k) f_k g_(n-k).
+
+    Fraction-free: with f = A / D, G_0 = 1 and
+    G_m = -sum_(k>=1) C(m,k) (A_k A_0^(k-1)) G_(m-k) are integral, and
+    g_m = D G_m / A_0^(m+1).
+    """
     n = _order(f)
     c0 = _leading_scalar(f[0], "constant term of a reciprocal")
     if c0 == 0:
         raise SingularSeriesError("cannot invert a series with zero constant term")
-    inv0 = Fraction(1) / c0
-    rows = _binomial_rows(f, first=1)
-    out: list[Value] = [inv0]
+    nums, d = _split(f)
+    a0 = numerator_over(c0, d)
+    rows = _binomial_rows([_times(a, a0 ** (k - 1)) if k else 0 for k, a in enumerate(nums)], first=1)
+    G: list = [1]
+    out: list[Value] = [Fraction(d, a0)]
+    lead = a0
     for m in range(1, n + 1):
-        out.append(collapse(-inv0 * sum((w * out[m - k] for k, w in rows[m]), Fraction(0))))
+        G.append(-sum((w * G[m - k] for k, w in rows[m]), 0))
+        lead *= a0
+        out.append(_over(_times(G[m], d), lead))
     return tuple(out)
 
 
@@ -92,31 +133,36 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
     column from the next, B_(n,k) = sum_d C(n-1,d-1) h_d B_(n-d,k-1).  Column
     k vanishes below row k, so those entries are never computed;
     zero moments of h are skipped, and the columns stop at f's last nonzero
-    moment.
+    moment (its index is ``top``).  Fraction-free: B_(n,k) is homogeneous of
+    degree k, so with f = F / D_f and h = H / D_h the columns are built on H
+    and moment n is sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top).
     """
     n = _check_orders(f, h)
     if collapse(h[0]) != 0:
         raise ValueError("inner series of a composition must have zero constant term")
     top = max((k for k in range(1, n + 1) if f[k]), default=0)
-    rows = _binomial_rows(h[1:])  # row i - 1 holds C(i-1, d-1) h_d at index d - 1
-    out: list[Value] = [f[0]] + [Fraction(0)] * n
-    column = list(h)  # B_(i,1) = h_i
+    (nf, df), (nh, dh) = _split(f), _split(h)
+    rows = _binomial_rows(nh[1:])  # row i - 1 holds C(i-1, d-1) H_d at index d - 1
+    out: list = [_times(nf[0], dh**top)] + [0] * n
+    column = nh  # B_(i,1) = H_i
     for k in range(1, top + 1):
-        fk = f[k]
+        fk = nf[k]
         if fk:
+            fk = _times(fk, dh ** (top - k))
             for i in range(k, n + 1):
                 out[i] = out[i] + fk * column[i]
         if k < top:
-            nxt: list[Value] = [Fraction(0)] * (n + 1)
+            nxt: list = [0] * (n + 1)
             for i in range(k + 1, n + 1):
-                acc: Value = Fraction(0)
+                acc = 0
                 for j, w in rows[i - 1]:
                     if j > i - 1 - k:
                         break
                     acc = acc + w * column[i - 1 - j]
                 nxt[i] = acc
             column = nxt
-    return tuple(collapse(c) for c in out)
+    den = df * dh**top
+    return tuple(_over(c, den) for c in out)
 
 
 def egf_revert(h: Sequence[Value]) -> Series:
@@ -125,7 +171,8 @@ def egf_revert(h: Sequence[Value]) -> Series:
     With q the moment form of t/h(t), the reciprocal of (h_(n+1)/(n+1))_n,
     moment m of r is moment m - 1 of q^m (Knuth, TAOCP vol. 2 §4.7): the
     umbral E[(-m.g)^(m-1)] for g the overbar umbra of h, up to a factor
-    h_1^m.  Each q^m is built from q^(m-1).
+    h_1^m.  Fraction-free: q is split once, q = Q / D_q; each Q^m is built
+    from Q^(m-1) on numerators, and r_m = [t^(m-1)] Q^m / D_q^m.
     """
     n = _order(h)
     if collapse(h[0]) != 0:
@@ -136,42 +183,67 @@ def egf_revert(h: Sequence[Value]) -> Series:
     if h1 == 0:
         raise NonInvertibleError("reversion needs a nonzero linear coefficient")
     q = egf_reciprocal(tuple(collapse(h[d + 1]) / (d + 1) for d in range(n)))  # t/h mod t^N
-    rows = _binomial_rows(q)
-    power = q
+    nq, dq = _split(q)
+    rows = _binomial_rows(nq)
+    power, den = nq, dq
     r: list[Value] = [Fraction(0), q[0]]
     for m in range(2, n + 1):
         power = _convolve(rows, power)
-        r.append(power[m - 1])
+        den *= dq
+        r.append(_over(power[m - 1], den))
     return tuple(r)
 
 
 def egf_log(f: Sequence[Value]) -> Series:
     """log f for constant term 1, by the moment-cumulant recurrence
-    k_n = f_n - sum_(j=1)^(n-1) C(n-1,j) f_j k_(n-j)."""
+    k_n = f_n - sum_(j=1)^(n-1) C(n-1,j) f_j k_(n-j).
+
+    Fraction-free: with f = F / D, K_n = F_n D^(n-1)
+    - sum_(j=1)^(n-1) C(n-1,j) (F_j D^(j-1)) K_(n-j) is integral, and
+    k_n = K_n / D^n.
+    """
     n = _order(f)
     if collapse(f[0]) != 1:
         raise ValueError("logarithm needs constant term 1")
-    rows = _binomial_rows(f, first=1)
+    nums, d = _split(f)
+    scaled = [_times(c, d ** (k - 1)) if k else 0 for k, c in enumerate(nums)]  # F_k D^(k-1)
+    rows = _binomial_rows(scaled, first=1)
+    K: list = [0] * (n + 1)
     out: list[Value] = [Fraction(0)] * (n + 1)
+    den = 1
     for m in range(1, n + 1):
-        out[m] = collapse(f[m] - sum((w * out[m - j] for j, w in rows[m - 1]), Fraction(0)))
+        K[m] = scaled[m] - sum((w * K[m - j] for j, w in rows[m - 1]), 0)
+        den *= d
+        out[m] = _over(K[m], den)
     return tuple(out)
 
 
 def egf_exp(h: Sequence[Value]) -> Series:
-    """exp h for zero constant term: a_n = sum_(k=1)^n C(n-1,k-1) h_k a_(n-k)."""
+    """exp h for zero constant term: a_n = sum_(k=1)^n C(n-1,k-1) h_k a_(n-k).
+
+    Fraction-free: with h = H / D, A_0 = 1 and
+    A_n = sum_(k=1)^n C(n-1,k-1) (H_k D^(k-1)) A_(n-k) are integral, and
+    a_n = A_n / D^n.
+    """
     n = _order(h)
     if collapse(h[0]) != 0:
         raise ValueError("exponential needs zero constant term")
-    rows = _binomial_rows(h[1:])  # row m - 1 holds C(m-1, k-1) h_k at index k - 1
+    nums, d = _split(h)
+    # row m - 1 holds C(m-1, k-1) H_k D^(k-1) at index k - 1
+    rows = _binomial_rows([_times(c, d**j) for j, c in enumerate(nums[1:])])
+    A: list = [1]
     out: list[Value] = [Fraction(1)]
+    den = 1
     for m in range(1, n + 1):
-        out.append(collapse(sum((w * out[m - 1 - j] for j, w in rows[m - 1]), Fraction(0))))
+        A.append(sum((w * A[m - 1 - j] for j, w in rows[m - 1]), 0))
+        den *= d
+        out.append(_over(A[m], den))
     return tuple(out)
 
 
 def egf_power(f: Sequence[Value], e) -> Series:
-    """f^e = exp(e log f) for constant term 1; e may be rational or a Poly."""
+    """f^e = exp(e log f) for constant term 1; e may be rational or a Poly.
+    Both steps run fraction-free, each over its own operand's denominator."""
     _order(f)
     if collapse(f[0]) != 1:
         raise ValueError("power needs constant term 1")

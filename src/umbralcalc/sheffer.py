@@ -224,19 +224,22 @@ class ConnectionConstants:
         return self.matrix[n][k]
 
 
-def _triangular_expand(p: Poly, basis: PolySequence) -> list[Fraction]:
-    """Coefficients of p in the triangular basis, by back-substitution."""
-    residue = p
-    deg = max(residue.degree_in("x"), 0)
+def _triangular_expand(p: Poly, basis: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients of p in the triangular basis with coefficient rows
+    ``basis``, by back-substitution on p's row of x-coefficients."""
+    deg = max(p.degree_in("x"), 0)
+    residue = [p.coefficient(k) for k in range(deg + 1)]
     out = [Fraction(0)] * (deg + 1)
     for k in range(deg, -1, -1):
-        lead = residue.coefficient(k)
-        blead = basis[k].coefficient(k)
-        c = lead / blead
+        row = basis[k]
+        c = residue[k] / row[k]
         out[k] = c
         if c:
-            residue = residue - c * basis[k]
-    require_equal("triangular expansion residue", (residue,), (0,), first=deg)
+            for j in range(k + 1):
+                residue[j] -= c * row[j]
+    # Terms in y are in no basis row, so they stay in the residue.
+    left = {key: c for key, c in p.items() if key[1]} | {(j, 0): c for j, c in enumerate(residue)}
+    require_equal("triangular expansion residue", (Poly(left),), (0,), first=deg)
     return out
 
 
@@ -258,8 +261,8 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
         return ConnectionConstants(((Fraction(1),),), verified=True)
     r_to = _reversion(to.gamma)
     s = sheffer_moments(frm)
-    r = _sheffer_table(to, r_to)
-    solve = [tuple(_triangular_expand(s[i], r)) for i in range(n + 1)]
+    basis = _sheffer_table(to, r_to).coefficient_table()
+    solve = [tuple(_triangular_expand(s[i], basis)) for i in range(n + 1)]
 
     # Umbral route.
     d_part = dot(umbral_sum(to.alpha, inverse_dot(frm.alpha)), _adjoint_of(r_to))

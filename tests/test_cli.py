@@ -331,3 +331,15 @@ def test_bar_at_max_order(run):
     code, out, _ = run("eval", "bar(bell)", "--order", "64", "--format", "json")
     assert code == 0
     assert len(_assert_valid_json(out)["results"][0]["moments"]) == 65
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv", "latex"])
+def test_output_past_digit_limit_exits_1(run, fmt):
+    """A moment whose numerator has more digits than Python prints (moment 64
+    of ubar^.64 has about 5.7k) is refused before any of it is converted."""
+    code, out, err = run("eval", "ubar^.64", "--order", "64", "--format", fmt)
+    assert code == 1 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"umbra: error: value too large to print: its numerator has more than {limit} digits\n"
+    assert run("eval", "ubar^.32", "--order", "32", "--format", fmt)[0] == 0

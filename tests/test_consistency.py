@@ -5,6 +5,8 @@ second-kind Stirling column is forced off in test_sequences).  The CLI maps
 the error to exit 4 with one stderr line and nothing on stdout."""
 
 import itertools
+import sys
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -160,3 +162,15 @@ def test_cli_failed_self_check_exits_4(monkeypatch, capsys, tmp_path, module, na
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(f"umbra: consistency error: self-check '{check}' failed at n = 3: coefficient of 1 is ")
+
+
+def test_message_of_a_value_too_large_to_print():
+    """A failed check still prints one message when a coefficient has more
+    digits than Python converts to text."""
+    big = Fraction(10**5000, 3)
+    exc = ConsistencyError("c", 2, "x", big, Fraction(1, 2))
+    assert str(exc) == (
+        "self-check 'c' failed at n = 2: coefficient of x is "
+        f"<value too large to print: its numerator has more than {sys.get_int_max_str_digits()} digits>, "
+        "expected 1/2"
+    )

@@ -7,12 +7,12 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import bernoulli_numbers, falling_factorial
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
-from umbralcalc.poly import Poly, collapse
+from umbralcalc.poly import X, Poly, collapse
 from umbralcalc.series import (
     egf_compose,
     egf_exp,
@@ -169,20 +169,49 @@ def test_compose_examples():
         egf_compose(e, one(4))
 
 
-small_polys = st.builds(
-    lambda c, cx, cy: Poly({(0, 0): c, (1, 0): cx, (0, 1): cy}), fractions, fractions, fractions
-)
+def polys_over(scalars):
+    return st.builds(lambda c, cx, cy: Poly({(0, 0): c, (1, 0): cx, (0, 1): cy}), scalars, scalars, scalars)
+
+
+small_polys = polys_over(fractions)
 # Scalars, polynomials in x, y, and plenty of zeros (to exercise the sparse paths).
 coefficients = st.one_of(st.just(F(0)), fractions, small_polys)
 nonzero_scalars = fractions.filter(lambda c: c != 0)
 
+# The kernel splits each operand into integer numerators over its least common
+# denominator D.  Numerators to about 10^6 over pairwise coprime (prime)
+# denominators below 10^3 make D a product of several primes, so the powers of
+# D and of the leading term that the recurrences fold in are large; integral
+# tuples have D = 1.
+PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+wide_fractions = st.builds(F, st.integers(-(10**6), 10**6), st.sampled_from([1] + PRIMES))
+integers = st.integers(-9, 9).map(F)
+FAMILIES = {
+    "small": (coefficients, nonzero_scalars),
+    "wide": (st.one_of(st.just(F(0)), wide_fractions, polys_over(wide_fractions)), wide_fractions.filter(bool)),
+    "integral": (st.one_of(st.just(F(0)), integers, polys_over(integers)), integers.filter(bool)),
+}
+families = st.sampled_from(sorted(FAMILIES)).map(FAMILIES.__getitem__)
 
-def invertible_series(max_order, tail=coefficients):
+
+def normal(moments):
+    """Assert every entry is a reduced Fraction or a non-constant Poly with
+    Fraction coefficients, as the kernel must return; pass the tuple on."""
+    for v in moments:
+        if isinstance(v, Poly):
+            assert v.as_fraction() is None
+            assert all(type(c) is F for _, c in v.items())
+        else:
+            assert type(v) is F
+    return moments
+
+
+def invertible_series(max_order, tail=coefficients, lead=nonzero_scalars):
     """Random h of order 1..max_order with h(0) = 0 and a nonzero scalar h'(0)."""
     return st.integers(min_value=1, max_value=max_order).flatmap(
         lambda n: st.builds(
             lambda c1, rest: tuple([F(0), c1] + rest),
-            nonzero_scalars,
+            lead,
             st.lists(tail, min_size=n - 1, max_size=n - 1),
         )
     )
@@ -190,45 +219,53 @@ def invertible_series(max_order, tail=coefficients):
 
 @settings(max_examples=60)
 @given(
-    st.integers(min_value=0, max_value=8).flatmap(
-        lambda n: st.tuples(
-            st.lists(coefficients, min_size=n + 1, max_size=n + 1),
-            st.lists(coefficients, min_size=n, max_size=n),
+    st.tuples(families, families, st.integers(min_value=0, max_value=8)).flatmap(
+        lambda fam: st.tuples(
+            st.lists(fam[0][0], min_size=fam[2] + 1, max_size=fam[2] + 1),
+            st.lists(fam[1][0], min_size=fam[2], max_size=fam[2]),
         )
     )
 )
 def test_compose_matches_horner_oracle(fh):
+    """Outer and inner series each from its own family, so D_f and D_h differ."""
     f_moments, h_tail = fh
     f, h = tuple(f_moments), (F(0),) + tuple(h_tail)
-    assert egf_compose(f, h) == moments_of(horner_compose(coeffs_of(f), coeffs_of(h)))
+    assert normal(egf_compose(f, h)) == moments_of(horner_compose(coeffs_of(f), coeffs_of(h)))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=12).flatmap(
-        lambda n: st.tuples(
-            *(st.lists(coefficients, min_size=n, max_size=n) for _ in range(3)),
-            nonzero_scalars,
+    st.tuples(families, st.integers(min_value=0, max_value=12)).flatmap(
+        lambda fam: st.tuples(
+            *(st.lists(fam[0][0], min_size=fam[1], max_size=fam[1]) for _ in range(3)),
+            fam[0][1],
             st.one_of(fractions, small_polys),
         )
     )
 )
+@example(([F(1, 2), X], [F(3), F(-1, 5)], [F(2, 7), F(1)], F(-7, 3), F(1, 2)))
+@example(([X / 3, F(5)], [F(1, 4), X + 1], [F(-1, 3), F(2, 9)], F(-5, 2), X))
 def test_kernel_matches_coefficient_form(data):
     """Every kernel op equals its plain coefficient-form computation through
-    the n! bridge, on Fraction- and Poly-valued moment tuples of order 0-12."""
+    the n! bridge, on moment tuples of order 0-12 from one family: small
+    Fractions and Polys, wide numerators over coprime denominators (mixed
+    Fraction/Poly tuples), or integral tuples (D = 1).  The leading scalar is
+    the constant term of the reciprocal and the linear term of the reversion
+    (negative and non-unit in the explicit examples).  Every output is a
+    reduced Fraction or a collapsed Poly."""
     a, b, c, c0, e = data
     f, g = (c0, *a), (F(1), *b)  # any scalar constant term; constant term 1
     h = (F(0), *c)
     cf, cg, ch = coeffs_of(f), coeffs_of(g), coeffs_of(h)
-    assert egf_mul(f, g) == moments_of(cmul(cf, cg))
-    assert egf_reciprocal(f) == moments_of(creciprocal(cf))
-    assert egf_log(g) == moments_of(clog(cg))
-    assert egf_exp(h) == moments_of(cexp(ch))
-    assert egf_power(g, e) == moments_of(cpower(cg, e))
-    assert egf_compose(g, h) == moments_of(horner_compose(cg, ch))
+    assert normal(egf_mul(f, g)) == moments_of(cmul(cf, cg))
+    assert normal(egf_reciprocal(f)) == moments_of(creciprocal(cf))
+    assert normal(egf_log(g)) == moments_of(clog(cg))
+    assert normal(egf_exp(h)) == moments_of(cexp(ch))
+    assert normal(egf_power(g, e)) == moments_of(cpower(cg, e))
+    assert normal(egf_compose(g, h)) == moments_of(horner_compose(cg, ch))
     if len(h) > 1:
         hr = (F(0), c0, *c[1:])  # a nonzero scalar linear term
-        assert egf_revert(hr) == moments_of(recompose_revert(coeffs_of(hr)))
+        assert normal(egf_revert(hr)) == moments_of(recompose_revert(coeffs_of(hr)))
 
 
 def test_revert_examples():
@@ -245,10 +282,16 @@ def test_revert_examples():
 
 
 @settings(max_examples=20, deadline=None)
-@given(invertible_series(16, fractions))
+@given(
+    st.one_of(
+        invertible_series(16, fractions),
+        invertible_series(16, wide_fractions, st.sampled_from([F(-5, 2), F(3, 7)]) | wide_fractions.filter(bool)),
+    )
+)
 def test_revert_matches_recompose_oracle(h):
-    """Scalar series to order 16, past the orders the kernel property draws."""
-    assert egf_revert(h) == moments_of(recompose_revert(coeffs_of(h)))
+    """Scalar series to order 16, past the orders the kernel property draws,
+    small or wide over coprime denominators, with non-unit linear terms."""
+    assert normal(egf_revert(h)) == moments_of(recompose_revert(coeffs_of(h)))
 
 
 @settings(max_examples=30)
