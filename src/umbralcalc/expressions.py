@@ -16,24 +16,41 @@ built from the same operands).  Bind such a value to a name in the
 environment if you need two correlated occurrences of it.
 
 ``evaluate(e, order)`` returns the umbra denoted by ``e``: its n-th moment is
-E[e^n], computed by expanding e^n into monomials over the labelled atoms and
-applying the product rule above.  Moments may be polynomials in x, y.
+E[e^n].  Moments may be polynomials in x, y.  It takes one of two routes:
+
+* The kernel route, for a linear form: when no monomial of e has atom
+  degree above 1, e is P_0 + sum_i P_i a_i with P_i polynomials in x, y and
+  the a_i distinct labels (a repeated label folds into one coefficient).
+  Uncorrelated umbrae add by multiplying their generating functions,
+  f(a + b, t) = f(a, t) f(b, t), and P a has moments P^n a_n (Rota and
+  Taylor, SIAM J. Math. Anal. 25, 1994), so the moments of e are the
+  ``egf_mul`` product of the umbrae P_i a_i and of P_0, with each atom
+  fetched once, at ``order``.  A whole expression L^m, L a linear form with
+  an atom, has moment n equal to moment m n of L, computed at m order.
+* The expansion route, for a nonlinear polynomial such as ``a^2 + a'``:
+  e^n is expanded into monomials over the labelled atoms and E applied by
+  the product rule above.  A ``^`` inside e is expanded the same way
+  before either route is chosen, so an atom-free power such as (x + 1)^8 is
+  the polynomial P = (x + 1)^8, with moments P^n, and needs no order 8 n.
 
 A power multiplies the order at which an atom's moments are needed: moment n
 of a^k needs a to order n k.  The evaluator works that order out before it
 computes anything and fetches each atom once, at that order.  It refuses,
 with :class:`OrderCapError`, an expression that needs an operand past
-max(order, MAX_ORDER), or a ``^`` or ``^.`` exponent past that cap.
+max(order, MAX_ORDER), a ``^`` or ``^.`` exponent past that cap, or an
+expansion that could take more than MAX_EXPANSION monomial products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping, Union
 
 from .errors import OrderCapError, OrderMismatchError, UnknownUmbraError
 from .poly import Poly, Value, _madd, collapse
+from .series import egf_mul
 from .umbra import (
     BUILTIN_UMBRAE,
     Umbra,
@@ -46,6 +63,8 @@ from .umbra import (
     dot_power,
     inverse_dot,
     overbar_umbra,
+    scalar_multiple,
+    scalar_umbra,
 )
 
 Span = Union[tuple[int, int], None]
@@ -54,6 +73,11 @@ Span = Union[tuple[int, int], None]
 # max(order, MAX_ORDER); the excess over MAX_ORDER admits bar(a), which needs
 # a to one order more than its own.
 MAX_ORDER = 64
+
+# The most monomial products a symbolic expansion may take.  The evaluator
+# refuses, with OrderCapError and before any product, a power whose
+# expansion could take more (by the bound of ``_expansion_work``).
+MAX_EXPANSION = 100_000
 
 
 @dataclass(frozen=True)
@@ -208,6 +232,30 @@ def _degree(upoly: dict) -> int:
     return max((e for atoms, _, _ in upoly for _, e in atoms), default=0)
 
 
+def _is_linear(upoly: dict) -> bool:
+    """True when no monomial has atom degree above 1: a linear form."""
+    return all(sum(e for _, e in atoms) <= 1 for atoms, _, _ in upoly)
+
+
+def _expansion_work(monomials, n: int) -> int:
+    """An upper bound on the monomial products that build p, p^2, ..., p^n
+    one from the next, p a sum of the given m monomials: m times the
+    monomials of p^j for j < n.  p^j has no more monomials than j-multisets
+    of p's, nor than exponent vectors over p's k variables whose total
+    degree lies between j times p's lowest and highest degree."""
+    if not monomials:
+        return 0
+    m = len(monomials)
+    degrees = [sum(e for _, e in atoms) + dx + dy for atoms, dx, dy in monomials]
+    lo, hi = min(degrees), max(degrees)
+    k = len({v for atoms, dx, dy in monomials for v, e in atoms + (("x", dx), ("y", dy)) if e})
+    total = 0
+    for j in range(n):
+        band = comb(j * hi + k, k) - comb(j * lo + k - 1, k) if k else 1
+        total += min(comb(j + m - 1, j), band)
+    return m * total
+
+
 class _Evaluator:
     def __init__(self, order: int, env: Environment):
         self.order = order
@@ -244,6 +292,14 @@ class _Evaluator:
     def require(self, need: int) -> None:
         if need > self.cap:
             raise OrderCapError(f"expression needs order {need}, past the order cap {self.cap}")
+
+    def budget(self, monomials, n: int) -> None:
+        work = _expansion_work(monomials, n)
+        if work > MAX_EXPANSION:
+            raise OrderCapError(
+                f"expanding the expression takes up to {work} monomial products, "
+                f"past the budget of {MAX_EXPANSION}"
+            )
 
     def _opaque(self, fn: Callable[[int], Umbra]) -> tuple:
         self._fresh += 1
@@ -289,17 +345,27 @@ class _Evaluator:
             c = Fraction(expr.scalar)
             return {key: c * v for key, v in self.upoly(expr.expr).items()} if c else {}
         if isinstance(expr, Power):
-            if expr.power < 0:
-                raise ValueError("powers must be nonnegative")
-            out = {_UNIT: Fraction(1)}
-            base = self.upoly(expr.expr)
-            self.require(expr.power * max(_degree(base), 1))
-            for _ in range(expr.power):
-                out = _umul(out, base)
-            return out
+            return self.expand(self.power_base(expr), expr.power)
         if isinstance(expr, DotPower) and expr.power > self.cap:
             raise OrderCapError(f"dot-power exponent {expr.power} is past the order cap {self.cap}")
         return {(((self._opaque(self._opaque_fn(expr)), 1),), 0, 0): Fraction(1)}
+
+    def power_base(self, expr: Power) -> dict:
+        """The base of a power, once its exponent is known to be within the cap."""
+        if expr.power < 0:
+            raise ValueError("powers must be nonnegative")
+        base = self.upoly(expr.expr)
+        self.require(expr.power)  # names the exponent itself: its product with a degree may not print
+        self.require(expr.power * max(_degree(base), 1))
+        return base
+
+    def expand(self, base: dict, n: int) -> dict:
+        """base^n, refused before any product past the monomial budget."""
+        self.budget(base, n)
+        out = {_UNIT: Fraction(1)}
+        for _ in range(n):
+            out = _umul(out, base)
+        return out
 
     def _opaque_fn(self, expr: Expr) -> Callable[[int], Umbra]:
         env = self.env
@@ -328,6 +394,32 @@ class _Evaluator:
             return lambda k: disjoint_diff(evaluate(expr.left, k, env), evaluate(expr.right, k, env))
         raise TypeError(f"not an umbral expression: {expr!r}")
 
+    # -- the kernel route for linear forms --------------------------------
+
+    def linear(self, base: dict, order: int) -> tuple[Value, ...]:
+        """Moments to ``order`` of a linear form P_0 + sum_i P_i a_i, the P_i
+        polynomials in x, y and the a_i distinct labels: the egf_mul product
+        of the umbrae P_i a_i (moments P_i^n a_n) and of P_0 (moments P_0^n).
+        Each atom is fetched once, at ``order``."""
+        self.budget({((), dx, dy) for _, dx, dy in base}, order)
+        parts: dict = {}
+        for (atoms, dx, dy), c in base.items():
+            label = atoms[0][0] if atoms else None
+            parts[label] = parts.get(label, 0) + (Poly({(dx, dy): c}) if dx or dy else c)
+        constant = parts.pop(None, Fraction(0))
+        if not order:
+            return (Fraction(1),)
+        moments = None
+        for label, c in parts.items():
+            a = self._sources[label](order)
+            if c != 1:
+                a = scalar_multiple(collapse(c), a)
+            moments = a.moments if moments is None else egf_mul(moments, a.moments)
+        if moments is None or constant:
+            powers = scalar_umbra(collapse(constant), order).moments
+            moments = powers if moments is None else egf_mul(moments, powers)
+        return moments
+
     # -- the functional E -------------------------------------------------
 
     def apply_E(self, upoly: dict) -> Value:
@@ -349,8 +441,19 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None) -> Umbra:
     if order < 0:
         raise ValueError("order must be >= 0")
     ev = _Evaluator(order, default_environment() if env is None else env)
-    base = ev.upoly(expr)
+    if isinstance(expr, Power):
+        base = ev.power_base(expr)
+        if expr.power and _is_linear(base) and _degree(base):
+            # L^m for a linear form L with an atom: moment n is moment m n of L.
+            ev.require(order * expr.power)
+            return Umbra(ev.linear(base, order * expr.power)[:: expr.power])
+        base = ev.expand(base, expr.power)
+    else:
+        base = ev.upoly(expr)
     ev.require(order * _degree(base))
+    if _is_linear(base):
+        return Umbra(ev.linear(base, order))
+    ev.budget(base, order)
     ev.plan(base)
     moments: list[Value] = [Fraction(1)]
     power = {_UNIT: Fraction(1)}

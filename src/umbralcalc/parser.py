@@ -18,6 +18,7 @@ uncorrelated copy (on a named atom it bumps the correlation label).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,10 +102,13 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
+            if limit and j - i > limit:
+                err(f"integer literal longer than {limit} digits", start, sline, scol)
             tokens.append(Token("INT", text[i:j], start, sline, scol))
             col += j - i
             i = j

@@ -305,12 +305,13 @@ def _wrap(coeffs: dict[tuple[int, int], Fraction]) -> Poly:
 
 
 def _monomial_str(key: tuple[int, int]) -> str:
+    """"x^2*y" for (2, 1); an exponent too long to print raises OutputSizeError."""
     dx, dy = key
     parts = []
     if dx:
-        parts.append("x" if dx == 1 else f"x^{dx}")
+        parts.append("x" if dx == 1 else f"x^{format_rational(dx)}")
     if dy:
-        parts.append("y" if dy == 1 else f"y^{dy}")
+        parts.append("y" if dy == 1 else f"y^{format_rational(dy)}")
     return "*".join(parts) if parts else "1"
 
 

@@ -10,7 +10,8 @@ moment-level maps:
 
 * ``umbral_sum``      -- binomial convolution (product of generating functions)
 * ``dot(g, a)``       -- the series route: f(g.a, t) = f(g, log f(a, t)) for
-                         an umbra g, f(a, t)^n for a scalar or polynomial n
+                         an umbra or a polynomial g (moments g^n), f(a, t)^c
+                         for a scalar c
 * ``dot_power``       -- k-th moment is a_k^n
 * ``inverse_dot``     -- reciprocal generating function
 * ``comp_inverse``    -- 1 + r, r the Lagrange reversion of f(a, t) - 1
@@ -219,9 +220,13 @@ def dot(left, a: Umbra) -> Umbra:
     """The dot-product left.a, computed on generating functions.
 
     * left an Umbra g: f(g.a, t) = f(g, log f(a, t)) (requires equal orders);
-    * left a rational c (any sign) or a Poly p (x, x + c, ...): the series
-      power f(a, t)^c or f(a, t)^p.
+    * left a Poly p (x, x + c, ...): the same composition, with g the
+      deterministic umbra of moments p^n, so f(p.a, t) = exp(p log f(a, t));
+    * left a rational c (any sign): the series power f(a, t)^c, which is
+      faster than the composition for a scalar exponent.
     """
+    if isinstance(left, Poly):
+        left = scalar_umbra(left, a.order)
     if isinstance(left, Umbra):
         _check_same_order(left, a)
         return Umbra(egf_compose(left.moments, egf_log(a.moments)))

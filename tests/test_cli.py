@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -6,8 +8,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from umbralcalc.cli import main
+from umbralcalc.parser import pretty_print
+
+from test_parser import expressions as corpus
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "cli_output.schema.json").read_text())
 
@@ -343,3 +350,63 @@ def test_output_past_digit_limit_exits_1(run, fmt):
     limit = sys.get_int_max_str_digits()
     assert err == f"umbra: error: value too large to print: its numerator has more than {limit} digits\n"
     assert run("eval", "ubar^.32", "--order", "32", "--format", fmt)[0] == 0
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str limit")
+@pytest.mark.parametrize("template", ["{} . u", "u^{}"])
+def test_oversized_integer_literal_exits_1(run, template):
+    """A literal with more digits than Python converts is a parse error, not a math error."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run("eval", template.format("7" * (limit + 1)), "--order", "2")
+    assert code == 1 and out == ""
+    column = template.index("{") + 1
+    assert err == f"umbra: parse error: integer literal longer than {limit} digits (line 1, column {column})\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str limit")
+def test_exponent_past_digit_limit_exits_1(run):
+    """x^k with k at the digit limit parses, but moment 2 is x^(2 k), whose
+    exponent has more digits than Python prints."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run("eval", "x^" + "9" * limit, "--order", "2")
+    assert code == 1 and out == ""
+    assert err == f"umbra: error: value too large to print: its numerator has more than {limit} digits\n"
+
+
+@pytest.mark.parametrize("expr, order", [("(u+chi+bell+bern)^4 + u", "16"), ("(x+1)^64", "64")])
+def test_expansion_past_budget_exits_1(run, expr, order):
+    """A symbolic expansion that could take more monomial products than the
+    budget is refused before any moment is computed."""
+    start = time.perf_counter()
+    code, out, err = run("eval", expr, "--order", order)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("umbra: error: expanding the expression takes up to ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# In-process fuzzing over the parser's generated corpus
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A workspace defining the corpus's user names, alpha and g2, to order 64."""
+    path = tmp_path_factory.mktemp("fuzz") / "umbrae.json"
+    alpha = ["1"] + [f"1/{k}" for k in range(1, 65)]
+    g2 = (["1", "0", "2"] * 22)[:65]
+    path.write_text(json.dumps({"version": 1, "umbrae": {"alpha": {"moments": alpha}, "g2": {"moments": g2}}}))
+    return path
+
+
+@settings(max_examples=150, deadline=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ast=corpus, order=st.integers(0, 8))
+def test_eval_fuzz_gives_a_documented_exit_code(fuzz_workspace, ast, order):
+    """Every generated expression exits 0 (with output), 1 or 2 (with one
+    stderr line and no output), in bounded time."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", pretty_print(ast), "--order", str(order), "--workspace", str(fuzz_workspace)])
+    assert code in (0, 1, 2), err.getvalue()
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert out.getvalue() and err.getvalue() == ""

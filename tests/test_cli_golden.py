@@ -107,6 +107,17 @@ GOLDEN = [
      "33df8e0b3e96c812df2ffff35de0d61105a4e7ba9d7af8b94fbf4b8140dc624f"),
     ([*CONNECT[:-1], "10"],
      "bc216ce73223719bd662edce9e9e5189ec0837cb65c2cc545e0cec050a866464"),
+    # Linear forms on the kernel route, powers of them, and an atom-free power.
+    (["eval", "u+chi+bell+bern", "--order", "24"],
+     "01b7001f00300631a9f6f4776c12b7ffc5ff1314b439b8622eb1ac0190d8931a"),
+    (["eval", "u+chi+bell+bern+x", "--order", "16"],
+     "0b8c9ffde0dcfe63f482c6100cd020de306ca7d8cc501d45cd62fdb57a83329d"),
+    (["eval", "(u+chi+bell+bern)^4", "--order", "4"],
+     "32f542e91b94c84227f8fdf21f1f09754b4c1080f02ba3c135a86586fa7090c7"),
+    (["eval", "(bell + x . u)^2", "--order", "12"],
+     "f44ab97040f400fc0e408b172d2e6029f7eb901d94d05dc9c9860a42cfac1829"),
+    (["eval", "(x + 1)^8", "--order", "16"],
+     "88f7d3d73ffba691f28a26005f8c465e627c8cf1f4965c52676544910c4ff00f"),
 ]
 
 

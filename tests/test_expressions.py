@@ -22,6 +22,7 @@ from umbralcalc.expressions import (
     Product,
     ScalarMul,
     Sum,
+    default_environment,
     evaluate,
     expectation,
 )
@@ -172,3 +173,64 @@ def test_each_atom_is_fetched_once_at_the_order_it_needs(monkeypatch):
     assert orders == [40]
     prod = dot(bell_umbra(40), bernoulli_umbra(40))
     assert got.moments == tuple(prod.moment(2 * n) for n in range(21))
+
+
+# ---------------------------------------------------------------------------
+# The kernel route for linear forms against the symbolic expansion
+
+TOP_ORDER = 12
+ENV = {
+    **default_environment(),
+    "p": Umbra([F(1), X, F(1, 2) - Y, 2 * X**2, F(0), X * Y, F(-3), X + 1, F(2, 3), Y**2, F(1), X - Y, F(5)]),
+    "q": Umbra([F(1)] + [F(k % 5 - 2, 1 + k % 3) for k in range(1, 13)]),
+}
+
+_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_atoms = st.builds(Atom, st.sampled_from(["u", "chi", "bell", "bern", "p", "q"]), st.integers(0, 1))
+_leaves = st.one_of(
+    st.builds(Const, _coefficients.filter(bool)),
+    st.just(Indet("x")),
+    st.just(Indet("y")),
+    _atoms,
+    st.builds(Product, st.sampled_from([Indet("x"), Indet("y")]), _atoms),  # a polynomial coefficient
+)
+
+
+def _linear_form(terms):
+    expr = ScalarMul(terms[0][0], terms[0][1])
+    for c, leaf in terms[1:]:
+        expr = Sum(expr, ScalarMul(c, leaf))
+    return expr
+
+
+# Up to four terms, so each expansion of L^n below stays within the budget;
+# a label drawn twice is a repeated label.
+linear_forms = st.lists(st.tuples(_coefficients.filter(bool), _leaves), min_size=1, max_size=4).map(_linear_form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_forms, st.integers(0, TOP_ORDER))
+def test_linear_form_kernel_route_matches_expansion(form, order):
+    got = evaluate(form, order, ENV)
+    for n in range(order + 1):
+        assert got.moment(n) == expectation(Power(form, n), ENV), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_forms, st.integers(1, 3), st.data())
+def test_power_of_linear_form_reads_every_mth_moment(form, m, data):
+    order = data.draw(st.integers(0, TOP_ORDER // m))
+    got = evaluate(Power(form, m), order, ENV)
+    for n in range(order + 1):
+        assert got.moment(n) == expectation(Power(form, m * n), ENV), n
+
+
+def test_linear_forms_take_no_expansion(monkeypatch):
+    """u + chi + bell + bern + x at the order cap multiplies no monomials."""
+    from umbralcalc import expressions
+
+    calls = []
+    real_umul = expressions._umul
+    monkeypatch.setattr(expressions, "_umul", lambda p, q: calls.append(1) or real_umul(p, q))
+    evaluate(Sum(Sum(Sum(Sum(Atom("u"), Atom("chi")), Atom("bell")), Atom("bern")), Indet("x")), 64)
+    assert calls == []

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -103,6 +104,16 @@ MALFORMED = [
     ("x y", 1, 3),
     ("inv()", 1, 5),
 ]
+
+# An integer literal longer than the interpreter converts (4300 digits by
+# default) is a syntax error at its first digit.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
+if _DIGIT_LIMIT:
+    _LONG = "7" * (_DIGIT_LIMIT + 1)
+    MALFORMED += [
+        pytest.param(f"{_LONG} . u", 1, 1, id="long-literal-dot"),
+        pytest.param(f"u^{_LONG}", 1, 3, id="long-literal-exponent"),
+    ]
 
 
 @pytest.mark.parametrize("text,line,column", MALFORMED)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import stirling_second_classical
-from umbralcalc.poly import Poly, X
-from umbralcalc.series import egf_mul
+from umbralcalc.poly import Poly, X, Y
+from umbralcalc.series import egf_mul, egf_power
 from umbralcalc.umbra import (
     Umbra,
     adjoint,
@@ -164,3 +164,19 @@ def test_dot_matches_partition_oracle(left_and_right):
     got = dot(left, a)
     for i in range(a.order + 1):
         assert got.moment(i) == dot_via_partitions(left, a, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10).flatmap(
+        lambda n: st.tuples(
+            st.one_of(st.just(X), fractions.map(lambda c: X + c), st.just(2 * X + Y)),
+            st.one_of(umbrae(n), poly_umbrae(n)),
+        )
+    )
+)
+def test_polynomial_dot_composes_like_the_series_power(left_and_right):
+    """dot(p, a) for a Poly p composes p's moments with log f(a, t); it equals
+    the series power f(a, t)^p."""
+    p, a = left_and_right
+    assert dot(p, a) == Umbra(egf_power(a.moments, p))
