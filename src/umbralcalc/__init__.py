@@ -8,21 +8,15 @@ works on the moment sequences themselves, the Sheffer/associated/Appell
 sequence toolkit with connection constants, the classical special sequences
 (Abel, Poisson-Charlier, umbral Stirling numbers, Lagrange inversion), a
 small expression DSL, and the `umbra` command-line front end.
+
+The names imported here are the library API listed in the README; everything
+else is reached through its submodule.
 """
 
-from .combinatorics import (
-    bell_numbers,
-    bell_partial,
-    bernoulli_numbers,
-    binomial,
-    binomial_row,
-    falling_factorial,
-    stirling_first_classical,
-    stirling_second_classical,
-)
 from .errors import (
     ConsistencyError,
     NonInvertibleError,
+    OrderCapError,
     OrderMismatchError,
     SingularSeriesError,
     UmbralError,
@@ -30,66 +24,27 @@ from .errors import (
     UnknownUmbraError,
     WorkspaceError,
 )
-from .expressions import (
-    Adjoint,
-    Atom,
-    Bar,
-    CompInv,
-    Const,
-    Deriv,
-    DisjointDiff,
-    DisjointSum,
-    Dot,
-    DotPower,
-    Expr,
-    Fresh,
-    Indet,
-    InverseDot,
-    Power,
-    Product,
-    ScalarMul,
-    Sum,
-    default_environment,
-    evaluate,
-    expectation,
-)
-from .parser import parse, pretty_print, tokenize
-from .poly import Poly, Value, collapse, poly_definite_integral, poly_derivative
-from .rationals import format_rational, parse_rational
-from .series import (
-    egf_compose,
-    egf_exp,
-    egf_log,
-    egf_mul,
-    egf_power,
-    egf_reciprocal,
-    egf_revert,
-)
+from .expressions import evaluate
+from .parser import parse
+from .poly import Poly
+from .rationals import OutputSizeError, format_rational
 from .sequences import (
-    RecurrenceSolution,
     abel_identity_check,
     abel_polynomials,
     bell_expansion,
     bell_expansion_general,
-    exponential_polynomials,
-    fibonacci_factorial_umbra,
-    fibonacci_numbers,
     lagrange_inversion,
     lagrange_inversion_general,
-    poisson_charlier,
     poisson_charlier_sequence,
     polynomial_expand_abel,
     recurrence_example_backward,
     recurrence_example_bernoulli,
     recurrence_example_fibonacci,
-    stirling_first_column,
     stirling_first_umbral,
     stirling_second_umbral,
     stirling_triangle,
 )
 from .sheffer import (
-    ConnectionConstants,
-    IdentityReport,
     PolySequence,
     ShefferPair,
     appell_moments,
@@ -99,16 +54,12 @@ from .sheffer import (
     check_binomial_identity,
     check_sheffer_identity,
     connection_constants,
-    factorial_pair,
-    inverse_pair,
     inverse_sequence,
     poisson_charlier_pair,
-    power_pair,
     sheffer_moments,
     umbral_compose,
 )
 from .umbra import (
-    BUILTIN_UMBRAE,
     Umbra,
     adjoint,
     augmentation,
@@ -127,7 +78,6 @@ from .umbra import (
     inverse_dot,
     overbar_umbra,
     scalar_multiple,
-    scale_moments,
     scalar_umbra,
     singleton,
     substitute,

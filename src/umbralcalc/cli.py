@@ -66,6 +66,13 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we own the exit codes
         raise CliUsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # A single-dash word that names no option, such as "-x", is an
+        # expression; argparse would read it as an unknown option.
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="umbra", description="exact umbral-calculus calculator")

@@ -20,16 +20,6 @@ from .poly import Value, collapse
 from .series import egf_compose
 
 
-def falling_factorial(a, n: int) -> Value:
-    """(a)_n = a (a-1) ... (a-n+1); the empty product for n = 0."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    result: Value = Fraction(1)
-    for i in range(n):
-        result = result * (a - i)
-    return collapse(result)
-
-
 def binomial_row(a, m: int) -> list[Value]:
     """[C(a,0), ..., C(a,m)] by C(a,j) = C(a,j-1) (a-j+1) / j; a may be a Poly."""
     if m < 0:
@@ -73,9 +63,7 @@ def _stirling2_row(n: int) -> tuple[Fraction, ...]:
     prev = _stirling2_row(n - 1)
     row = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):
-        row[k] = (prev[k - 1] if k - 1 <= n - 1 else Fraction(0)) + (
-            k * prev[k] if k <= n - 1 else Fraction(0)
-        )
+        row[k] = prev[k - 1] + (k * prev[k] if k <= n - 1 else Fraction(0))
     return tuple(row)
 
 
@@ -86,9 +74,7 @@ def _stirling1_row(n: int) -> tuple[Fraction, ...]:
     prev = _stirling1_row(n - 1)
     row = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):
-        row[k] = (prev[k - 1] if k - 1 <= n - 1 else Fraction(0)) - (
-            (n - 1) * prev[k] if k <= n - 1 else Fraction(0)
-        )
+        row[k] = prev[k - 1] - ((n - 1) * prev[k] if k <= n - 1 else Fraction(0))
     return tuple(row)
 
 

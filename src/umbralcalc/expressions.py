@@ -461,12 +461,3 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None) -> Umbra:
         power = _umul(power, base)
         moments.append(ev.apply_E(power))
     return Umbra(moments)
-
-
-def expectation(expr: Expr, env: Environment | None = None) -> Value:
-    """E[expr] for an umbral polynomial (the first moment of its umbra)."""
-    ev = _Evaluator(1, default_environment() if env is None else env)
-    base = ev.upoly(expr)
-    ev.require(_degree(base))
-    ev.plan(base)
-    return ev.apply_E(base)

@@ -44,7 +44,10 @@ from .expressions import (
 )
 from .rationals import format_rational
 
-KEYWORDS = ("inv", "cinv", "adj", "d", "dsum", "ddiff", "bar")
+# Each keyword and the node it builds; the tokenizer, parser and printer all read these.
+UNARY_KEYWORDS = {"inv": InverseDot, "cinv": CompInv, "adj": Adjoint, "d": Deriv, "bar": Bar}
+BINARY_KEYWORDS = {"dsum": DisjointSum, "ddiff": DisjointDiff}
+KEYWORDS = (*UNARY_KEYWORDS, *BINARY_KEYWORDS)
 INDETERMINATES = ("x", "y")
 RESERVED_NAMES = KEYWORDS + INDETERMINATES
 
@@ -271,22 +274,13 @@ class _Parser:
 
     def keyword_call(self, kw: Token) -> Expr:
         self.expect("LPAREN", "'(' after keyword")
-        first = self.expr()
-        if kw.lexeme in ("dsum", "ddiff"):
+        args = [self.expr()]
+        if kw.lexeme in BINARY_KEYWORDS:
             self.expect("COMMA", "',' between arguments")
-            second = self.expr()
-            close = self.expect("RPAREN", "')'")
-            cls = DisjointSum if kw.lexeme == "dsum" else DisjointDiff
-            return cls(first, second, span=(kw.offset, close.end))
+            args.append(self.expr())
         close = self.expect("RPAREN", "')'")
-        cls = {
-            "inv": InverseDot,
-            "cinv": CompInv,
-            "adj": Adjoint,
-            "d": Deriv,
-            "bar": Bar,
-        }[kw.lexeme]
-        return cls(first, span=(kw.offset, close.end))
+        cls = UNARY_KEYWORDS.get(kw.lexeme) or BINARY_KEYWORDS[kw.lexeme]
+        return cls(*args, span=(kw.offset, close.end))
 
 
 def _span(node: Expr):
@@ -320,6 +314,8 @@ _LEVEL_SUM = 1
 _LEVEL_DOT = 2
 _LEVEL_POSTFIX = 3
 _LEVEL_PRIMARY = 4
+
+_KEYWORD_OF = {cls: kw for kw, cls in {**UNARY_KEYWORDS, **BINARY_KEYWORDS}.items()}
 
 
 def pretty_print(expr: Expr) -> str:
@@ -366,25 +362,13 @@ def _render(expr: Expr, minlevel: int) -> str:
         safe = isinstance(expr.expr, (Atom, Indet)) and getattr(expr.expr, "primes", 0) == 0
         if isinstance(expr.expr, Indet) and expr.expr.power != 1:
             safe = False
-        keyword_call = isinstance(
-            expr.expr, (InverseDot, CompInv, Adjoint, Deriv, Bar, DisjointSum, DisjointDiff)
-        )
         inner = _render(expr.expr, _LEVEL_SUM)
-        if not (safe or keyword_call):
+        if not (safe or type(expr.expr) in _KEYWORD_OF):
             inner = f"({inner})"  # a trailing prime would otherwise rebind
         return f"-{inner}"
-    if isinstance(expr, InverseDot):
-        return f"inv({_render(expr.expr, _LEVEL_SUM)})"
-    if isinstance(expr, CompInv):
-        return f"cinv({_render(expr.expr, _LEVEL_SUM)})"
-    if isinstance(expr, Adjoint):
-        return f"adj({_render(expr.expr, _LEVEL_SUM)})"
-    if isinstance(expr, Deriv):
-        return f"d({_render(expr.expr, _LEVEL_SUM)})"
-    if isinstance(expr, Bar):
-        return f"bar({_render(expr.expr, _LEVEL_SUM)})"
-    if isinstance(expr, DisjointSum):
-        return f"dsum({_render(expr.left, _LEVEL_SUM)}, {_render(expr.right, _LEVEL_SUM)})"
-    if isinstance(expr, DisjointDiff):
-        return f"ddiff({_render(expr.left, _LEVEL_SUM)}, {_render(expr.right, _LEVEL_SUM)})"
+    kw = _KEYWORD_OF.get(type(expr))
+    if kw in UNARY_KEYWORDS:
+        return f"{kw}({_render(expr.expr, _LEVEL_SUM)})"
+    if kw in BINARY_KEYWORDS:
+        return f"{kw}({_render(expr.left, _LEVEL_SUM)}, {_render(expr.right, _LEVEL_SUM)})"
     raise ValueError(f"no surface syntax for {type(expr).__name__}")

@@ -364,13 +364,6 @@ def value_to_str(value: Value) -> str:
     return str(v)
 
 
-def poly_derivative(p: Value, var: str = "x") -> Value:
-    """Exact formal derivative; scalars differentiate to 0."""
-    if not isinstance(p, Poly):
-        return Fraction(0)
-    return collapse(p.derivative(var))
-
-
 def poly_definite_integral(p: Value, var: str, lo, hi) -> Value:
     if not isinstance(p, Poly):
         return _as_fraction(p) * (_as_fraction(hi) - _as_fraction(lo))

@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import factorial
 
 from .combinatorics import binomial, binomial_row
-from .combinatorics import bernoulli_numbers as bernoulli_numbers  # re-exported here
 from .combinatorics import stirling_first_classical, stirling_second_classical
 from .poly import X, Y, Poly, Value, collapse, poly_definite_integral
 from .sheffer import (
@@ -160,26 +159,15 @@ def stirling_first_umbral(n: int, k: int) -> Fraction:
     return _stirling_column("first", k, n, _stirling_base("first", n - k))[-1]
 
 
-def stirling_first_column(n: int) -> Fraction:
-    """s(n,1) = E[(n.bern)^{n-1}] = (-1)^{n-1} (n-1)!."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return collapse(dot(n, bernoulli_umbra(max(n - 1, 0))).moment(n - 1))
-
-
 # ---------------------------------------------------------------------------
 # Poisson-Charlier and exponential polynomials
-
-
-def poisson_charlier(n: int, a) -> Poly:
-    """c_n(x; a) = a^{-n} sum_k C(n,k) (-a)^{n-k} (x)_k: row n of poisson_charlier_sequence."""
-    return poisson_charlier_sequence(n, a)[n]
 
 
 def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
     """c_0..c_{n_max}, read off one Sheffer table of the pair (a.bell, chi.a.bell).
 
-    Each row is checked against the closed formula of poisson_charlier.
+    Each row is checked against the closed formula
+    c_n(x; a) = a^{-n} sum_k C(n,k) (-a)^{n-k} (x)_k.
     """
     b = Fraction(a)
     if b == 0:

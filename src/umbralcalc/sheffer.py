@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import binomial
-from .errors import ConsistencyError, NonInvertibleError
+from .errors import ConsistencyError
 from .poly import X, Y, Poly, Value, _monomial_str, collapse
 from .series import (
     Series,
@@ -34,11 +34,16 @@ from .umbra import (
     Umbra,
     _adjoint_of,
     _comp_inverse_of,
+    _require_scalar_first_moment,
     _reversion,
     adjoint,
+    augmentation,
     bell_umbra,
+    bernoulli_umbra,
+    cumulant,
     dot,
     inverse_dot,
+    singleton,
     substitute,
     umbral_sum,
     unity,
@@ -86,9 +91,7 @@ class ShefferPair:
         if self.alpha.order != self.gamma.order:
             raise ValueError("pair members must share one truncation order")
         if self.gamma.order >= 1:
-            g1 = collapse(self.gamma.moment(1))
-            if not isinstance(g1, Fraction) or g1 == 0:
-                raise NonInvertibleError("first moment is zero")
+            _require_scalar_first_moment(self.gamma)
 
     @property
     def order(self) -> int:
@@ -341,15 +344,11 @@ def check_appell_identity(alpha: Umbra, max_degree: int | None = None) -> Identi
 
 def power_pair(order: int) -> ShefferPair:
     """The pair whose Sheffer sequence is {x^n}."""
-    from .umbra import augmentation, singleton
-
     return ShefferPair(augmentation(order), singleton(order))
 
 
 def poisson_charlier_pair(a, order: int) -> ShefferPair:
     """The pair (a.bell, chi.a.bell) behind the Poisson-Charlier sequence."""
-    from .umbra import cumulant
-
     if a == 0:
         raise ValueError("parameter a must be nonzero")
     ab = dot(Fraction(a), bell_umbra(order))
@@ -358,13 +357,9 @@ def poisson_charlier_pair(a, order: int) -> ShefferPair:
 
 def bernoulli_appell_pair(order: int) -> ShefferPair:
     """The pair (-1.bern, chi) whose Sheffer sequence is the Bernoulli polynomials."""
-    from .umbra import bernoulli_umbra, singleton
-
     return ShefferPair(inverse_dot(bernoulli_umbra(order)), singleton(order))
 
 
 def factorial_pair(order: int) -> ShefferPair:
     """The pair (eps, u) whose Sheffer sequence is the falling factorials."""
-    from .umbra import augmentation
-
     return ShefferPair(augmentation(order), unity(order))

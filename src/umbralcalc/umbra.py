@@ -191,11 +191,6 @@ def disjoint_diff(a: Umbra, b: Umbra) -> Umbra:
     return Umbra([Fraction(1)] + [a.moment(i) - b.moment(i) for i in range(1, n + 1)])
 
 
-def scale_moments(w, a: Umbra) -> Umbra:
-    """Moment n >= 1 becomes w * a_n (the weighted disjoint-sum building block)."""
-    return Umbra([Fraction(1)] + [collapse(w * a.moment(i)) for i in range(1, a.order + 1)])
-
-
 def scalar_multiple(c, a: Umbra) -> Umbra:
     """The umbra c*a: moments c^n a_n."""
     out: list[Value] = [Fraction(1)]

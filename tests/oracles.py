@@ -11,7 +11,11 @@ them:
 * ``partition_expand`` / ``dot_via_partitions`` -- the multinomial values of
   dot-product moments (production: ``umbra.dot``);
 * ``factorial_moments`` -- a_(n) = sum_k s(n, k) a_k by the signed Stirling
-  triangle (production: the moments of a.chi).
+  triangle (production: the moments of a.chi);
+* ``falling_factorial`` -- (a)_n as a plain product (production: one
+  ``binomial_row``);
+* ``expectation`` -- E[expr] by full symbolic expansion (production: the
+  evaluator's linear forms on the series kernel).
 """
 
 from __future__ import annotations
@@ -22,10 +26,30 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from umbralcalc.combinatorics import falling_factorial, stirling_first_classical
+from umbralcalc.combinatorics import stirling_first_classical
 from umbralcalc.errors import OrderMismatchError
+from umbralcalc.expressions import Environment, Expr, _degree, _Evaluator, default_environment
 from umbralcalc.poly import Value, collapse
 from umbralcalc.umbra import Umbra
+
+
+def falling_factorial(a, n: int) -> Value:
+    """(a)_n = a (a-1) ... (a-n+1); the empty product for n = 0."""
+    if n < 0:
+        raise ValueError("falling factorial needs n >= 0")
+    result: Value = Fraction(1)
+    for i in range(n):
+        result = result * (a - i)
+    return collapse(result)
+
+
+def expectation(expr: Expr, env: Environment | None = None) -> Value:
+    """E[expr] for an umbral polynomial, by symbolic expansion and E on each monomial."""
+    ev = _Evaluator(1, default_environment() if env is None else env)
+    base = ev.upoly(expr)
+    ev.require(_degree(base))
+    ev.plan(base)
+    return ev.apply_E(base)
 
 
 @dataclass(frozen=True)

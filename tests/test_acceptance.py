@@ -43,7 +43,6 @@ from umbralcalc.sequences import (
     recurrence_example_backward,
     recurrence_example_bernoulli,
     recurrence_example_fibonacci,
-    stirling_first_column,
     stirling_first_umbral,
     stirling_second_umbral,
 )
@@ -183,7 +182,7 @@ def test_criterion_07_stirling_cross_checks():
                 assert stirling_second_umbral(n, k) == stirling_second_classical(n, k)
                 assert stirling_first_umbral(n, k) == stirling_first_classical(n, k)
         for n in range(1, 11):
-            assert stirling_first_column(n) == F((-1) ** (n - 1)) * factorial(n - 1)
+            assert stirling_first_umbral(n, 1) == F((-1) ** (n - 1)) * factorial(n - 1)
 
     _report(7, "umbral Stirling formulas match the classical triangles (n<=10)", check)
 

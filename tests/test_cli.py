@@ -81,6 +81,8 @@ def test_eval_multiple_order_preserved(run):
 def test_exit_codes(run, tmp_path):
     code, _, err = run("eval", "cinv(eps)")
     assert code == 2 and "first moment is zero" in err
+    code, _, err = run("sheffer", "--alpha", "u", "--gamma", "x . u")
+    assert code == 2 and "first moment must be a nonzero scalar" in err
     code, _, err = run("eval", "3 .. u")
     assert code == 1 and "column 3" in err
     code, _, err = run("eval", "unknown_name")
@@ -92,6 +94,14 @@ def test_exit_codes(run, tmp_path):
     # i/o failure: workspace path is a directory
     code, _, err = run("define", "w", "--moments", "1,1", "--workspace", str(tmp_path), use_workspace=False)
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [["-x", "--order", "2"], ["--order", "2", "--", "-x"]])
+def test_eval_leading_minus_is_an_expression(run, argv):
+    """An expression that starts with '-' is not read as an unknown option."""
+    code, out, err = run("eval", "--format", "json", "--workspace", str(run.workspace), *argv)
+    assert code == 0 and err == ""
+    assert _assert_valid_json(out)["results"][0]["moments"] == ["1", {"x": "-1"}, {"x^2": "1"}]
 
 
 def test_sheffer_command_poisson_charlier(run):
@@ -401,12 +411,21 @@ def fuzz_workspace(tmp_path_factory):
 @given(ast=corpus, order=st.integers(0, 8))
 def test_eval_fuzz_gives_a_documented_exit_code(fuzz_workspace, ast, order):
     """Every generated expression exits 0 (with output), 1 or 2 (with one
-    stderr line and no output), in bounded time."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", pretty_print(ast), "--order", str(order), "--workspace", str(fuzz_workspace)])
-    assert code in (0, 1, 2), err.getvalue()
+    stderr line and no output), in bounded time.  A text that starts with '-'
+    exits as the same text in parentheses does."""
+
+    def eval_text(text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", text, "--order", str(order), "--workspace", str(fuzz_workspace)])
+        return code, out.getvalue(), err.getvalue()
+
+    text = pretty_print(ast)
+    code, out, err = eval_text(text)
+    assert code in (0, 1, 2), err
     if code:
-        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()
+        assert out == "" and err.count("\n") == 1, err
     else:
-        assert out.getvalue() and err.getvalue() == ""
+        assert out and err == ""
+    if text.startswith("-"):
+        assert code == eval_text(f"({text})")[0], err

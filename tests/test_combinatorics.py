@@ -11,14 +11,13 @@ from umbralcalc.combinatorics import (
     bernoulli_numbers,
     binomial,
     binomial_row,
-    falling_factorial,
     stirling_first_classical,
     stirling_second_classical,
 )
 from umbralcalc.poly import Poly, X, Y
 
 import oracles
-from oracles import Partition, bell_complete, partition_coefficient, partitions_of
+from oracles import Partition, bell_complete, falling_factorial, partition_coefficient, partitions_of
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 

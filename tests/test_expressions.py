@@ -24,7 +24,6 @@ from umbralcalc.expressions import (
     Sum,
     default_environment,
     evaluate,
-    expectation,
 )
 from umbralcalc.poly import X, Y
 from umbralcalc.umbra import (
@@ -44,6 +43,8 @@ from umbralcalc.umbra import (
     ubar_umbra,
     unity,
 )
+
+from oracles import expectation
 
 
 def test_atom_lookup():

@@ -1,13 +1,17 @@
 """The scripts in scripts/ run clean at their default order, and exit 1 with
-the ConsistencyError message when a check fails."""
+the ConsistencyError message when a check fails.  The package's top-level
+names, which the scripts import, are the README's Library API list."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import umbralcalc
 from umbralcalc import sequences, sheffer
 from umbralcalc.combinatorics import binomial, stirling_second_classical
 
@@ -49,3 +53,16 @@ def test_failed_identity_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["print_sequence_tables.py", "3"])
     assert script.main() == 1
     assert capsys.readouterr().err == "self-check 'binomial' failed at n = 2: coefficient of x*y is 2, expected 3\n"
+
+
+def test_package_names_are_the_readme_library_api():
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section.split("\n- ")[1:]
+    listed = [name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)]
+    public = {
+        name for name, value in vars(umbralcalc).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert len(listed) == len(set(listed))
+    assert set(listed) == public

@@ -23,13 +23,11 @@ from umbralcalc.sequences import (
     fibonacci_numbers,
     lagrange_inversion,
     lagrange_inversion_general,
-    poisson_charlier,
     poisson_charlier_sequence,
     polynomial_expand_abel,
     recurrence_example_backward,
     recurrence_example_bernoulli,
     recurrence_example_fibonacci,
-    stirling_first_column,
     stirling_first_umbral,
     stirling_second_umbral,
     stirling_triangle,
@@ -103,8 +101,8 @@ def test_lagrange_inversion_values():
     # Bernoulli link: the inverse Bernoulli umbra gives s(n, 1)
     for n in range(1, 9):
         assert lagrange_inversion(inverse_dot(bernoulli_umbra(10)), n) == stirling_first_classical(n, 1)
-        assert stirling_first_column(n) == stirling_first_classical(n, 1)
-        assert stirling_first_column(n) == F((-1) ** (n - 1)) * factorial(n - 1)
+        assert stirling_first_umbral(n, 1) == stirling_first_classical(n, 1)
+        assert stirling_first_umbral(n, 1) == F((-1) ** (n - 1)) * factorial(n - 1)
 
 
 def test_lagrange_inversion_consistency_pool():
@@ -188,12 +186,12 @@ def test_poisson_charlier_sequence_checks_every_row(monkeypatch):
 
 
 def test_poisson_charlier_examples():
-    assert poisson_charlier(2, 1) == X**2 - 3 * X + 1
-    assert poisson_charlier(0, F(7)) == 1
+    assert poisson_charlier_sequence(2, 1)[2] == X**2 - 3 * X + 1
+    assert poisson_charlier_sequence(0, F(7))[0] == 1
     a = F(3, 2)
-    assert poisson_charlier(1, a) == (X - a) / a
+    assert poisson_charlier_sequence(1, a)[1] == (X - a) / a
     with pytest.raises(ValueError):
-        poisson_charlier(2, 0)
+        poisson_charlier_sequence(2, 0)
     seq = poisson_charlier_sequence(5, 1)
     assert seq[2] == X**2 - 3 * X + 1
 

@@ -2,13 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from umbralcalc.combinatorics import (
-    binomial,
-    falling_factorial,
-    stirling_second_classical,
-)
+from umbralcalc.combinatorics import binomial, stirling_second_classical
 from umbralcalc.errors import NonInvertibleError
-from umbralcalc.expressions import Atom, Indet, Power, Product, Sum, expectation
+from umbralcalc.expressions import Atom, Indet, Power, Product, Sum
 from umbralcalc.poly import Poly, X, Y, collapse
 from umbralcalc.sheffer import (
     PolySequence,
@@ -44,6 +40,8 @@ from umbralcalc.umbra import (
     unity,
     with_x_shift,
 )
+
+from oracles import expectation, falling_factorial
 
 N = 8
 

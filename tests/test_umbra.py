@@ -4,7 +4,6 @@ import pytest
 
 from umbralcalc.combinatorics import (
     binomial,
-    falling_factorial,
     stirling_second_classical,
 )
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError
@@ -29,7 +28,6 @@ from umbralcalc.umbra import (
     inverse_dot,
     overbar_umbra,
     scalar_multiple,
-    scale_moments,
     scalar_umbra,
     singleton,
     substitute,
@@ -41,7 +39,7 @@ from umbralcalc.umbra import (
 )
 
 import oracles
-from oracles import bell_complete, bell_partial, dot_via_partitions, partition_expand
+from oracles import bell_complete, bell_partial, dot_via_partitions, falling_factorial, partition_expand
 
 N = 10
 
@@ -297,14 +295,18 @@ def test_cumulant_is_log_series():
         assert got.moment(n) == logf[n]
 
 
+def scale_moments(w, a: Umbra) -> Umbra:
+    """Moment n >= 1 times w: the cumulants chi.(w.(bell.a)), since the cumulants of bell.a are the a_n."""
+    return cumulant(dot(w, dot(bell_umbra(a.order), a)))
+
+
 def test_scale_moments():
     a = bell_umbra(5)
     assert scale_moments(1, a) == a
     assert scale_moments(0, a) == augmentation(5)
     assert scale_moments(2, singleton(5)).moments == (1, 2, 0, 0, 0, 0)
-    # chain oracle: chi.(2.bell.chi) has the same moments
-    chain = cumulant(dot(2, dot(bell_umbra(5), singleton(5))))
-    assert chain == scale_moments(2, singleton(5))
+    assert scale_moments(2, a) == disjoint_sum(a, a)
+    assert scale_moments(F(-1, 3), a).moments == (1,) + tuple(F(-1, 3) * m for m in a.moments[1:])
 
 
 def _check_weighted_substitution(qs, weights, parts):
