@@ -22,6 +22,7 @@ from .errors import (
     UmbralError,
     UmbraSyntaxError,
     UnknownUmbraError,
+    VariableCaptureError,
     WorkspaceError,
 )
 from .expressions import evaluate

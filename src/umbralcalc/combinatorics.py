@@ -90,29 +90,3 @@ def stirling_first_classical(n: int, k: int) -> Fraction:
     if n < 0 or k < 0 or k > n:
         return Fraction(0)
     return _stirling1_row(n)[k]
-
-
-def bell_numbers(n_max: int) -> list[Fraction]:
-    """Bell numbers B_0..B_n via B_{n+1} = sum_k C(n,k) B_k."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    out = [Fraction(1)]
-    for n in range(n_max):
-        out.append(sum((binomial(n, k) * out[k] for k in range(n + 1)), Fraction(0)))
-    return out
-
-
-def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """Bernoulli numbers with B_1 = -1/2.
-
-    Solves sum_{k<n} C(n,k) B_k = 0 for n >= 2 triangularly, the rearranged
-    form of the defining convolution identity.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    out = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        n = m + 1
-        acc = sum((binomial(n, k) * out[k] for k in range(m)), Fraction(0))
-        out.append(-acc / binomial(n, m))
-    return out

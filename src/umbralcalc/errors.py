@@ -31,6 +31,10 @@ class NonInvertibleError(UmbralError):
     """Compositional inversion needs a nonzero (scalar) first-order term."""
 
 
+class VariableCaptureError(UmbralError):
+    """A Sheffer, Appell or Abel pair mentions x, the variable of its own table."""
+
+
 class ConsistencyError(UmbralError):
     """A run-time self-check failed: at entry n, the coefficient of ``monomial``
     is ``lhs`` on the returned route and ``rhs`` on the checking route."""

@@ -84,97 +84,85 @@ MAX_EXPANSION = 100_000
 class Expr:
     """Base class; span is source info only and never affects equality."""
 
+    span: Span = field(default=None, compare=False, kw_only=True)
+
 
 @dataclass(frozen=True)
 class Atom(Expr):
     name: str
     primes: int = 0
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Indet(Expr):
     var: str
     power: int = 1
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: Fraction
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Sum(Expr):
     left: Expr
     right: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Product(Expr):
     left: Expr
     right: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class ScalarMul(Expr):
     scalar: Fraction
     expr: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Dot(Expr):
     left: Expr
     right: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class DotPower(Expr):
     expr: Expr
     power: int
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Power(Expr):
     expr: Expr
     power: int
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class InverseDot(Expr):
     expr: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class CompInv(Expr):
     expr: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Adjoint(Expr):
     expr: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Deriv(Expr):
     expr: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Bar(Expr):
     expr: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -182,21 +170,18 @@ class Fresh(Expr):
     """An uncorrelated copy of a composite expression (a prime on a non-atom)."""
 
     expr: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class DisjointSum(Expr):
     left: Expr
     right: Expr
-    span: Span = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class DisjointDiff(Expr):
     left: Expr
     right: Expr
-    span: Span = field(default=None, compare=False)
 
 
 MomentSource = Union[Umbra, Callable[[int], Umbra]]

@@ -66,9 +66,6 @@ class Poly:
     def coefficient(self, dx: int, dy: int = 0) -> Fraction:
         return self._coeffs.get((dx, dy), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def as_fraction(self) -> Fraction | None:
         """The scalar value if constant, else None."""
         if not self._coeffs:
@@ -76,12 +73,6 @@ class Poly:
         if set(self._coeffs) == {(0, 0)}:
             return self._coeffs[(0, 0)]
         return None
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._coeffs:
-            return -1
-        return max(dx + dy for dx, dy in self._coeffs)
 
     def degree_in(self, var: str) -> int:
         i = _var_index(var)

@@ -23,10 +23,8 @@ from .combinatorics import binomial, binomial_row
 from .combinatorics import stirling_first_classical, stirling_second_classical
 from .poly import X, Y, Poly, Value, collapse, poly_definite_integral
 from .sheffer import (
-    IdentityReport,
     associated_moments,
     _as_poly,
-    first_difference,
     PolySequence,
     poisson_charlier_pair,
     require_equal,
@@ -81,7 +79,7 @@ def abel_polynomials(gamma: Umbra, n_max: int) -> PolySequence:
     """
     if gamma.order < max(n_max - 1, 0):
         raise ValueError(f"need gamma to order {n_max - 1}, have {gamma.order}")
-    return PolySequence(associated_moments(derivative_umbra(gamma, n_max)).polys, kind=f"abel({gamma.name})")
+    return associated_moments(derivative_umbra(gamma, n_max))
 
 
 def lagrange_inversion(gamma: Umbra, n: int) -> Fraction:
@@ -181,13 +179,13 @@ def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
         for n in range(n_max + 1)
     )
     require_equal("poisson-charlier table vs closed form", table, closed)
-    return PolySequence(table.polys, kind=f"poisson_charlier(a={a})")
+    return table
 
 
 def exponential_polynomials(n_max: int) -> PolySequence:
     """Phi_n(x) = sum_i S(n,i) x^i; equals the moments of x.bell."""
     polys = [Poly({(i, 0): stirling_second_classical(n, i) for i in range(n + 1)}) for n in range(n_max + 1)]
-    seq = PolySequence(tuple(polys), kind="exponential")
+    seq = PolySequence(tuple(polys))
     require_equal("exponential polynomials vs x.bell", seq, dot(X, bell_umbra(n_max)).moments)
     return seq
 
@@ -196,13 +194,14 @@ def exponential_polynomials(n_max: int) -> PolySequence:
 # Abel identity and expansions
 
 
-def abel_identity_check(gamma: Umbra, n_max: int) -> IdentityReport:
+def abel_identity_check(gamma: Umbra, n_max: int) -> tuple[str, ...]:
     """(x+y)^n = sum_k C(n,k) [y(y - k.g)^{k-1}] (x + k.g)^{n-k}, exactly.
 
     The two k.g factors in each term are distinct auxiliary umbrae, so the
     term is a product of two independently evaluated polynomials: the Abel
     polynomial p_k at y and moment n - k of k.g + x.u.  The moments of g may
-    involve y but not x.
+    involve y but not x.  Returns ("abel",), the check passed; a failure
+    raises ConsistencyError.
     """
     if gamma.order < n_max:
         raise ValueError(f"need gamma to order {n_max}, have {gamma.order}")
@@ -213,8 +212,7 @@ def abel_identity_check(gamma: Umbra, n_max: int) -> IdentityReport:
         sum((binomial(n, k) * abel_y[k] * shifts[k].moment(n - k) for k in range(n + 1)), Fraction(0))
         for n in range(n_max + 1)
     )
-    failure = first_difference(lhs, rhs)
-    return IdentityReport("abel", n_max, failure is None, failure)
+    return (require_equal("abel", lhs, rhs),)
 
 
 def polynomial_expand_abel(p: Poly, gamma: Umbra) -> list[Fraction]:
@@ -301,7 +299,7 @@ def recurrence_example_bernoulli(n_max: int) -> RecurrenceSolution:
     carrier = umbral_sum(umbral_sum(bernoulli_umbra(order), weight), indeterminate_umbra("x", order))
     sheffer = dot(carrier, singleton(order))
     polys = [_as_poly(collapse(sheffer.moment(n) / Fraction(factorial(n)))) for n in range(n_max + 1)]
-    seq = PolySequence(tuple(polys), kind="bernoulli-diff")
+    seq = PolySequence(tuple(polys))
     difference = require_equal(
         "forward difference s_n(x+1) - s_n(x) = s_{n-1}(x)",
         (polys[n].substitute(x=X + 1) - polys[n] for n in range(1, n_max + 1)),
@@ -347,7 +345,7 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
         diag.append(diagonal_sum(recursive, n))
         recursive.append(against_row(diag, n))
 
-    seq = PolySequence(tuple(closed), kind="backward-diff")
+    seq = PolySequence(tuple(closed))
     route = require_equal("closed form equals initial-condition expansion", closed, recursive)
     difference = require_equal(
         "backward difference s_n(x) - s_n(x-1) = s_{n-1}(x)",
@@ -391,7 +389,7 @@ def recurrence_example_fibonacci(n_max: int) -> RecurrenceSolution:
         for k in range(n + 1):
             p = p + rows[k][n - k]
         closed.append(_as_poly(collapse(p)))
-    seq = PolySequence(tuple(closed), kind="fibonacci")
+    seq = PolySequence(tuple(closed))
 
     recurrence = require_equal(
         "shifted recurrence G_n(x+1) = G_n(x) + G_{n-1}(x)",

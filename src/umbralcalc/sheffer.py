@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import binomial
-from .errors import ConsistencyError
+from .errors import ConsistencyError, VariableCaptureError
 from .poly import X, Y, Poly, Value, _monomial_str, collapse
 from .series import (
     Series,
@@ -37,7 +37,6 @@ from .umbra import (
     _require_scalar_first_moment,
     _reversion,
     adjoint,
-    augmentation,
     bell_umbra,
     bernoulli_umbra,
     cumulant,
@@ -46,7 +45,6 @@ from .umbra import (
     singleton,
     substitute,
     umbral_sum,
-    unity,
     with_x_shift,
 )
 
@@ -55,34 +53,33 @@ def _as_poly(v: Value) -> Poly:
     return v if isinstance(v, Poly) else Poly(v)
 
 
-def first_difference(lhs_seq, rhs_seq, first: int = 0) -> tuple | None:
-    """(n, monomial, lhs coefficient, rhs coefficient) where two equally long
-    sequences of values first differ, or None; entry i is numbered first + i.
+def require_equal(check: str, lhs_seq, rhs_seq, first: int = 0) -> str:
+    """The run-time self-check on two equally long sequences of values, the
+    returned route ``lhs_seq`` and the checking route ``rhs_seq``.
 
-    Generators are read only up to the first difference.
+    Where they first differ, raise ConsistencyError naming ``check``, the
+    entry n (entry i is numbered first + i) and the first differing monomial
+    by (deg_x, deg_y) key order; else return ``check`` (so callers can list
+    the checks that passed).  Generators are read only up to the difference.
     """
     for n, (lhs, rhs) in enumerate(zip(lhs_seq, rhs_seq, strict=True), first):
         if lhs != rhs:
             lhs, rhs = _as_poly(lhs), _as_poly(rhs)
             key = min(key for key, _ in (lhs - rhs).items())
-            return (n, _monomial_str(key), lhs.coefficient(*key), rhs.coefficient(*key))
-    return None
-
-
-def require_equal(check: str, lhs_seq, rhs_seq, first: int = 0) -> str:
-    """The run-time self-check: raise ConsistencyError at the first_difference
-    of the returned route ``lhs_seq`` and the checking route ``rhs_seq``, else
-    return ``check`` (so callers can list the checks that passed).
-    """
-    failure = first_difference(lhs_seq, rhs_seq, first)
-    if failure is not None:
-        raise ConsistencyError(check, *failure)
+            raise ConsistencyError(check, n, _monomial_str(key), lhs.coefficient(*key), rhs.coefficient(*key))
     return check
+
+
+def _require_free_of_x(a: Umbra, role: str) -> None:
+    """A table's pair may not mention x: x is the table's own variable, and
+    would capture the pair's x."""
+    if any(isinstance(m, Poly) and m.degree_in("x") > 0 for m in a.moments):
+        raise VariableCaptureError(f"{role} (--{role}) mentions x, the variable of its own table")
 
 
 @dataclass(frozen=True)
 class ShefferPair:
-    """The data (a, g) of a Sheffer umbra; g must have nonzero first moment."""
+    """The data (a, g) of a Sheffer umbra: g_1 is a nonzero scalar, and neither mentions x."""
 
     alpha: Umbra
     gamma: Umbra
@@ -92,6 +89,8 @@ class ShefferPair:
             raise ValueError("pair members must share one truncation order")
         if self.gamma.order >= 1:
             _require_scalar_first_moment(self.gamma)
+        _require_free_of_x(self.alpha, "alpha")
+        _require_free_of_x(self.gamma, "gamma")
 
     @property
     def order(self) -> int:
@@ -103,7 +102,6 @@ class PolySequence:
     """Polynomials s_0..s_N with deg s_n = n and s_0 = 1."""
 
     polys: tuple[Poly, ...]
-    kind: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(_as_poly(p) for p in self.polys))
@@ -136,10 +134,6 @@ class PolySequence:
         return [self.coefficients(n) for n in range(len(self.polys))]
 
 
-def _moments_to_sequence(moments: Sequence[Value], kind: str) -> PolySequence:
-    return PolySequence(tuple(_as_poly(collapse(m)) for m in moments), kind=kind)
-
-
 # ---------------------------------------------------------------------------
 # The three sequence constructors
 
@@ -157,7 +151,7 @@ def sheffer_moments(pair: ShefferPair) -> PolySequence:
 def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
     """sheffer_moments, given r = _reversion_of(pair.gamma)."""
     if r is None:
-        return PolySequence((Poly(1),), kind="sheffer")
+        return PolySequence((Poly(1),))
     # Series route: s_n(x) = n! [t^n] e^{x r(t)} / f(a, r(t)).
     fa_at_r = egf_compose(pair.alpha.moments, r)
     via_series = egf_mul(egf_reciprocal(fa_at_r), egf_exp(egf_scale(X, r)))
@@ -165,24 +159,26 @@ def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
     appell_part = with_x_shift(inverse_dot(pair.alpha))
     via_moments = dot(appell_part, _adjoint_of(r)).moments
     require_equal("sheffer moments vs series", via_moments, via_series)
-    return _moments_to_sequence(via_moments, kind=f"sheffer({pair.alpha.name}, {pair.gamma.name})")
+    return PolySequence(via_moments)
 
 
 def associated_moments(gamma: Umbra) -> PolySequence:
     """Moments of x.g*: the binomial-type sequence associated to g."""
+    _require_free_of_x(gamma, "gamma")
     return _associated_table(gamma, _reversion_of(gamma))
 
 
 def _associated_table(gamma: Umbra, r: Series | None) -> PolySequence:
     """associated_moments, given r = _reversion_of(gamma)."""
     if r is None:
-        return PolySequence((Poly(1),), kind=f"associated({gamma.name})")
-    return _moments_to_sequence(dot(X, _adjoint_of(r)).moments, kind=f"associated({gamma.name})")
+        return PolySequence((Poly(1),))
+    return PolySequence(dot(X, _adjoint_of(r)).moments)
 
 
 def appell_moments(alpha: Umbra) -> PolySequence:
     """Moments of -1.a + x.u: p_n(x) = sum_k C(n,k) b_{n-k} x^k, b = -1.a."""
-    return _moments_to_sequence(with_x_shift(inverse_dot(alpha)).moments, kind=f"appell({alpha.name})")
+    _require_free_of_x(alpha, "alpha")
+    return PolySequence(with_x_shift(inverse_dot(alpha)).moments)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +197,7 @@ def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
             if c:
                 acc = acc + c * r[k]
         out.append(_as_poly(collapse(acc)))
-    return PolySequence(tuple(out), kind=f"compose[{s.kind}; {r.kind}]")
+    return PolySequence(tuple(out))
 
 
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
@@ -280,17 +276,6 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
 # Identity checks (exact, coefficient-wise in R[x, y])
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    max_degree: int
-    ok: bool
-    first_failure: tuple | None = None  # first_difference: (n, monomial, lhs coeff, rhs coeff)
-
-    def __bool__(self):
-        return self.ok
-
-
 def _shift_to_xy(p: Poly) -> Poly:
     return p.substitute(x=X + Y)
 
@@ -299,52 +284,48 @@ def _x_to_y(p: Poly) -> Poly:
     return p.substitute(x=Y)
 
 
-def _check_convolution(
-    name: str, s: PolySequence, q: Sequence[Value], max_degree: int | None
-) -> IdentityReport:
-    """s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for n up to max_degree."""
+def _check_convolution(name: str, s: PolySequence, q: Sequence[Value], max_degree: int | None) -> str:
+    """Require s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for n up to max_degree."""
     n_max = s.order if max_degree is None else max_degree
     lhs = (_shift_to_xy(s[n]) for n in range(n_max + 1))
     rhs = (
         sum((binomial(n, k) * s[k] * q[n - k] for k in range(n + 1)), Fraction(0)) for n in range(n_max + 1)
     )
-    failure = first_difference(lhs, rhs)
-    return IdentityReport(name, n_max, failure is None, failure)
+    return require_equal(name, lhs, rhs)
 
 
-def check_binomial_identity(gamma: Umbra, max_degree: int | None = None) -> IdentityReport:
-    """p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for the associated sequence."""
+def check_binomial_identity(gamma: Umbra, max_degree: int | None = None) -> tuple[str, ...]:
+    """p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for the associated sequence.
+
+    Returns ("binomial",), the check passed; a failure raises ConsistencyError.
+    """
     seq = associated_moments(gamma)
-    return _check_convolution("binomial", seq, [_x_to_y(p) for p in seq], max_degree)
+    return (_check_convolution("binomial", seq, [_x_to_y(p) for p in seq], max_degree),)
 
 
-def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> IdentityReport:
+def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> tuple[str, ...]:
     """s_n(x+y) = sum_k C(n,k) s_k(x) p_{n-k}(y), plus the derivative rule.
 
     The second clause is the substitution characterization: replacing x by
-    g + x.u sends s_k to s_k + k s_{k-1}.
+    g + x.u sends s_k to s_k + k s_{k-1}.  Returns ("sheffer",
+    "sheffer-derivative"), the checks passed; a failure raises ConsistencyError.
     """
     r = _reversion_of(pair.gamma)
     s, p = _sheffer_table(pair, r), _associated_table(pair.gamma, r)
-    report = _check_convolution("sheffer", s, [_x_to_y(q) for q in p], max_degree)
-    if not report.ok:
-        return report
-    n_max = report.max_degree
-    shifted = with_x_shift(pair.gamma)
-    lhs = substitute(list(s), shifted)[: n_max + 1]
-    failure = first_difference(lhs, (s[k] + (k * s[k - 1] if k else 0) for k in range(n_max + 1)))
-    return IdentityReport("sheffer-derivative", n_max, False, failure) if failure else report
+    convolution = _check_convolution("sheffer", s, [_x_to_y(q) for q in p], max_degree)
+    n_max = s.order if max_degree is None else max_degree
+    lhs = substitute(list(s), with_x_shift(pair.gamma))[: n_max + 1]
+    rhs = (s[k] + (k * s[k - 1] if k else 0) for k in range(n_max + 1))
+    return (convolution, require_equal("sheffer-derivative", lhs, rhs))
 
 
-def check_appell_identity(alpha: Umbra, max_degree: int | None = None) -> IdentityReport:
-    """p_n(x+y) = sum_k C(n,k) p_k(x) y^{n-k} for the Appell sequence of a."""
+def check_appell_identity(alpha: Umbra, max_degree: int | None = None) -> tuple[str, ...]:
+    """p_n(x+y) = sum_k C(n,k) p_k(x) y^{n-k} for the Appell sequence of a.
+
+    Returns ("appell",), the check passed; a failure raises ConsistencyError.
+    """
     seq = appell_moments(alpha)
-    return _check_convolution("appell", seq, [Y**m for m in range(len(seq))], max_degree)
-
-
-def power_pair(order: int) -> ShefferPair:
-    """The pair whose Sheffer sequence is {x^n}."""
-    return ShefferPair(augmentation(order), singleton(order))
+    return (_check_convolution("appell", seq, [Y**m for m in range(len(seq))], max_degree),)
 
 
 def poisson_charlier_pair(a, order: int) -> ShefferPair:
@@ -359,7 +340,3 @@ def bernoulli_appell_pair(order: int) -> ShefferPair:
     """The pair (-1.bern, chi) whose Sheffer sequence is the Bernoulli polynomials."""
     return ShefferPair(inverse_dot(bernoulli_umbra(order)), singleton(order))
 
-
-def factorial_pair(order: int) -> ShefferPair:
-    """The pair (eps, u) whose Sheffer sequence is the falling factorials."""
-    return ShefferPair(augmentation(order), unity(order))

@@ -34,7 +34,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .combinatorics import bell_numbers, bernoulli_numbers
 from .errors import NonInvertibleError, OrderMismatchError
 from .poly import Poly, Value, collapse
 from .series import (
@@ -115,13 +114,14 @@ def singleton(order: int) -> Umbra:
 
 
 def bell_umbra(order: int) -> Umbra:
-    """bell: moments are the Bell numbers; exp(e^t - 1)."""
-    return Umbra(bell_numbers(order), name="bell")
+    """bell: moments are the Bell numbers; exp(e^t - 1), e^t - 1 having moments 0, 1, 1, ..."""
+    return Umbra(egf_exp((Fraction(0),) + (Fraction(1),) * order), name="bell")
 
 
 def bernoulli_umbra(order: int) -> Umbra:
-    """bern: moments are the Bernoulli numbers (B_1 = -1/2); t/(e^t - 1)."""
-    return Umbra(bernoulli_numbers(order), name="bern")
+    """bern: moments are the Bernoulli numbers (B_1 = -1/2); t/(e^t - 1), the
+    reciprocal of (e^t - 1)/t, whose moments are 1/(n+1)."""
+    return Umbra(egf_reciprocal(tuple(Fraction(1, n + 1) for n in range(order + 1))), name="bern")
 
 
 def ubar_umbra(order: int) -> Umbra:

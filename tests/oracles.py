@@ -15,7 +15,13 @@ them:
 * ``falling_factorial`` -- (a)_n as a plain product (production: one
   ``binomial_row``);
 * ``expectation`` -- E[expr] by full symbolic expansion (production: the
-  evaluator's linear forms on the series kernel).
+  evaluator's linear forms on the series kernel);
+* ``bell_numbers`` / ``bernoulli_numbers`` -- the classical recurrences
+  (production: ``bell_umbra`` and ``bernoulli_umbra``, exp(e^t - 1) and
+  t/(e^t - 1) on the kernel).
+
+It also holds the two Sheffer pairs that only the tests use, ``power_pair``
+and ``factorial_pair``.
 """
 
 from __future__ import annotations
@@ -23,14 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from umbralcalc.combinatorics import stirling_first_classical
 from umbralcalc.errors import OrderMismatchError
 from umbralcalc.expressions import Environment, Expr, _degree, _Evaluator, default_environment
 from umbralcalc.poly import Value, collapse
-from umbralcalc.umbra import Umbra
+from umbralcalc.sheffer import ShefferPair
+from umbralcalc.umbra import Umbra, augmentation, singleton, unity
 
 
 def falling_factorial(a, n: int) -> Value:
@@ -50,6 +57,34 @@ def expectation(expr: Expr, env: Environment | None = None) -> Value:
     ev.require(_degree(base))
     ev.plan(base)
     return ev.apply_E(base)
+
+
+def bell_numbers(n_max: int) -> list[Fraction]:
+    """Bell numbers B_0..B_n via B_{n+1} = sum_k C(n,k) B_k."""
+    out = [Fraction(1)]
+    for n in range(n_max):
+        out.append(sum((comb(n, k) * out[k] for k in range(n + 1)), Fraction(0)))
+    return out
+
+
+def bernoulli_numbers(n_max: int) -> list[Fraction]:
+    """Bernoulli numbers with B_1 = -1/2, solving sum_{k<=m} C(m+1,k) B_k = 0
+    for B_m, m >= 1, triangularly."""
+    out = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        acc = sum((comb(m + 1, k) * out[k] for k in range(m)), Fraction(0))
+        out.append(-acc / (m + 1))
+    return out
+
+
+def power_pair(order: int) -> ShefferPair:
+    """The pair (eps, chi) whose Sheffer sequence is {x^n}."""
+    return ShefferPair(augmentation(order), singleton(order))
+
+
+def factorial_pair(order: int) -> ShefferPair:
+    """The pair (eps, u) whose Sheffer sequence is the falling factorials."""
+    return ShefferPair(augmentation(order), unity(order))
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,22 @@ def test_exit_codes(run, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["abel", "--gamma", "x . bell"], "--gamma"),
+        (["appell", "--alpha", "x . bell"], "--alpha"),
+        (["sheffer", "--alpha", "x . bell", "--gamma", "bell"], "--alpha"),
+    ],
+)
+def test_pair_mentioning_x_exits_2(run, argv, option):
+    """x is the table's own variable, so a pair whose moments mention it is
+    refused with one stderr line naming the option and x."""
+    code, out, err = run(*argv, "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == f"umbra: math error: {option[2:]} ({option}) mentions x, the variable of its own table\n"
+
+
 @pytest.mark.parametrize("argv", [["-x", "--order", "2"], ["--order", "2", "--", "-x"]])
 def test_eval_leading_minus_is_an_expression(run, argv):
     """An expression that starts with '-' is not read as an unknown option."""

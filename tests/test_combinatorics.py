@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import (
-    bell_numbers,
     bell_partial,
-    bernoulli_numbers,
     binomial,
     binomial_row,
     stirling_first_classical,
     stirling_second_classical,
 )
 from umbralcalc.poly import Poly, X, Y
+from umbralcalc.umbra import bell_umbra, bernoulli_umbra
 
 import oracles
 from oracles import Partition, bell_complete, falling_factorial, partition_coefficient, partitions_of
@@ -290,17 +289,25 @@ def test_stirling_orthogonality():
 
 
 def test_bernoulli_numbers():
-    assert bernoulli_numbers(4) == [1, F(-1, 2), F(1, 6), 0, F(-1, 30)]
-    assert bernoulli_numbers(3)[3] == 0
+    assert bernoulli_umbra(4).moments == (1, F(-1, 2), F(1, 6), 0, F(-1, 30))
+    assert bernoulli_umbra(3).moment(3) == 0
     # defining relation: sum_k C(n,k) B_k = B_n for n != 1
-    b = bernoulli_numbers(12)
+    b = bernoulli_umbra(12).moments
     for n in range(12):
         if n == 1:
             continue
         assert sum(binomial(n, k) * b[k] for k in range(n + 1)) == b[n]
 
 
+def test_bell_and_bernoulli_umbrae_match_the_classical_recurrences():
+    """exp(e^t - 1) and t/(e^t - 1) on the kernel give the recurrences' values at every order."""
+    bell, bern = oracles.bell_numbers(64), oracles.bernoulli_numbers(64)
+    for n in range(65):
+        assert bell_umbra(n).moments == tuple(bell[: n + 1])
+        assert bernoulli_umbra(n).moments == tuple(bern[: n + 1])
+
+
 def test_bell_numbers_against_set_partition_oracle():
-    values = bell_numbers(8)
+    values = bell_umbra(8).moments
     for i in range(9):
         assert values[i] == len(set_partitions(list(range(i))))

@@ -25,7 +25,7 @@ def _bumped(value, n, delta):
     if isinstance(value, Umbra):
         return Umbra(_bumped(value.moments, n, delta), name=value.name)
     if isinstance(value, PolySequence):
-        return PolySequence(_bumped(value.polys, n, delta), kind=value.kind)
+        return PolySequence(_bumped(value.polys, n, delta))
     if isinstance(value, (tuple, list)):
         out = list(value)
         out[n] = out[n] + delta
@@ -63,6 +63,25 @@ CASES = {
     "sheffer": (
         sheffer, "egf_exp", off(3), lambda: sheffer_moments(PC1),
         "sheffer moments vs series", 3, "1"),
+    # identity checks: C(3,1) off (so the sum gains x (y^2 - y), two
+    # monomials, of which x*y comes first); q_2(y) off by 1; s_3(g + x.u) off; the
+    # Appell p_3 off by x (so p_3(x+y) and p_3(x) differ by y); moment 2 of
+    # 1.u + x.u off.
+    "binomial-identity": (
+        sheffer, "binomial", off_at((3, 1)), lambda: sheffer.check_binomial_identity(unity(N)),
+        "binomial", 3, "x*y"),
+    "sheffer-identity": (
+        sheffer, "_x_to_y", off(0, call=2), lambda: sheffer.check_sheffer_identity(PC1),
+        "sheffer", 2, "1"),
+    "sheffer-derivative": (
+        sheffer, "substitute", off(3), lambda: sheffer.check_sheffer_identity(PC1),
+        "sheffer-derivative", 3, "1"),
+    "appell-identity": (
+        sheffer, "appell_moments", off(3, delta=X), lambda: sheffer.check_appell_identity(unity(N)),
+        "appell", 3, "y"),
+    "abel-identity": (
+        sequences, "with_x_shift", off(2, call=1), lambda: sequences.abel_identity_check(unity(N), N),
+        "abel", 3, "y"),
     "triangular-residue": (
         sheffer, "sheffer_moments", off(3, delta=Y), lambda: connection_constants(PC2, PC1),
         "triangular expansion residue", 3, "y"),

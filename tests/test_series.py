@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbralcalc.combinatorics import bernoulli_numbers
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
 from umbralcalc.poly import X, Poly, collapse
 from umbralcalc.series import (
@@ -23,7 +22,7 @@ from umbralcalc.series import (
     egf_revert,
 )
 
-from oracles import bell_partial, falling_factorial
+from oracles import bell_partial, bernoulli_numbers, falling_factorial
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from umbralcalc.combinatorics import binomial, stirling_second_classical
-from umbralcalc.errors import NonInvertibleError
+from umbralcalc.errors import ConsistencyError, NonInvertibleError, VariableCaptureError
 from umbralcalc.expressions import Atom, Indet, Power, Product, Sum
 from umbralcalc.poly import Poly, X, Y, collapse
 from umbralcalc.sheffer import (
@@ -16,11 +16,9 @@ from umbralcalc.sheffer import (
     check_binomial_identity,
     check_sheffer_identity,
     connection_constants,
-    factorial_pair,
     inverse_pair,
     inverse_sequence,
     poisson_charlier_pair,
-    power_pair,
     sheffer_moments,
     umbral_compose,
 )
@@ -41,7 +39,7 @@ from umbralcalc.umbra import (
     with_x_shift,
 )
 
-from oracles import expectation, falling_factorial
+from oracles import expectation, factorial_pair, falling_factorial, power_pair
 
 N = 8
 
@@ -168,10 +166,28 @@ def test_connection_constants_identity_and_stirling():
 
 
 def test_connection_constants_need_scalar_moments():
-    """Moments in x or y are outside the domain (exit 2 in the CLI), not a failed self-check."""
-    for alpha in (dot(Y, bell_umbra(N)), dot(X, bell_umbra(N))):
-        with pytest.raises(ValueError, match="scalar moments"):
-            connection_constants(ShefferPair(alpha, singleton(N)), power_pair(N))
+    """Moments in x or y are outside the domain (exit 2 in the CLI), not a failed
+    self-check; a pair that mentions x is refused already as a pair."""
+    with pytest.raises(ValueError, match="scalar moments"):
+        connection_constants(ShefferPair(dot(Y, bell_umbra(N)), singleton(N)), power_pair(N))
+    with pytest.raises(VariableCaptureError, match=r"alpha \(--alpha\) mentions x"):
+        connection_constants(ShefferPair(dot(X, bell_umbra(N)), singleton(N)), power_pair(N))
+
+
+def test_pair_may_not_mention_x():
+    """x is the table's own variable: a pair member whose moments mention it,
+    even past a scalar first moment, is refused."""
+    late_x = Umbra([1, 1, X, 2, 3])
+    for build, role in [
+        (lambda: ShefferPair(unity(4), late_x), "gamma"),
+        (lambda: ShefferPair(late_x, unity(4)), "alpha"),
+        (lambda: associated_moments(late_x), "gamma"),
+        (lambda: appell_moments(late_x), "alpha"),
+    ]:
+        with pytest.raises(VariableCaptureError, match=rf"^{role} \(--{role}\) mentions x"):
+            build()
+    # moments in y are no capture
+    assert sheffer_moments(ShefferPair(dot(Y, bell_umbra(4)), unity(4)))[1] == X - Y
 
 
 def test_connection_constants_third_combination():
@@ -184,31 +200,27 @@ def test_connection_constants_third_combination():
 
 
 def test_identity_checks():
-    assert check_binomial_identity(unity(N)).ok
-    assert check_binomial_identity(singleton(N)).ok
-    assert check_binomial_identity(uinv_umbra(N)).ok
-    assert check_sheffer_identity(poisson_charlier_pair(1, 6)).ok
-    assert check_sheffer_identity(bernoulli_appell_pair(6)).ok
-    assert check_appell_identity(inverse_dot(bernoulli_umbra(6))).ok
-    assert check_appell_identity(unity(6)).ok
+    for gamma in (unity(N), singleton(N), uinv_umbra(N)):
+        assert check_binomial_identity(gamma) == ("binomial",)
+    for pair in (poisson_charlier_pair(1, 6), bernoulli_appell_pair(6)):
+        assert check_sheffer_identity(pair) == ("sheffer", "sheffer-derivative")
+    for alpha in (inverse_dot(bernoulli_umbra(6)), unity(6)):
+        assert check_appell_identity(alpha) == ("appell",)
 
 
-def test_identity_check_reports_failure():
+def test_identity_check_reports_failure(monkeypatch):
     # any associated sequence satisfies the identity, whatever gamma
-    assert check_binomial_identity(scalar_multiple(2, unity(6))).ok
-    # force a violation through the report plumbing: Bernoulli polynomials
-    # are Sheffer but not of binomial type, so feed them to the binomial check
-    from umbralcalc.sheffer import IdentityReport, first_difference
+    assert check_binomial_identity(scalar_multiple(2, unity(6))) == ("binomial",)
+    # Bernoulli polynomials are Sheffer but not of binomial type: fed to the
+    # binomial check, B_1(x) = x - 1/2 gives x + y - 1/2 against x + y - 1
+    from umbralcalc import sheffer
 
-    seq = sheffer_moments(bernoulli_appell_pair(4))
-    lhs = seq[1].substitute(x=X + Y)
-    rhs = sum((binomial(1, k) * seq[k] * seq[1 - k].substitute(x=Y) for k in range(2)), Poly(0))
-    assert lhs != rhs
-    failure = first_difference([lhs], [rhs], first=1)
-    n, key, lhs_c, rhs_c = failure
-    assert n == 1 and key == "1" and lhs_c != rhs_c
-    report = IdentityReport("probe", 1, False, failure)
-    assert not report
+    bernoulli = sheffer_moments(bernoulli_appell_pair(4))
+    monkeypatch.setattr(sheffer, "associated_moments", lambda gamma: bernoulli)
+    with pytest.raises(ConsistencyError) as info:
+        check_binomial_identity(unity(4))
+    err = info.value
+    assert (err.check, err.n, err.monomial, err.lhs, err.rhs) == ("binomial", 1, "1", F(-1, 2), F(-1))
 
 
 def test_characterization_substituting_alpha_plus_k_gamma():
