@@ -4,6 +4,13 @@ Subcommands: eval, sheffer, associated, appell, connect, stirling, abel,
 example, define, list.  All computation is exact and deterministic; identical
 invocations produce byte-identical output.
 
+The four table commands (sheffer, associated, appell, abel) are declared once,
+in ``_TABLES``.  Every pair option, theirs and connect's four, is evaluated by
+``_operand``, which refuses moments in y for every pair command and moments
+in x for connect before any series work, naming the option
+(VariableCaptureError).  A table's x is its own variable; the library refuses
+it, after the first-moment rule.  Values are formatted only by ``render``.
+
 Exit codes: 0 success, 1 usage/parse/unknown-name, an expression past the
 order cap or a result too large to print (OutputSizeError), 2 mathematical
 failure, 3 I/O failure (including an unreadable workspace file), 4 a failed
@@ -18,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -27,7 +33,7 @@ from .errors import ConsistencyError, OrderCapError, OutputSizeError, UmbralErro
 from .errors import UmbraSyntaxError, UnknownUmbraError, WorkspaceError
 from .expressions import MAX_ORDER, evaluate
 from .parser import parse, pretty_print
-from .poly import Poly, value_to_json, value_to_str
+from .poly import value_to_json, value_to_str
 from .rationals import format_rational, parse_rational
 from .sequences import (
     abel_polynomials,
@@ -40,6 +46,7 @@ from .series import egf_exp
 from .sheffer import (
     PolySequence,
     ShefferPair,
+    _require_free_of,
     appell_moments,
     associated_moments,
     connection_constants,
@@ -50,16 +57,41 @@ from . import workspace as ws
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
+# Each table command: its help text, its pair options, and the library call
+# that builds its table from the evaluated pair, in option order.  These calls
+# and those of _EXAMPLES look their library function up by name when they
+# run, so that a wrapper bound over the name (the benchmark's tracer) sees them.
+_TABLES = {
+    "sheffer": (
+        "Sheffer polynomial table for a pair",
+        ("alpha", "gamma"),
+        lambda alpha, gamma: sheffer_moments(ShefferPair(alpha, gamma)),
+    ),
+    "associated": (
+        "binomial-type table associated to gamma",
+        ("gamma",),
+        lambda gamma: associated_moments(gamma),
+    ),
+    "appell": ("Appell polynomial table of alpha", ("alpha",), lambda alpha: appell_moments(alpha)),
+    "abel": (
+        "Abel polynomial table x(x - n.gamma)^(n-1)",
+        ("gamma",),
+        lambda gamma: abel_polynomials(gamma, gamma.order),
+    ),
+}
+
+# connect's pair options: (from-alpha, from-gamma) and (to-alpha, to-gamma).
+_CONNECT_OPTIONS = ("from-alpha", "from-gamma", "to-alpha", "to-gamma")
+
+_EXAMPLES = {
+    "bernoulli-diff": lambda order: recurrence_example_bernoulli(order),
+    "backward-diff": lambda order: recurrence_example_backward(order),
+    "fibonacci": lambda order: recurrence_example_fibonacci(order),
+}
+
 
 class CliUsageError(Exception):
     pass
-
-
-@dataclass
-class CliConfig:
-    order: int = 10
-    fmt: str = "pretty"
-    workspace: Path = Path("./umbrae.json")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -77,162 +109,112 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="umbra", description="exact umbral-calculus calculator")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = []
 
-    def common(p):
-        p.add_argument("--order", type=int, default=10, help="truncation order N (default 10)")
-        p.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
-        p.add_argument("--workspace", type=Path, default=None, help="workspace JSON path")
+    def command(name, help_text, pair=()):
+        p = sub.add_parser(name, help=help_text)
+        for option in pair:
+            p.add_argument(f"--{option}", required=True)
+        commands.append(p)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate umbral expressions to moment sequences")
+    # In the order `umbra -h` lists them.
+    p = command("eval", "evaluate umbral expressions to moment sequences")
     p.add_argument("exprs", metavar="EXPR", nargs="+")
-    common(p)
-
-    p = sub.add_parser("sheffer", help="Sheffer polynomial table for a pair")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--gamma", required=True)
-    common(p)
-
-    p = sub.add_parser("associated", help="binomial-type table associated to gamma")
-    p.add_argument("--gamma", required=True)
-    common(p)
-
-    p = sub.add_parser("appell", help="Appell polynomial table of alpha")
-    p.add_argument("--alpha", required=True)
-    common(p)
-
-    p = sub.add_parser("connect", help="connection constants between two Sheffer pairs")
-    p.add_argument("--from-alpha", required=True)
-    p.add_argument("--from-gamma", required=True)
-    p.add_argument("--to-alpha", required=True)
-    p.add_argument("--to-gamma", required=True)
-    common(p)
-
-    p = sub.add_parser("stirling", help="Stirling triangle from the umbral formulas")
+    for name in ("sheffer", "associated", "appell"):
+        command(name, *_TABLES[name][:2])
+    command("connect", "connection constants between two Sheffer pairs", _CONNECT_OPTIONS)
+    p = command("stirling", "Stirling triangle from the umbral formulas")
     p.add_argument("kind", choices=("first", "second"))
     p.add_argument("--n", type=int, default=None, help="triangle size (default: order)")
-    common(p)
-
-    p = sub.add_parser("abel", help="Abel polynomial table x(x - n.gamma)^(n-1)")
-    p.add_argument("--gamma", required=True)
-    common(p)
-
-    p = sub.add_parser("example", help="worked difference-equation solutions")
-    p.add_argument("name", choices=("bernoulli-diff", "backward-diff", "fibonacci"))
-    common(p)
-
-    p = sub.add_parser("define", help="store a user umbra in the workspace")
+    command("abel", *_TABLES["abel"][:2])
+    command("example", "worked difference-equation solutions").add_argument("name", choices=_EXAMPLES)
+    p = command("define", "store a user umbra in the workspace")
     p.add_argument("name")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--moments", help='comma-separated moments "1,a1,a2,..."')
     group.add_argument("--egf", help='comma-separated series coefficients "1,c1,..."')
     group.add_argument("--cumulants", help='comma-separated cumulants "k1,k2,..."')
-    common(p)
+    command("list", "list known umbrae")
 
-    p = sub.add_parser("list", help="list known umbrae")
-    common(p)
-
+    for p in commands:
+        p.add_argument("--order", type=int, default=10, help="truncation order N (default 10)")
+        p.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
+        p.add_argument("--workspace", type=Path, default=None, help="workspace JSON path")
     return parser
 
 
-def _config(args) -> CliConfig:
-    order = args.order
-    if not 0 <= order <= MAX_ORDER:
+def _settle_options(args) -> None:
+    """Check --order and fill in args.workspace: the option, else
+    UMBRA_WORKSPACE, else ./umbrae.json."""
+    if not 0 <= args.order <= MAX_ORDER:
         raise CliUsageError(f"--order must be between 0 and {MAX_ORDER}")
-    if args.workspace is not None:
-        path = args.workspace
-    elif os.environ.get("UMBRA_WORKSPACE"):
-        path = Path(os.environ["UMBRA_WORKSPACE"])
-    else:
-        path = Path("./umbrae.json")
-    return CliConfig(order=order, fmt=args.fmt, workspace=path)
+    if args.workspace is None:
+        args.workspace = Path(os.environ.get("UMBRA_WORKSPACE") or "umbrae.json")
 
 
-def _environment(config: CliConfig) -> dict:
-    env: dict = dict(BUILTIN_UMBRAE)
-    env.update(ws.load_umbrae(config.workspace))
-    return env
+def _environment(args) -> dict:
+    return {**BUILTIN_UMBRAE, **ws.load_umbrae(args.workspace)}
 
 
-def _eval_expr(text: str, config: CliConfig, env) -> tuple[str, Umbra]:
-    ast = parse(text)
-    return pretty_print(ast), evaluate(ast, config.order, env)
-
-
-def _sheffer_pair(alpha_text: str, gamma_text: str, config: CliConfig, env) -> ShefferPair:
-    _, alpha = _eval_expr(alpha_text, config, env)
-    _, gamma = _eval_expr(gamma_text, config, env)
-    return ShefferPair(alpha, gamma)
+def _operand(args, option: str, env) -> Umbra:
+    """The pair option --option evaluated to --order.  Moments in y are
+    refused (the CLI prints tables in x alone), and for connect moments in x
+    too (connection constants need scalar pairs), before any table work."""
+    umbra = evaluate(parse(getattr(args, option.replace("-", "_"))), args.order, env)
+    for var in ("x", "y") if args.command == "connect" else ("y",):
+        _require_free_of(umbra, var, option, f"which {args.command} does not take")
+    return umbra
 
 
 # ---------------------------------------------------------------------------
-# Commands (each returns a JSON-ready result dict)
+# Commands (each returns a result dict; render formats its values)
 
 
-def cmd_eval(args, config: CliConfig) -> dict:
-    env = _environment(config)
+def cmd_eval(args) -> dict:
+    env = _environment(args)
     results = []
     for text in args.exprs:
-        canonical, umbra = _eval_expr(text, config, env)
+        ast = parse(text)
         results.append(
             {
-                "expr": canonical,
-                "order": config.order,
-                "moments": [value_to_json(m) for m in umbra.moments],
+                "expr": pretty_print(ast),
+                "order": args.order,
+                "moments": list(evaluate(ast, args.order, env).moments),
             }
         )
     return {"command": "eval", "results": results}
 
 
-def _sequence_result(command: str, seq: PolySequence, extra: dict | None = None) -> dict:
-    result = {
+def _sequence_result(command: str, seq: PolySequence) -> dict:
+    return {
         "command": command,
         "order": seq.order,
         "polynomials": [value_to_str(p) for p in seq],
         "coefficients": [[format_rational(c) for c in row] for row in seq.coefficient_table()],
     }
-    if extra:
-        result.update(extra)
-    return result
 
 
-def cmd_sheffer(args, config: CliConfig) -> dict:
-    pair = _sheffer_pair(args.alpha, args.gamma, config, _environment(config))
-    return _sequence_result("sheffer", sheffer_moments(pair))
+def cmd_table(args) -> dict:
+    _, pair, build = _TABLES[args.command]
+    env = _environment(args)
+    return _sequence_result(args.command, build(*(_operand(args, option, env) for option in pair)))
 
 
-def cmd_associated(args, config: CliConfig) -> dict:
-    env = _environment(config)
-    _, gamma = _eval_expr(args.gamma, config, env)
-    return _sequence_result("associated", associated_moments(gamma))
-
-
-def cmd_appell(args, config: CliConfig) -> dict:
-    env = _environment(config)
-    _, alpha = _eval_expr(args.alpha, config, env)
-    return _sequence_result("appell", appell_moments(alpha))
-
-
-def cmd_abel(args, config: CliConfig) -> dict:
-    env = _environment(config)
-    _, gamma = _eval_expr(args.gamma, config, env)
-    return _sequence_result("abel", abel_polynomials(gamma, config.order))
-
-
-def cmd_connect(args, config: CliConfig) -> dict:
-    env = _environment(config)
-    frm = _sheffer_pair(args.from_alpha, args.from_gamma, config, env)
-    to = _sheffer_pair(args.to_alpha, args.to_gamma, config, env)
-    cc = connection_constants(frm, to)
+def cmd_connect(args) -> dict:
+    env = _environment(args)
+    alpha, gamma, to_alpha, to_gamma = (_operand(args, option, env) for option in _CONNECT_OPTIONS)
+    cc = connection_constants(ShefferPair(alpha, gamma), ShefferPair(to_alpha, to_gamma))
     return {
         "command": "connect",
-        "order": config.order,
+        "order": args.order,
         "matrix": [[format_rational(c) for c in row] for row in cc.matrix],
         "verified": True,  # connection_constants raises ConsistencyError otherwise
     }
 
 
-def cmd_stirling(args, config: CliConfig) -> dict:
-    n_max = config.order if args.n is None else args.n
+def cmd_stirling(args) -> dict:
+    n_max = args.order if args.n is None else args.n
     if not 0 <= n_max <= MAX_ORDER:
         raise CliUsageError(f"--n must be between 0 and {MAX_ORDER}")
     # stirling_triangle raises ConsistencyError if an umbral entry disagrees with the classical triangle.
@@ -246,26 +228,18 @@ def cmd_stirling(args, config: CliConfig) -> dict:
     }
 
 
-def cmd_example(args, config: CliConfig) -> dict:
-    runner = {
-        "bernoulli-diff": recurrence_example_bernoulli,
-        "backward-diff": recurrence_example_backward,
-        "fibonacci": recurrence_example_fibonacci,
-    }[args.name]
-    solution = runner(config.order)
+def cmd_example(args) -> dict:
+    solution = _EXAMPLES[args.name](args.order)
     notes = {
         key: [value_to_str(v) for v in values] if isinstance(values, list) else str(values)
         for key, values in solution.notes.items()
     }
-    return _sequence_result(
-        "example",
-        solution.sequence,
-        extra={
-            "name": solution.name,
-            "checks": [{"name": name, "ok": True} for name in solution.checks],
-            "notes": notes,
-        },
-    )
+    return {
+        **_sequence_result("example", solution.sequence),
+        "name": solution.name,
+        "checks": [{"name": name, "ok": True} for name in solution.checks],
+        "notes": notes,
+    }
 
 
 def _parse_csv_rationals(text: str, what: str) -> list[Fraction]:
@@ -275,7 +249,7 @@ def _parse_csv_rationals(text: str, what: str) -> list[Fraction]:
         raise CliUsageError(f"bad {what}: {exc}") from None
 
 
-def cmd_define(args, config: CliConfig) -> dict:
+def cmd_define(args) -> dict:
     name = args.name
     try:
         ws.check_name(name)
@@ -295,21 +269,21 @@ def cmd_define(args, config: CliConfig) -> dict:
         # The cumulants are the moments of log f, so f is their exp.
         kappa = _parse_csv_rationals(args.cumulants, "--cumulants")
         umbra = Umbra(egf_exp((Fraction(0), *kappa)), name=name)
-    raw = ws.load_raw(config.workspace)
-    ws.umbrae_from_raw(raw, str(config.workspace))  # never rewrite a malformed workspace
+    raw = ws.load_raw(args.workspace)
+    ws.umbrae_from_raw(raw, str(args.workspace))  # never rewrite a malformed workspace
     ws.set_umbra(raw, name, umbra)
-    ws.save_raw(config.workspace, raw)
+    ws.save_raw(args.workspace, raw)
     return {
         "command": "define",
         "name": name,
         "order": umbra.order,
         "moments": [format_rational(m) for m in umbra.moments],
-        "workspace": str(config.workspace),
+        "workspace": str(args.workspace),
     }
 
 
-def cmd_list(args, config: CliConfig) -> dict:
-    user = sorted(ws.load_umbrae(config.workspace))
+def cmd_list(args) -> dict:
+    user = sorted(ws.load_umbrae(args.workspace))
     return {
         "command": "list",
         "builtin": sorted(BUILTIN_UMBRAE),
@@ -328,9 +302,8 @@ def _render_pretty(result: dict) -> str:
         for entry in result["results"]:
             lines.append(f"moments of {entry['expr']} to order {entry['order']}:")
             for n, m in enumerate(entry["moments"]):
-                shown = m if isinstance(m, str) else _poly_map_to_str(m)
-                lines.append(f"  {n}: {shown}")
-    elif cmd in ("sheffer", "associated", "appell", "abel", "example"):
+                lines.append(f"  {n}: {value_to_str(m)}")
+    elif cmd in _TABLES or cmd == "example":
         title = result.get("name", cmd)
         lines.append(f"{title} polynomials to order {result['order']}:")
         for n, p in enumerate(result["polynomials"]):
@@ -360,16 +333,14 @@ def _render_pretty(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _poly_map_to_str(m: dict) -> str:
-    return Poly.from_json_map(m).__str__()
-
-
 # The result key that holds each table command's rows.
-_TABLE_KEYS = {
-    **dict.fromkeys(("sheffer", "associated", "appell", "abel", "example"), "coefficients"),
-    "connect": "matrix",
-    "stirling": "triangle",
-}
+_TABLE_KEYS = {**dict.fromkeys((*_TABLES, "example"), "coefficients"), "connect": "matrix", "stirling": "triangle"}
+
+
+def _table_rows(result: dict) -> list[list[str]]:
+    """A table result's rows, each padded with zeros to order + 1 entries."""
+    width = result["order"] + 1
+    return [row + ["0"] * (width - len(row)) for row in result[_TABLE_KEYS[result["command"]]]]
 
 
 def _render_csv(result: dict) -> str:
@@ -379,13 +350,11 @@ def _render_csv(result: dict) -> str:
         rows.append(["expr", "n", "moment"])
         for entry in result["results"]:
             for n, m in enumerate(entry["moments"]):
-                shown = m if isinstance(m, str) else _poly_map_to_str(m)
-                rows.append([entry["expr"], str(n), shown])
+                rows.append([entry["expr"], str(n), value_to_str(m)])
     elif cmd in _TABLE_KEYS:
-        order = result["order"]
-        rows.append(["n"] + [f"c{k}" for k in range(order + 1)])
-        for n, row in enumerate(result[_TABLE_KEYS[cmd]]):
-            rows.append([str(n)] + row + ["0"] * (order + 1 - len(row)))
+        rows.append(["n"] + [f"c{k}" for k in range(result["order"] + 1)])
+        for n, row in enumerate(_table_rows(result)):
+            rows.append([str(n)] + row)
     elif cmd == "define":
         rows.append(["name", "order", "workspace"])
         rows.append([result["name"], str(result["order"]), result["workspace"]])
@@ -398,10 +367,6 @@ def _render_csv(result: dict) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
-def _latex_math(text: str) -> str:
-    return text.replace("*", " ")
-
-
 def _render_latex(result: dict) -> str:
     cmd = result["command"]
     lines: list[str] = []
@@ -409,15 +374,12 @@ def _render_latex(result: dict) -> str:
         for entry in result["results"]:
             lines.append(r"\begin{array}{rl}")
             for n, m in enumerate(entry["moments"]):
-                shown = m if isinstance(m, str) else _poly_map_to_str(m)
-                lines.append(f"{n} & {_latex_math(shown)} \\\\")
+                lines.append(f"{n} & {value_to_str(m).replace('*', ' ')} \\\\")
             lines.append(r"\end{array}")
     elif cmd in _TABLE_KEYS:
-        order = result["order"]
-        lines.append(r"\begin{array}{r|" + "r" * (order + 1) + "}")
-        for n, row in enumerate(result[_TABLE_KEYS[cmd]]):
-            padded = row + ["0"] * (order + 1 - len(row))
-            lines.append(f"{n} & " + " & ".join(padded) + r" \\")
+        lines.append(r"\begin{array}{r|" + "r" * (result["order"] + 1) + "}")
+        for n, row in enumerate(_table_rows(result)):
+            lines.append(f"{n} & " + " & ".join(row) + r" \\")
         lines.append(r"\end{array}")
     else:
         return _render_pretty(result)
@@ -426,7 +388,7 @@ def _render_latex(result: dict) -> str:
 
 def render(result: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(result, indent=2, sort_keys=True) + "\n"
+        return json.dumps(result, indent=2, sort_keys=True, default=value_to_json) + "\n"
     if fmt == "csv":
         return _render_csv(result)
     if fmt == "latex":
@@ -436,12 +398,9 @@ def render(result: dict, fmt: str) -> str:
 
 _COMMANDS = {
     "eval": cmd_eval,
-    "sheffer": cmd_sheffer,
-    "associated": cmd_associated,
-    "appell": cmd_appell,
+    **dict.fromkeys(_TABLES, cmd_table),
     "connect": cmd_connect,
     "stirling": cmd_stirling,
-    "abel": cmd_abel,
     "example": cmd_example,
     "define": cmd_define,
     "list": cmd_list,
@@ -452,8 +411,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config(args)
-        result = _COMMANDS[args.command](args, config)
+        _settle_options(args)
+        text = render(_COMMANDS[args.command](args), args.fmt)
     except (CliUsageError, OrderCapError, OutputSizeError) as exc:
         print(f"umbra: error: {exc}", file=sys.stderr)
         return 1
@@ -466,19 +425,16 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"umbra: consistency error: {exc}", file=sys.stderr)
         return 4
-    except UmbralError as exc:
-        print(f"umbra: math error: {exc}", file=sys.stderr)
-        return 2
-    except WorkspaceError as exc:
+    except WorkspaceError as exc:  # a ValueError, so caught before the catch-all below
         print(f"umbra: workspace error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UmbralError, ValueError, ZeroDivisionError) as exc:
         print(f"umbra: math error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"umbra: i/o error: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(render(result, config.fmt))
+    sys.stdout.write(text)
     return 0
 
 

@@ -32,7 +32,9 @@ class NonInvertibleError(UmbralError):
 
 
 class VariableCaptureError(UmbralError):
-    """A Sheffer, Appell or Abel pair mentions x, the variable of its own table."""
+    """A pair mentions a variable its command cannot take: x, the variable of
+    its own Sheffer, Appell or Abel table, or, in the CLI, y for any pair
+    command and x or y for connect.  The message names the option."""
 
 
 class ConsistencyError(UmbralError):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, Union
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 Value = Union[Fraction, "Poly"]
 
@@ -241,13 +241,6 @@ class Poly:
     def to_json_map(self) -> dict[str, str]:
         return {_monomial_str(key): format_rational(c) for key, c in sorted(self._coeffs.items())}
 
-    @staticmethod
-    def from_json_map(data: Mapping[str, str]) -> "Poly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for key, text in data.items():
-            out[_parse_monomial(key)] = parse_rational(text)
-        return Poly(out)
-
 
 X = Poly.variable("x")
 Y = Poly.variable("y")
@@ -304,17 +297,6 @@ def _monomial_str(key: tuple[int, int]) -> str:
     if dy:
         parts.append("y" if dy == 1 else f"y^{format_rational(dy)}")
     return "*".join(parts) if parts else "1"
-
-
-def _parse_monomial(text: str) -> tuple[int, int]:
-    if text == "1":
-        return (0, 0)
-    deg = [0, 0]
-    for factor in text.split("*"):
-        name, _, exp = factor.partition("^")
-        i = _var_index(name)
-        deg[i] += int(exp) if exp else 1
-    return (deg[0], deg[1])
 
 
 def collapse(value) -> Value:

@@ -70,11 +70,12 @@ def require_equal(check: str, lhs_seq, rhs_seq, first: int = 0) -> str:
     return check
 
 
-def _require_free_of_x(a: Umbra, role: str) -> None:
-    """A table's pair may not mention x: x is the table's own variable, and
-    would capture the pair's x."""
-    if any(isinstance(m, Poly) and m.degree_in("x") > 0 for m in a.moments):
-        raise VariableCaptureError(f"{role} (--{role}) mentions x, the variable of its own table")
+def _require_free_of(a: Umbra, var: str, role: str, why: str = "the variable of its own table") -> None:
+    """Refuse a pair member ``role`` whose moments mention ``var``.  A
+    table's pair may not mention x: x is the table's own variable, and would
+    capture the pair's x."""
+    if any(isinstance(m, Poly) and m.degree_in(var) > 0 for m in a.moments):
+        raise VariableCaptureError(f"{role} (--{role}) mentions {var}, {why}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class ShefferPair:
             raise ValueError("pair members must share one truncation order")
         if self.gamma.order >= 1:
             _require_scalar_first_moment(self.gamma)
-        _require_free_of_x(self.alpha, "alpha")
-        _require_free_of_x(self.gamma, "gamma")
+        _require_free_of(self.alpha, "x", "alpha")
+        _require_free_of(self.gamma, "x", "gamma")
 
     @property
     def order(self) -> int:
@@ -164,7 +165,7 @@ def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
 
 def associated_moments(gamma: Umbra) -> PolySequence:
     """Moments of x.g*: the binomial-type sequence associated to g."""
-    _require_free_of_x(gamma, "gamma")
+    _require_free_of(gamma, "x", "gamma")
     return _associated_table(gamma, _reversion_of(gamma))
 
 
@@ -177,7 +178,7 @@ def _associated_table(gamma: Umbra, r: Series | None) -> PolySequence:
 
 def appell_moments(alpha: Umbra) -> PolySequence:
     """Moments of -1.a + x.u: p_n(x) = sum_k C(n,k) b_{n-k} x^k, b = -1.a."""
-    _require_free_of_x(alpha, "alpha")
+    _require_free_of(alpha, "x", "alpha")
     return PolySequence(with_x_shift(inverse_dot(alpha)).moments)
 
 
@@ -284,26 +285,23 @@ def _x_to_y(p: Poly) -> Poly:
     return p.substitute(x=Y)
 
 
-def _check_convolution(name: str, s: PolySequence, q: Sequence[Value], max_degree: int | None) -> str:
-    """Require s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for n up to max_degree."""
-    n_max = s.order if max_degree is None else max_degree
-    lhs = (_shift_to_xy(s[n]) for n in range(n_max + 1))
-    rhs = (
-        sum((binomial(n, k) * s[k] * q[n - k] for k in range(n + 1)), Fraction(0)) for n in range(n_max + 1)
-    )
+def _check_convolution(name: str, s: PolySequence, q: Sequence[Value]) -> str:
+    """Require s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for every n."""
+    lhs = (_shift_to_xy(p) for p in s)
+    rhs = (sum((binomial(n, k) * s[k] * q[n - k] for k in range(n + 1)), Fraction(0)) for n in range(len(s)))
     return require_equal(name, lhs, rhs)
 
 
-def check_binomial_identity(gamma: Umbra, max_degree: int | None = None) -> tuple[str, ...]:
+def check_binomial_identity(gamma: Umbra) -> tuple[str, ...]:
     """p_n(x+y) = sum_k C(n,k) p_k(x) p_{n-k}(y) for the associated sequence.
 
     Returns ("binomial",), the check passed; a failure raises ConsistencyError.
     """
     seq = associated_moments(gamma)
-    return (_check_convolution("binomial", seq, [_x_to_y(p) for p in seq], max_degree),)
+    return (_check_convolution("binomial", seq, [_x_to_y(p) for p in seq]),)
 
 
-def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> tuple[str, ...]:
+def check_sheffer_identity(pair: ShefferPair) -> tuple[str, ...]:
     """s_n(x+y) = sum_k C(n,k) s_k(x) p_{n-k}(y), plus the derivative rule.
 
     The second clause is the substitution characterization: replacing x by
@@ -312,20 +310,19 @@ def check_sheffer_identity(pair: ShefferPair, max_degree: int | None = None) -> 
     """
     r = _reversion_of(pair.gamma)
     s, p = _sheffer_table(pair, r), _associated_table(pair.gamma, r)
-    convolution = _check_convolution("sheffer", s, [_x_to_y(q) for q in p], max_degree)
-    n_max = s.order if max_degree is None else max_degree
-    lhs = substitute(list(s), with_x_shift(pair.gamma))[: n_max + 1]
-    rhs = (s[k] + (k * s[k - 1] if k else 0) for k in range(n_max + 1))
+    convolution = _check_convolution("sheffer", s, [_x_to_y(q) for q in p])
+    lhs = substitute(list(s), with_x_shift(pair.gamma))
+    rhs = (s[k] + (k * s[k - 1] if k else 0) for k in range(len(s)))
     return (convolution, require_equal("sheffer-derivative", lhs, rhs))
 
 
-def check_appell_identity(alpha: Umbra, max_degree: int | None = None) -> tuple[str, ...]:
+def check_appell_identity(alpha: Umbra) -> tuple[str, ...]:
     """p_n(x+y) = sum_k C(n,k) p_k(x) y^{n-k} for the Appell sequence of a.
 
     Returns ("appell",), the check passed; a failure raises ConsistencyError.
     """
     seq = appell_moments(alpha)
-    return (_check_convolution("appell", seq, [Y**m for m in range(len(seq))], max_degree),)
+    return (_check_convolution("appell", seq, [Y**m for m in range(len(seq))]),)
 
 
 def poisson_charlier_pair(a, order: int) -> ShefferPair:

@@ -35,7 +35,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .errors import NonInvertibleError, OrderMismatchError
-from .poly import Poly, Value, collapse
+from .poly import Poly, Value, _power_table, collapse
 from .series import (
     Series,
     egf_compose,
@@ -153,17 +153,12 @@ BUILTIN_UMBRAE: dict[str, Callable[[int], Umbra]] = {
 
 def indeterminate_umbra(var: str, order: int) -> Umbra:
     """The deterministic umbra with moments var^n (var is x or y)."""
-    v = Poly.variable(var)
-    return Umbra([v**n for n in range(order + 1)], name=var)
+    return Umbra(_power_table(Poly.variable(var), order), name=var)
 
 
 def scalar_umbra(c, order: int) -> Umbra:
     """The deterministic umbra with moments c^n (the constant c under E)."""
-    c = c if isinstance(c, (Fraction, Poly)) else Fraction(c)
-    ms: list[Value] = [Fraction(1)]
-    for _ in range(order):
-        ms.append(collapse(ms[-1] * c))
-    return Umbra(ms)
+    return Umbra(_power_table(c if isinstance(c, (Fraction, Poly)) else Fraction(c), order))
 
 
 # ---------------------------------------------------------------------------

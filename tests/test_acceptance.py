@@ -140,9 +140,9 @@ def test_criterion_03_dot_dual_paths():
 def test_criterion_04_binomial_and_sheffer_identities():
     def check():
         for gamma in (unity(10), singleton(10), uinv_umbra(10)):
-            assert check_binomial_identity(gamma, 10) == ("binomial",)
-        assert check_sheffer_identity(poisson_charlier_pair(1, 8), 8) == ("sheffer", "sheffer-derivative")
-        assert check_sheffer_identity(bernoulli_appell_pair(8), 8) == ("sheffer", "sheffer-derivative")
+            assert check_binomial_identity(gamma) == ("binomial",)
+        assert check_sheffer_identity(poisson_charlier_pair(1, 8)) == ("sheffer", "sheffer-derivative")
+        assert check_sheffer_identity(bernoulli_appell_pair(8)) == ("sheffer", "sheffer-derivative")
 
     _report(4, "binomial identity (n<=10) and Sheffer identity (n<=8) hold exactly", check)
 

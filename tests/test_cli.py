@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from umbralcalc import cli
 from umbralcalc.cli import main
 from umbralcalc.parser import pretty_print
 
@@ -110,6 +111,68 @@ def test_pair_mentioning_x_exits_2(run, argv, option):
     code, out, err = run(*argv, "--order", "3")
     assert (code, out) == (2, "")
     assert err == f"umbra: math error: {option[2:]} ({option}) mentions x, the variable of its own table\n"
+
+
+# The pair options of each pair command.
+PAIR_OPTIONS = {
+    "sheffer": ("alpha", "gamma"),
+    "associated": ("gamma",),
+    "appell": ("alpha",),
+    "abel": ("gamma",),
+    "connect": ("from-alpha", "from-gamma", "to-alpha", "to-gamma"),
+}
+
+
+def _pair_argv(command, texts):
+    """The command with each pair option's text from ``texts``, else "bell"."""
+    argv = [command]
+    for option in PAIR_OPTIONS[command]:
+        argv += [f"--{option}", texts.get(option, "bell")]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, option, var",
+    [
+        (command, option, var)
+        for command, options in PAIR_OPTIONS.items()
+        for option in options
+        for var in ("xy" if command == "connect" else "y")
+    ],
+)
+def test_pair_operand_refused_before_series_work(run, command, option, var):
+    """No pair command takes moments in y (tables are printed in x alone), and
+    connect takes none in x either: refused at once, even at the top order,
+    with one stderr line naming the option and the variable."""
+    argv = _pair_argv(command, {option: f"{var} . bell"})
+    start = time.perf_counter()
+    code, out, err = run(*argv, "--order", "64")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"umbra: math error: {option} (--{option}) mentions {var}, which {command} does not take\n"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("sheffer_moments", ["sheffer", "--alpha", "bern", "--gamma", "uinv"]),
+        ("associated_moments", ["associated", "--gamma", "u"]),
+        ("appell_moments", ["appell", "--alpha", "bell"]),
+        ("abel_polynomials", ["abel", "--gamma", "u"]),
+        ("recurrence_example_bernoulli", ["example", "bernoulli-diff"]),
+        ("recurrence_example_backward", ["example", "backward-diff"]),
+        ("recurrence_example_fibonacci", ["example", "fibonacci"]),
+    ],
+)
+def test_library_calls_go_through_the_module_binding(run, monkeypatch, name, argv):
+    """Each command calls its library function by its name in the cli module
+    when it runs, so a wrapper bound over that name (as the benchmark's tracer
+    binds one) sees the call."""
+    calls = []
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(name) or original(*a))
+    assert run(*argv, "--order", "2")[0] == 0
+    assert calls == [name]
 
 
 @pytest.mark.parametrize("argv", [["-x", "--order", "2"], ["--order", "2", "--", "-x"]])
@@ -423,6 +486,22 @@ def fuzz_workspace(tmp_path_factory):
     return path
 
 
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented_exit(code, out, err):
+    """0 with output, or 1 or 2 with one stderr line and no output."""
+    assert code in (0, 1, 2), err
+    if code:
+        assert out == "" and err.count("\n") == 1, err
+    else:
+        assert out and err == ""
+
+
 @settings(max_examples=150, deadline=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ast=corpus, order=st.integers(0, 8))
 def test_eval_fuzz_gives_a_documented_exit_code(fuzz_workspace, ast, order):
@@ -431,17 +510,21 @@ def test_eval_fuzz_gives_a_documented_exit_code(fuzz_workspace, ast, order):
     exits as the same text in parentheses does."""
 
     def eval_text(text):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["eval", text, "--order", str(order), "--workspace", str(fuzz_workspace)])
-        return code, out.getvalue(), err.getvalue()
+        return _run_quiet(["eval", text, "--order", str(order), "--workspace", str(fuzz_workspace)])
 
     text = pretty_print(ast)
     code, out, err = eval_text(text)
-    assert code in (0, 1, 2), err
-    if code:
-        assert out == "" and err.count("\n") == 1, err
-    else:
-        assert out and err == ""
+    _assert_documented_exit(code, out, err)
     if text.startswith("-"):
         assert code == eval_text(f"({text})")[0], err
+
+
+@settings(max_examples=150, deadline=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(PAIR_OPTIONS)), asts=st.lists(corpus, min_size=4, max_size=4),
+       order=st.integers(0, 6))
+def test_pair_fuzz_gives_a_documented_exit_code(fuzz_workspace, command, asts, order):
+    """Every pair command, with generated expressions as its pair, exits as
+    eval does: 0 with output, or 1 or 2 with one stderr line, in bounded time."""
+    texts = dict(zip(PAIR_OPTIONS[command], map(pretty_print, asts)))
+    argv = [*_pair_argv(command, texts), "--order", str(order), "--workspace", str(fuzz_workspace)]
+    _assert_documented_exit(*_run_quiet(argv))

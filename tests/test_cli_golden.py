@@ -1,5 +1,6 @@
 """Golden CLI output: sha256 of the stdout of the README's example commands,
-of high-order reversions and sequence tables, and of the csv and latex tables.
+of high-order reversions and sequence tables, and of the pretty, csv and
+latex renderers.
 
 The CLI promises byte-identical output for identical invocations, and kernel
 rewrites must keep that promise across versions.  Each digest below pins one
@@ -118,6 +119,26 @@ GOLDEN = [
      "f44ab97040f400fc0e408b172d2e6029f7eb901d94d05dc9c9860a42cfac1829"),
     (["eval", "(x + 1)^8", "--order", "16"],
      "88f7d3d73ffba691f28a26005f8c465e627c8cf1f4965c52676544910c4ff00f"),
+    # The pretty, csv and latex renderers on Poly moments, checks and notes,
+    # and the define and list renderers.
+    (["eval", "y . bell + x . bern", "--order", "4", "--format", "pretty"],
+     "837a5ee768d1542a0a84285e7cd789fe6f1458e1924ba31af588e34375803aba"),
+    (["eval", "y . bell + x . bern", "--order", "4", "--format", "csv"],
+     "b22a3c87f5e296482962fbd2ac999dd572a1ca689b4d138a9a44e184ca51d6d5"),
+    (["eval", "y . bell + x . bern", "--order", "4", "--format", "latex"],
+     "4b2fe0826d914fbdc661c0aa1af9cd1cf085f0e32eba085dba61b4bac2748821"),
+    (["sheffer", "--alpha", "bern", "--gamma", "uinv", "--order", "6", "--format", "pretty"],
+     "967898a286543e1658a33071b5d7e21a5d4e8a38969c6b2978cad733a9a11edf"),
+    (["example", "backward-diff", "--order", "6", "--format", "pretty"],
+     "70e1e35256589ea6962a9f07b4a9db8d3a1eb0baec118fe233616908f4372ade"),
+    (["define", "pre", "--moments", "1,1/2,3", "--format", "pretty"],
+     "5a6f4cce4fc62cb7ce010f36dcab12882d45f166d4d409e09fee17890f5076b3"),
+    (["define", "com", "--egf", "1,2,1/3", "--format", "csv"],
+     "5dfeac62ef813c8d37c1f2386e288c68c4fac8d283cdcbee86134402c64d540e"),
+    (["list", "--format", "pretty"],
+     "9682c8e3bff4ed1388d900abc106d87dbafe082b1587ca65a62de5c3cab898c9"),
+    (["list", "--format", "csv"],
+     "8d4cd86fff38e891b14257be99e569152a94526dcf3e231204a34267debe9aaf"),
 ]
 
 
