@@ -43,7 +43,7 @@ expansion that could take more than MAX_EXPANSION monomial products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, Union
@@ -67,8 +67,6 @@ from .umbra import (
     scalar_umbra,
 )
 
-Span = Union[tuple[int, int], None]
-
 # The CLI's --order cap.  The evaluator computes no operand's moments past
 # max(order, MAX_ORDER); the excess over MAX_ORDER admits bar(a), which needs
 # a to one order more than its own.
@@ -82,9 +80,7 @@ MAX_EXPANSION = 100_000
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class; span is source info only and never affects equality."""
-
-    span: Span = field(default=None, compare=False, kw_only=True)
+    """Base class of the AST nodes: frozen dataclasses, equal by value."""
 
 
 @dataclass(frozen=True)

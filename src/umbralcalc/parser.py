@@ -14,10 +14,16 @@ d (derivative umbra), dsum/ddiff (disjoint sum/difference), bar (moment
 shift).  `x` and `y` are the scalar indeterminates; a prime makes a fresh
 uncorrelated copy (on a named atom it bumps the correlation label).
 `a - b` abbreviates `a + inv(b)`.
+
+``tokenize`` reads one token pattern at a time (see ``docs/grammar.ebnf``
+for the Unicode classes) and refuses an expression of more than MAX_TOKENS
+tokens.  A token keeps only its offset; an error works out its line and
+column from the text.  The AST records no source positions.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,19 +53,24 @@ from .rationals import format_rational
 # Each keyword and the node it builds; the tokenizer, parser and printer all read these.
 UNARY_KEYWORDS = {"inv": InverseDot, "cinv": CompInv, "adj": Adjoint, "d": Deriv, "bar": Bar}
 BINARY_KEYWORDS = {"dsum": DisjointSum, "ddiff": DisjointDiff}
-KEYWORDS = (*UNARY_KEYWORDS, *BINARY_KEYWORDS)
+_NODE_OF = {**UNARY_KEYWORDS, **BINARY_KEYWORDS}
+KEYWORDS = tuple(_NODE_OF)
 INDETERMINATES = ("x", "y")
 RESERVED_NAMES = KEYWORDS + INDETERMINATES
 
-_SIMPLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    "'": "PRIME",
-    "/": "SLASH",
+# Each token in one pattern: an integer, a word, an operator (``^.`` and
+# ``..`` ahead of their first character) or whitespace.  On ``str`` these
+# classes are isdecimal(), isalnum() or "_", and isspace().
+_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<WORD>\w+)|(?P<OP>\^\.|\.\.|[-+(),'/^.])|(?P<SPACE>\s+)")
+_OPERATORS = {
+    "^.": "CARETDOT", "^": "CARET", ".": "DOT", "+": "PLUS", "-": "MINUS",
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "'": "PRIME", "/": "SLASH",
 }
+
+# The most tokens an expression may have (EOF aside).  It keeps every nesting
+# the grammar allows well inside the interpreter's recursion limit, for the
+# parser, the printer and the evaluator alike.
+MAX_TOKENS = 200
 
 
 @dataclass(frozen=True)
@@ -67,85 +78,45 @@ class Token:
     kind: str
     lexeme: str
     offset: int
-    line: int
-    column: int
 
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.lexeme)
+
+def _syntax_error(message: str, text: str, offset: int) -> UmbraSyntaxError:
+    """The error at ``offset`` of ``text``, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return UmbraSyntaxError(message, offset, line, offset - text.rfind("\n", 0, offset))
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg: str, at: int, at_line: int, at_col: int):
-        raise UmbraSyntaxError(msg, at, at_line, at_col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if not m or m.lastgroup == "WORD" and not (text[i].isalpha() or text[i] == "_"):
+            raise _syntax_error(f"illegal character {text[i]!r}", text, i)
+        lexeme, i = m.group(), m.end()
+        if m.lastgroup == "SPACE":
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start, sline, scol = i, line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "NAME"
-            tokens.append(Token(kind, word, start, sline, scol))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+        if lexeme == "..":
+            raise _syntax_error("illegal token '..'", text, m.start())
+        if m.lastgroup == "INT":
             limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
-            if limit and j - i > limit:
-                err(f"integer literal longer than {limit} digits", start, sline, scol)
-            tokens.append(Token("INT", text[i:j], start, sline, scol))
-            col += j - i
-            i = j
-            continue
-        if ch == "^":
-            if i + 1 < n and text[i + 1] == ".":
-                tokens.append(Token("CARETDOT", "^.", start, sline, scol))
-                i += 2
-                col += 2
-            else:
-                tokens.append(Token("CARET", "^", start, sline, scol))
-                i += 1
-                col += 1
-            continue
-        if ch == ".":
-            if i + 1 < n and text[i + 1] == ".":
-                err("illegal token '..'", start, sline, scol)
-            tokens.append(Token("DOT", ".", start, sline, scol))
-            i += 1
-            col += 1
-            continue
-        if ch in _SIMPLE:
-            tokens.append(Token(_SIMPLE[ch], ch, start, sline, scol))
-            i += 1
-            col += 1
-            continue
-        err(f"illegal character {ch!r}", start, sline, scol)
-    tokens.append(Token("EOF", "", n, line, col))
+            if limit and len(lexeme) > limit:
+                raise _syntax_error(f"integer literal longer than {limit} digits", text, m.start())
+        if len(tokens) == MAX_TOKENS:
+            raise _syntax_error(f"expression longer than {MAX_TOKENS} tokens", text, m.start())
+        if m.lastgroup == "WORD":
+            kind = "KEYWORD" if lexeme in KEYWORDS else "NAME"
+        else:
+            kind = _OPERATORS.get(lexeme, m.lastgroup)
+        tokens.append(Token(kind, lexeme, m.start()))
+    tokens.append(Token("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self) -> Token:
@@ -164,19 +135,15 @@ class _Parser:
 
     def fail(self, msg: str, tok: Token):
         shown = tok.lexeme if tok.kind != "EOF" else "end of input"
-        raise UmbraSyntaxError(f"{msg}, found {shown!r}", tok.offset, tok.line, tok.column)
+        raise _syntax_error(f"{msg}, found {shown!r}", self.text, tok.offset)
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> Expr:
         node = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
+            minus = self.advance().kind == "MINUS"
             rhs = self.term()
-            span = (_start(node), _end(rhs))
-            if op.kind == "PLUS":
-                node = Sum(node, rhs, span=span)
-            else:
-                node = Sum(node, InverseDot(rhs, span=_span(rhs)), span=span)
+            node = Sum(node, InverseDot(rhs) if minus else rhs)
         return node
 
     # term := postfix ('.' postfix)*, right-folded
@@ -185,125 +152,66 @@ class _Parser:
         while self.peek().kind == "DOT":
             self.advance()
             parts.append(self.postfix())
-        node = parts[-1]
-        for left in reversed(parts[:-1]):
-            node = Dot(left, node, span=(_start(left), _end(node)))
+        node = parts.pop()
+        for left in reversed(parts):
+            node = Dot(left, node)
         return node
 
     # postfix := primary ('^' INT | '^.' INT | PRIME)*
     def postfix(self) -> Expr:
         node = self.primary()
         while True:
-            tok = self.peek()
-            if tok.kind == "CARET":
+            kind = self.peek().kind
+            if kind == "CARET":
                 self.advance()
-                power = self.int_literal("an integer exponent")
-                node = self.apply_power(node, power)
-            elif tok.kind == "CARETDOT":
+                power = int(self.expect("INT", "an integer exponent").lexeme)
+                node = Indet(node.var, node.power * power) if isinstance(node, Indet) else Power(node, power)
+            elif kind == "CARETDOT":
                 self.advance()
-                power = self.int_literal("an integer dot-power")
-                node = DotPower(node, power.value, span=(_start(node), power.end))
-            elif tok.kind == "PRIME":
-                prime = self.advance()
-                node = self.apply_prime(node, prime)
+                node = DotPower(node, int(self.expect("INT", "an integer dot-power").lexeme))
+            elif kind == "PRIME":
+                self.advance()
+                node = Atom(node.name, node.primes + 1) if isinstance(node, Atom) else Fresh(node)
             else:
                 return node
 
-    @dataclass(frozen=True)
-    class _Int:
-        value: int
-        end: int
-
-    def int_literal(self, what: str) -> "_Parser._Int":
-        tok = self.peek()
-        if tok.kind != "INT":
-            self.fail(f"expected {what}", tok)
-        self.advance()
-        return _Parser._Int(int(tok.lexeme), tok.end)
-
-    def apply_power(self, node: Expr, power: "_Parser._Int") -> Expr:
-        span = (_start(node), power.end)
-        if isinstance(node, Indet):
-            return Indet(node.var, node.power * power.value, span=span)
-        return Power(node, power.value, span=span)
-
-    def apply_prime(self, node: Expr, prime: Token) -> Expr:
-        span = (_start(node), prime.end)
-        if isinstance(node, Atom):
-            return Atom(node.name, node.primes + 1, span=span)
-        return Fresh(node, span=span)
-
     # primary := NAME | INT ['/' INT] | '-' primary | '(' expr ')' | KEYWORD '(' args ')'
     def primary(self) -> Expr:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "NAME":
-            self.advance()
-            if tok.lexeme in INDETERMINATES:
-                return Indet(tok.lexeme, 1, span=(tok.offset, tok.end))
-            return Atom(tok.lexeme, 0, span=(tok.offset, tok.end))
+            return Indet(tok.lexeme) if tok.lexeme in INDETERMINATES else Atom(tok.lexeme)
         if tok.kind == "INT":
+            if self.peek().kind != "SLASH":
+                return Const(Fraction(int(tok.lexeme)))
             self.advance()
-            value = Fraction(int(tok.lexeme))
-            end = tok.end
-            if self.peek().kind == "SLASH":
-                self.advance()
-                den = self.peek()
-                if den.kind != "INT":
-                    self.fail("expected a denominator", den)
-                self.advance()
-                if int(den.lexeme) == 0:
-                    self.fail("zero denominator", den)
-                value = Fraction(int(tok.lexeme), int(den.lexeme))
-                end = den.end
-            return Const(value, span=(tok.offset, end))
+            den = self.expect("INT", "a denominator")
+            if int(den.lexeme) == 0:
+                self.fail("zero denominator", den)
+            return Const(Fraction(int(tok.lexeme), int(den.lexeme)))
         if tok.kind == "MINUS":
-            self.advance()
             inner = self.primary()
-            span = (tok.offset, _end(inner))
-            if isinstance(inner, Const):
-                return Const(-inner.value, span=span)
-            return ScalarMul(Fraction(-1), inner, span=span)
+            return Const(-inner.value) if isinstance(inner, Const) else ScalarMul(Fraction(-1), inner)
         if tok.kind == "LPAREN":
-            self.advance()
             node = self.expr()
             self.expect("RPAREN", "')'")
             return node
         if tok.kind == "KEYWORD":
-            return self.keyword_call(self.advance())
+            self.expect("LPAREN", "'(' after keyword")
+            args = [self.expr()]
+            if tok.lexeme in BINARY_KEYWORDS:
+                self.expect("COMMA", "',' between arguments")
+                args.append(self.expr())
+            self.expect("RPAREN", "')'")
+            return _NODE_OF[tok.lexeme](*args)
         self.fail("expected an expression", tok)
-
-    def keyword_call(self, kw: Token) -> Expr:
-        self.expect("LPAREN", "'(' after keyword")
-        args = [self.expr()]
-        if kw.lexeme in BINARY_KEYWORDS:
-            self.expect("COMMA", "',' between arguments")
-            args.append(self.expr())
-        close = self.expect("RPAREN", "')'")
-        cls = UNARY_KEYWORDS.get(kw.lexeme) or BINARY_KEYWORDS[kw.lexeme]
-        return cls(*args, span=(kw.offset, close.end))
-
-
-def _span(node: Expr):
-    return getattr(node, "span", None)
-
-
-def _start(node: Expr) -> int:
-    span = _span(node)
-    return span[0] if span else 0
-
-
-def _end(node: Expr) -> int:
-    span = _span(node)
-    return span[1] if span else 0
 
 
 def parse(text: str) -> Expr:
     """Parse an umbral expression; raises UmbraSyntaxError with position."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.fail("unexpected trailing input", tok)
+    if parser.peek().kind != "EOF":
+        parser.fail("unexpected trailing input", parser.peek())
     return node
 
 
@@ -315,7 +223,7 @@ _LEVEL_DOT = 2
 _LEVEL_POSTFIX = 3
 _LEVEL_PRIMARY = 4
 
-_KEYWORD_OF = {cls: kw for kw, cls in {**UNARY_KEYWORDS, **BINARY_KEYWORDS}.items()}
+_KEYWORD_OF = {cls: kw for kw, cls in _NODE_OF.items()}
 
 
 def pretty_print(expr: Expr) -> str:

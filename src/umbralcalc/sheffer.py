@@ -253,8 +253,10 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     """
     if frm.order != to.order:
         raise ValueError("pairs must share one truncation order")
-    if any(isinstance(m, Poly) for u in (frm.alpha, frm.gamma, to.alpha, to.gamma) for m in u.moments):
-        raise ValueError("connection constants need pairs with scalar moments")
+    # Each pair already refuses x; the constants are scalars, so y goes too.
+    members = {"from-alpha": frm.alpha, "from-gamma": frm.gamma, "to-alpha": to.alpha, "to-gamma": to.gamma}
+    for role, a in members.items():
+        _require_free_of(a, "y", role, "which connect does not take")
     n = frm.order
     if n == 0:
         # Both sequences are the constant 1; either route gives the 1x1 identity.

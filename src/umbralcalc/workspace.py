@@ -17,8 +17,8 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import WorkspaceError
-from .parser import RESERVED_NAMES
+from .errors import UmbraSyntaxError, WorkspaceError
+from .parser import RESERVED_NAMES, Token, tokenize
 from .rationals import format_rational, parse_rational
 from .umbra import BUILTIN_UMBRAE, Umbra
 
@@ -51,10 +51,15 @@ def load_raw(path: str | Path) -> dict:
 
 
 def check_name(name: str) -> None:
-    """Raise ValueError unless ``name`` may name a user umbra."""
+    """Raise ValueError unless ``name`` may name a user umbra: the whole text
+    is one NAME token, so that an expression can mention it."""
     if name in RESERVED_NAMES or name in BUILTIN_UMBRAE:
         raise ValueError(f"name {name!r} is reserved")
-    if not name.isidentifier():
+    try:
+        tokens = tokenize(name)
+    except UmbraSyntaxError:
+        tokens = []
+    if tokens != [Token("NAME", name, 0), Token("EOF", "", len(name))]:
         raise ValueError(f"name {name!r} is not a valid umbra name")
 
 

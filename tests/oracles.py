@@ -21,11 +21,15 @@ them:
   t/(e^t - 1) on the kernel).
 
 It also holds the two Sheffer pairs that only the tests use, ``power_pair``
-and ``factorial_pair``.
+and ``factorial_pair``, and ``tokenize``, a character-by-character scanner
+that tracks the line and column of every token (production: one token
+pattern, positions worked out only for an error, and a bound on the token
+count that this scanner does not have).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,8 +37,9 @@ from math import comb, factorial
 from typing import Sequence
 
 from umbralcalc.combinatorics import stirling_first_classical
-from umbralcalc.errors import OrderMismatchError
+from umbralcalc.errors import OrderMismatchError, UmbraSyntaxError
 from umbralcalc.expressions import Environment, Expr, _degree, _Evaluator, default_environment
+from umbralcalc.parser import KEYWORDS
 from umbralcalc.poly import Value, collapse
 from umbralcalc.sheffer import ShefferPair
 from umbralcalc.umbra import Umbra, augmentation, singleton, unity
@@ -238,3 +243,98 @@ def dot_via_partitions(left, a: Umbra, i: int) -> Value:
         return _partition_sum(factorial_moments(left), a, i)
     weights = [falling_factorial(left, j) for j in range(i + 1)]
     return _partition_sum(weights, a, i)
+
+
+# ---------------------------------------------------------------------------
+# The character scanner
+
+_SIMPLE = {
+    "+": "PLUS",
+    "-": "MINUS",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    ",": "COMMA",
+    "'": "PRIME",
+    "/": "SLASH",
+}
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    lexeme: str
+    offset: int
+    line: int
+    column: int
+
+    @property
+    def end(self) -> int:
+        return self.offset + len(self.lexeme)
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def err(msg: str, at: int, at_line: int, at_col: int):
+        raise UmbraSyntaxError(msg, at, at_line, at_col)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        start, sline, scol = i, line, col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "KEYWORD" if word in KEYWORDS else "NAME"
+            tokens.append(Token(kind, word, start, sline, scol))
+            col += j - i
+            i = j
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
+            if limit and j - i > limit:
+                err(f"integer literal longer than {limit} digits", start, sline, scol)
+            tokens.append(Token("INT", text[i:j], start, sline, scol))
+            col += j - i
+            i = j
+            continue
+        if ch == "^":
+            if i + 1 < n and text[i + 1] == ".":
+                tokens.append(Token("CARETDOT", "^.", start, sline, scol))
+                i += 2
+                col += 2
+            else:
+                tokens.append(Token("CARET", "^", start, sline, scol))
+                i += 1
+                col += 1
+            continue
+        if ch == ".":
+            if i + 1 < n and text[i + 1] == ".":
+                err("illegal token '..'", start, sline, scol)
+            tokens.append(Token("DOT", ".", start, sline, scol))
+            i += 1
+            col += 1
+            continue
+        if ch in _SIMPLE:
+            tokens.append(Token(_SIMPLE[ch], ch, start, sline, scol))
+            i += 1
+            col += 1
+            continue
+        err(f"illegal character {ch!r}", start, sline, scol)
+    tokens.append(Token("EOF", "", n, line, col))
+    return tokens

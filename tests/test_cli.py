@@ -293,6 +293,25 @@ def test_define_validation(run):
     assert code == 1
 
 
+# Names Python takes as identifiers but the lexer does not read as one NAME.
+@pytest.mark.parametrize("name", ["\u216b", "\u2118", "e\u0301", "a b", "1a"])
+def test_define_refuses_a_name_no_expression_can_mention(run, name):
+    code, out, err = run("define", name, "--moments", "1,1")
+    assert (code, out) == (1, "")
+    assert "not a valid umbra name" in err and err.count("\n") == 1
+    assert not run.workspace.exists()
+
+
+@pytest.mark.parametrize("name", ["\u00e9", "a\u00b2"])
+def test_define_then_eval_unicode_name(run, name):
+    code, _, err = run("define", name, "--moments", "1,2,7")
+    assert code == 0, err
+    code, out, err = run("eval", f"{name} . u", "--order", "2", "--format", "json")
+    assert code == 0, err
+    result = json.loads(out)["results"][0]
+    assert result["expr"] == f"{name} . u" and result["moments"] == ["1", "2", "7"]
+
+
 def test_define_egf_and_cumulants(run):
     code, out, _ = run("define", "g", "--cumulants", "1,0,0", "--format", "json")
     data = _assert_valid_json(out)
@@ -383,6 +402,9 @@ def test_order_zero_is_degenerate_but_valid(run):
         '{"umbrae": {"chi": {"moments": ["1", "5", "7"]}}}',
         '{"umbrae": {"x": {"moments": ["1", "1"]}}}',
         '{"umbrae": {"a b": {"moments": ["1", "1"]}}}',
+        '{"umbrae": {"\\u216b": {"moments": ["1", "1"]}}}',
+        '{"umbrae": {"\\u2118": {"moments": ["1", "1"]}}}',
+        '{"umbrae": {"e\\u0301": {"moments": ["1", "1"]}}}',
     ],
 )
 def test_malformed_workspace_exits_3(run, text):
@@ -460,6 +482,36 @@ def test_exponent_past_digit_limit_exits_1(run):
     code, out, err = run("eval", "x^" + "9" * limit, "--order", "2")
     assert code == 1 and out == ""
     assert err == f"umbra: error: value too large to print: its numerator has more than {limit} digits\n"
+
+
+# Each deep shape: a text of depth k, the deepest k within the 200-token bound,
+# and the depth at which the parser, printer or evaluator overflowed the
+# interpreter's stack before the bound (None: none was found).
+DEEP_SHAPES = {
+    "parens": (lambda k: "(" * k + "u" + ")" * k, 99, 250),
+    "inv": (lambda k: "inv(" * k + "u" + ")" * k, 66, 200),
+    "minus": (lambda k: "-(" * k + "u" + ")" * k, 66, 200),
+    "dot chain": (lambda k: " . ".join(["u"] * k), 100, 400),
+    "sum": (lambda k: " + ".join(["u"] * k), 100, 1000),
+    "primes": (lambda k: "(x . u)" + "'" * k, 195, 400),
+    "power chain": (lambda k: "u" + "^1" * k, 99, None),
+}
+
+
+@pytest.mark.parametrize("shape, deepest, overflowed", DEEP_SHAPES.values(), ids=DEEP_SHAPES.keys())
+def test_expression_past_token_bound_exits_1(run, shape, deepest, overflowed):
+    code, _, err = run("eval", shape(deepest), "--order", "2")
+    assert code == 0, err
+    for depth in filter(None, (deepest + 1, overflowed)):
+        code, out, err = run("eval", shape(depth), "--order", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("umbra: parse error: expression longer than 200 tokens") and err.count("\n") == 1
+
+
+def test_pair_option_past_token_bound_exits_1(run):
+    code, out, err = run("appell", "--alpha", DEEP_SHAPES["parens"][0](250), "--order", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("umbra: parse error: expression longer than 200 tokens") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("expr, order", [("(u+chi+bell+bern)^4 + u", "16"), ("(x+1)^64", "64")])

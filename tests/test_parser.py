@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.errors import UmbraSyntaxError
@@ -26,6 +26,8 @@ from umbralcalc.expressions import (
 )
 from umbralcalc.parser import parse, pretty_print, tokenize
 
+from oracles import tokenize as scan_characters
+
 
 def kinds(text):
     return [t.kind for t in tokenize(text)]
@@ -42,13 +44,6 @@ def test_tokens_are_lossless():
     src = "x . adj( u )' + 3/4 ^. 2 - d(bell)\n , ()"
     for tok in tokenize(src):
         assert src[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
-
-
-def test_token_positions():
-    toks = tokenize("ab +\n  chi")
-    assert (toks[0].line, toks[0].column) == (1, 1)
-    assert (toks[1].line, toks[1].column) == (1, 4)
-    assert (toks[2].line, toks[2].column) == (2, 3)
 
 
 def test_parse_shapes():
@@ -72,16 +67,6 @@ def test_parse_shapes():
     assert parse("-3") == Const(F(-3))
 
 
-def test_spans_nest():
-    ast = parse("(x + y) . adj(u)")
-    assert ast.span == (1, 16)  # starts at the left operand inside the parens
-    assert ast.left.span == (1, 6)
-    assert ast.right.span == (10, 16)
-    # spans nest: children lie inside their parent
-    assert ast.left.span[0] >= ast.span[0] and ast.left.span[1] <= ast.span[1]
-    assert ast.right.span[0] >= ast.span[0] and ast.right.span[1] <= ast.span[1]
-
-
 MALFORMED = [
     ("3 .. u", 1, 3),
     ("", 1, 1),
@@ -103,6 +88,12 @@ MALFORMED = [
     (". u", 1, 1),
     ("x y", 1, 3),
     ("inv()", 1, 5),
+    # positions past a newline: the column restarts at 1 on each line
+    pytest.param("ab +\n  @chi", 2, 3, id="line-2-illegal-character"),
+    pytest.param("u .\n  chi ..\n u", 2, 7, id="line-2-double-dot"),
+    pytest.param("x +\n\n  . u", 3, 3, id="line-3-expected-an-expression"),
+    pytest.param("u +\r\n\tbell )", 2, 7, id="line-2-after-cr-and-tab"),
+    pytest.param("(u\n + chi", 2, 7, id="line-2-end-of-input"),
 ]
 
 # An integer literal longer than the interpreter converts (4300 digits by
@@ -122,6 +113,61 @@ def test_malformed_inputs_have_stable_positions(text, line, column):
         parse(text)
     err = exc_info.value
     assert (err.line, err.column) == (line, column), str(err)
+
+
+# ---------------------------------------------------------------------------
+# The token pattern against the character scanner it replaced
+
+_fragments = st.one_of(
+    st.sampled_from(["u", "chi", "x", "inv", "dsum", "a1", "_b", "12", "0", " ", "  "]),
+    st.sampled_from(["^.", "^", ".", "..", "+", "-", "(", ")", ",", "'", "/", "@", "\n", "\r", "\t"]),
+    # Unicode letters, digits, non-decimal numerics, a combining mark, a space
+    st.sampled_from(["é", "ß", "a²", "²", "Ⅻ", "℘", "٣", "e\u0301", "\u3000", "_²"]),
+    st.text(max_size=3),
+    *([st.just(_LONG)] if _DIGIT_LIMIT else []),
+)
+# A fragment list, repeated so that some texts pass the token bound.
+_texts = st.builds(lambda parts, k: "".join(parts) * k, st.lists(_fragments, max_size=30), st.integers(1, 40))
+
+
+def _scanned(tokens) -> list[tuple]:
+    return [(t.kind, t.lexeme, t.offset) for t in tokens]
+
+
+def _error(err: UmbraSyntaxError) -> tuple:
+    return (err.message, err.offset, err.line, err.column)
+
+
+# The documented bound on the tokens of an expression, EOF aside.
+_BOUND = 200
+
+
+def _expected(text: str):
+    """What the character scanner makes of ``text``, with the token bound
+    applied: a text whose token _BOUND + 1 comes before any error is refused
+    at that token."""
+    error = None
+    try:
+        tokens = scan_characters(text)
+    except UmbraSyntaxError as err:
+        error, tokens = _error(err), scan_characters(text[: err.offset])
+    if len(tokens) - 1 > _BOUND:
+        tok = tokens[_BOUND]
+        return (f"expression longer than {_BOUND} tokens", tok.offset, tok.line, tok.column)
+    return error or _scanned(tokens)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_texts)
+@example("u " * _BOUND)
+@example("u\n" * _BOUND + "u")
+@example("u\n" * _BOUND + "..")
+def test_tokenize_agrees_with_character_scanner(text):
+    try:
+        got = _scanned(tokenize(text))
+    except UmbraSyntaxError as err:
+        got = _error(err)
+    assert got == _expected(text)
 
 
 # ---------------------------------------------------------------------------

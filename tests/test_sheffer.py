@@ -168,8 +168,10 @@ def test_connection_constants_identity_and_stirling():
 def test_connection_constants_need_scalar_moments():
     """Moments in x or y are outside the domain (exit 2 in the CLI), not a failed
     self-check; a pair that mentions x is refused already as a pair."""
-    with pytest.raises(ValueError, match="scalar moments"):
+    with pytest.raises(VariableCaptureError, match=r"^from-alpha \(--from-alpha\) mentions y"):
         connection_constants(ShefferPair(dot(Y, bell_umbra(N)), singleton(N)), power_pair(N))
+    with pytest.raises(VariableCaptureError, match=r"^to-gamma \(--to-gamma\) mentions y"):
+        connection_constants(power_pair(N), ShefferPair(singleton(N), Umbra([1, 1, Y, *[0] * (N - 2)])))
     with pytest.raises(VariableCaptureError, match=r"alpha \(--alpha\) mentions x"):
         connection_constants(ShefferPair(dot(X, bell_umbra(N)), singleton(N)), power_pair(N))
 

@@ -6,6 +6,7 @@ import pytest
 from umbralcalc.errors import WorkspaceError
 from umbralcalc.umbra import Umbra
 from umbralcalc.workspace import (
+    check_name,
     empty_workspace,
     load_raw,
     load_umbrae,
@@ -87,6 +88,10 @@ MALFORMED = {
     "builtin name": '{"umbrae": {"chi": {"moments": ["1", "5", "7"]}}}',
     "indeterminate name": '{"umbrae": {"x": {"moments": ["1", "1"]}}}',
     "not an identifier": '{"umbrae": {"a b": {"moments": ["1", "1"]}}}',
+    # identifiers to Python that the lexer does not read as one name
+    "roman numeral name": '{"umbrae": {"\\u216b": {"moments": ["1", "1"]}}}',
+    "non-letter name": '{"umbrae": {"\\u2118": {"moments": ["1", "1"]}}}',
+    "combining-mark name": '{"umbrae": {"e\\u0301": {"moments": ["1", "1"]}}}',
 }
 
 
@@ -109,3 +114,10 @@ def test_non_utf8_workspace_raises_workspace_error(tmp_path):
     path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(WorkspaceError):
         load_raw(path)
+
+
+# A name must be one NAME token covering the whole text.
+@pytest.mark.parametrize("name", ["", " a", "a ", "a.b", "\u00b2"])
+def test_a_name_that_is_not_one_name_token_is_refused(name):
+    with pytest.raises(ValueError, match="not a valid umbra name"):
+        check_name(name)
