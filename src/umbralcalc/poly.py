@@ -1,12 +1,15 @@
 """Exact polynomials in the indeterminates x and y.
 
-Coefficients are ``fractions.Fraction``; storage is a map from the
-multi-degree ``(deg_x, deg_y)`` to the coefficient, with zero coefficients
-never stored.  A constant polynomial compares equal (and hashes equal) to the
-corresponding scalar, so values of type ``Fraction | Poly`` mix freely.
-The series kernel also holds Polys with ``int`` coefficients, the numerators
-of ``numerator_over``; they stay inside the kernel, which divides each one
-back to Fraction coefficients.
+Storage is FLINT's ``fmpq_poly`` layout: a map from the multi-degree
+``(deg_x, deg_y)`` to an ``int`` numerator, plus one positive ``int``
+denominator, in lowest terms (gcd(denominator, numerators) = 1, no zero
+numerator stored, zero over 1), so equal polynomials have equal storage.  Each
+ring operation works on the ints and reduces once, by one gcd over the result
+(Knuth, TAOCP vol. 2 §4.5.1).  ``items``, ``coefficient`` and ``coeffs_in_x``
+give ``Fraction`` coefficients; a constant polynomial compares equal (and
+hashes equal) to the corresponding scalar, so values of type
+``Fraction | Poly`` mix freely.  A Poly over denominator 1 is its own integer
+numerator: the series kernel computes on such Polys with no gcd.
 
 Two indeterminates are all the calculus ever needs: x carries polynomial
 moments, y shows up only in two-variable identity checks.
@@ -15,7 +18,7 @@ moments, y shows up only in two-variable identity checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 from .rationals import format_rational
@@ -34,51 +37,45 @@ def _as_fraction(c) -> Fraction:
 
 
 class Poly:
-    """Polynomial in x, y with Fraction coefficients."""
+    """Polynomial in x, y with rational coefficients: int numerators over one denominator."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Fraction | int] | Fraction | int = 0):
         if isinstance(coeffs, (Fraction, int)):
-            c = _as_fraction(coeffs)
-            self._coeffs = {(0, 0): c} if c else {}
-            return
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (dx, dy), c in coeffs.items():
-            if dx < 0 or dy < 0:
-                raise ValueError("negative exponent in polynomial key")
-            c = _as_fraction(c)
-            if c:
-                clean[(dx, dy)] = c
-        self._coeffs = clean
+            coeffs = {(0, 0): coeffs}
+        coeffs = {key: _as_fraction(c) for key, c in coeffs.items()}
+        if any(dx < 0 or dy < 0 for dx, dy in coeffs):
+            raise ValueError("negative exponent in polynomial key")
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        self._den = den = lcm(*(c.denominator for c in coeffs.values()))
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items() if c}
 
     @staticmethod
     def variable(name: str) -> "Poly":
         if name not in _VARS:
             raise ValueError(f"unknown indeterminate {name!r}")
-        return Poly({(1, 0) if name == "x" else (0, 1): Fraction(1)})
+        return Poly({(1, 0) if name == "x" else (0, 1): 1})
 
     # -- inspection ------------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(self._coeffs.items())
+        den = self._den
+        return ((key, Fraction(c, den)) for key, c in self._num.items())
 
     def coefficient(self, dx: int, dy: int = 0) -> Fraction:
-        return self._coeffs.get((dx, dy), Fraction(0))
+        return Fraction(self._num.get((dx, dy), 0), self._den)
 
     def as_fraction(self) -> Fraction | None:
         """The scalar value if constant, else None."""
-        if not self._coeffs:
-            return Fraction(0)
-        if set(self._coeffs) == {(0, 0)}:
-            return self._coeffs[(0, 0)]
-        return None
+        num = self._num
+        if len(num) > 1 or (num and (0, 0) not in num):
+            return None
+        return Fraction(num.get((0, 0), 0), self._den)
 
     def degree_in(self, var: str) -> int:
         i = _var_index(var)
-        if not self._coeffs:
-            return -1
-        return max(key[i] for key in self._coeffs)
+        return max((key[i] for key in self._num), default=-1)
 
     def coeffs_in_x(self) -> list[Fraction]:
         """Coefficient list [c_0, ..., c_d] of a y-free polynomial."""
@@ -91,41 +88,36 @@ class Poly:
 
     def __add__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            _madd(out, key, c)
-        return _wrap(out)
+        return NotImplemented if other is None else _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({key: -c for key, c in self._coeffs.items()})
+        return _make({key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else _sum(other, self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a scalar scales each coefficient, keeping ints ints
-            return _wrap({key: c * other for key, c in self._coeffs.items()} if other else {})
+        if isinstance(other, (int, Fraction)):  # one pass: numerators times p, denominator times q
+            p = other.numerator
+            num = self._num if p == 1 else {key: c * p for key, c in self._num.items()} if p else {}
+            return _make(num, self._den * other.denominator)
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ax, ay), ac in self._coeffs.items():
-            for (bx, by), bc in other._coeffs.items():
-                _madd(out, (ax + bx, ay + by), ac * bc)
-        return _wrap(out)
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for (ax, ay), ac in self._num.items():
+            for (bx, by), bc in other._num.items():
+                key = (ax + bx, ay + by)
+                out[key] = get(key, 0) + ac * bc
+        return _make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -133,7 +125,7 @@ class Poly:
         c = _as_fraction(scalar)
         if not c:
             raise ZeroDivisionError("division of polynomial by zero")
-        return _wrap({key: v / c for key, v in self._coeffs.items()})
+        return self * (1 / c)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -151,45 +143,36 @@ class Poly:
 
     def derivative(self, var: str = "x") -> "Poly":
         i = _var_index(var)
-        out: dict[tuple[int, int], Fraction] = {}
-        for key, c in self._coeffs.items():
-            if key[i] == 0:
-                continue
-            new = list(key)
-            new[i] -= 1
-            out[tuple(new)] = c * key[i]
-        return _wrap(out)
+        return _make({_raised(key, i, -1): c * key[i] for key, c in self._num.items() if key[i]}, self._den)
 
     def antiderivative(self, var: str = "x") -> "Poly":
+        """Over the lcm m of the new exponents, each numerator gains the factor m / exponent."""
         i = _var_index(var)
-        out: dict[tuple[int, int], Fraction] = {}
-        for key, c in self._coeffs.items():
-            new = list(key)
-            new[i] += 1
-            out[tuple(new)] = c / new[i]
-        return _wrap(out)
-
-    def definite_integral(self, var: str, lo, hi) -> Value:
-        anti = self.antiderivative(var)
-        kw_hi = {var: _as_fraction(hi)}
-        kw_lo = {var: _as_fraction(lo)}
-        return collapse(anti.substitute(**kw_hi) - anti.substitute(**kw_lo))
+        m = lcm(*(key[i] + 1 for key in self._num))
+        return _make({_raised(key, i, 1): c * (m // (key[i] + 1)) for key, c in self._num.items()}, self._den * m)
 
     def substitute(self, x=None, y=None) -> "Poly":
         """Substitute values (scalars or Polys) for x and/or y.
 
-        Each power of a value is its predecessor times the value, up to this
-        polynomial's degree in that variable; a scalar stays a Fraction, so
-        evaluating at a number does no polynomial arithmetic.
+        A value V / D is tabled on its numerator, each power of V the one
+        before times V, up to this polynomial's degree d in that variable:
+        x^k becomes V^k D^(d-k) / D^d.  The sum runs on ints and divides once.
         """
-        table_x = _power_table(X if x is None else x, self.degree_in("x"))
-        table_y = _power_table(Y if y is None else y, self.degree_in("y"))
-        out: dict[tuple[int, int], Fraction] = {}
-        for (dx, dy), c in sorted(self._coeffs.items()):
-            term = table_x[dx] * table_y[dy] if dx and dy else table_x[dx] if dx else table_y[dy]
-            for key, v in term._coeffs.items() if isinstance(term, Poly) else (((0, 0), term),):
-                _madd(out, key, c * v)
-        return _wrap(out)
+        if not self._num:
+            return self
+        px, sx = _numerator_powers(X if x is None else x, self.degree_in("x"))
+        py, sy = _numerator_powers(Y if y is None else y, self.degree_in("y"))
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for (i, j), c in self._num.items():
+            c *= sx[i] * sy[j]
+            term = px[i] * py[j] if i and j else px[i] if i else py[j]
+            if isinstance(term, Poly):
+                for key, v in term._num.items():
+                    out[key] = get(key, 0) + c * v
+            else:
+                out[(0, 0)] = get((0, 0), 0) + c * term
+        return _make(out, self._den * sx[0] * sy[0])
 
     def __call__(self, x=None, y=None) -> Value:
         return collapse(self.substitute(x=x, y=y))
@@ -197,32 +180,30 @@ class Poly:
     # -- equality, hashing, display --------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+        if isinstance(other, Poly):  # lowest terms make the storage canonical
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (Fraction, int)):
-            return self.as_fraction() == _as_fraction(other)
+            return self.as_fraction() == other
         return NotImplemented
 
     def __hash__(self):
         c = self.as_fraction()
-        if c is not None:
-            return hash(c)
-        return hash(frozenset(self._coeffs.items()))
+        return hash(c) if c is not None else hash((frozenset(self._num.items()), self._den))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __repr__(self):
         return f"Poly({self})"
 
     def __str__(self):
-        if not self._coeffs:
+        if not self._num:
             return "0"
         # Descending total degree, then descending x-degree: "x^2 - 3*x + 1".
-        keys = sorted(self._coeffs, key=lambda k: (-(k[0] + k[1]), -k[0]))
+        keys = sorted(self._num, key=lambda k: (-(k[0] + k[1]), -k[0]))
         parts: list[str] = []
         for key in keys:
-            c = self._coeffs[key]
+            c = Fraction(self._num[key], self._den)
             mono = _monomial_str(key)
             if mono == "1":
                 body = format_rational(abs(c))
@@ -239,7 +220,7 @@ class Poly:
     # -- wire format ------------------------------------------------------
 
     def to_json_map(self) -> dict[str, str]:
-        return {_monomial_str(key): format_rational(c) for key, c in sorted(self._coeffs.items())}
+        return {_monomial_str(key): format_rational(c) for key, c in sorted(self.items())}
 
 
 X = Poly.variable("x")
@@ -253,11 +234,14 @@ def _var_index(var: str) -> int:
         raise ValueError(f"unknown indeterminate {var!r}") from None
 
 
+def _raised(key: tuple[int, int], i: int, step: int) -> tuple[int, int]:
+    """key with exponent i (0 for x, 1 for y) moved by step."""
+    return (key[0] + step, key[1]) if i == 0 else (key[0], key[1] + step)
+
+
 def _power_table(base, degree: int) -> list:
     """[1, base, ..., base^degree], each entry the one before times base."""
-    if not isinstance(base, Poly):
-        base = _as_fraction(base)
-    table = [Fraction(1)]
+    table = [1]
     for _ in range(degree):
         table.append(table[-1] * base)
     return table
@@ -274,18 +258,54 @@ def _madd(out: dict, key, c: Fraction) -> None:
         del out[key]
 
 
+def _numerator_powers(value, degree: int) -> tuple[list, list[int]]:
+    """([V^0, ..., V^degree], [D^degree, ..., D^0]) for value = V / D in
+    lowest terms, V an int or a Poly over denominator 1."""
+    if isinstance(value, Poly):
+        v, d = _make(value._num, 1), value._den
+    else:
+        value = _as_fraction(value)
+        v, d = value.numerator, value.denominator
+    return _power_table(v, degree), [d ** (degree - k) for k in range(degree + 1)]
+
+
 def _coerce(obj) -> Poly | None:
     if isinstance(obj, Poly):
         return obj
     if isinstance(obj, (Fraction, int)):
-        return Poly(obj)
+        return _make({(0, 0): obj.numerator} if obj else {}, obj.denominator)
     return None
 
 
-def _wrap(coeffs: dict[tuple[int, int], Fraction]) -> Poly:
+def _make(num: dict[tuple[int, int], int], den: int) -> Poly:
+    """The Poly num / den for den > 0, in lowest terms: zero numerators
+    dropped, then one gcd over den and every numerator (none when den is 1)."""
+    if not all(num.values()):
+        num = {key: c for key, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: c // g for key, c in num.items()}
+            den //= g
     p = Poly.__new__(Poly)
-    p._coeffs = coeffs
+    p._num = num
+    p._den = den
     return p
+
+
+def _sum(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b over the lcm of the two denominators: a merge of the
+    numerators, each scaled only when its denominator is not the lcm."""
+    if not b._num:
+        return a
+    da, db = a._den, b._den
+    den = da if da == db else lcm(da, db)
+    ma, mb = den // da, (den // db) * sign
+    out = dict(a._num) if ma == 1 else {key: c * ma for key, c in a._num.items()}
+    get = out.get
+    for key, c in b._num.items():
+        out[key] = get(key, 0) + c * mb
+    return _make(out, den)
 
 
 def _monomial_str(key: tuple[int, int]) -> str:
@@ -307,21 +327,6 @@ def collapse(value) -> Value:
     return _as_fraction(value)
 
 
-def denominator(value: Value) -> int:
-    """The least common denominator of a value's coefficients (1 for zero)."""
-    if isinstance(value, Poly):
-        return lcm(*(c.denominator for c in value._coeffs.values()))
-    return value.denominator
-
-
-def numerator_over(value: Value, d: int):
-    """value * d for a multiple d of denominator(value): an int, or a Poly
-    whose coefficients are ints, so arithmetic on it does no gcd."""
-    if not isinstance(value, Poly):
-        return value.numerator * (d // value.denominator)
-    return _wrap({key: c.numerator * (d // c.denominator) for key, c in value._coeffs.items()})
-
-
 def value_to_json(value: Value):
     """A moment entry for the CLI wire format: string for scalars, map for polys."""
     v = collapse(value)
@@ -340,4 +345,5 @@ def value_to_str(value: Value) -> str:
 def poly_definite_integral(p: Value, var: str, lo, hi) -> Value:
     if not isinstance(p, Poly):
         return _as_fraction(p) * (_as_fraction(hi) - _as_fraction(lo))
-    return p.definite_integral(var, lo, hi)
+    anti = p.antiderivative(var)
+    return collapse(anti.substitute(**{var: hi}) - anti.substitute(**{var: lo}))

@@ -10,11 +10,11 @@ umbral E[(-m.g)^(m-1)] with g the overbar umbra of h, up to a factor h_1^m.
 
 Every operation is exact and fraction-free inside.  An op splits each
 operand once into numerators over the operand's least common denominator D
-(f = F / D: an ``int`` for a rational moment, a Poly with int coefficients
+(f = F / D: an ``int`` for a rational moment, a Poly over denominator 1
 for a moment in x, y), folds the powers of D and of the leading term that
 its recurrence needs into the binomial rows it builds once per call, runs
-the recurrence on the numerators with no gcd, and divides each output
-entry once (Knuth, TAOCP vol. 2 §4.5.1, on what the gcds cost).  Results are
+the recurrence on the numerators with no gcd, and reduces each output entry
+once (Knuth, TAOCP vol. 2 §4.5.1, on what the gcds cost).  Results are
 reduced ``Fraction``s and collapsed Polys, as if computed in Q[x, y].
 
 Binary operations insist on equal truncation orders (mixing orders silently
@@ -30,7 +30,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
-from .poly import Poly, Value, collapse, denominator, numerator_over
+from .poly import Poly, Value, _make, collapse
 
 Series = tuple[Value, ...]
 
@@ -48,10 +48,18 @@ def _check_orders(f: Sequence[Value], g: Sequence[Value]) -> int:
 
 
 def _split(f: Sequence[Value]) -> tuple[list, int]:
-    """(F, D) with f = F / D: D the least common denominator of f's moments,
-    F their numerators (ints, or Polys with int coefficients)."""
-    d = lcm(*map(denominator, f))
-    return [numerator_over(v, d) for v in f], d
+    """(F, D) with f = F / D: D the lcm of the moments' denominators, F their
+    numerators (ints, or Polys over denominator 1), read off each value."""
+    d = lcm(*(v._den if isinstance(v, Poly) else v.denominator for v in f))
+    return [_numerator(v, d) for v in f], d
+
+
+def _numerator(v: Value, d: int):
+    """v * d for a multiple d of v's denominator: an int, or a Poly over denominator 1."""
+    if not isinstance(v, Poly):
+        return v.numerator * (d // v.denominator)
+    m = d // v._den
+    return _make(v._num if m == 1 else {key: c * m for key, c in v._num.items()}, 1)
 
 
 def _times(v, c: int):
@@ -60,8 +68,8 @@ def _times(v, c: int):
 
 
 def _over(num, den: int) -> Value:
-    """num / den as a reduced Fraction, or a collapsed Poly with Fraction coefficients."""
-    return collapse(num / den) if isinstance(num, Poly) else Fraction(num, den)
+    """num / den (den nonzero) as a reduced Fraction, or a collapsed Poly: one gcd either way."""
+    return collapse(num * Fraction(1, den)) if isinstance(num, Poly) else Fraction(num, den)
 
 
 def _binomial_rows(a: Sequence, first: int = 0) -> list[list[tuple[int, Value]]]:
@@ -114,7 +122,7 @@ def egf_reciprocal(f: Sequence[Value]) -> Series:
     if c0 == 0:
         raise SingularSeriesError("cannot invert a series with zero constant term")
     nums, d = _split(f)
-    a0 = numerator_over(c0, d)
+    a0 = _numerator(c0, d)
     rows = _binomial_rows([_times(a, a0 ** (k - 1)) if k else 0 for k, a in enumerate(nums)], first=1)
     G: list = [1]
     out: list[Value] = [Fraction(d, a0)]

@@ -224,22 +224,19 @@ class ConnectionConstants:
         return self.matrix[n][k]
 
 
-def _triangular_expand(p: Poly, basis: list[list[Fraction]]) -> list[Fraction]:
-    """Coefficients of p in the triangular basis with coefficient rows
-    ``basis``, by back-substitution on p's row of x-coefficients."""
+def _triangular_expand(p: Poly, basis: PolySequence) -> list[Fraction]:
+    """Coefficients of p in the triangular basis, by back-substitution on Polys:
+    from the top, c_k is the x^k coefficient of the residue over that of basis[k]."""
     deg = max(p.degree_in("x"), 0)
-    residue = [p.coefficient(k) for k in range(deg + 1)]
     out = [Fraction(0)] * (deg + 1)
+    residue = p
     for k in range(deg, -1, -1):
-        row = basis[k]
-        c = residue[k] / row[k]
+        c = residue.coefficient(k) / basis[k].coefficient(k)
         out[k] = c
         if c:
-            for j in range(k + 1):
-                residue[j] -= c * row[j]
-    # Terms in y are in no basis row, so they stay in the residue.
-    left = {key: c for key, c in p.items() if key[1]} | {(j, 0): c for j, c in enumerate(residue)}
-    require_equal("triangular expansion residue", (Poly(left),), (0,), first=deg)
+            residue = residue - basis[k] * c
+    # Terms in y are in no basis polynomial, so they stay in the residue.
+    require_equal("triangular expansion residue", (residue,), (0,), first=deg)
     return out
 
 
@@ -263,7 +260,7 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
         return ConnectionConstants(((Fraction(1),),), verified=True)
     r_to = _reversion(to.gamma)
     s = sheffer_moments(frm)
-    basis = _sheffer_table(to, r_to).coefficient_table()
+    basis = _sheffer_table(to, r_to)
     solve = [tuple(_triangular_expand(s[i], basis)) for i in range(n + 1)]
 
     # Umbral route.

@@ -24,7 +24,11 @@ It also holds the two Sheffer pairs that only the tests use, ``power_pair``
 and ``factorial_pair``, and ``tokenize``, a character-by-character scanner
 that tracks the line and column of every token (production: one token
 pattern, positions worked out only for an error, and a bound on the token
-count that this scanner does not have).
+count that this scanner does not have).  ``FractionPoly`` is the polynomial
+ring with one Fraction per coefficient (production: ``Poly``, int numerators
+over one denominator), and ``connection_matrix`` solves for connection
+constants by back-substitution on Fraction coefficient rows (production:
+on Polys).
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from umbralcalc.combinatorics import stirling_first_classical
 from umbralcalc.errors import OrderMismatchError, UmbraSyntaxError
 from umbralcalc.expressions import Environment, Expr, _degree, _Evaluator, default_environment
 from umbralcalc.parser import KEYWORDS
-from umbralcalc.poly import Value, collapse
-from umbralcalc.sheffer import ShefferPair
+from umbralcalc.poly import Poly, Value, _monomial_str, collapse
+from umbralcalc.rationals import format_rational
+from umbralcalc.sheffer import ShefferPair, sheffer_moments
 from umbralcalc.umbra import Umbra, augmentation, singleton, unity
 
 
@@ -338,3 +343,155 @@ def tokenize(text: str) -> list[Token]:
         err(f"illegal character {ch!r}", start, sline, scol)
     tokens.append(Token("EOF", "", n, line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Polynomials with one Fraction per coefficient
+
+
+class FractionPoly:
+    """A polynomial in x, y as a dict {(deg_x, deg_y): Fraction}, zero
+    coefficients never stored, every ring operation done coefficient by
+    coefficient in Fraction arithmetic (production: ``Poly``, int numerators
+    over one denominator, reduced once per operation)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=0):
+        if isinstance(coeffs, (Fraction, int)):
+            coeffs = {(0, 0): coeffs}
+        self.coeffs = {key: Fraction(c) for key, c in coeffs.items() if c}
+
+    @staticmethod
+    def of(p) -> FractionPoly:
+        """The oracle copy of a production Poly or a scalar."""
+        return FractionPoly(dict(p.items()) if isinstance(p, Poly) else p)
+
+    def __add__(self, other):
+        other = _fp(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return FractionPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPoly({key: -c for key, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-_fp(other))
+
+    def __rsub__(self, other):
+        return _fp(other) + (-self)
+
+    def __mul__(self, other):
+        other = _fp(other)
+        out: dict = {}
+        for (ax, ay), ac in self.coeffs.items():
+            for (bx, by), bc in other.coeffs.items():
+                key = (ax + bx, ay + by)
+                out[key] = out.get(key, Fraction(0)) + ac * bc
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        c = Fraction(scalar)
+        if not c:
+            raise ZeroDivisionError("division of polynomial by zero")
+        return FractionPoly({key: v / c for key, v in self.coeffs.items()})
+
+    def __pow__(self, n: int):
+        result = FractionPoly(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def derivative(self, var: str = "x") -> FractionPoly:
+        i = "xy".index(var)
+        out = {}
+        for key, c in self.coeffs.items():
+            if key[i]:
+                new = list(key)
+                new[i] -= 1
+                out[tuple(new)] = c * key[i]
+        return FractionPoly(out)
+
+    def antiderivative(self, var: str = "x") -> FractionPoly:
+        i = "xy".index(var)
+        out = {}
+        for key, c in self.coeffs.items():
+            new = list(key)
+            new[i] += 1
+            out[tuple(new)] = c / new[i]
+        return FractionPoly(out)
+
+    def substitute(self, x=None, y=None) -> FractionPoly:
+        """Each monomial's powers taken by ``**`` on the substituted values."""
+        vx = FractionPoly({(1, 0): 1}) if x is None else _fp(x)
+        vy = FractionPoly({(0, 1): 1}) if y is None else _fp(y)
+        total = FractionPoly()
+        for (dx, dy), c in self.coeffs.items():
+            total = total + c * vx**dx * vy**dy
+        return total
+
+    def __eq__(self, other):
+        return self.coeffs == _fp(other).coeffs
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        keys = sorted(self.coeffs, key=lambda k: (-(k[0] + k[1]), -k[0]))
+        parts: list[str] = []
+        for key in keys:
+            c = self.coeffs[key]
+            mono = _monomial_str(key)
+            if mono == "1":
+                body = format_rational(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{format_rational(abs(c))}*{mono}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def to_json_map(self) -> dict[str, str]:
+        return {_monomial_str(key): format_rational(c) for key, c in sorted(self.coeffs.items())}
+
+
+def _fp(value) -> FractionPoly:
+    return value if isinstance(value, FractionPoly) else FractionPoly.of(value)
+
+
+# ---------------------------------------------------------------------------
+# Connection constants by back-substitution on Fraction rows
+
+
+def triangular_expand_rows(p: Poly, basis: list[list[Fraction]]) -> list[Fraction]:
+    """Coefficients of the y-free p in the triangular basis with coefficient
+    rows ``basis`` (row k ends in its x^k coefficient), by back-substitution
+    on p's row of x-coefficients (production: on Polys, in
+    ``sheffer._triangular_expand``)."""
+    deg = max(p.degree_in("x"), 0)
+    residue = [p.coefficient(k) for k in range(deg + 1)]
+    out = [Fraction(0)] * (deg + 1)
+    for k in range(deg, -1, -1):
+        row = basis[k]
+        c = residue[k] / row[k]
+        out[k] = c
+        if c:
+            for j in range(k + 1):
+                residue[j] -= c * row[j]
+    assert not any(residue), residue
+    return out
+
+
+def connection_matrix(frm: ShefferPair, to: ShefferPair) -> tuple[tuple[Fraction, ...], ...]:
+    """The connection constants c_(n,k), s_n = sum_k c_(n,k) r_k, solved row
+    by row from the two Sheffer tables' coefficient rows."""
+    s, basis = sheffer_moments(frm), sheffer_moments(to).coefficient_table()
+    return tuple(tuple(triangular_expand_rows(s[n], basis)) for n in range(len(s)))

@@ -71,6 +71,7 @@ from umbralcalc.umbra import (
 )
 
 from oracles import dot_via_partitions, factorial_pair, power_pair
+from test_parser import MALFORMED as PARSER_MALFORMED
 from test_sequences import abel_by_powers
 
 
@@ -290,28 +291,8 @@ def _random_expr(rng: random.Random, depth: int):
     return Const(-e.value) if isinstance(e, Const) else ScalarMul(F(-1), e)
 
 
-MALFORMED = [
-    ("3 .. u", 1, 3),
-    ("", 1, 1),
-    ("x .", 1, 4),
-    ("x + ", 1, 5),
-    ("(x + u", 1, 7),
-    ("x + u)", 1, 6),
-    ("adj u", 1, 5),
-    ("adj(u", 1, 6),
-    ("dsum(u)", 1, 7),
-    ("dsum(u,)", 1, 8),
-    ("x ^ y", 1, 5),
-    ("x ^. y", 1, 6),
-    ("x ^", 1, 4),
-    ("1/0", 1, 3),
-    ("1/", 1, 3),
-    ("u @ chi", 1, 3),
-    ("chi . . u", 1, 7),
-    (". u", 1, 1),
-    ("x y", 1, 3),
-    ("inv()", 1, 5),
-]
+# The first 20 entries of the parser's malformed corpus: one-line inputs and positions.
+MALFORMED = PARSER_MALFORMED[:20]
 
 
 def test_criterion_11_parser_and_cli_determinism(tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from umbralcalc.poly import Poly, X, Y, collapse, poly_definite_integral
 from umbralcalc.rationals import format_rational
+
+from oracles import FractionPoly
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -123,3 +126,60 @@ def test_collapse():
     assert collapse(X * 0) == F(0)
     assert isinstance(collapse(Poly(3)), F)
     assert collapse(X) is X
+
+
+# Against the Fraction-per-coefficient oracle: coefficients signed, small or
+# about 150 bits wide, over small, wide or power-of-two denominators, so that
+# operands mix denominators; Polys dense or sparse in x and y, constant or zero.
+_WIDE = 2**150
+_numerators = st.one_of(st.integers(-12, 12), st.integers(-_WIDE, _WIDE))
+_denominators = st.one_of(st.integers(1, 12), st.integers(1, _WIDE), st.integers(0, 150).map(lambda k: 2**k))
+wide_fractions = st.builds(F, _numerators, _denominators)
+wide_polys = st.one_of(
+    st.just(Poly(0)),
+    wide_fractions.map(Poly),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 2)), wide_fractions, max_size=6).map(Poly),
+    st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)), wide_fractions, max_size=3).map(Poly),
+)
+
+
+def assert_canonical(p):
+    """Lowest terms: a positive denominator sharing no factor with the
+    numerators, no zero numerator stored, denominator 1 for zero; a constant
+    equals and hashes like its Fraction."""
+    num, den = p._num, p._den
+    assert den > 0 and all(num.values()) and gcd(den, *num.values()) == 1
+    c = p.as_fraction()
+    if c is not None:
+        assert p == c and hash(p) == hash(c) and (num or den == 1)
+
+
+def assert_matches(p, expected):
+    assert_canonical(p)
+    assert dict(p.items()) == expected.coeffs
+    assert str(p) == str(expected)
+    assert p.to_json_map() == expected.to_json_map()
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_polys, wide_polys, wide_fractions, st.integers(0, 3), wide_fractions, st.sampled_from("xy"))
+def test_ring_matches_fraction_oracle(p, q, s, n, point, var):
+    fp, fq = FractionPoly.of(p), FractionPoly.of(q)
+    assert_matches(p, fp)
+    assert_matches(p + q, fp + fq)
+    assert_matches(p - q, fp - fq)
+    assert_matches(-p, -fp)
+    assert_matches(p * q, fp * fq)
+    assert_matches(p * s, fp * s)
+    assert_matches(s * p, fp * s)
+    assert_matches(s - p, s - fp)
+    if s:
+        assert_matches(p / s, fp / s)
+    assert_matches(p**n, fp**n)
+    assert_matches(p.substitute(**{var: point}), fp.substitute(**{var: point}))
+    assert_matches(p.substitute(x=X + Y), fp.substitute(x=FractionPoly.of(X + Y)))
+    assert_matches(p.derivative(var), fp.derivative(var))
+    assert_matches(p.antiderivative(var), fp.antiderivative(var))
+    assert (p == q) == (fp == fq)
+    assert p - p == 0 and hash(p + 0) == hash(p)
+    assert hash(Poly(s)) == hash(s) and Poly(s) == s

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from umbralcalc.combinatorics import stirling_second_classical
 from umbralcalc.poly import Poly, X, Y
 from umbralcalc.series import egf_mul, egf_power
+from umbralcalc.sheffer import ShefferPair, connection_constants
 from umbralcalc.umbra import (
     Umbra,
     adjoint,
@@ -27,7 +28,7 @@ from umbralcalc.umbra import (
     umbral_sum,
 )
 
-from oracles import dot_via_partitions
+from oracles import connection_matrix, dot_via_partitions
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -180,3 +181,16 @@ def test_polynomial_dot_composes_like_the_series_power(left_and_right):
     the series power f(a, t)^p."""
     p, a = left_and_right
     assert dot(p, a) == Umbra(egf_power(a.moments, p))
+
+
+def sheffer_pairs(order):
+    return st.builds(ShefferPair, umbrae(order), invertible_umbrae(order) if order else umbrae(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(sheffer_pairs(n), sheffer_pairs(n))))
+def test_connection_constants_match_fraction_back_substitution(pairs):
+    """The solve on Polys gives the constants that back-substitution on
+    Fraction coefficient rows gives, at orders 0-10."""
+    frm, to = pairs
+    assert connection_constants(frm, to).matrix == connection_matrix(frm, to)
