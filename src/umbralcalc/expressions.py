@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from typing import Callable, Mapping, Union
 
@@ -218,6 +219,14 @@ def _is_linear(upoly: dict) -> bool:
     return all(sum(e for _, e in atoms) <= 1 for atoms, _, _ in upoly)
 
 
+def _variables(moments) -> tuple[bool, bool]:
+    """(mentions y, mentions x): sorts scalar moments first, then x alone, y alone, both."""
+    if Poly not in map(type, moments):
+        return False, False
+    polys = [v for v in moments if isinstance(v, Poly)]
+    return any(p.degree_in("y") > 0 for p in polys), any(p.degree_in("x") > 0 for p in polys)
+
+
 def _expansion_work(monomials, n: int) -> int:
     """An upper bound on the monomial products that build p, p^2, ..., p^n
     one from the next, p a sum of the given m monomials: m times the
@@ -381,7 +390,9 @@ class _Evaluator:
         """Moments to ``order`` of a linear form P_0 + sum_i P_i a_i, the P_i
         polynomials in x, y and the a_i distinct labels: the egf_mul product
         of the umbrae P_i a_i (moments P_i^n a_n) and of P_0 (moments P_0^n).
-        Each atom is fetched once, at ``order``."""
+        Each atom is fetched once, at ``order``.  The scalar parts and those
+        in x alone are multiplied first, those in y alone apart, the two joined
+        by one product, and the parts in both x and y come last."""
         self.budget({((), dx, dy) for _, dx, dy in base}, order)
         parts: dict = {}
         for (atoms, dx, dy), c in base.items():
@@ -390,16 +401,19 @@ class _Evaluator:
         constant = parts.pop(None, Fraction(0))
         if not order:
             return (Fraction(1),)
-        moments = None
+        umbrae = []
         for label, c in parts.items():
             a = self._sources[label](order)
-            if c != 1:
-                a = scalar_multiple(collapse(c), a)
-            moments = a.moments if moments is None else egf_mul(moments, a.moments)
-        if moments is None or constant:
-            powers = scalar_umbra(collapse(constant), order).moments
-            moments = powers if moments is None else egf_mul(moments, powers)
-        return moments
+            umbrae.append((a if c == 1 else scalar_multiple(collapse(c), a)).moments)
+        if not umbrae or constant:
+            umbrae.append(scalar_umbra(collapse(constant), order).moments)
+        if len(umbrae) == 1:
+            return umbrae[0]
+        groups: dict = {}  # free of y, then y alone, then each part in both on its own
+        for (mentions, i), moments in sorted(((_variables(m), i), m) for i, m in enumerate(umbrae)):
+            key = ("both", i) if all(mentions) else mentions[0]
+            groups[key] = egf_mul(groups[key], moments) if key in groups else moments
+        return reduce(egf_mul, groups.values())
 
     # -- the functional E -------------------------------------------------
 

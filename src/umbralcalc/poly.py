@@ -162,17 +162,9 @@ class Poly:
             return self
         px, sx = _numerator_powers(X if x is None else x, self.degree_in("x"))
         py, sy = _numerator_powers(Y if y is None else y, self.degree_in("y"))
-        out: dict[tuple[int, int], int] = {}
-        get = out.get
-        for (i, j), c in self._num.items():
-            c *= sx[i] * sy[j]
-            term = px[i] * py[j] if i and j else px[i] if i else py[j]
-            if isinstance(term, Poly):
-                for key, v in term._num.items():
-                    out[key] = get(key, 0) + c * v
-            else:
-                out[(0, 0)] = get((0, 0), 0) + c * term
-        return _make(out, self._den * sx[0] * sy[0])
+        terms = ((c * sx[i] * sy[j], px[i] * py[j] if i and j else px[i] if i else py[j])
+                 for (i, j), c in self._num.items())
+        return _make(_sum_products(terms)._num, self._den * sx[0] * sy[0])
 
     def __call__(self, x=None, y=None) -> Value:
         return collapse(self.substitute(x=x, y=y))
@@ -306,6 +298,29 @@ def _sum(a: Poly, b: Poly, sign: int) -> Poly:
     for key, c in b._num.items():
         out[key] = get(key, 0) + c * mb
     return _make(out, den)
+
+
+def _sum_products(pairs) -> Poly:
+    """sum of w * v over (w, v) pairs, each an int or a Poly over denominator 1,
+    as a Poly over denominator 1: every product goes into one numerator dict,
+    with no copy per term and no gcd, and ``_make`` runs once."""
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for w, v in pairs:
+        if not isinstance(w, Poly):
+            if not isinstance(v, Poly):
+                out[(0, 0)] = get((0, 0), 0) + w * v
+                continue
+            w, v = v, w
+        if isinstance(v, Poly):
+            for (ax, ay), a in w._num.items():
+                for (bx, by), b in v._num.items():
+                    key = (ax + bx, ay + by)
+                    out[key] = get(key, 0) + a * b
+        elif v:
+            for key, a in w._num.items():
+                out[key] = get(key, 0) + a * v
+    return _make(out, 1)
 
 
 def _monomial_str(key: tuple[int, int]) -> str:

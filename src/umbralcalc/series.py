@@ -14,8 +14,12 @@ operand once into numerators over the operand's least common denominator D
 for a moment in x, y), folds the powers of D and of the leading term that
 its recurrence needs into the binomial rows it builds once per call, runs
 the recurrence on the numerators with no gcd, and reduces each output entry
-once (Knuth, TAOCP vol. 2 §4.5.1, on what the gcds cost).  Results are
-reduced ``Fraction``s and collapsed Polys, as if computed in Q[x, y].
+once (Knuth, TAOCP vol. 2 §4.5.1, on what the gcds cost).  The split also
+says once per op whether the numerators hold a Poly.  If they do, each sum
+of products accumulates in place, every term into one numerator dict
+(``poly._sum_products``), with no copy of a partial sum per term; if not,
+the sums run on ints alone.  Results are reduced ``Fraction``s and
+collapsed Polys, as if computed in Q[x, y].
 
 Binary operations insist on equal truncation orders (mixing orders silently
 is how truncation bugs are born).  Moments may be rationals or polynomials
@@ -30,7 +34,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
-from .poly import Poly, Value, _make, collapse
+from .poly import Poly, Value, _make, _sum_products, collapse
 
 Series = tuple[Value, ...]
 
@@ -47,11 +51,15 @@ def _check_orders(f: Sequence[Value], g: Sequence[Value]) -> int:
     return len(f) - 1
 
 
-def _split(f: Sequence[Value]) -> tuple[list, int]:
-    """(F, D) with f = F / D: D the lcm of the moments' denominators, F their
-    numerators (ints, or Polys over denominator 1), read off each value."""
+def _split(f: Sequence[Value]) -> tuple[list, int, bool]:
+    """(F, D, polys) with f = F / D: D the lcm of the moments' denominators, F
+    their numerators (ints, or Polys over denominator 1), read off each value,
+    and ``polys`` whether F holds a Poly, which picks the op's sums once."""
+    if Poly not in map(type, f):
+        d = lcm(*(v.denominator for v in f))
+        return [v.numerator * (d // v.denominator) for v in f], d, False
     d = lcm(*(v._den if isinstance(v, Poly) else v.denominator for v in f))
-    return [_numerator(v, d) for v in f], d
+    return [_numerator(v, d) for v in f], d, True
 
 
 def _numerator(v: Value, d: int):
@@ -83,8 +91,11 @@ def _binomial_rows(a: Sequence, first: int = 0) -> list[list[tuple[int, Value]]]
     return [[(k, c * comb(n, k)) for k, c in terms if k <= n] for n in range(len(a))]
 
 
-def _convolve(rows: list[list[tuple[int, Value]]], g: Sequence) -> list:
-    """sum_k C(n,k) a_k g_(n-k) for every n, from the rows of a; no division."""
+def _convolve(rows: list[list[tuple[int, Value]]], g: Sequence, polys: bool) -> list:
+    """sum_k C(n,k) a_k g_(n-k) for every n, from the rows of a; no division.
+    Each entry accumulates in one numerator dict when ``polys``."""
+    if polys:
+        return [_sum_products((w, g[n - k]) for k, w in row) for n, row in enumerate(rows)]
     return [sum((w * g[n - k] for k, w in row), 0) for n, row in enumerate(rows)]
 
 
@@ -99,8 +110,8 @@ def egf_mul(f: Sequence[Value], g: Sequence[Value]) -> Series:
     sum_k C(n,k) F_k G_(n-k) / (D_f D_g).
     """
     _check_orders(f, g)
-    (nf, df), (ng, dg) = _split(f), _split(g)
-    return tuple(_over(c, df * dg) for c in _convolve(_binomial_rows(nf), ng))
+    (nf, df, pf), (ng, dg, pg) = _split(f), _split(g)
+    return tuple(_over(c, df * dg) for c in _convolve(_binomial_rows(nf), ng, pf or pg))
 
 
 def _leading_scalar(value: Value, what: str) -> Fraction:
@@ -121,14 +132,17 @@ def egf_reciprocal(f: Sequence[Value]) -> Series:
     c0 = _leading_scalar(f[0], "constant term of a reciprocal")
     if c0 == 0:
         raise SingularSeriesError("cannot invert a series with zero constant term")
-    nums, d = _split(f)
+    nums, d, polys = _split(f)
     a0 = _numerator(c0, d)
     rows = _binomial_rows([_times(a, a0 ** (k - 1)) if k else 0 for k, a in enumerate(nums)], first=1)
     G: list = [1]
     out: list[Value] = [Fraction(d, a0)]
     lead = a0
     for m in range(1, n + 1):
-        G.append(-sum((w * G[m - k] for k, w in rows[m]), 0))
+        if polys:
+            G.append(-_sum_products((w, G[m - k]) for k, w in rows[m]))
+        else:
+            G.append(-sum((w * G[m - k] for k, w in rows[m]), 0))
         lead *= a0
         out.append(_over(_times(G[m], d), lead))
     return tuple(out)
@@ -149,17 +163,26 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
     if collapse(h[0]) != 0:
         raise ValueError("inner series of a composition must have zero constant term")
     top = max((k for k in range(1, n + 1) if f[k]), default=0)
-    (nf, df), (nh, dh) = _split(f), _split(h)
+    (nf, df, polys), (nh, dh, polys_h) = _split(f), _split(h)
+    polys |= polys_h
     rows = _binomial_rows(nh[1:])  # row i - 1 holds C(i-1, d-1) H_d at index d - 1
     out: list = [_times(nf[0], dh**top)] + [0] * n
+    terms = [(out[0], [1] + [0] * n)]  # the (F_k, column k) that Polys sum at the end
     column = nh  # B_(i,1) = H_i
     for k in range(1, top + 1):
         fk = nf[k]
         if fk:
             fk = _times(fk, dh ** (top - k))
-            for i in range(k, n + 1):
-                out[i] = out[i] + fk * column[i]
-        if k < top:
+            if polys:
+                terms.append((fk, column))
+            else:
+                for i in range(k, n + 1):
+                    out[i] = out[i] + fk * column[i]
+        if k < top and polys_h:  # B_(i-d,k) vanishes for d > i - k
+            nxt = [_sum_products((w, column[i - 1 - j]) for j, w in rows[i - 1] if j < i - k)
+                   for i in range(k + 1, n + 1)]
+            column = [0] * (k + 1) + nxt
+        elif k < top:
             nxt: list = [0] * (n + 1)
             for i in range(k + 1, n + 1):
                 acc = 0
@@ -169,6 +192,8 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
                     acc = acc + w * column[i - 1 - j]
                 nxt[i] = acc
             column = nxt
+    if polys:
+        out = [_sum_products((fk, col[i]) for fk, col in terms) for i in range(n + 1)]
     den = df * dh**top
     return tuple(_over(c, den) for c in out)
 
@@ -191,12 +216,12 @@ def egf_revert(h: Sequence[Value]) -> Series:
     if h1 == 0:
         raise NonInvertibleError("reversion needs a nonzero linear coefficient")
     q = egf_reciprocal(tuple(collapse(h[d + 1]) / (d + 1) for d in range(n)))  # t/h mod t^N
-    nq, dq = _split(q)
+    nq, dq, polys = _split(q)
     rows = _binomial_rows(nq)
     power, den = nq, dq
     r: list[Value] = [Fraction(0), q[0]]
     for m in range(2, n + 1):
-        power = _convolve(rows, power)
+        power = _convolve(rows, power, polys)
         den *= dq
         r.append(_over(power[m - 1], den))
     return tuple(r)
@@ -213,14 +238,17 @@ def egf_log(f: Sequence[Value]) -> Series:
     n = _order(f)
     if collapse(f[0]) != 1:
         raise ValueError("logarithm needs constant term 1")
-    nums, d = _split(f)
+    nums, d, polys = _split(f)
     scaled = [_times(c, d ** (k - 1)) if k else 0 for k, c in enumerate(nums)]  # F_k D^(k-1)
     rows = _binomial_rows(scaled, first=1)
     K: list = [0] * (n + 1)
     out: list[Value] = [Fraction(0)] * (n + 1)
     den = 1
     for m in range(1, n + 1):
-        K[m] = scaled[m] - sum((w * K[m - j] for j, w in rows[m - 1]), 0)
+        if polys:
+            K[m] = scaled[m] - _sum_products((w, K[m - j]) for j, w in rows[m - 1])
+        else:
+            K[m] = scaled[m] - sum((w * K[m - j] for j, w in rows[m - 1]), 0)
         den *= d
         out[m] = _over(K[m], den)
     return tuple(out)
@@ -236,14 +264,17 @@ def egf_exp(h: Sequence[Value]) -> Series:
     n = _order(h)
     if collapse(h[0]) != 0:
         raise ValueError("exponential needs zero constant term")
-    nums, d = _split(h)
+    nums, d, polys = _split(h)
     # row m - 1 holds C(m-1, k-1) H_k D^(k-1) at index k - 1
     rows = _binomial_rows([_times(c, d**j) for j, c in enumerate(nums[1:])])
     A: list = [1]
     out: list[Value] = [Fraction(1)]
     den = 1
     for m in range(1, n + 1):
-        A.append(sum((w * A[m - 1 - j] for j, w in rows[m - 1]), 0))
+        if polys:
+            A.append(_sum_products((w, A[m - 1 - j]) for j, w in rows[m - 1]))
+        else:
+            A.append(sum((w * A[m - 1 - j] for j, w in rows[m - 1]), 0))
         den *= d
         out.append(_over(A[m], den))
     return tuple(out)

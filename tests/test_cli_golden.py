@@ -119,6 +119,12 @@ GOLDEN = [
      "f44ab97040f400fc0e408b172d2e6029f7eb901d94d05dc9c9860a42cfac1829"),
     (["eval", "(x + 1)^8", "--order", "16"],
      "88f7d3d73ffba691f28a26005f8c465e627c8cf1f4965c52676544910c4ff00f"),
+    # Linear forms whose parts are in x alone and in y alone, multiplied in
+    # an order of their own, whatever the order of the summands.
+    (["eval", "x . bern + y . bell + x . bell", "--order", "12"],
+     "b7eb591afd7f5ac5454f2efbe113983b4d5b4a8ffd42c359b31e8f0df2e72672"),
+    (["eval", "y . bern + x . bell + y . bell", "--order", "12"],
+     "acc8dd3c06417e1854a61a1eb9d7b59e8a25dd8fb6b885a643ac125b17c5f5c9"),
     # The pretty, csv and latex renderers on Poly moments, checks and notes,
     # and the define and list renderers.
     (["eval", "y . bell + x . bern", "--order", "4", "--format", "pretty"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbralcalc.poly import Poly, X, Y, collapse, poly_definite_integral
+from umbralcalc.poly import Poly, X, Y, _sum_products, collapse, poly_definite_integral
 from umbralcalc.rationals import format_rational
 
 from oracles import FractionPoly
@@ -183,3 +183,28 @@ def test_ring_matches_fraction_oracle(p, q, s, n, point, var):
     assert (p == q) == (fp == fq)
     assert p - p == 0 and hash(p + 0) == hash(p)
     assert hash(Poly(s)) == hash(s) and Poly(s) == s
+
+
+# The kernel's fused multiply-accumulate: pairs of ints and Polys over
+# denominator 1 (small or 150-bit numerators, terms in y), each pair possibly
+# followed later by its negation; with ``cancel_all`` every pair is negated and
+# one constant pair added, so the sum collapses to that constant (or to zero).
+integral_polys = st.one_of(
+    st.just(Poly(0)),
+    _numerators.map(Poly),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 2)), _numerators, max_size=5).map(Poly),
+)
+factors = st.one_of(_numerators, integral_polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(factors, factors), max_size=6), st.lists(st.booleans(), max_size=6), st.booleans(), _numerators)
+def test_sum_products_matches_fraction_oracle(pairs, negate, cancel_all, constant):
+    flags = [True] * len(pairs) if cancel_all else negate
+    terms = pairs + [(-w, v) for (w, v), neg in zip(pairs, flags) if neg]
+    if cancel_all:
+        terms.append((constant, 1))
+    expected = sum((FractionPoly.of(w) * FractionPoly.of(v) for w, v in terms), FractionPoly(0))
+    total = _sum_products(terms)
+    assert total._den == 1
+    assert_matches(total, expected)

@@ -4,7 +4,7 @@ instead, through the test-local bridge ``coeffs_of`` / ``moments_of``, so they
 share no code with the kernel they check."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -185,20 +185,30 @@ nonzero_scalars = fractions.filter(lambda c: c != 0)
 PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 wide_fractions = st.builds(F, st.integers(-(10**6), 10**6), st.sampled_from([1] + PRIMES))
 integers = st.integers(-9, 9).map(F)
+# Moments drawn from a few values and their negatives, Fractions and Polys in x
+# and y mixed in one tuple, so that the kernel's sums cancel to constants or to
+# zero (the inner series of a composition included).
+Y = Poly.variable("y")
+CANCELLING = [F(1), F(1, 2), X, X - 1, Y - X, X * Y / 3, (X + Y) / 2, X * X - F(1, 4)]
+cancelling = st.sampled_from([F(0), *CANCELLING, *(-c for c in CANCELLING)])
 FAMILIES = {
     "small": (coefficients, nonzero_scalars),
     "wide": (st.one_of(st.just(F(0)), wide_fractions, polys_over(wide_fractions)), wide_fractions.filter(bool)),
     "integral": (st.one_of(st.just(F(0)), integers, polys_over(integers)), integers.filter(bool)),
+    "cancelling": (cancelling, st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2)])),
 }
 families = st.sampled_from(sorted(FAMILIES)).map(FAMILIES.__getitem__)
 
 
-def normal(moments):
-    """Assert every entry is a reduced Fraction or a non-constant Poly with
-    Fraction coefficients, as the kernel must return; pass the tuple on."""
+def normal(moments, *inputs):
+    """Assert every entry is a reduced Fraction or a non-constant Poly in
+    lowest terms with Fraction coefficients, as the kernel must return, and
+    only Fractions when the given input series hold no Poly; pass the tuple on."""
+    rational = inputs and not any(isinstance(v, Poly) for f in inputs for v in f)
     for v in moments:
         if isinstance(v, Poly):
-            assert v.as_fraction() is None
+            assert not rational and v.as_fraction() is None
+            assert all(v._num.values()) and gcd(v._den, *v._num.values()) == 1
             assert all(type(c) is F for _, c in v.items())
         else:
             assert type(v) is F
@@ -248,23 +258,25 @@ def test_kernel_matches_coefficient_form(data):
     """Every kernel op equals its plain coefficient-form computation through
     the n! bridge, on moment tuples of order 0-12 from one family: small
     Fractions and Polys, wide numerators over coprime denominators (mixed
-    Fraction/Poly tuples), or integral tuples (D = 1).  The leading scalar is
-    the constant term of the reciprocal and the linear term of the reversion
-    (negative and non-unit in the explicit examples).  Every output is a
-    reduced Fraction or a collapsed Poly."""
+    Fraction/Poly tuples), integral tuples (D = 1), or values and their
+    negatives whose sums cancel.  The leading scalar is the constant term of
+    the reciprocal and the linear term of the reversion (negative and
+    non-unit in the explicit examples).  Every output is a reduced Fraction
+    or a collapsed Poly in lowest terms, and only Fractions for rational
+    inputs."""
     a, b, c, c0, e = data
     f, g = (c0, *a), (F(1), *b)  # any scalar constant term; constant term 1
     h = (F(0), *c)
     cf, cg, ch = coeffs_of(f), coeffs_of(g), coeffs_of(h)
-    assert normal(egf_mul(f, g)) == moments_of(cmul(cf, cg))
-    assert normal(egf_reciprocal(f)) == moments_of(creciprocal(cf))
-    assert normal(egf_log(g)) == moments_of(clog(cg))
-    assert normal(egf_exp(h)) == moments_of(cexp(ch))
-    assert normal(egf_power(g, e)) == moments_of(cpower(cg, e))
-    assert normal(egf_compose(g, h)) == moments_of(horner_compose(cg, ch))
+    assert normal(egf_mul(f, g), f, g) == moments_of(cmul(cf, cg))
+    assert normal(egf_reciprocal(f), f) == moments_of(creciprocal(cf))
+    assert normal(egf_log(g), g) == moments_of(clog(cg))
+    assert normal(egf_exp(h), h) == moments_of(cexp(ch))
+    assert normal(egf_power(g, e), g, (e,)) == moments_of(cpower(cg, e))
+    assert normal(egf_compose(g, h), g, h) == moments_of(horner_compose(cg, ch))
     if len(h) > 1:
         hr = (F(0), c0, *c[1:])  # a nonzero scalar linear term
-        assert normal(egf_revert(hr)) == moments_of(recompose_revert(coeffs_of(hr)))
+        assert normal(egf_revert(hr), hr) == moments_of(recompose_revert(coeffs_of(hr)))
 
 
 def test_revert_examples():
