@@ -9,7 +9,8 @@ ring operation works on the ints and reduces once, by one gcd over the result
 give ``Fraction`` coefficients; a constant polynomial compares equal (and
 hashes equal) to the corresponding scalar, so values of type
 ``Fraction | Poly`` mix freely.  A Poly over denominator 1 is its own integer
-numerator: the series kernel computes on such Polys with no gcd.
+numerator: the series kernel computes on such Polys with no gcd, and sums
+their products in one numerator dict (``_sum_products``).
 
 Two indeterminates are all the calculus ever needs: x carries polynomial
 moments, y shows up only in two-variable identity checks.
