@@ -13,10 +13,12 @@ it, after the first-moment rule.  Values are formatted only by ``render``.
 
 Exit codes: 0 success, 1 usage/parse/unknown-name, an expression past the
 order cap or a result too large to print (OutputSizeError), 2 mathematical
-failure, 3 I/O failure (including an unreadable workspace file), 4 a failed
-run-time self-check (ConsistencyError: two routes to one result disagree;
-stdout stays empty and one stderr line names the check and the first
-differing coefficient).
+failure (UmbralError), 3 I/O failure (OSError, or WorkspaceError for an
+unreadable workspace file), 4 a failed run-time self-check (ConsistencyError:
+two routes to one result disagree; stdout stays empty and one stderr line
+names the check and the first differing coefficient).  Each code owns its own
+exception types, none a subclass of another's, and no builtin exception but
+OSError is caught: any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -422,18 +424,18 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownUmbraError as exc:
         print(f"umbra: {exc}", file=sys.stderr)
         return 1
-    except ConsistencyError as exc:
-        print(f"umbra: consistency error: {exc}", file=sys.stderr)
-        return 4
-    except WorkspaceError as exc:  # a ValueError, so caught before the catch-all below
-        print(f"umbra: workspace error: {exc}", file=sys.stderr)
-        return 3
-    except (UmbralError, ValueError, ZeroDivisionError) as exc:
+    except UmbralError as exc:
         print(f"umbra: math error: {exc}", file=sys.stderr)
         return 2
+    except WorkspaceError as exc:
+        print(f"umbra: workspace error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"umbra: i/o error: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"umbra: consistency error: {exc}", file=sys.stderr)
+        return 4
     sys.stdout.write(text)
     return 0
 

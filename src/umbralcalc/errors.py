@@ -1,11 +1,14 @@
 """Error types shared across the package.
 
-The CLI maps these onto exit codes: syntax/name problems, expressions past
-the order cap and results too large to print (OutputSizeError, defined beside
-the wire format in ``rationals``) are user-input errors (1), UmbralError
-subclasses are mathematical failures (2), a WorkspaceError is an I/O failure
-(3), and a ConsistencyError -- two routes to one result disagreeing in a
-run-time self-check -- is an engine fault (4).
+The CLI maps these onto exit codes, each owning its own types and no two
+related by subclassing: syntax/name problems, expressions past the order cap
+and results too large to print (OutputSizeError, defined beside the wire
+format in ``rationals``) are user-input errors (1), UmbralError subclasses
+are mathematical failures (2), a WorkspaceError is an I/O failure (3), and a
+ConsistencyError -- two routes to one result disagreeing in a run-time
+self-check -- is an engine fault (4).  No builtin exception but OSError (3)
+is caught: the library's ValueError, ZeroDivisionError and TypeError are
+argument checks for library callers, and one reaching the CLI is a bug.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class VariableCaptureError(UmbralError):
     command and x or y for connect.  The message names the option."""
 
 
-class ConsistencyError(UmbralError):
+class ConsistencyError(Exception):
     """A run-time self-check failed: at entry n, the coefficient of ``monomial``
     is ``lhs`` on the returned route and ``rhs`` on the checking route."""
 
@@ -60,10 +63,10 @@ def _show(q: Fraction) -> str:
         return f"<{exc}>"
 
 
-class WorkspaceError(ValueError):
+class WorkspaceError(Exception):
     """A workspace file that cannot be read as a workspace (corrupt JSON,
-    wrong version, malformed or non-unital entry); the message names the
-    file or entry."""
+    nesting too deep to parse, wrong version, malformed or non-unital
+    entry); the message names the file or entry."""
 
 
 class OrderCapError(Exception):

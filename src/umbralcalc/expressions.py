@@ -49,7 +49,7 @@ from functools import reduce
 from math import comb
 from typing import Callable, Mapping, Union
 
-from .errors import OrderCapError, OrderMismatchError, UnknownUmbraError
+from .errors import OrderCapError, UnknownUmbraError
 from .poly import Poly, Value, _madd, collapse
 from .series import egf_mul
 from .umbra import (
@@ -103,12 +103,6 @@ class Const(Expr):
 
 @dataclass(frozen=True)
 class Sum(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Product(Expr):
     left: Expr
     right: Expr
 
@@ -264,19 +258,7 @@ class _Evaluator:
             if name not in self.env:
                 raise UnknownUmbraError(f"unknown umbra {name!r}")
             src = self.env[name]
-            if isinstance(src, Umbra):
-                fixed = src
-
-                def fn(k: int, fixed=fixed, name=name) -> Umbra:
-                    if k > fixed.order:
-                        raise OrderMismatchError(
-                            f"umbra {name!r} defines moments only to order {fixed.order}"
-                        )
-                    return fixed.truncated(k)
-
-                self._sources[label] = fn
-            else:
-                self._sources[label] = src
+            self._sources[label] = src.truncated if isinstance(src, Umbra) else src
         return label
 
     def require(self, need: int) -> None:
@@ -329,8 +311,6 @@ class _Evaluator:
             for key, c in self.upoly(expr.right).items():
                 _madd(out, key, c)
             return out
-        if isinstance(expr, Product):
-            return _umul(self.upoly(expr.left), self.upoly(expr.right))
         if isinstance(expr, ScalarMul):
             c = Fraction(expr.scalar)
             return {key: c * v for key, v in self.upoly(expr.expr).items()} if c else {}

@@ -3,16 +3,20 @@
 The scalar ring of the whole package is ``fractions.Fraction``: arbitrary
 precision, always reduced, positive denominator.  This module only adds the
 wire format used by the CLI and the workspace file: a rational serializes as
-``"p/q"``, or ``"p"`` when the denominator is 1.  A value whose numerator or
-denominator has more decimal digits than Python converts to text
+``"p/q"``, or ``"p"`` when the denominator is 1, and is parsed from exactly
+that form (p may carry a sign).  A value whose numerator or denominator has
+more decimal digits than Python converts to text
 (``sys.get_int_max_str_digits()``, 4300 by default) raises OutputSizeError
 before any conversion is tried.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"(?P<p>[+-]?\d+)(?:/(?P<q>\d+))?")
 
 
 class OutputSizeError(Exception):
@@ -37,11 +41,13 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"``; raises ValueError on anything else, q = 0 included."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty rational literal")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    """Parse ``"p/q"`` or ``"p"``, p with an optional sign, after stripping
+    whitespace; raises ValueError on anything else (decimals, exponents and
+    digit separators included) and on q = 0."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if not match:
+        raise ValueError(f"not a rational literal p/q: {text!r}")
+    p, q = int(match["p"]), int(match["q"] or 1)
+    if not q:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(p, q)

@@ -158,7 +158,7 @@ def stirling_first_umbral(n: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Poisson-Charlier and exponential polynomials
+# Poisson-Charlier polynomials
 
 
 def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
@@ -180,14 +180,6 @@ def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
     )
     require_equal("poisson-charlier table vs closed form", table, closed)
     return table
-
-
-def exponential_polynomials(n_max: int) -> PolySequence:
-    """Phi_n(x) = sum_i S(n,i) x^i; equals the moments of x.bell."""
-    polys = [Poly({(i, 0): stirling_second_classical(n, i) for i in range(n + 1)}) for n in range(n_max + 1)]
-    seq = PolySequence(tuple(polys))
-    require_equal("exponential polynomials vs x.bell", seq, dot(X, bell_umbra(n_max)).moments)
-    return seq
 
 
 # ---------------------------------------------------------------------------

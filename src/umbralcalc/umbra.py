@@ -75,7 +75,8 @@ class Umbra:
 
     def truncated(self, order: int) -> "Umbra":
         if order > self.order:
-            raise OrderMismatchError(f"umbra holds moments only to order {self.order}")
+            who = f"umbra {self.name!r}" if self.name else "umbra"
+            raise OrderMismatchError(f"{who} holds moments only to order {self.order}")
         return Umbra(self._moments[: order + 1], name=self.name)
 
     def __eq__(self, other):

@@ -37,7 +37,7 @@ def load_raw(path: str | Path) -> dict:
     try:
         with open(p, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nested too deep to parse
         raise WorkspaceError(f"{p}: not a JSON document ({exc})") from None
     if not isinstance(data, dict):
         raise WorkspaceError(f"{p}: workspace root must be a JSON object")

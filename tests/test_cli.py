@@ -1,5 +1,9 @@
+import ast
+import builtins
 import contextlib
+import inspect
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -95,6 +99,29 @@ def test_exit_codes(run, tmp_path):
     # i/o failure: workspace path is a directory
     code, _, err = run("define", "w", "--moments", "1,1", "--workspace", str(tmp_path), use_workspace=False)
     assert code == 3
+
+
+def test_each_exit_code_catches_its_own_types():
+    """No except clause of main catches a subclass of another clause's type,
+    and OSError is the only builtin exception caught."""
+    clauses = [h.type for h in ast.walk(ast.parse(inspect.getsource(main))) if isinstance(h, ast.ExceptHandler)]
+    names = [n.id for c in clauses for n in (c.elts if isinstance(c, ast.Tuple) else [c])]
+    types = [vars(cli).get(name) or getattr(builtins, name) for name in names]
+    for a, b in itertools.permutations(types, 2):
+        assert not issubclass(a, b), (a, b)
+    assert [t for t in types if t.__module__ == "builtins"] == [OSError]
+
+
+def test_an_untyped_exception_propagates(run, monkeypatch):
+    """A builtin exception out of a command is a bug: main lets it through
+    instead of mapping it to an exit code."""
+
+    def broken(args):
+        raise ValueError("an argument check for library callers")
+
+    monkeypatch.setitem(cli._COMMANDS, "list", broken)
+    with pytest.raises(ValueError, match="an argument check for library callers"):
+        run("list")
 
 
 @pytest.mark.parametrize(
@@ -279,7 +306,7 @@ def test_define_and_eval_round_trip(run):
     assert data["results"][0]["moments"] == ["1", "1", "2", "5"]
     # requesting more moments than stored is a math error
     code, _, err = run("eval", "myu", "--order", "5")
-    assert code == 2
+    assert code == 2 and "'myu'" in err
 
 
 def test_define_validation(run):
@@ -421,6 +448,33 @@ def test_malformed_workspace_exits_3(run, text):
 def test_define_rejects_zero_denominator(run):
     code, _, err = run("define", "q", "--moments", "1,1/0")
     assert code == 1 and "zero denominator" in err
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "1.5", "1_0"])
+def test_rational_is_p_or_p_over_q(run, literal):
+    """A rational is "p" or "p/q": a decimal, a digit separator or an exponent
+    is refused at once, by define (1) and in a workspace entry (3), before
+    an exponent could build a value of ten million digits."""
+    start = time.perf_counter()
+    code, out, err = run("define", "a", "--moments", f"1,{literal}")
+    assert code == 1 and out == "" and "bad --moments" in err
+    assert time.perf_counter() - start < 1.0
+    run.workspace.write_text(json.dumps({"version": 1, "umbrae": {"a": {"moments": ["1", literal]}}}))
+    for argv in (["eval", "u", "--order", "2"], ["list"]):
+        start = time.perf_counter()
+        code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == "" and err.startswith("umbra: workspace error: ")
+
+
+def test_deeply_nested_workspace_exits_3(run):
+    """An unknown field nested past the recursion limit is an unreadable
+    workspace: one stderr line and exit 3, not a RecursionError traceback."""
+    depth = 100_000
+    run.workspace.write_text('{"version": 1, "umbrae": {}, "extra": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run("list")
+    assert code == 3 and out == ""
+    assert err.startswith("umbra: workspace error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("expr, order, need", [("cinv(bell)^12", "10", "120"), ("u^100000", "1", "100000")])

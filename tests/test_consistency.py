@@ -98,9 +98,6 @@ CASES = {
     "poisson-charlier": (
         sequences, "binomial_row", off(3), lambda: sequences.poisson_charlier_sequence(N, 1),
         "poisson-charlier table vs closed form", 3, "1"),
-    "exponential": (
-        sequences, "bell_umbra", off(3), lambda: sequences.exponential_polynomials(N),
-        "exponential polynomials vs x.bell", 3, "x"),
     "abel-expansion": (
         sequences, "abel_polynomials", off(3), lambda: sequences.polynomial_expand_abel(X**3, unity(N)),
         "abel expansion reconstructs the polynomial", 3, "1"),

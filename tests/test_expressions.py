@@ -19,7 +19,6 @@ from umbralcalc.expressions import (
     Indet,
     InverseDot,
     Power,
-    Product,
     ScalarMul,
     Sum,
     default_environment,
@@ -55,9 +54,15 @@ def test_atom_lookup():
 
 
 def test_correlated_monomial_expansion():
-    # chi (chi - 3.u)^2 evaluates to 9: only the chi^1 term survives.
-    e = Product(Atom("chi"), Power(Sum(Atom("chi"), InverseDot(Dot(Const(F(3)), Atom("u")))), 2))
-    assert expectation(e) == 9
+    # w = -3.u has moments (-3)^n.  With one label, (chi + chi + w)^2 is
+    # (2 chi + w)^2: 4 chi_2 + 4 chi_1 w_1 + w_2 = 0 - 12 + 9.  With chi' apart,
+    # the cross term 2 chi_1 chi'_1 = 2 replaces 2 chi_2 = 0, and each of chi
+    # and chi' meets w once: 9 + 2 - 6 - 6.
+    w = InverseDot(Dot(Const(F(3)), Atom("u")))
+    same = Power(Sum(Sum(Atom("chi"), Atom("chi")), w), 2)
+    assert expectation(same) == -3
+    split = Power(Sum(Sum(Atom("chi"), Atom("chi", primes=1)), w), 2)
+    assert expectation(split) == -1
 
 
 def test_distinct_labels_convolve():
@@ -70,13 +75,10 @@ def test_distinct_labels_convolve():
 
 
 def test_equal_label_powers_merge():
-    # E[chi^2 * chi] = chi_3 = 0 but E[chi' * chi^1...] with primes differs
-    same = Product(Power(Atom("chi"), 2), Atom("chi"))
-    assert expectation(same) == 0
-    split = Product(Power(Atom("chi", primes=1), 2), Atom("chi"))
-    assert expectation(split) == 0  # chi'_2 * chi_1 = 0
-    split2 = Product(Atom("chi", primes=1), Atom("chi"))
-    assert expectation(split2) == 1  # chi'_1 * chi_1 = 1
+    # E[(chi + chi)^n] = 2^n chi_n, but E[(chi + chi')^n] = sum C(n,k) chi_k chi'_{n-k}
+    for n, same, split in [(1, 2, 2), (2, 0, 2), (3, 0, 0)]:
+        assert expectation(Power(Sum(Atom("chi"), Atom("chi")), n)) == same
+        assert expectation(Power(Sum(Atom("chi"), Atom("chi", primes=1)), n)) == split
 
 
 def test_operator_nodes_match_engine_ops():
@@ -144,23 +146,23 @@ def test_environment_with_fixed_umbra():
 
 
 def test_linearity_and_product_rule_random_monomials():
-    # E[c1 chi^i u^j + c2 chi^k] = c1 [i<=1] + c2 [k<=1] with chi moments
-    for i, j, k, c1, c2 in [(1, 3, 2, F(2), F(5)), (0, 1, 1, F(-1, 2), F(3, 7)), (2, 2, 0, F(4), F(1))]:
+    # E[c1 (chi + u)^n + c2 chi^k] = c1 sum_i C(n,i) chi_i u_{n-i} + c2 chi_k
+    #                             = c1 (1 + n) + c2 [k <= 1]
+    for n, k, c1, c2 in [(4, 2, F(2), F(5)), (1, 1, F(-1, 2), F(3, 7)), (0, 0, F(4), F(1))]:
         e = Sum(
-            ScalarMul(c1, Product(Power(Atom("chi"), i), Power(Atom("u"), j))),
+            ScalarMul(c1, Power(Sum(Atom("chi"), Atom("u")), n)),
             ScalarMul(c2, Power(Atom("chi"), k)),
         )
-        chi_m = lambda n: F(1) if n <= 1 else F(0)
-        assert expectation(e) == c1 * chi_m(i) + c2 * chi_m(k)
+        assert expectation(e) == c1 * (1 + n) + c2 * (1 if k <= 1 else 0)
 
 
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
 def test_power_node_matches_moment_indexing(i, j):
-    # E[(u + chi)^i * (u + chi)^j] computed as one product equals moment i+j
+    # E[((u + chi)^i)^j] expanded symbolically equals moment i j
     base = Sum(Atom("u"), Atom("chi"))
-    e = Product(Power(base, i), Power(base, j))
-    assert expectation(e) == evaluate(base, i + j).moment(i + j)
+    e = Power(Power(base, i), j)
+    assert expectation(e) == evaluate(base, i * j).moment(i * j)
 
 
 def test_each_atom_is_fetched_once_at_the_order_it_needs(monkeypatch):
@@ -188,12 +190,20 @@ ENV = {
 
 _coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _atoms = st.builds(Atom, st.sampled_from(["u", "chi", "bell", "bern", "p", "q"]), st.integers(0, 1))
+_indets = st.sampled_from([Indet("x"), Indet("y")])
+
+
+def _times(v, a):
+    """v a as ((v + a)^2 - v^2 - a^2)/2: a leaf with a polynomial coefficient."""
+    square = lambda e: Power(e, 2)
+    return ScalarMul(F(1, 2), Sum(Sum(square(Sum(v, a)), ScalarMul(F(-1), square(v))), ScalarMul(F(-1), square(a))))
+
+
 _leaves = st.one_of(
     st.builds(Const, _coefficients.filter(bool)),
-    st.just(Indet("x")),
-    st.just(Indet("y")),
+    _indets,
     _atoms,
-    st.builds(Product, st.sampled_from([Indet("x"), Indet("y")]), _atoms),  # a polynomial coefficient
+    st.builds(_times, _indets, _atoms),
 )
 
 

@@ -251,9 +251,7 @@ def test_reserved_names_stay_reserved():
 
 
 def test_scalar_mul_without_surface_syntax_raises():
-    from umbralcalc.expressions import Product, ScalarMul
+    from umbralcalc.expressions import ScalarMul
 
     with pytest.raises(ValueError):
         pretty_print(ScalarMul(F(2), Atom("u")))
-    with pytest.raises(ValueError):
-        pretty_print(Product(Atom("u"), Atom("chi")))

@@ -18,7 +18,6 @@ from umbralcalc.sequences import (
     abel_polynomials,
     bell_expansion,
     bell_expansion_general,
-    exponential_polynomials,
     fibonacci_factorial_umbra,
     fibonacci_numbers,
     lagrange_inversion,
@@ -37,6 +36,7 @@ from umbralcalc.sheffer import PolySequence, associated_moments, poisson_charlie
 from umbralcalc.umbra import (
     Umbra,
     augmentation,
+    bell_umbra,
     bernoulli_umbra,
     comp_inverse,
     derivative_umbra,
@@ -199,18 +199,21 @@ def test_poisson_charlier_examples():
 
 
 def test_exponential_polynomials():
-    phi = exponential_polynomials(8)
-    assert phi[0] == 1
+    """x.bell has moments Phi_n(x) = sum_k S(n,k) x^k, and Phi_n(1) = B_n."""
+    phi = PolySequence(dot(X, bell_umbra(8)).moments)
     assert phi[3] == X + 3 * X**2 + X**3
+    assert [phi.coefficients(n) for n in range(9)] == [
+        [stirling_second_classical(n, k) for k in range(n + 1)] for n in range(9)
+    ]
     assert [p(x=1) for p in phi] == bell_numbers(8)
 
 
 def test_exponential_polynomials_at_the_order_cap():
     """x.bell at --order 64 matches the Stirling triangle row by row."""
-    from umbralcalc.combinatorics import stirling_second_classical
-
-    phi = exponential_polynomials(64)  # raises if dot(x, bell) disagrees anywhere
-    assert phi.coefficients(64) == [stirling_second_classical(64, k) for k in range(65)]
+    phi = PolySequence(dot(X, bell_umbra(64)).moments)
+    assert [phi.coefficients(n) for n in range(65)] == [
+        [stirling_second_classical(n, k) for k in range(n + 1)] for n in range(65)
+    ]
 
 
 def test_abel_identity():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from umbralcalc.errors import WorkspaceError
+from umbralcalc.rationals import parse_rational
 from umbralcalc.umbra import Umbra
 from umbralcalc.workspace import (
     check_name,
@@ -54,7 +55,7 @@ def test_unknown_fields_preserved(tmp_path):
 def test_version_guard(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({"version": 99, "umbrae": {}}))
-    with pytest.raises(ValueError):
+    with pytest.raises(WorkspaceError):
         load_raw(path)
 
 
@@ -68,7 +69,7 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_umbrae_from_raw_rejects_non_unital():
-    with pytest.raises(ValueError):
+    with pytest.raises(WorkspaceError):
         umbrae_from_raw({"umbrae": {"bad": {"moments": ["2", "1"]}}})
 
 
@@ -121,3 +122,12 @@ def test_non_utf8_workspace_raises_workspace_error(tmp_path):
 def test_a_name_that_is_not_one_name_token_is_refused(name):
     with pytest.raises(ValueError, match="not a valid umbra name"):
         check_name(name)
+
+
+def test_parse_rational_takes_p_or_p_over_q():
+    assert [parse_rational(t) for t in ("3", " -3/6 ", "+0/5")] == [3, F(-1, 2), 0]
+    for text in ("", "1.5", "1_0", "1e3", "1/-2", "1 / 2", "/2", "+"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
