@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
-from .rationals import format_rational
+from .rationals import _check_digits, format_rational
 
 Value = Union[Fraction, "Poly"]
 
@@ -326,12 +326,11 @@ def _sum_products(pairs) -> Poly:
 
 def _monomial_str(key: tuple[int, int]) -> str:
     """"x^2*y" for (2, 1); an exponent too long to print raises OutputSizeError."""
-    dx, dy = key
     parts = []
-    if dx:
-        parts.append("x" if dx == 1 else f"x^{format_rational(dx)}")
-    if dy:
-        parts.append("y" if dy == 1 else f"y^{format_rational(dy)}")
+    for var, d in zip(_VARS, key):
+        if d:
+            _check_digits(d, "numerator")
+            parts.append(var if d == 1 else f"{var}^{d}")
     return "*".join(parts) if parts else "1"
 
 

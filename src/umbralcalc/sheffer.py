@@ -32,11 +32,10 @@ from .series import (
 )
 from .umbra import (
     Umbra,
-    _adjoint_of,
     _comp_inverse_of,
+    _dot_log,
     _require_scalar_first_moment,
     _reversion,
-    adjoint,
     bell_umbra,
     bernoulli_umbra,
     cumulant,
@@ -158,7 +157,7 @@ def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
     via_series = egf_mul(egf_reciprocal(fa_at_r), egf_exp(egf_scale(X, r)))
     # Moment route: dot the Appell-style umbra into the adjoint g* = exp(r).
     appell_part = with_x_shift(inverse_dot(pair.alpha))
-    via_moments = dot(appell_part, _adjoint_of(r)).moments
+    via_moments = _dot_log(appell_part, r).moments  # log f(g*, t) = r
     require_equal("sheffer moments vs series", via_moments, via_series)
     return PolySequence(via_moments)
 
@@ -173,7 +172,7 @@ def _associated_table(gamma: Umbra, r: Series | None) -> PolySequence:
     """associated_moments, given r = _reversion_of(gamma)."""
     if r is None:
         return PolySequence((Poly(1),))
-    return PolySequence(dot(X, _adjoint_of(r)).moments)
+    return PolySequence(_dot_log(X, r).moments)
 
 
 def appell_moments(alpha: Umbra) -> PolySequence:
@@ -204,7 +203,7 @@ def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
     """The pair whose Sheffer sequence is the umbral-composition inverse."""
     r = _reversion(pair.gamma)
-    return ShefferPair(dot(inverse_dot(pair.alpha), _adjoint_of(r)), _comp_inverse_of(r))
+    return ShefferPair(_dot_log(inverse_dot(pair.alpha), r), _comp_inverse_of(r))
 
 
 def inverse_sequence(pair: ShefferPair) -> PolySequence:
@@ -264,9 +263,9 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     solve = [tuple(_triangular_expand(s[i], basis)) for i in range(n + 1)]
 
     # Umbral route.
-    d_part = dot(umbral_sum(to.alpha, inverse_dot(frm.alpha)), _adjoint_of(r_to))
+    d_part = _dot_log(umbral_sum(to.alpha, inverse_dot(frm.alpha)), r_to)
     g_comp = dot(frm.gamma, dot(bell_umbra(n), _comp_inverse_of(r_to)))
-    eta = dot(with_x_shift(d_part), adjoint(g_comp))
+    eta = _dot_log(with_x_shift(d_part), _reversion(g_comp))
     solve_polys = [Poly({(k, 0): c for k, c in enumerate(row)}) for row in solve]
     require_equal("connection constants formula vs solve", eta.moments, solve_polys)
     return ConnectionConstants(tuple(solve), verified=True)

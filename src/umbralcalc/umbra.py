@@ -215,13 +215,22 @@ def dot(left, a: Umbra) -> Umbra:
       deterministic umbra of moments p^n, so f(p.a, t) = exp(p log f(a, t));
     * left a rational c (any sign): the series power f(a, t)^c, which is
       faster than the composition for a scalar exponent.
+
+    The first two take log f(a, t) and hand it to ``_dot_log``, which callers
+    holding that series already (an adjoint's r) call directly.
     """
-    if isinstance(left, Poly):
-        left = scalar_umbra(left, a.order)
-    if isinstance(left, Umbra):
-        _check_same_order(left, a)
-        return Umbra(egf_compose(left.moments, egf_log(a.moments)))
+    if isinstance(left, (Umbra, Poly)):
+        return _dot_log(left, egf_log(a.moments))
     return Umbra(egf_power(a.moments, left))
+
+
+def _dot_log(left, h: Series) -> Umbra:
+    """left.a for the umbra a with log f(a, t) = h: f(left, h(t)), left an Umbra or a Poly."""
+    if isinstance(left, Poly):
+        left = scalar_umbra(left, len(h) - 1)
+    if left.order != len(h) - 1:
+        raise OrderMismatchError(f"umbra orders differ: {left.order} vs {len(h) - 1}")
+    return Umbra(egf_compose(left.moments, h))
 
 
 def dot_power(a: Umbra, n: int) -> Umbra:

@@ -18,7 +18,10 @@ them:
   evaluator's linear forms on the series kernel);
 * ``bell_numbers`` / ``bernoulli_numbers`` -- the classical recurrences
   (production: ``bell_umbra`` and ``bernoulli_umbra``, exp(e^t - 1) and
-  t/(e^t - 1) on the kernel).
+  t/(e^t - 1) on the kernel);
+* ``lagrange_revert_by_powers`` -- the Lagrange formula with every power of
+  t/h built from the one before (production: ``series.egf_revert``, which
+  takes about 2 sqrt(N) products by baby steps and giant steps).
 
 It also holds the two Sheffer pairs that only the tests use, ``power_pair``
 and ``factorial_pair``, and ``tokenize``, a character-by-character scanner
@@ -46,6 +49,7 @@ from umbralcalc.expressions import Environment, Expr, _degree, _Evaluator, defau
 from umbralcalc.parser import KEYWORDS
 from umbralcalc.poly import Poly, Value, _monomial_str, collapse
 from umbralcalc.rationals import format_rational
+from umbralcalc.series import egf_mul, egf_reciprocal
 from umbralcalc.sheffer import ShefferPair, sheffer_moments
 from umbralcalc.umbra import Umbra, augmentation, singleton, unity
 
@@ -85,6 +89,21 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
         acc = sum((comb(m + 1, k) * out[k] for k in range(m)), Fraction(0))
         out.append(-acc / (m + 1))
     return out
+
+
+def lagrange_revert_by_powers(h: Sequence[Value]) -> tuple[Value, ...]:
+    """The reversion r of h (h_0 = 0, scalar h_1 != 0, order >= 1): moment m of
+    r is moment m - 1 of q^m, q = t/h the reciprocal of (h_(d+1)/(d+1))_d,
+    each q^m the product q^(m-1) q."""
+    n = len(h) - 1
+    q = egf_reciprocal(tuple(collapse(h[d + 1]) / (d + 1) for d in range(n)))
+    r: list[Value] = [Fraction(0)]
+    power = q
+    for m in range(1, n + 1):
+        if m > 1:
+            power = egf_mul(power, q)
+        r.append(power[m - 1])
+    return tuple(r)
 
 
 def power_pair(order: int) -> ShefferPair:

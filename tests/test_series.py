@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
+from umbralcalc import series
 from umbralcalc.poly import X, Poly, collapse
 from umbralcalc.series import (
     egf_compose,
@@ -22,7 +23,7 @@ from umbralcalc.series import (
     egf_revert,
 )
 
-from oracles import bell_partial, bernoulli_numbers, falling_factorial
+from oracles import bell_partial, bernoulli_numbers, falling_factorial, lagrange_revert_by_powers
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -303,6 +304,97 @@ def test_revert_matches_recompose_oracle(h):
     """Scalar series to order 16, past the orders the kernel property draws,
     small or wide over coprime denominators, with non-unit linear terms."""
     assert normal(egf_revert(h)) == moments_of(recompose_revert(coeffs_of(h)))
+
+
+def fixed_series(n, lead=F(-3, 2), poly=False):
+    """h of order n with a negative non-unit h_1 and mixed-sign moments over
+    denominators 2-4; with ``poly``, moments in x and y too, some of them zero."""
+    tail = [F((-1) ** d * (d % 5 + 1), d % 3 + 2) for d in range(2, n + 1)]
+    if poly:
+        tail = [c + (X if d % 3 == 0 else Y / 2 if d % 3 == 1 else 0) for d, c in enumerate(tail) if d % 4 != 2]
+        tail += [F(0)] * (n - 1 - len(tail))
+    return (F(0), lead, *tail)
+
+
+def with_examples_around_k_squared(test):
+    """Orders where k = isqrt(N-1) + 1, the number of baby steps, changes
+    (N = 1, 2, 5, 10, 17, 26, 37) and their neighbours; a wide-numerator and a
+    polynomial series at a few of them."""
+    for n in (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37):
+        test = example(h=fixed_series(n))(test)
+    for n in (4, 5, 9, 10):
+        test = example(h=fixed_series(n, lead=F(2, 3), poly=True))(test)
+    for n in (16, 17):
+        test = example(h=fixed_series(n, lead=F(-999_983, 997)))(test)
+    return test
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.one_of(
+        st.just((F(0),)),
+        invertible_series(40, fractions),
+        invertible_series(40, wide_fractions, st.sampled_from([F(-5, 2), F(3, 7)]) | wide_fractions.filter(bool)),
+        invertible_series(12, st.one_of(st.just(F(0)), polys_over(integers), small_polys), nonzero_scalars),
+    )
+)
+@with_examples_around_k_squared
+def test_revert_matches_lagrange_by_powers(h):
+    """Baby steps and giant steps give the same reversion as one power of t/h
+    after another, at orders 0-40 on small and wide scalars, and to order 12
+    on moments in x and y; order 0 has no reversion."""
+    if len(h) == 1:
+        with pytest.raises(NonInvertibleError):
+            egf_revert(h)
+        return
+    assert normal(egf_revert(h), h) == lagrange_revert_by_powers(h)
+
+
+def test_revert_of_sparse_series():
+    """t + t^2/2 (moments 0, 1, 1, 0, ...) reverts to sqrt(1 + 2t) - 1, whose
+    moments are the signed double factorials; t reverts to itself."""
+    assert egf_revert((F(0), F(1), F(1)) + (F(0),) * 5) == (0, 1, -1, 3, -15, 105, -945, 10395)
+    assert egf_revert(identity(9)) == identity(9)
+    assert egf_revert((F(0), F(-2)) + (F(0),) * 6) == (0, F(-1, 2)) + (0,) * 6
+
+
+def test_sparse_moments_on_dense_int_rows():
+    """chi (1 + t) and eps (1) have mostly zero moments, which the int paths
+    keep in their rows; x(1 + t) takes the Poly paths."""
+    chi, eps = (F(1), F(1)) + (F(0),) * 5, (F(1),) + (F(0),) * 6
+    assert egf_mul(chi, chi) == (1, 2, 2, 0, 0, 0, 0)
+    assert egf_mul(eps, chi) == chi
+    assert egf_reciprocal(chi) == tuple((-1) ** n * factorial(n) for n in range(7))
+    assert egf_reciprocal(eps) == eps
+    assert egf_log(chi) == (0, 1, -1, 2, -6, 24, -120)  # log(1 + t)
+    assert egf_log(eps) == (0,) * 7
+    assert egf_exp(identity(6)) == (1,) * 7
+    assert egf_exp((F(0),) * 7) == eps
+    assert egf_compose(chi, identity(6)) == chi
+    assert egf_compose(exp_series(6), (F(0),) * 7) == eps
+    assert egf_compose(exp_series(6), (F(0), F(0), F(2)) + (F(0),) * 4) == (1, 0, 2, 0, 12, 0, 120)  # e^(t^2)
+    x_chi = (F(1), X) + (F(0),) * 5
+    assert egf_reciprocal(x_chi) == tuple(collapse((-X) ** n * factorial(n)) for n in range(7))
+    assert egf_mul(x_chi, chi) == (1, X + 1, 2 * X, 0, 0, 0, 0)
+
+
+def test_rational_ops_never_sum_polys(monkeypatch):
+    """All-rational operands keep every op on the int sums."""
+
+    def refuse(pairs):
+        raise AssertionError("poly._sum_products called on rational operands")
+
+    monkeypatch.setattr(series, "_sum_products", refuse)
+    f = (F(1), F(-1, 2), F(0), F(3, 7), F(2), F(0), F(-5, 3))
+    h = (F(0), F(2, 3), F(1, 4), F(0), F(-1), F(5, 2), F(1, 6))
+    egf_mul(f, h)
+    egf_reciprocal(f)
+    egf_compose(f, h)
+    egf_revert(h)
+    egf_log(f)
+    egf_exp(h)
+    egf_power(f, F(-3, 2))
+    egf_revert(fixed_series(26))
 
 
 @settings(max_examples=30)

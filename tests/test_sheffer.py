@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from umbralcalc import series, umbra
 from umbralcalc.combinatorics import binomial, stirling_second_classical
 from umbralcalc.errors import ConsistencyError, NonInvertibleError, VariableCaptureError
 from umbralcalc.expressions import Atom, Indet, Sum, evaluate
@@ -367,3 +368,28 @@ def test_each_call_reverts_each_gamma_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == expected
+
+
+def test_tables_take_no_log_of_an_adjoint(monkeypatch):
+    """The Sheffer and associated tables dot into g* = exp(r) through r
+    itself, so they take no egf_log; connection constants take exactly two,
+    the dots of the chain frm.gamma . (bell . to.gamma^<-1>)."""
+    frm, to = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
+    random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
+    calls = []
+    counted = series.egf_log
+
+    def egf_log(f):
+        calls.append(len(f) - 1)
+        return counted(f)
+
+    monkeypatch.setattr(series, "egf_log", egf_log)
+    monkeypatch.setattr(umbra, "egf_log", egf_log)
+    sheffer_moments(frm)
+    sheffer_moments(random_pair)
+    associated_moments(to.gamma)
+    associated_moments(random_pair.gamma)
+    inverse_pair(random_pair)
+    assert calls == []
+    connection_constants(frm, to)
+    assert calls == [8, 8]

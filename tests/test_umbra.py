@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import (
     binomial,
@@ -11,6 +13,8 @@ from umbralcalc.poly import Poly, X, collapse
 from umbralcalc.series import egf_log, egf_mul
 from umbralcalc.umbra import (
     Umbra,
+    _adjoint_of,
+    _dot_log,
     adjoint,
     augmentation,
     bell_umbra,
@@ -396,3 +400,35 @@ def test_truncated():
     assert a.truncated(3).moments == (1, 1, 2, 5)
     with pytest.raises(OrderMismatchError):
         a.truncated(7)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.lists(small, min_size=n, max_size=n),
+            st.lists(small, min_size=n, max_size=n),
+            small,
+            st.sampled_from(["umbra", "x", "x + c", "x-shifted"]),
+        )
+    )
+)
+def test_dot_log_is_dot_on_the_adjoint(data):
+    """f(g*, t) = exp(r) has log exactly r, so left.g* by dot (which takes the
+    log of exp(r)) equals _dot_log(left, r), for an umbra, x, x + c and an
+    x-shifted umbra on the left, at orders 0-12."""
+    r_tail, left_tail, c, kind = data
+    r = (F(0), *r_tail)
+    a = Umbra((F(1), *left_tail))
+    left = {"umbra": a, "x": X, "x + c": X + c, "x-shifted": with_x_shift(a)}[kind]
+    assert _dot_log(left, r) == dot(left, _adjoint_of(r))
+
+
+def test_dot_log_refuses_mixed_orders():
+    with pytest.raises(OrderMismatchError, match="umbra orders differ: 3 vs 4"):
+        _dot_log(bell_umbra(3), (F(0),) * 5)
+    with pytest.raises(OrderMismatchError, match="umbra orders differ: 3 vs 4"):
+        dot(bell_umbra(3), bell_umbra(4))
