@@ -116,9 +116,7 @@ def _sum(w, g, polys: bool):
 
 def _convolve(rows: list[list], g: Sequence, polys: bool) -> list:
     """sum_k C(n,k) a_k g_(n-k) for every n, from the rows of a."""
-    if polys:
-        return [_sum_products(zip(row, g[n::-1])) for n, row in enumerate(rows)]
-    return [sum(map(mul, row, g[n::-1])) for n, row in enumerate(rows)]
+    return [_sum(row, g[n::-1], polys) for n, row in enumerate(rows)]
 
 
 def egf_scale(c, f: Sequence[Value]) -> Series:
@@ -180,9 +178,10 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
     h must have zero constant term.  The partial Bell values are built one
     column from the next, B_(n,k) = sum_d C(n-1,d-1) h_d B_(n-d,k-1).  Column
     k vanishes below row k, so those entries are never computed, and the
-    columns stop at f's last nonzero moment (its index is ``top``).  Fraction-free: B_(n,k) is homogeneous of
-    degree k, so with f = F / D_f and h = H / D_h the columns are built on H
-    and moment n is sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top).
+    columns stop at f's last nonzero moment (its index is ``top``).
+    Fraction-free: B_(n,k) is homogeneous of degree k, so with f = F / D_f
+    and h = H / D_h the columns are built on H and moment n is
+    sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top).
     """
     n = _check_orders(f, h)
     if collapse(h[0]) != 0:
@@ -223,7 +222,8 @@ def egf_revert(h: Sequence[Value]) -> Series:
     m - 1 = jk + s (s < k), r_m is one sum over q^(jk) q^(s+1), from the
     powers q^1..q^k and one product per giant step, about 2 sqrt(N) products
     instead of N.  Fraction-free: egf_reciprocal's recurrence gives q over
-    A_0^N, one gcd brings it to Q / D_q, and r_m = [t^(m-1)] Q^(jk) Q^(s+1) / D_q^m.
+    A_0^N, one gcd brings it to Q / D_q, and
+    r_m = [t^(m-1)] Q^(jk) Q^(s+1) / D_q^m.
     """
     n = _order(h)
     if collapse(h[0]) != 0:
