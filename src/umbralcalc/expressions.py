@@ -9,10 +9,10 @@ linear and multiplicative across distinct labels:
     E[a^i g^j] = a_i g_j   (distinct labels),
     E[a^i a^j] = a_{i+j}   (equal labels).
 
-Every application of Dot, DotPower, InverseDot, CompInv, Adjoint, Deriv,
-DisjointSum, DisjointDiff, Bar or Fresh produces an auxiliary umbra that is a
-fresh symbol, uncorrelated with everything else (including other occurrences
-built from the same operands).  Bind such a value to a name in the
+Every application of Dot, DotPower, Fresh or Call (one of the keyword
+operations of ``OPERATIONS``) produces an auxiliary umbra that is a fresh
+symbol, uncorrelated with everything else (including other occurrences built
+from the same operands).  Bind such a value to a name in the
 environment if you need two correlated occurrences of it.
 
 ``evaluate(e, order)`` returns the umbra denoted by ``e``: its n-th moment is
@@ -49,21 +49,15 @@ from functools import reduce
 from math import comb
 from typing import Callable, Mapping, Union
 
+from . import umbra
 from .errors import OrderCapError, UnknownUmbraError
 from .poly import Poly, Value, _madd, collapse
 from .series import egf_mul
 from .umbra import (
     BUILTIN_UMBRAE,
     Umbra,
-    adjoint,
-    comp_inverse,
-    derivative_umbra,
-    disjoint_diff,
-    disjoint_sum,
     dot,
     dot_power,
-    inverse_dot,
-    overbar_umbra,
     scalar_multiple,
     scalar_umbra,
 )
@@ -77,6 +71,21 @@ MAX_ORDER = 64
 # refuses, with OrderCapError and before any product, a power whose
 # expansion could take more (by the bound of ``_expansion_work``).
 MAX_EXPANSION = 100_000
+
+# Each DSL keyword: the name of its ``umbra`` function, its arity, and how
+# many orders past its own it needs its operands (bar(a) reads a_(n+1)).
+# The parser, the printer and the evaluator all read this table.  The
+# evaluator looks the function up by name when the operation runs, so a
+# wrapper put on the ``umbra`` module afterwards is the one called.
+OPERATIONS = {
+    "inv": ("inverse_dot", 1, 0),
+    "cinv": ("comp_inverse", 1, 0),
+    "adj": ("adjoint", 1, 0),
+    "d": ("derivative_umbra", 1, 0),
+    "bar": ("overbar_umbra", 1, 1),
+    "dsum": ("disjoint_sum", 2, 0),
+    "ddiff": ("disjoint_diff", 2, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -132,28 +141,11 @@ class Power(Expr):
 
 
 @dataclass(frozen=True)
-class InverseDot(Expr):
-    expr: Expr
+class Call(Expr):
+    """A keyword operation of OPERATIONS applied to its arguments."""
 
-
-@dataclass(frozen=True)
-class CompInv(Expr):
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class Adjoint(Expr):
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class Deriv(Expr):
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class Bar(Expr):
-    expr: Expr
+    op: str
+    args: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
@@ -161,18 +153,6 @@ class Fresh(Expr):
     """An uncorrelated copy of a composite expression (a prime on a non-atom)."""
 
     expr: Expr
-
-
-@dataclass(frozen=True)
-class DisjointSum(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class DisjointDiff(Expr):
-    left: Expr
-    right: Expr
 
 
 MomentSource = Union[Umbra, Callable[[int], Umbra]]
@@ -346,22 +326,11 @@ class _Evaluator:
             return lambda k: dot(evaluate(left, k, env), evaluate(right, k, env))
         if isinstance(expr, DotPower):
             return lambda k: dot_power(evaluate(expr.expr, k, env), expr.power)
-        if isinstance(expr, InverseDot):
-            return lambda k: inverse_dot(evaluate(expr.expr, k, env))
-        if isinstance(expr, CompInv):
-            return lambda k: comp_inverse(evaluate(expr.expr, k, env))
-        if isinstance(expr, Adjoint):
-            return lambda k: adjoint(evaluate(expr.expr, k, env))
-        if isinstance(expr, Deriv):
-            return lambda k: derivative_umbra(evaluate(expr.expr, k, env))
-        if isinstance(expr, Bar):
-            return lambda k: overbar_umbra(evaluate(expr.expr, k + 1, env))
         if isinstance(expr, Fresh):
             return lambda k: evaluate(expr.expr, k, env)
-        if isinstance(expr, DisjointSum):
-            return lambda k: disjoint_sum(evaluate(expr.left, k, env), evaluate(expr.right, k, env))
-        if isinstance(expr, DisjointDiff):
-            return lambda k: disjoint_diff(evaluate(expr.left, k, env), evaluate(expr.right, k, env))
+        if isinstance(expr, Call) and expr.op in OPERATIONS:
+            name, _, shift = OPERATIONS[expr.op]
+            return lambda k: getattr(umbra, name)(*(evaluate(a, k + shift, env) for a in expr.args))
         raise TypeError(f"not an umbral expression: {expr!r}")
 
     # -- the kernel route for linear forms --------------------------------

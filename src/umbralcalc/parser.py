@@ -9,11 +9,10 @@ Grammar (three precedence levels, `.` groups to the right)::
     primary := NAME | INT ['/' INT] | '-' primary
              | '(' expr ')' | KEYWORD '(' expr [',' expr] ')'
 
-Keywords: inv (inverse umbra), cinv (compositional inverse), adj (adjoint),
-d (derivative umbra), dsum/ddiff (disjoint sum/difference), bar (moment
-shift).  `x` and `y` are the scalar indeterminates; a prime makes a fresh
-uncorrelated copy (on a named atom it bumps the correlation label).
-`a - b` abbreviates `a + inv(b)`.
+The keywords and their arities are the keys of ``expressions.OPERATIONS``;
+a keyword call parses to one ``Call`` node.  `x` and `y` are the scalar
+indeterminates; a prime makes a fresh uncorrelated copy (on a named atom it
+bumps the correlation label).  `a - b` abbreviates `a + inv(b)`.
 
 ``tokenize`` reads one token pattern at a time (see ``docs/grammar.ebnf``
 for the Unicode classes) and refuses an expression of more than MAX_TOKENS
@@ -30,31 +29,22 @@ from fractions import Fraction
 
 from .errors import UmbraSyntaxError
 from .expressions import (
-    Adjoint,
+    OPERATIONS,
     Atom,
-    Bar,
-    CompInv,
+    Call,
     Const,
-    Deriv,
-    DisjointDiff,
-    DisjointSum,
     Dot,
     DotPower,
     Expr,
     Fresh,
     Indet,
-    InverseDot,
     Power,
     ScalarMul,
     Sum,
 )
 from .rationals import format_rational
 
-# Each keyword and the node it builds; the tokenizer, parser and printer all read these.
-UNARY_KEYWORDS = {"inv": InverseDot, "cinv": CompInv, "adj": Adjoint, "d": Deriv, "bar": Bar}
-BINARY_KEYWORDS = {"dsum": DisjointSum, "ddiff": DisjointDiff}
-_NODE_OF = {**UNARY_KEYWORDS, **BINARY_KEYWORDS}
-KEYWORDS = tuple(_NODE_OF)
+KEYWORDS = tuple(OPERATIONS)
 INDETERMINATES = ("x", "y")
 RESERVED_NAMES = KEYWORDS + INDETERMINATES
 
@@ -143,7 +133,7 @@ class _Parser:
         while self.peek().kind in ("PLUS", "MINUS"):
             minus = self.advance().kind == "MINUS"
             rhs = self.term()
-            node = Sum(node, InverseDot(rhs) if minus else rhs)
+            node = Sum(node, Call("inv", (rhs,)) if minus else rhs)
         return node
 
     # term := postfix ('.' postfix)*, right-folded
@@ -198,11 +188,11 @@ class _Parser:
         if tok.kind == "KEYWORD":
             self.expect("LPAREN", "'(' after keyword")
             args = [self.expr()]
-            if tok.lexeme in BINARY_KEYWORDS:
+            for _ in range(1, OPERATIONS[tok.lexeme][1]):
                 self.expect("COMMA", "',' between arguments")
                 args.append(self.expr())
             self.expect("RPAREN", "')'")
-            return _NODE_OF[tok.lexeme](*args)
+            return Call(tok.lexeme, tuple(args))
         self.fail("expected an expression", tok)
 
 
@@ -222,8 +212,6 @@ _LEVEL_SUM = 1
 _LEVEL_DOT = 2
 _LEVEL_POSTFIX = 3
 _LEVEL_PRIMARY = 4
-
-_KEYWORD_OF = {cls: kw for kw, cls in _NODE_OF.items()}
 
 
 def pretty_print(expr: Expr) -> str:
@@ -245,8 +233,8 @@ def _render(expr: Expr, minlevel: int) -> str:
         return format_rational(expr.value)
     if isinstance(expr, Sum):
         left = _render(expr.left, _LEVEL_SUM)
-        if isinstance(expr.right, InverseDot):
-            return _paren(f"{left} - {_render(expr.right.expr, _LEVEL_DOT)}", _LEVEL_SUM, minlevel)
+        if isinstance(expr.right, Call) and expr.right.op == "inv":
+            return _paren(f"{left} - {_render(expr.right.args[0], _LEVEL_DOT)}", _LEVEL_SUM, minlevel)
         return _paren(f"{left} + {_render(expr.right, _LEVEL_DOT)}", _LEVEL_SUM, minlevel)
     if isinstance(expr, Dot):
         # Right-grouped chains print flat; a Dot on the left needs parens.
@@ -271,12 +259,9 @@ def _render(expr: Expr, minlevel: int) -> str:
         if isinstance(expr.expr, Indet) and expr.expr.power != 1:
             safe = False
         inner = _render(expr.expr, _LEVEL_SUM)
-        if not (safe or type(expr.expr) in _KEYWORD_OF):
+        if not (safe or isinstance(expr.expr, Call)):
             inner = f"({inner})"  # a trailing prime would otherwise rebind
         return f"-{inner}"
-    kw = _KEYWORD_OF.get(type(expr))
-    if kw in UNARY_KEYWORDS:
-        return f"{kw}({_render(expr.expr, _LEVEL_SUM)})"
-    if kw in BINARY_KEYWORDS:
-        return f"{kw}({_render(expr.left, _LEVEL_SUM)}, {_render(expr.right, _LEVEL_SUM)})"
+    if isinstance(expr, Call) and expr.op in OPERATIONS:
+        return f"{expr.op}({', '.join(_render(a, _LEVEL_SUM) for a in expr.args)})"
     raise ValueError(f"no surface syntax for {type(expr).__name__}")

@@ -189,12 +189,7 @@ def disjoint_diff(a: Umbra, b: Umbra) -> Umbra:
 
 def scalar_multiple(c, a: Umbra) -> Umbra:
     """The umbra c*a: moments c^n a_n."""
-    out: list[Value] = [Fraction(1)]
-    cn: Value = Fraction(1)
-    for i in range(1, a.order + 1):
-        cn = cn * c
-        out.append(collapse(cn * a.moment(i)))
-    return Umbra(out)
+    return Umbra([cn * m for cn, m in zip(_power_table(c, a.order), a.moments)])
 
 
 def factorial_umbra(a: Umbra) -> Umbra:

@@ -18,17 +18,13 @@ from umbralcalc.combinatorics import (
 )
 from umbralcalc.errors import UmbraSyntaxError
 from umbralcalc.expressions import (
-    Adjoint,
     Atom,
-    CompInv,
+    Call,
     Const,
-    Deriv,
-    DisjointSum,
     Dot,
     DotPower,
     Fresh,
     Indet,
-    InverseDot,
     Power,
     ScalarMul,
     Sum,
@@ -266,7 +262,7 @@ def _random_expr(rng: random.Random, depth: int):
     if kind == 0:
         return Sum(sub(), sub())
     if kind == 1:
-        return Sum(sub(), InverseDot(sub()))
+        return Sum(sub(), Call("inv", (sub(),)))
     if kind == 2:
         return Dot(sub(), sub())
     if kind == 3:
@@ -275,15 +271,15 @@ def _random_expr(rng: random.Random, depth: int):
     if kind == 4:
         return DotPower(sub(), rng.randint(0, 3))
     if kind == 5:
-        return InverseDot(sub())
+        return Call("inv", (sub(),))
     if kind == 6:
-        return CompInv(sub())
+        return Call("cinv", (sub(),))
     if kind == 7:
-        return Adjoint(sub())
+        return Call("adj", (sub(),))
     if kind == 8:
-        return Deriv(sub())
+        return Call("d", (sub(),))
     if kind == 9:
-        return DisjointSum(sub(), sub())
+        return Call("dsum", (sub(), sub()))
     if kind == 10:
         e = sub()
         return Atom(e.name, e.primes + 1) if isinstance(e, Atom) else Fresh(e)

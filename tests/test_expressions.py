@@ -6,26 +6,25 @@ from hypothesis import strategies as st
 
 from umbralcalc.errors import OrderMismatchError, UnknownUmbraError
 from umbralcalc.expressions import (
-    Adjoint,
+    OPERATIONS,
     Atom,
-    Bar,
-    CompInv,
+    Call,
     Const,
-    Deriv,
-    DisjointSum,
     Dot,
     DotPower,
     Fresh,
     Indet,
-    InverseDot,
     Power,
     ScalarMul,
     Sum,
     default_environment,
     evaluate,
 )
+from umbralcalc import umbra
+from umbralcalc.parser import parse, pretty_print
 from umbralcalc.poly import X, Y
 from umbralcalc.umbra import (
+    BUILTIN_UMBRAE,
     Umbra,
     adjoint,
     augmentation,
@@ -33,6 +32,7 @@ from umbralcalc.umbra import (
     bernoulli_umbra,
     comp_inverse,
     derivative_umbra,
+    disjoint_diff,
     disjoint_sum,
     dot,
     dot_power,
@@ -58,7 +58,7 @@ def test_correlated_monomial_expansion():
     # (2 chi + w)^2: 4 chi_2 + 4 chi_1 w_1 + w_2 = 0 - 12 + 9.  With chi' apart,
     # the cross term 2 chi_1 chi'_1 = 2 replaces 2 chi_2 = 0, and each of chi
     # and chi' meets w once: 9 + 2 - 6 - 6.
-    w = InverseDot(Dot(Const(F(3)), Atom("u")))
+    w = Call("inv", (Dot(Const(F(3)), Atom("u")),))
     same = Power(Sum(Sum(Atom("chi"), Atom("chi")), w), 2)
     assert expectation(same) == -3
     split = Power(Sum(Sum(Atom("chi"), Atom("chi", primes=1)), w), 2)
@@ -82,25 +82,65 @@ def test_equal_label_powers_merge():
 
 
 def test_operator_nodes_match_engine_ops():
+    # Every keyword of OPERATIONS, read from the table so that one added later
+    # is covered too: unary ones on bell, binary ones on (u, chi), printed
+    # back as parsed, and at orders 0, 1 and 6 the umbra function at order 6
+    # (bar at order 7) truncated.
     order = 6
+    operands = {1: ("bell",), 2: ("u", "chi")}
+    for op, (name, arity, shift) in OPERATIONS.items():
+        text = f"{op}({', '.join(operands[arity])})"
+        expr = parse(text)
+        assert expr == Call(op, tuple(map(Atom, operands[arity])))
+        assert pretty_print(expr) == text
+        expected = getattr(umbra, name)(*(BUILTIN_UMBRAE[a](order + shift) for a in operands[arity]))
+        for k in (0, 1, order):
+            assert evaluate(expr, k) == expected.truncated(k), (text, k)
     bell = bell_umbra(order)
     cases = [
-        (InverseDot(Atom("bell")), inverse_dot(bell)),
-        (CompInv(Atom("bell")), comp_inverse(bell)),
-        (Adjoint(Atom("bell")), adjoint(bell)),
-        (Deriv(Atom("bell")), derivative_umbra(bell)),
+        (Call("inv", (Atom("bell"),)), inverse_dot(bell)),
+        (Call("cinv", (Atom("bell"),)), comp_inverse(bell)),
+        (Call("adj", (Atom("bell"),)), adjoint(bell)),
+        (Call("d", (Atom("bell"),)), derivative_umbra(bell)),
         (DotPower(Atom("bell"), 3), dot_power(bell, 3)),
         (Dot(Const(F(2)), Atom("bell")), dot(2, bell)),
         (Dot(Atom("chi"), Atom("bell")), dot(singleton(order), bell)),
-        (DisjointSum(Atom("u"), Atom("chi")), disjoint_sum(unity(order), singleton(order))),
-        (Bar(Dot(Const(F(2)), Atom("u"))), overbar_umbra(dot(2, unity(order + 1)))),
+        (Call("dsum", (Atom("u"), Atom("chi"))), disjoint_sum(unity(order), singleton(order))),
+        (Call("ddiff", (Atom("u"), Atom("chi"))), disjoint_diff(unity(order), singleton(order))),
+        (Call("bar", (Dot(Const(F(2)), Atom("u")),)), overbar_umbra(dot(2, unity(order + 1)))),
     ]
     for expr, expected in cases:
         assert evaluate(expr, order) == expected, expr
 
 
+def test_keyword_operations_are_looked_up_when_run(monkeypatch):
+    """A wrapper put on the umbra module after import (as a tracer does) is
+    the function a keyword calls: each runs once for one call in the text."""
+    calls = dict.fromkeys(("inverse_dot", "comp_inverse", "adjoint"), 0)
+
+    def counted(name, real):
+        def wrapper(a):
+            calls[name] += 1
+            return real(a)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(umbra, name, counted(name, getattr(umbra, name)))
+    evaluate(parse("inv(u) + cinv(bell) + adj(chi)"), 4)
+    assert calls == {"inverse_dot": 1, "comp_inverse": 1, "adjoint": 1}
+
+
+def test_unknown_operation_is_not_an_expression():
+    call = Call("frob", (Atom("u"),))
+    with pytest.raises(TypeError):
+        evaluate(call, 3)
+    with pytest.raises(ValueError):
+        pretty_print(call)
+
+
 def test_indeterminate_dot():
-    got = evaluate(Dot(Indet("x"), Adjoint(Atom("u"))), 3)
+    got = evaluate(Dot(Indet("x"), Call("adj", (Atom("u"),))), 3)
     assert got.moments == (1, X, X**2 - X, X**3 - 3 * X**2 + 2 * X)
     # dot with x on the right is plain scalar multiplication by x
     got = evaluate(Dot(Atom("bell"), Indet("x")), 3)
@@ -117,11 +157,11 @@ def test_scalar_nodes():
 def test_aux_umbrae_are_uncorrelated():
     # a + inv(a) has augmentation moments because the two are independent
     for name in ("u", "bell", "bern"):
-        e = Sum(Atom(name), InverseDot(Atom(name)))
+        e = Sum(Atom(name), Call("inv", (Atom(name),)))
         assert evaluate(e, 5) == augmentation(5)
     # two occurrences of the same opaque operation are independent copies
-    twice = Sum(InverseDot(Atom("chi")), InverseDot(Atom("chi")))
-    assert evaluate(twice, 3) == evaluate(Dot(Const(F(2)), InverseDot(Atom("chi"))), 3)
+    twice = Sum(Call("inv", (Atom("chi"),)), Call("inv", (Atom("chi"),)))
+    assert evaluate(twice, 3) == evaluate(Dot(Const(F(2)), Call("inv", (Atom("chi"),))), 3)
 
 
 def test_fresh_copies():
@@ -132,7 +172,7 @@ def test_fresh_copies():
 
 def test_ubar_via_expression():
     # -1.(-chi) is the all-factorials umbra
-    e = InverseDot(ScalarMul(F(-1), Atom("chi")))
+    e = Call("inv", (ScalarMul(F(-1), Atom("chi")),))
     assert evaluate(e, 5) == ubar_umbra(5)
 
 
@@ -245,3 +285,26 @@ def test_linear_forms_take_no_expansion(monkeypatch):
     monkeypatch.setattr(expressions, "_umul", lambda p, q: calls.append(1) or real_umul(p, q))
     evaluate(Sum(Sum(Sum(Sum(Atom("u"), Atom("chi")), Atom("bell")), Atom("bern")), Indet("x")), 64)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Dot associativity through the evaluator, with polynomial moments
+
+_scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_links = st.one_of(
+    st.sampled_from([Atom(name) for name in BUILTIN_UMBRAE] + [Indet("x"), Indet("y")]),
+    st.builds(Const, _scalars),
+    st.builds(lambda c: Sum(Indet("x"), Const(c)), _scalars),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_links, _links, _links, st.integers(0, 10))
+def test_dot_chains_associate(g1, g2, g3, order):
+    # f(g.a, t) = f(g, log f(a, t)) makes the dot associative for any
+    # moments, x and y among them; u, with log f(u, t) = t, is its unit.
+    assert evaluate(Dot(Dot(g1, g2), g3), order) == evaluate(Dot(g1, Dot(g2, g3)), order)
+    for a in (g1, g2, g3):
+        alone = evaluate(a, order)
+        assert evaluate(Dot(Atom("u"), a), order) == alone, a
+        assert evaluate(Dot(a, Atom("u")), order) == alone, a

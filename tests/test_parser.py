@@ -1,5 +1,7 @@
+import re
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,19 +9,14 @@ from hypothesis import strategies as st
 
 from umbralcalc.errors import UmbraSyntaxError
 from umbralcalc.expressions import (
-    Adjoint,
+    OPERATIONS,
     Atom,
-    Bar,
-    CompInv,
+    Call,
     Const,
-    Deriv,
-    DisjointDiff,
-    DisjointSum,
     Dot,
     DotPower,
     Fresh,
     Indet,
-    InverseDot,
     Power,
     ScalarMul,
     Sum,
@@ -52,14 +49,15 @@ def test_parse_shapes():
     assert parse("x . b . a") == Dot(Indet("x"), Dot(Atom("b"), Atom("a")))
     assert parse("(-1 . bern + x . u) . adj(chi)") == Dot(
         Sum(Dot(Const(F(-1)), Atom("bern")), Dot(Indet("x"), Atom("u"))),
-        Adjoint(Atom("chi")),
+        Call("adj", (Atom("chi"),)),
     )
-    assert parse("a - b") == Sum(Atom("a"), InverseDot(Atom("b")))
+    assert parse("a - b") == Sum(Atom("a"), Call("inv", (Atom("b"),)))
     assert parse("1/2 . u") == Dot(Const(F(1, 2)), Atom("u"))
     assert parse("bell ^. 2") == DotPower(Atom("bell"), 2)
-    assert parse("dsum(u, chi)") == DisjointSum(Atom("u"), Atom("chi"))
-    assert parse("ddiff(u, chi)") == DisjointDiff(Atom("u"), Atom("chi"))
-    assert parse("cinv(adj(d(bar(u))))") == CompInv(Adjoint(Deriv(Bar(Atom("u")))))
+    assert parse("dsum(u, chi)") == Call("dsum", (Atom("u"), Atom("chi")))
+    assert parse("ddiff(u, chi)") == Call("ddiff", (Atom("u"), Atom("chi")))
+    nested = Call("cinv", (Call("adj", (Call("d", (Call("bar", (Atom("u"),)),)),)),))
+    assert parse("cinv(adj(d(bar(u))))") == nested
     assert parse("chi''") == Atom("chi", 2)
     assert parse("(x . u)'") == Fresh(Dot(Indet("x"), Atom("u")))
     assert parse("x ^ 3") == Indet("x", 3)
@@ -188,12 +186,11 @@ def _leaf():
 
 
 def _extend(children):
+    # a keyword drawn from OPERATIONS, with as many arguments as its arity
+    calls = st.sampled_from(list(OPERATIONS)).flatmap(
+        lambda op: st.tuples(*[children] * OPERATIONS[op][1]).map(lambda args: Call(op, args))
+    )
     unary = st.one_of(
-        st.builds(InverseDot, children),
-        st.builds(CompInv, children),
-        st.builds(Adjoint, children),
-        st.builds(Deriv, children),
-        st.builds(Bar, children),
         # '^' on an indeterminate folds into the node, as the parser does
         st.builds(
             lambda e, n: Indet(e.var, e.power * n) if isinstance(e, Indet) else Power(e, n),
@@ -209,12 +206,10 @@ def _extend(children):
     )
     binary = st.one_of(
         st.builds(Sum, children, children),
-        st.builds(lambda a, b: Sum(a, InverseDot(b)), children, children),
+        st.builds(lambda a, b: Sum(a, Call("inv", (b,))), children, children),
         st.builds(Dot, children, children),
-        st.builds(DisjointSum, children, children),
-        st.builds(DisjointDiff, children, children),
     )
-    return st.one_of(unary, binary)
+    return st.one_of(calls, unary, binary)
 
 
 expressions = st.recursive(_leaf(), _extend, max_leaves=12)
@@ -248,6 +243,18 @@ def test_reserved_names_stay_reserved():
         parse("inv + u")
     assert parse("x") == Indet("x", 1)
     assert parse("y") == Indet("y", 1)
+
+
+def test_docs_name_exactly_the_operations():
+    # The KEYWORD production of the grammar and the README's "Keywords:"
+    # sentence list the keys of the one table the parser reads.
+    root = Path(__file__).resolve().parents[1]
+    grammar = (root / "docs" / "grammar.ebnf").read_text(encoding="utf-8")
+    production = re.search(r"^KEYWORD\s*=(.*?);", grammar, re.M | re.S).group(1)
+    assert sorted(re.findall(r'"(\w+)"', production)) == sorted(OPERATIONS)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Keywords:(.*?)\.\s", readme, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)\(", sentence)) == sorted(OPERATIONS)
 
 
 def test_scalar_mul_without_surface_syntax_raises():
