@@ -33,6 +33,10 @@ E[e^n].  Moments may be polynomials in x, y.  It takes one of two routes:
   before either route is chosen, so an atom-free power such as (x + 1)^8 is
   the polynomial P = (x + 1)^8, with moments P^n, and needs no order 8 n.
 
+A ``Dot`` is computed as the tree groups it, its two sides first.  The
+parser groups a chain to the left, so g1 . g2 . g3 composes each link into
+the value so far, and a link's own series is the inner one of each compose.
+
 A power multiplies the order at which an atom's moments are needed: moment n
 of a^k needs a to order n k.  The evaluator works that order out before it
 computes anything and fetches each atom once, at that order.  It refuses,
@@ -72,19 +76,20 @@ MAX_ORDER = 64
 # expansion could take more (by the bound of ``_expansion_work``).
 MAX_EXPANSION = 100_000
 
-# Each DSL keyword: the name of its ``umbra`` function, its arity, and how
-# many orders past its own it needs its operands (bar(a) reads a_(n+1)).
+# Each DSL keyword: the name of its ``umbra`` function, its arity, and the
+# order its operands are read to for a result to order k (bar(a) reads
+# a_(k+1); cinv and adj check a_1, at order 0 too).
 # The parser, the printer and the evaluator all read this table.  The
 # evaluator looks the function up by name when the operation runs, so a
 # wrapper put on the ``umbra`` module afterwards is the one called.
 OPERATIONS = {
-    "inv": ("inverse_dot", 1, 0),
-    "cinv": ("comp_inverse", 1, 0),
-    "adj": ("adjoint", 1, 0),
-    "d": ("derivative_umbra", 1, 0),
-    "bar": ("overbar_umbra", 1, 1),
-    "dsum": ("disjoint_sum", 2, 0),
-    "ddiff": ("disjoint_diff", 2, 0),
+    "inv": ("inverse_dot", 1, lambda k: k),
+    "cinv": ("comp_inverse", 1, lambda k: max(k, 1)),
+    "adj": ("adjoint", 1, lambda k: max(k, 1)),
+    "d": ("derivative_umbra", 1, lambda k: k),
+    "bar": ("overbar_umbra", 1, lambda k: k + 1),
+    "dsum": ("disjoint_sum", 2, lambda k: k),
+    "ddiff": ("disjoint_diff", 2, lambda k: k),
 }
 
 
@@ -102,7 +107,6 @@ class Atom(Expr):
 @dataclass(frozen=True)
 class Indet(Expr):
     var: str
-    power: int = 1
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,6 @@ class _Evaluator:
         self.env = env
         self._fresh = 0
         self._sources: dict[tuple, Callable[[int], Umbra]] = {}
-        self._need: dict[tuple, int] = {}
         self._cache: dict[tuple, tuple[Value, ...]] = {}
 
     # -- atom bookkeeping ----------------------------------------------
@@ -260,17 +263,14 @@ class _Evaluator:
         return label
 
     def plan(self, base: dict) -> None:
-        """Fix the order each atom is fetched at: moment n of base^order needs
-        a to order n e, e the highest power of a in base."""
+        """Fetch each atom once, at the order moment n of base^order needs
+        it to: n e, e the highest power of a in base.  Every atom is
+        fetched, at order 0 too, so each operation runs its checks."""
+        need: dict[tuple, int] = {}
         for atoms, _, _ in base:
             for label, e in atoms:
-                self._need[label] = max(self._need.get(label, self.order), e * self.order)
-
-    def _atom_moment(self, label: tuple, e: int) -> Value:
-        have = self._cache.get(label)
-        if have is None:
-            have = self._cache[label] = self._sources[label](self._need[label]).moments
-        return have[e]
+                need[label] = max(need.get(label, self.order), e * self.order)
+        self._cache = {label: self._sources[label](n).moments for label, n in need.items()}
 
     # -- normalization to a polynomial over atoms ------------------------
 
@@ -281,9 +281,7 @@ class _Evaluator:
         if isinstance(expr, Indet):
             if expr.var not in ("x", "y"):
                 raise UnknownUmbraError(f"unknown indeterminate {expr.var!r}")
-            dx = expr.power if expr.var == "x" else 0
-            dy = expr.power if expr.var == "y" else 0
-            return {((), dx, dy): Fraction(1)}
+            return {((), 1, 0) if expr.var == "x" else ((), 0, 1): Fraction(1)}
         if isinstance(expr, Const):
             return {_UNIT: Fraction(expr.value)} if expr.value else {}
         if isinstance(expr, Sum):
@@ -329,8 +327,8 @@ class _Evaluator:
         if isinstance(expr, Fresh):
             return lambda k: evaluate(expr.expr, k, env)
         if isinstance(expr, Call) and expr.op in OPERATIONS:
-            name, _, shift = OPERATIONS[expr.op]
-            return lambda k: getattr(umbra, name)(*(evaluate(a, k + shift, env) for a in expr.args))
+            name, _, reads = OPERATIONS[expr.op]
+            return lambda k: getattr(umbra, name)(*(evaluate(a, reads(k), env) for a in expr.args)).truncated(k)
         raise TypeError(f"not an umbral expression: {expr!r}")
 
     # -- the kernel route for linear forms --------------------------------
@@ -348,8 +346,6 @@ class _Evaluator:
             label = atoms[0][0] if atoms else None
             parts[label] = parts.get(label, 0) + (Poly({(dx, dy): c}) if dx or dy else c)
         constant = parts.pop(None, Fraction(0))
-        if not order:
-            return (Fraction(1),)
         umbrae = []
         for label, c in parts.items():
             a = self._sources[label](order)
@@ -371,7 +367,7 @@ class _Evaluator:
         for (atoms, dx, dy), c in upoly.items():
             term: Value = c
             for label, e in atoms:
-                term = term * self._atom_moment(label, e)
+                term = term * self._cache[label][e]
             if dx:
                 term = term * Poly.variable("x") ** dx
             if dy:

@@ -1,10 +1,10 @@
 """Tokenizer, recursive-descent parser and pretty-printer for umbral
 expressions.
 
-Grammar (three precedence levels, `.` groups to the right)::
+Grammar (three precedence levels; `.`, `+` and `-` group to the left)::
 
     expr    := term (('+' | '-') term)*
-    term    := postfix ('.' postfix)*          # right-folded: a.b.c = a.(b.c)
+    term    := postfix ('.' postfix)*          # left-folded: a.b.c = (a.b).c
     postfix := primary ('^' INT | '^.' INT | PRIME)*
     primary := NAME | INT ['/' INT] | '-' primary
              | '(' expr ')' | KEYWORD '(' expr [',' expr] ')'
@@ -12,7 +12,10 @@ Grammar (three precedence levels, `.` groups to the right)::
 The keywords and their arities are the keys of ``expressions.OPERATIONS``;
 a keyword call parses to one ``Call`` node.  `x` and `y` are the scalar
 indeterminates; a prime makes a fresh uncorrelated copy (on a named atom it
-bumps the correlation label).  `a - b` abbreviates `a + inv(b)`.
+bumps the correlation label).  `a - b` abbreviates `a + inv(b)`.  Each
+operator builds one node kind: every `^` a ``Power`` (on x and y too) and
+every `.` a ``Dot``.  The dot product is associative, so the grouping of a
+chain changes no moment, only the cost; a chain is evaluated as written.
 
 ``tokenize`` reads one token pattern at a time (see ``docs/grammar.ebnf``
 for the Unicode classes) and refuses an expression of more than MAX_TOKENS
@@ -136,15 +139,12 @@ class _Parser:
             node = Sum(node, Call("inv", (rhs,)) if minus else rhs)
         return node
 
-    # term := postfix ('.' postfix)*, right-folded
+    # term := postfix ('.' postfix)*
     def term(self) -> Expr:
-        parts = [self.postfix()]
+        node = self.postfix()
         while self.peek().kind == "DOT":
             self.advance()
-            parts.append(self.postfix())
-        node = parts.pop()
-        for left in reversed(parts):
-            node = Dot(left, node)
+            node = Dot(node, self.postfix())
         return node
 
     # postfix := primary ('^' INT | '^.' INT | PRIME)*
@@ -154,8 +154,7 @@ class _Parser:
             kind = self.peek().kind
             if kind == "CARET":
                 self.advance()
-                power = int(self.expect("INT", "an integer exponent").lexeme)
-                node = Indet(node.var, node.power * power) if isinstance(node, Indet) else Power(node, power)
+                node = Power(node, int(self.expect("INT", "an integer exponent").lexeme))
             elif kind == "CARETDOT":
                 self.advance()
                 node = DotPower(node, int(self.expect("INT", "an integer dot-power").lexeme))
@@ -226,9 +225,7 @@ def _render(expr: Expr, minlevel: int) -> str:
     if isinstance(expr, Atom):
         return expr.name + "'" * expr.primes
     if isinstance(expr, Indet):
-        if expr.power == 1:
-            return expr.var
-        return _paren(f"{expr.var} ^ {expr.power}", _LEVEL_POSTFIX, minlevel)
+        return expr.var
     if isinstance(expr, Const):
         return format_rational(expr.value)
     if isinstance(expr, Sum):
@@ -237,9 +234,9 @@ def _render(expr: Expr, minlevel: int) -> str:
             return _paren(f"{left} - {_render(expr.right.args[0], _LEVEL_DOT)}", _LEVEL_SUM, minlevel)
         return _paren(f"{left} + {_render(expr.right, _LEVEL_DOT)}", _LEVEL_SUM, minlevel)
     if isinstance(expr, Dot):
-        # Right-grouped chains print flat; a Dot on the left needs parens.
-        left = _render(expr.left, _LEVEL_POSTFIX)
-        right = _render(expr.right, _LEVEL_DOT)
+        # Left-grouped chains print flat; a Dot on the right needs parens.
+        left = _render(expr.left, _LEVEL_DOT)
+        right = _render(expr.right, _LEVEL_POSTFIX)
         return _paren(f"{left} . {right}", _LEVEL_DOT, minlevel)
     if isinstance(expr, Power):
         return _paren(f"{_render(expr.expr, _LEVEL_POSTFIX)} ^ {expr.power}", _LEVEL_POSTFIX, minlevel)
@@ -256,8 +253,6 @@ def _render(expr: Expr, minlevel: int) -> str:
         if isinstance(expr.expr, Const):
             return format_rational(-expr.expr.value)
         safe = isinstance(expr.expr, (Atom, Indet)) and getattr(expr.expr, "primes", 0) == 0
-        if isinstance(expr.expr, Indet) and expr.expr.power != 1:
-            safe = False
         inner = _render(expr.expr, _LEVEL_SUM)
         if not (safe or isinstance(expr.expr, Call)):
             inner = f"({inner})"  # a trailing prime would otherwise rebind

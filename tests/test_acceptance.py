@@ -254,9 +254,9 @@ def _random_expr(rng: random.Random, depth: int):
             return Atom(rng.choice(names), rng.randrange(3))
         if kind == 1:
             return Const(F(rng.randint(-9, 9), rng.randint(1, 9)))
-        if kind == 2:
-            return Indet("x", rng.randint(1, 3))
-        return Indet("y", rng.randint(1, 3))
+        var = "x" if kind == 2 else "y"
+        k = rng.randint(1, 3)
+        return Indet(var) if k == 1 else Power(Indet(var), k)
     kind = rng.randrange(12)
     sub = lambda: _random_expr(rng, depth - 1)  # noqa: E731
     if kind == 0:
@@ -266,8 +266,7 @@ def _random_expr(rng: random.Random, depth: int):
     if kind == 2:
         return Dot(sub(), sub())
     if kind == 3:
-        e = sub()
-        return Indet(e.var, e.power * rng.randint(0, 3)) if isinstance(e, Indet) else Power(e, rng.randint(0, 3))
+        return Power(sub(), rng.randint(0, 3))
     if kind == 4:
         return DotPower(sub(), rng.randint(0, 3))
     if kind == 5:

@@ -488,6 +488,25 @@ def test_power_past_order_cap_exits_1(run, expr, order, need):
     assert err == f"umbra: error: expression needs order {need}, past the order cap 64\n"
 
 
+@pytest.mark.parametrize("expr", ["x ^ 65", "(x) ^ 65", "y ^ 100"])
+def test_indeterminate_power_past_order_cap_exits_1(run, expr):
+    """A ^ on x or y obeys the exponent cap that every other operand does."""
+    code, out, err = run("eval", expr, "--order", "2")
+    assert (code, out) == (1, "")
+    need = expr.split("^")[1].strip()
+    assert err == f"umbra: error: expression needs order {need}, past the order cap 64\n"
+    assert err == run("eval", f"chi ^ {need}", "--order", "2")[2]
+    assert run("eval", "x ^ 64", "--order", "1")[0] == 0
+
+
+@pytest.mark.parametrize("expr", ["cinv(eps)", "adj(eps)", "bar(x . u)", "cinv(eps)^2 + u"])
+def test_operations_check_their_operands_at_order_0(run, expr):
+    """Every operation runs at every order, so --order 0 refuses what --order 1 does."""
+    code, out, err = run("eval", expr, "--order", "0")
+    assert (code, out) == (2, "")
+    assert (code, out, err) == run("eval", expr, "--order", "1")
+
+
 def test_dot_power_past_order_cap_exits_1(run):
     """A ^. exponent past the cap is refused before any power is taken."""
     start = time.perf_counter()
@@ -530,12 +549,12 @@ def test_oversized_integer_literal_exits_1(run, template):
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str limit")
 def test_exponent_past_digit_limit_exits_1(run):
-    """x^k with k at the digit limit parses, but moment 2 is x^(2 k), whose
-    exponent has more digits than Python prints."""
+    """x^k with k at the digit limit parses, and its exponent is past the
+    order cap, as any ^ exponent may be, before any moment is computed."""
     limit = sys.get_int_max_str_digits()
     code, out, err = run("eval", "x^" + "9" * limit, "--order", "2")
     assert code == 1 and out == ""
-    assert err == f"umbra: error: value too large to print: its numerator has more than {limit} digits\n"
+    assert err == f"umbra: error: expression needs order {'9' * limit}, past the order cap 64\n"
 
 
 # Each deep shape: a text of depth k, the deepest k within the 200-token bound,

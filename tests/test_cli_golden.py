@@ -125,6 +125,13 @@ GOLDEN = [
      "b7eb591afd7f5ac5454f2efbe113983b4d5b4a8ffd42c359b31e8f0df2e72672"),
     (["eval", "y . bern + x . bell + y . bell", "--order", "12"],
      "acc8dd3c06417e1854a61a1eb9d7b59e8a25dd8fb6b885a643ac125b17c5f5c9"),
+    # Dot chains through x and y, computed from the left as written.
+    (["eval", "x . bell . y . bern", "--order", "12"],
+     "d066cd96f22946287ceccbe37e4e1076c84deb306a49a2ccfdd6966776ab513c"),
+    (["eval", "x . bell . y . bell", "--order", "12"],
+     "e465a94c608c55665f652d4b1e21fd9298d535850513cea45a680c5e3dc11cab"),
+    (["eval", "bell . x . bell . y . bern", "--order", "12"],
+     "53fb893ce76adffc4ad942fdbe83825c7a7918f45ba4f6747311d4334823c6df"),
     # The pretty, csv and latex renderers on Poly moments, checks and notes,
     # and the define and list renderers.
     (["eval", "y . bell + x . bern", "--order", "4", "--format", "pretty"],

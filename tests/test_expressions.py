@@ -22,7 +22,7 @@ from umbralcalc.expressions import (
 )
 from umbralcalc import umbra
 from umbralcalc.parser import parse, pretty_print
-from umbralcalc.poly import X, Y
+from umbralcalc.poly import Poly, X, Y
 from umbralcalc.umbra import (
     BUILTIN_UMBRAE,
     Umbra,
@@ -88,12 +88,12 @@ def test_operator_nodes_match_engine_ops():
     # (bar at order 7) truncated.
     order = 6
     operands = {1: ("bell",), 2: ("u", "chi")}
-    for op, (name, arity, shift) in OPERATIONS.items():
+    for op, (name, arity, reads) in OPERATIONS.items():
         text = f"{op}({', '.join(operands[arity])})"
         expr = parse(text)
         assert expr == Call(op, tuple(map(Atom, operands[arity])))
         assert pretty_print(expr) == text
-        expected = getattr(umbra, name)(*(BUILTIN_UMBRAE[a](order + shift) for a in operands[arity]))
+        expected = getattr(umbra, name)(*(BUILTIN_UMBRAE[a](reads(order)) for a in operands[arity]))
         for k in (0, 1, order):
             assert evaluate(expr, k) == expected.truncated(k), (text, k)
     bell = bell_umbra(order)
@@ -147,11 +147,30 @@ def test_indeterminate_dot():
     assert got.moments == (1, X, 2 * X**2, 5 * X**3)
 
 
+def test_dot_chain_composes_one_link_at_a_time(monkeypatch):
+    # Grouped from the left, x . bell . y . bern composes each link into the
+    # value so far: an inner series is a scalar one or y's own cumulant
+    # series y t, never the Poly cumulants of y . bern.
+    inner = []
+    real = umbra.egf_compose
+    monkeypatch.setattr(umbra, "egf_compose", lambda f, h: inner.append(h) or real(f, h))
+    evaluate(parse("x . bell . y . bern"), 8)
+    assert inner
+    for h in inner:
+        assert not any(isinstance(v, Poly) for v in h[2:]), h
+
+
+def test_operations_read_an_order_0_operand_at_order_0():
+    z = Umbra([F(1)])
+    for text in ("cinv(bell)", "adj(u)", "bar(u)", "inv(z)"):
+        assert evaluate(parse(text), 0, {**default_environment(), "z": z}).moments == (1,), text
+
+
 def test_scalar_nodes():
     assert evaluate(Const(F(3)), 3).moments == (1, 3, 9, 27)
     assert evaluate(ScalarMul(F(-1), Atom("chi")), 3).moments == (1, -1, 0, 0)
     assert evaluate(Sum(Indet("x"), Const(F(1))), 2).moments == (1, X + 1, X**2 + 2 * X + 1)
-    assert evaluate(Indet("y", 2), 2).moments == (1, Y**2, Y**4)
+    assert evaluate(Power(Indet("y"), 2), 2).moments == (1, Y**2, Y**4)
 
 
 def test_aux_umbrae_are_uncorrelated():

@@ -46,7 +46,7 @@ def test_tokens_are_lossless():
 def test_parse_shapes():
     assert parse("x . bell") == Dot(Indet("x"), Atom("bell"))
     assert parse("chi ^ 2 + u") == Sum(Power(Atom("chi"), 2), Atom("u"))
-    assert parse("x . b . a") == Dot(Indet("x"), Dot(Atom("b"), Atom("a")))
+    assert parse("x . b . a") == Dot(Dot(Indet("x"), Atom("b")), Atom("a"))
     assert parse("(-1 . bern + x . u) . adj(chi)") == Dot(
         Sum(Dot(Const(F(-1)), Atom("bern")), Dot(Indet("x"), Atom("u"))),
         Call("adj", (Atom("chi"),)),
@@ -60,7 +60,7 @@ def test_parse_shapes():
     assert parse("cinv(adj(d(bar(u))))") == nested
     assert parse("chi''") == Atom("chi", 2)
     assert parse("(x . u)'") == Fresh(Dot(Indet("x"), Atom("u")))
-    assert parse("x ^ 3") == Indet("x", 3)
+    assert parse("x ^ 3") == Power(Indet("x"), 3)
     assert parse("-(x . u)") == ScalarMul(F(-1), Dot(Indet("x"), Atom("u")))
     assert parse("-3") == Const(F(-3))
 
@@ -180,8 +180,7 @@ def _leaf():
         st.builds(lambda n: Atom(n), _names),
         st.builds(lambda n, p: Atom(n, p), _names, st.integers(1, 2)),
         st.builds(lambda v: Const(v), _consts),
-        st.builds(lambda k: Indet("x", k), st.integers(1, 3)),
-        st.builds(lambda k: Indet("y", k), st.integers(1, 3)),
+        st.builds(lambda v, k: Indet(v) if k == 1 else Power(Indet(v), k), st.sampled_from("xy"), st.integers(1, 3)),
     )
 
 
@@ -191,12 +190,7 @@ def _extend(children):
         lambda op: st.tuples(*[children] * OPERATIONS[op][1]).map(lambda args: Call(op, args))
     )
     unary = st.one_of(
-        # '^' on an indeterminate folds into the node, as the parser does
-        st.builds(
-            lambda e, n: Indet(e.var, e.power * n) if isinstance(e, Indet) else Power(e, n),
-            children,
-            st.integers(0, 4),
-        ),
+        st.builds(Power, children, st.integers(0, 4)),
         st.builds(lambda e, n: DotPower(e, n), children, st.integers(0, 4)),
         st.builds(lambda e: Fresh(e) if not isinstance(e, Atom) else Atom(e.name, e.primes + 1), children),
         # unary minus folds into constants, as the parser does
@@ -231,8 +225,9 @@ def test_pretty_is_canonical_fixed_point(ast):
 
 def test_canonical_forms():
     assert pretty_print(parse("2/4 . u")) == "1/2 . u"
-    assert pretty_print(parse("x . (b . a)")) == "x . b . a"
-    assert pretty_print(parse("(a . b) . c")) == "(a . b) . c"
+    assert pretty_print(parse("(a . b) . c")) == "a . b . c"
+    assert pretty_print(parse("a . (b . c)")) == "a . (b . c)"
+    assert pretty_print(parse("x ^ 2 ^ 3")) == "x ^ 2 ^ 3"
     assert pretty_print(parse("a + (b + c)")) == "a + (b + c)"
     assert pretty_print(parse("a - b - c")) == "a - b - c"
 
@@ -241,8 +236,8 @@ def test_reserved_names_stay_reserved():
     # keywords parse as calls, never as atoms
     with pytest.raises(UmbraSyntaxError):
         parse("inv + u")
-    assert parse("x") == Indet("x", 1)
-    assert parse("y") == Indet("y", 1)
+    assert parse("x") == Indet("x")
+    assert parse("y") == Indet("y")
 
 
 def test_docs_name_exactly_the_operations():
@@ -255,6 +250,19 @@ def test_docs_name_exactly_the_operations():
     readme = (root / "README.md").read_text(encoding="utf-8")
     sentence = re.search(r"Keywords:(.*?)\.\s", readme, re.S).group(1)
     assert sorted(re.findall(r"`(\w+)\(", sentence)) == sorted(OPERATIONS)
+
+
+def test_docs_say_dot_groups_to_the_left():
+    # The README's grammar block and docs/grammar.ebnf describe the `term`
+    # rule as the parser builds it.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    term = re.search(r"^\s*term\s*:?=.*$", readme, re.M).group(0)
+    assert "left" in term and "right" not in term, term
+    grammar = (root / "docs" / "grammar.ebnf").read_text(encoding="utf-8")
+    assert "chains to the left" in grammar and "to the right" not in grammar
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert parse("a . b . c") == Dot(Dot(a, b), c)
 
 
 def test_scalar_mul_without_surface_syntax_raises():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.poly import Poly, X, Y, _sum_products, collapse, poly_definite_integral
-from umbralcalc.rationals import format_rational
+from umbralcalc.rationals import OutputSizeError, format_rational
 
 from oracles import FractionPoly
 
@@ -115,6 +116,15 @@ def test_str_descending_degree():
     assert str(Poly(0)) == "0"
     assert str(-X) == "-x"
     assert str(F(5, 2) * X * Y) == "5/2*x*y"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str limit")
+def test_exponent_past_digit_limit_is_not_printed():
+    p = Poly({(10 ** sys.get_int_max_str_digits(), 0): 1})
+    with pytest.raises(OutputSizeError):
+        str(p)
+    with pytest.raises(OutputSizeError):
+        p.to_json_map()
 
 
 def test_pow_rejects_negative():
