@@ -54,7 +54,7 @@ from .sheffer import (
     connection_constants,
     sheffer_moments,
 )
-from .umbra import BUILTIN_UMBRAE, Umbra
+from .umbra import BUILTIN_UMBRAE, Umbra, _require_scalar_first_moment
 from . import workspace as ws
 
 FORMATS = ("pretty", "json", "csv", "latex")
@@ -84,6 +84,11 @@ _TABLES = {
 
 # connect's pair options: (from-alpha, from-gamma) and (to-alpha, to-gamma).
 _CONNECT_OPTIONS = ("from-alpha", "from-gamma", "to-alpha", "to-gamma")
+
+# The pair options whose series each command reverts, so whose first moment
+# must be a nonzero scalar.  Each is read to order max(N, 1), so that --order 0
+# checks that moment as --order 1 does, and then truncated to N.
+_REVERTED = {"sheffer": ("gamma",), "associated": ("gamma",), "connect": ("from-gamma", "to-gamma")}
 
 _EXAMPLES = {
     "bernoulli-diff": lambda order: recurrence_example_bernoulli(order),
@@ -162,10 +167,16 @@ def _environment(args) -> dict:
 def _operand(args, option: str, env) -> Umbra:
     """The pair option --option evaluated to --order.  Moments in y are
     refused (the CLI prints tables in x alone), and for connect moments in x
-    too (connection constants need scalar pairs), before any table work."""
-    umbra = evaluate(parse(getattr(args, option.replace("-", "_"))), args.order, env)
+    too (connection constants need scalar pairs), before any table work.
+    An option in _REVERTED is read to order 1 at --order 0 and its first
+    moment checked there."""
+    reads = max(args.order, 1) if option in _REVERTED.get(args.command, ()) else args.order
+    umbra = evaluate(parse(getattr(args, option.replace("-", "_"))), reads, env)
     for var in ("x", "y") if args.command == "connect" else ("y",):
         _require_free_of(umbra, var, option, f"which {args.command} does not take")
+    if reads > args.order:
+        _require_scalar_first_moment(umbra)
+        umbra = umbra.truncated(args.order)
     return umbra
 
 

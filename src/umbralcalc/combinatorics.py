@@ -11,10 +11,10 @@ oracles in ``tests/oracles.py``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
 
 from .poly import Value, collapse
 from .series import egf_compose

@@ -47,15 +47,15 @@ expansion that could take more than MAX_EXPANSION monomial products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import Callable, Mapping, Union
 
 from . import umbra
 from .errors import OrderCapError, UnknownUmbraError
 from .poly import Poly, Value, _madd, collapse
+from .records import Record
 from .series import egf_mul
 from .umbra import (
     BUILTIN_UMBRAE,
@@ -93,73 +93,59 @@ OPERATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Base class of the AST nodes: frozen dataclasses, equal by value."""
+class Expr(Record):
+    """Base class of the AST nodes: frozen slotted records, equal by value
+    within one node class."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Expr):
-    name: str
-    primes: int = 0
+    __slots__ = ("name", "primes")
+    _defaults = {"primes": int}
 
 
-@dataclass(frozen=True)
 class Indet(Expr):
-    var: str
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class ScalarMul(Expr):
-    scalar: Fraction
-    expr: Expr
+    __slots__ = ("scalar", "expr")
 
 
-@dataclass(frozen=True)
 class Dot(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class DotPower(Expr):
-    expr: Expr
-    power: int
+    __slots__ = ("expr", "power")
 
 
-@dataclass(frozen=True)
 class Power(Expr):
-    expr: Expr
-    power: int
+    __slots__ = ("expr", "power")
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    """A keyword operation of OPERATIONS applied to its arguments."""
+    """A keyword operation of OPERATIONS applied to its arguments (a tuple of Expr)."""
 
-    op: str
-    args: tuple[Expr, ...]
+    __slots__ = ("op", "args")
 
 
-@dataclass(frozen=True)
 class Fresh(Expr):
     """An uncorrelated copy of a composite expression (a prime on a non-atom)."""
 
-    expr: Expr
+    __slots__ = ("expr",)
 
 
-MomentSource = Union[Umbra, Callable[[int], Umbra]]
+MomentSource = Umbra | Callable[[int], Umbra]
 Environment = Mapping[str, MomentSource]
 
 

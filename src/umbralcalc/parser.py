@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UmbraSyntaxError
@@ -46,6 +45,7 @@ from .expressions import (
     Sum,
 )
 from .rationals import format_rational
+from .records import Record
 
 KEYWORDS = tuple(OPERATIONS)
 INDETERMINATES = ("x", "y")
@@ -66,11 +66,8 @@ _OPERATORS = {
 MAX_TOKENS = 200
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    lexeme: str
-    offset: int
+class Token(Record):
+    __slots__ = ("kind", "lexeme", "offset")
 
 
 def _syntax_error(message: str, text: str, offset: int) -> UmbraSyntaxError:

@@ -18,13 +18,11 @@ moments, y shows up only in two-variable identity checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Union
 
 from .rationals import _check_digits, format_rational
-
-Value = Union[Fraction, "Poly"]
 
 _VARS = ("x", "y")
 
@@ -215,6 +213,8 @@ class Poly:
     def to_json_map(self) -> dict[str, str]:
         return {_monomial_str(key): format_rational(c) for key, c in sorted(self.items())}
 
+
+Value = Fraction | Poly
 
 X = Poly.variable("x")
 Y = Poly.variable("y")

@@ -15,13 +15,13 @@ theorems of the calculus, kept executable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 from .combinatorics import binomial, binomial_row
 from .combinatorics import stirling_first_classical, stirling_second_classical
 from .poly import X, Y, Poly, Value, collapse, poly_definite_integral
+from .records import Record
 from .sheffer import (
     associated_moments,
     _as_poly,
@@ -267,15 +267,13 @@ def bell_expansion_general(gamma: Umbra, n: int) -> Poly:
 # Worked difference equations
 
 
-@dataclass(frozen=True)
-class RecurrenceSolution:
-    """A solved difference equation: the sequence plus the names of the checks
-    it passed (a failed check raises ConsistencyError instead)."""
+class RecurrenceSolution(Record):
+    """A solved difference equation: its name, the PolySequence, the names of
+    the checks it passed (a failed check raises ConsistencyError instead) and
+    a dict of notes, empty by default."""
 
-    name: str
-    sequence: PolySequence
-    checks: tuple[str, ...]
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("name", "sequence", "checks", "notes")
+    _defaults = {"notes": dict}
 
 
 def recurrence_example_bernoulli(n_max: int) -> RecurrenceSolution:

@@ -32,11 +32,11 @@ leading moment.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
 from .poly import Poly, Value, _make, _sum_products, collapse

@@ -15,13 +15,13 @@ Every such run-time check goes through ``require_equal``, which raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .combinatorics import binomial
 from .errors import ConsistencyError, VariableCaptureError
 from .poly import X, Y, Poly, Value, _monomial_str, collapse
+from .records import Record
 from .series import (
     Series,
     egf_compose,
@@ -77,12 +77,10 @@ def _require_free_of(a: Umbra, var: str, role: str, why: str = "the variable of 
         raise VariableCaptureError(f"{role} (--{role}) mentions {var}, {why}")
 
 
-@dataclass(frozen=True)
-class ShefferPair:
-    """The data (a, g) of a Sheffer umbra: g_1 is a nonzero scalar, and neither mentions x."""
+class ShefferPair(Record):
+    """The data (a, g) of a Sheffer umbra, two Umbras: g_1 is a nonzero scalar, and neither mentions x."""
 
-    alpha: Umbra
-    gamma: Umbra
+    __slots__ = ("alpha", "gamma")
 
     def __post_init__(self):
         if self.alpha.order != self.gamma.order:
@@ -97,11 +95,10 @@ class ShefferPair:
         return self.alpha.order
 
 
-@dataclass(frozen=True)
-class PolySequence:
-    """Polynomials s_0..s_N with deg s_n = n and s_0 = 1."""
+class PolySequence(Record):
+    """Polynomials s_0..s_N with deg s_n = n and s_0 = 1, held as a tuple of Polys."""
 
-    polys: tuple[Poly, ...]
+    __slots__ = ("polys",)
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(_as_poly(p) for p in self.polys))
@@ -211,12 +208,12 @@ def inverse_sequence(pair: ShefferPair) -> PolySequence:
     return sheffer_moments(inverse_pair(pair))
 
 
-@dataclass(frozen=True)
-class ConnectionConstants:
-    """Lower-triangular c_{n,k} with s_n(x) = sum_k c_{n,k} r_k(x)."""
+class ConnectionConstants(Record):
+    """Lower-triangular c_{n,k} with s_n(x) = sum_k c_{n,k} r_k(x): ``matrix``
+    is a tuple of rows of Fractions, and ``verified`` is always True
+    (connection_constants raises ConsistencyError instead)."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    verified: bool  # always True: connection_constants raises ConsistencyError instead
+    __slots__ = ("matrix", "verified")
 
     def __getitem__(self, nk: tuple[int, int]) -> Fraction:
         n, k = nk

@@ -30,9 +30,9 @@ its moments.  That convention lives in the expression evaluator
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
 
 from .errors import NonInvertibleError, OrderMismatchError
 from .poly import Poly, Value, _power_table, collapse

@@ -396,6 +396,19 @@ def test_module_entry_point(tmp_path):
     assert "moments of u" in proc.stdout
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """The CLI starts one process per command, so its import path stays off
+    the slow-to-import modules: checked on a plain interpreter (-S), whose
+    site hooks preload nothing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import umbralcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_csv_row_column_counts(run):
     code, out, _ = run("associated", "--gamma", "u", "--order", "4", "--format", "csv")
     lines = out.strip().splitlines()
@@ -505,6 +518,23 @@ def test_operations_check_their_operands_at_order_0(run, expr):
     code, out, err = run("eval", expr, "--order", "0")
     assert (code, out) == (2, "")
     assert (code, out, err) == run("eval", expr, "--order", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["associated", "--gamma", "eps"],
+        ["sheffer", "--alpha", "u", "--gamma", "eps"],
+        ["connect", "--from-alpha", "u", "--from-gamma", "eps", "--to-alpha", "u", "--to-gamma", "u"],
+        ["connect", "--from-alpha", "u", "--from-gamma", "u", "--to-alpha", "u", "--to-gamma", "eps"],
+    ],
+)
+def test_reverted_gamma_is_checked_at_order_0(run, argv):
+    """A gamma the command reverts needs a nonzero first moment, so --order 0
+    refuses what --order 1 does."""
+    code, out, err = run(*argv, "--order", "0")
+    assert (code, out, err) == (2, "", "umbra: math error: first moment is zero\n")
+    assert (code, out, err) == run(*argv, "--order", "1")
 
 
 def test_dot_power_past_order_cap_exits_1(run):
