@@ -4,12 +4,12 @@ Subcommands: eval, sheffer, associated, appell, connect, stirling, abel,
 example, define, list.  All computation is exact and deterministic; identical
 invocations produce byte-identical output.
 
-The four table commands (sheffer, associated, appell, abel) are declared once,
-in ``_TABLES``.  Every pair option, theirs and connect's four, is evaluated by
-``_operand``, which refuses moments in y for every pair command and moments
-in x for connect before any series work, naming the option
-(VariableCaptureError).  A table's x is its own variable; the library refuses
-it, after the first-moment rule.  Values are formatted only by ``render``.
+The five pair commands (sheffer, associated, appell, connect, abel) are
+declared once, in ``_PAIRS``, and run by ``cmd_pair``.  It evaluates every
+pair option and refuses moments in y for every pair command and moments in x
+for connect before any series work, naming the option (VariableCaptureError).
+A table's x is its own variable; the library refuses it, after the
+first-moment rule.  Values are formatted only by ``render``.
 
 Exit codes: 0 success, 1 usage/parse/unknown-name, an expression past the
 order cap or a result too large to print (OutputSizeError), 2 mathematical
@@ -59,36 +59,41 @@ from . import workspace as ws
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
-# Each table command: its help text, its pair options, and the library call
-# that builds its table from the evaluated pair, in option order.  These calls
-# and those of _EXAMPLES look their library function up by name when they
-# run, so that a wrapper bound over the name (the benchmark's tracer) sees them.
-_TABLES = {
+# Each pair command: its help text, its pair options, the options whose series
+# it reverts (so whose first moment must be a nonzero scalar), the variables
+# its options may not mention, and the library call that builds its result
+# from the evaluated options, in option order.  A table's x is its own
+# variable, which the library refuses after the first-moment rule; connect
+# needs scalar pairs.  These calls and those of _EXAMPLES look their library
+# function up by name when they run, so that a wrapper bound over the name
+# (the benchmark's tracer) sees them.
+_PAIRS = {
     "sheffer": (
         "Sheffer polynomial table for a pair",
-        ("alpha", "gamma"),
+        ("alpha", "gamma"), ("gamma",), ("y",),
         lambda alpha, gamma: sheffer_moments(ShefferPair(alpha, gamma)),
     ),
     "associated": (
         "binomial-type table associated to gamma",
-        ("gamma",),
+        ("gamma",), ("gamma",), ("y",),
         lambda gamma: associated_moments(gamma),
     ),
-    "appell": ("Appell polynomial table of alpha", ("alpha",), lambda alpha: appell_moments(alpha)),
+    "appell": (
+        "Appell polynomial table of alpha",
+        ("alpha",), (), ("y",),
+        lambda alpha: appell_moments(alpha),
+    ),
+    "connect": (
+        "connection constants between two Sheffer pairs",
+        ("from-alpha", "from-gamma", "to-alpha", "to-gamma"), ("from-gamma", "to-gamma"), ("x", "y"),
+        lambda a, g, to_a, to_g: connection_constants(ShefferPair(a, g), ShefferPair(to_a, to_g)),
+    ),
     "abel": (
         "Abel polynomial table x(x - n.gamma)^(n-1)",
-        ("gamma",),
+        ("gamma",), (), ("y",),
         lambda gamma: abel_polynomials(gamma, gamma.order),
     ),
 }
-
-# connect's pair options: (from-alpha, from-gamma) and (to-alpha, to-gamma).
-_CONNECT_OPTIONS = ("from-alpha", "from-gamma", "to-alpha", "to-gamma")
-
-# The pair options whose series each command reverts, so whose first moment
-# must be a nonzero scalar.  Each is read to order max(N, 1), so that --order 0
-# checks that moment as --order 1 does, and then truncated to N.
-_REVERTED = {"sheffer": ("gamma",), "associated": ("gamma",), "connect": ("from-gamma", "to-gamma")}
 
 _EXAMPLES = {
     "bernoulli-diff": lambda order: recurrence_example_bernoulli(order),
@@ -125,16 +130,16 @@ def _build_parser() -> _ArgumentParser:
         commands.append(p)
         return p
 
-    # In the order `umbra -h` lists them.
+    # In the order `umbra -h` lists them, which puts abel after stirling.
     p = command("eval", "evaluate umbral expressions to moment sequences")
     p.add_argument("exprs", metavar="EXPR", nargs="+")
-    for name in ("sheffer", "associated", "appell"):
-        command(name, *_TABLES[name][:2])
-    command("connect", "connection constants between two Sheffer pairs", _CONNECT_OPTIONS)
+    for name in _PAIRS:
+        if name != "abel":
+            command(name, *_PAIRS[name][:2])
     p = command("stirling", "Stirling triangle from the umbral formulas")
     p.add_argument("kind", choices=("first", "second"))
     p.add_argument("--n", type=int, default=None, help="triangle size (default: order)")
-    command("abel", *_TABLES["abel"][:2])
+    command("abel", *_PAIRS["abel"][:2])
     command("example", "worked difference-equation solutions").add_argument("name", choices=_EXAMPLES)
     p = command("define", "store a user umbra in the workspace")
     p.add_argument("name")
@@ -164,22 +169,6 @@ def _environment(args) -> dict:
     return {**BUILTIN_UMBRAE, **ws.load_umbrae(args.workspace)}
 
 
-def _operand(args, option: str, env) -> Umbra:
-    """The pair option --option evaluated to --order.  Moments in y are
-    refused (the CLI prints tables in x alone), and for connect moments in x
-    too (connection constants need scalar pairs), before any table work.
-    An option in _REVERTED is read to order 1 at --order 0 and its first
-    moment checked there."""
-    reads = max(args.order, 1) if option in _REVERTED.get(args.command, ()) else args.order
-    umbra = evaluate(parse(getattr(args, option.replace("-", "_"))), reads, env)
-    for var in ("x", "y") if args.command == "connect" else ("y",):
-        _require_free_of(umbra, var, option, f"which {args.command} does not take")
-    if reads > args.order:
-        _require_scalar_first_moment(umbra)
-        umbra = umbra.truncated(args.order)
-    return umbra
-
-
 # ---------------------------------------------------------------------------
 # Commands (each returns a result dict; render formats its values)
 
@@ -199,29 +188,43 @@ def cmd_eval(args) -> dict:
     return {"command": "eval", "results": results}
 
 
+def _rows(table) -> list[list[str]]:
+    return [[format_rational(c) for c in row] for row in table]
+
+
 def _sequence_result(command: str, seq: PolySequence) -> dict:
     return {
         "command": command,
         "order": seq.order,
         "polynomials": [value_to_str(p) for p in seq],
-        "coefficients": [[format_rational(c) for c in row] for row in seq.coefficient_table()],
+        "coefficients": _rows(seq.coefficient_table()),
     }
 
 
-def cmd_table(args) -> dict:
-    _, pair, build = _TABLES[args.command]
+def cmd_pair(args) -> dict:
+    """Evaluate each pair option to --order, refusing, by option name and
+    before any table work, a mention of a variable the command refuses, then
+    make the command's library call.  A reverted option is read to order 1
+    at --order 0 and its first moment checked there."""
+    _, options, reverted, refused, build = _PAIRS[args.command]
     env = _environment(args)
-    return _sequence_result(args.command, build(*(_operand(args, option, env) for option in pair)))
-
-
-def cmd_connect(args) -> dict:
-    env = _environment(args)
-    alpha, gamma, to_alpha, to_gamma = (_operand(args, option, env) for option in _CONNECT_OPTIONS)
-    cc = connection_constants(ShefferPair(alpha, gamma), ShefferPair(to_alpha, to_gamma))
-    return {
+    operands = []
+    for option in options:
+        reads = max(args.order, 1) if option in reverted else args.order
+        umbra = evaluate(parse(getattr(args, option.replace("-", "_"))), reads, env)
+        for var in refused:
+            _require_free_of(umbra, var, option, f"which {args.command} does not take")
+        if reads > args.order:
+            _require_scalar_first_moment(umbra)
+            umbra = umbra.truncated(args.order)
+        operands.append(umbra)
+    result = build(*operands)
+    if isinstance(result, PolySequence):
+        return _sequence_result(args.command, result)
+    return {  # connect's ConnectionConstants
         "command": "connect",
         "order": args.order,
-        "matrix": [[format_rational(c) for c in row] for row in cc.matrix],
+        "matrix": _rows(result.matrix),
         "verified": True,  # connection_constants raises ConsistencyError otherwise
     }
 
@@ -230,32 +233,32 @@ def cmd_stirling(args) -> dict:
     n_max = args.order if args.n is None else args.n
     if not 0 <= n_max <= MAX_ORDER:
         raise CliUsageError(f"--n must be between 0 and {MAX_ORDER}")
-    # stirling_triangle raises ConsistencyError if an umbral entry disagrees with the classical triangle.
-    triangle = [[format_rational(c) for c in row] for row in stirling_triangle(args.kind, n_max)]
     return {
         "command": "stirling",
         "kind": args.kind,
         "order": n_max,
-        "triangle": triangle,
-        "verified": True,
+        "triangle": _rows(stirling_triangle(args.kind, n_max)),
+        "verified": True,  # stirling_triangle raises ConsistencyError otherwise
     }
 
 
 def cmd_example(args) -> dict:
     solution = _EXAMPLES[args.name](args.order)
-    notes = {
-        key: [value_to_str(v) for v in values] if isinstance(values, list) else str(values)
-        for key, values in solution.notes.items()
-    }
     return {
         **_sequence_result("example", solution.sequence),
         "name": solution.name,
         "checks": [{"name": name, "ok": True} for name in solution.checks],
-        "notes": notes,
+        "notes": {key: [value_to_str(v) for v in values] for key, values in solution.notes.items()},
     }
 
 
-def _parse_csv_rationals(text: str, what: str) -> list[Fraction]:
+def _parse_csv_rationals(text: str, what: str, lead: int = 0) -> list[Fraction]:
+    """The rationals of a define option.  Before any parsing, refuse an umbra
+    past order MAX_ORDER + 1, the most an expression reads; the mode puts
+    ``lead`` more entries in front."""
+    order = text.count(",") + lead
+    if order > MAX_ORDER + 1:
+        raise OrderCapError(f"{what} gives an umbra of order {order}, past the order cap {MAX_ORDER + 1}")
     try:
         return [parse_rational(part) for part in text.split(",")]
     except ValueError as exc:
@@ -280,7 +283,7 @@ def cmd_define(args) -> dict:
         umbra = Umbra([c * factorial(n) for n, c in enumerate(coeffs)], name=name)
     else:
         # The cumulants are the moments of log f, so f is their exp.
-        kappa = _parse_csv_rationals(args.cumulants, "--cumulants")
+        kappa = _parse_csv_rationals(args.cumulants, "--cumulants", lead=1)
         umbra = Umbra(egf_exp((Fraction(0), *kappa)), name=name)
     raw = ws.load_raw(args.workspace)
     ws.umbrae_from_raw(raw, str(args.workspace))  # never rewrite a malformed workspace
@@ -316,7 +319,7 @@ def _render_pretty(result: dict) -> str:
             lines.append(f"moments of {entry['expr']} to order {entry['order']}:")
             for n, m in enumerate(entry["moments"]):
                 lines.append(f"  {n}: {value_to_str(m)}")
-    elif cmd in _TABLES or cmd == "example":
+    elif "polynomials" in result:
         title = result.get("name", cmd)
         lines.append(f"{title} polynomials to order {result['order']}:")
         for n, p in enumerate(result["polynomials"]):
@@ -324,15 +327,13 @@ def _render_pretty(result: dict) -> str:
         for check in result.get("checks", []):
             lines.append(f"check {check['name']}: pass")
         for key, val in sorted(result.get("notes", {}).items()):
-            shown = ", ".join(val) if isinstance(val, list) else val
-            lines.append(f"note {key}: {shown}")
-    elif cmd == "connect":
-        lines.append(f"connection constants to order {result['order']} (verified: yes):")
-        for n, row in enumerate(result["matrix"]):
-            lines.append(f"  {n}: " + " ".join(row))
-    elif cmd == "stirling":
-        lines.append(f"{result['kind']}-kind Stirling triangle to n = {result['order']} (verified: yes):")
-        for n, row in enumerate(result["triangle"]):
+            lines.append(f"note {key}: " + ", ".join(val))
+    elif cmd in _TABLE_KEYS:  # connect and stirling
+        if cmd == "connect":
+            lines.append(f"connection constants to order {result['order']} (verified: yes):")
+        else:
+            lines.append(f"{result['kind']}-kind Stirling triangle to n = {result['order']} (verified: yes):")
+        for n, row in enumerate(result[_TABLE_KEYS[cmd]]):
             lines.append(f"  {n}: " + " ".join(row))
     elif cmd == "define":
         lines.append(
@@ -347,7 +348,7 @@ def _render_pretty(result: dict) -> str:
 
 
 # The result key that holds each table command's rows.
-_TABLE_KEYS = {**dict.fromkeys((*_TABLES, "example"), "coefficients"), "connect": "matrix", "stirling": "triangle"}
+_TABLE_KEYS = {**dict.fromkeys((*_PAIRS, "example"), "coefficients"), "connect": "matrix", "stirling": "triangle"}
 
 
 def _table_rows(result: dict) -> list[list[str]]:
@@ -411,8 +412,7 @@ def render(result: dict, fmt: str) -> str:
 
 _COMMANDS = {
     "eval": cmd_eval,
-    **dict.fromkeys(_TABLES, cmd_table),
-    "connect": cmd_connect,
+    **dict.fromkeys(_PAIRS, cmd_pair),
     "stirling": cmd_stirling,
     "example": cmd_example,
     "define": cmd_define,

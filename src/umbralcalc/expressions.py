@@ -41,8 +41,9 @@ A power multiplies the order at which an atom's moments are needed: moment n
 of a^k needs a to order n k.  The evaluator works that order out before it
 computes anything and fetches each atom once, at that order.  It refuses,
 with :class:`OrderCapError`, an expression that needs an operand past
-max(order, MAX_ORDER), a ``^`` or ``^.`` exponent past that cap, or an
-expansion that could take more than MAX_EXPANSION monomial products.
+max(order, MAX_ORDER), a ``^`` or ``^.`` exponent past that cap, a nested
+operand past that cap plus one (bar(bar(a)) at order 64), or an expansion
+that could take more than MAX_EXPANSION monomial products.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ from .umbra import (
 )
 
 # The CLI's --order cap.  The evaluator computes no operand's moments past
-# max(order, MAX_ORDER); the excess over MAX_ORDER admits bar(a), which needs
-# a to one order more than its own.
+# max(order, MAX_ORDER), and no nested operand's past one order more, at any
+# depth: that admits bar(a), which needs a to one order more than its own.
 MAX_ORDER = 64
 
 # The most monomial products a symbolic expansion may take.  The evaluator
@@ -211,9 +212,11 @@ def _expansion_work(monomials, n: int) -> int:
 
 
 class _Evaluator:
-    def __init__(self, order: int, env: Environment):
+    def __init__(self, order: int, env: Environment, ceiling: int | None = None):
         self.order = order
-        self.cap = max(order, MAX_ORDER)
+        cap = max(order, MAX_ORDER)
+        self.ceiling = cap + 1 if ceiling is None else ceiling  # the most a nested operand may need
+        self.cap = min(cap, self.ceiling)
         self.env = env
         self._fresh = 0
         self._sources: dict[tuple, Callable[[int], Umbra]] = {}
@@ -302,19 +305,21 @@ class _Evaluator:
         return out
 
     def _opaque_fn(self, expr: Expr) -> Callable[[int], Umbra]:
-        env = self.env
+        env, ceiling = self.env, self.ceiling
         if isinstance(expr, Dot):
             left, right = expr.left, expr.right
             if isinstance(left, Const):
-                return lambda k: dot(left.value, evaluate(right, k, env))
-            return lambda k: dot(evaluate(left, k, env), evaluate(right, k, env))
+                return lambda k: dot(left.value, evaluate(right, k, env, ceiling))
+            return lambda k: dot(evaluate(left, k, env, ceiling), evaluate(right, k, env, ceiling))
         if isinstance(expr, DotPower):
-            return lambda k: dot_power(evaluate(expr.expr, k, env), expr.power)
+            return lambda k: dot_power(evaluate(expr.expr, k, env, ceiling), expr.power)
         if isinstance(expr, Fresh):
-            return lambda k: evaluate(expr.expr, k, env)
+            return lambda k: evaluate(expr.expr, k, env, ceiling)
         if isinstance(expr, Call) and expr.op in OPERATIONS:
             name, _, reads = OPERATIONS[expr.op]
-            return lambda k: getattr(umbra, name)(*(evaluate(a, reads(k), env) for a in expr.args)).truncated(k)
+            return lambda k: getattr(umbra, name)(
+                *(evaluate(a, reads(k), env, ceiling) for a in expr.args)
+            ).truncated(k)
         raise TypeError(f"not an umbral expression: {expr!r}")
 
     # -- the kernel route for linear forms --------------------------------
@@ -354,19 +359,19 @@ class _Evaluator:
             term: Value = c
             for label, e in atoms:
                 term = term * self._cache[label][e]
-            if dx:
-                term = term * Poly.variable("x") ** dx
-            if dy:
-                term = term * Poly.variable("y") ** dy
+            if dx or dy:
+                term = term * Poly({(dx, dy): 1})
             total = total + term
         return collapse(total)
 
 
-def evaluate(expr: Expr, order: int, env: Environment | None = None) -> Umbra:
-    """The umbra denoted by ``expr``: moments E[expr^n] for n = 0..order."""
+def evaluate(expr: Expr, order: int, env: Environment | None = None, _ceiling: int | None = None) -> Umbra:
+    """The umbra denoted by ``expr``: moments E[expr^n] for n = 0..order.
+    An operation's operands are evaluated under the outermost call's ``_ceiling``."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    ev = _Evaluator(order, default_environment() if env is None else env)
+    ev = _Evaluator(order, default_environment() if env is None else env, _ceiling)
+    ev.require(order)
     if isinstance(expr, Power):
         base = ev.power_base(expr)
         if expr.power and _is_linear(base) and _degree(base):

@@ -26,7 +26,6 @@ column from the text.  The AST records no source positions.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 
 from .errors import UmbraSyntaxError
@@ -44,7 +43,7 @@ from .expressions import (
     ScalarMul,
     Sum,
 )
-from .rationals import format_rational
+from .rationals import format_rational, int_str_limit
 from .records import Record
 
 KEYWORDS = tuple(OPERATIONS)
@@ -89,7 +88,7 @@ def tokenize(text: str) -> list[Token]:
         if lexeme == "..":
             raise _syntax_error("illegal token '..'", text, m.start())
         if m.lastgroup == "INT":
-            limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
+            limit = int_str_limit()
             if limit and len(lexeme) > limit:
                 raise _syntax_error(f"integer literal longer than {limit} digits", text, m.start())
         if len(tokens) == MAX_TOKENS:

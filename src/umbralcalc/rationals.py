@@ -24,8 +24,13 @@ class OutputSizeError(Exception):
     decimal digits than the interpreter's int-to-str limit."""
 
 
+def int_str_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 for an interpreter without one."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
 def _check_digits(n: int, part: str) -> None:
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: an interpreter without the limit
+    limit = int_str_limit()
     # More than `limit` digits means n >= 10^limit, so more than 3 * limit bits.
     if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
         raise OutputSizeError(f"value too large to print: its {part} has more than {limit} digits")

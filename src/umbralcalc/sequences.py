@@ -72,13 +72,17 @@ def fibonacci_factorial_umbra(order: int) -> Umbra:
 # Abel polynomials and Lagrange inversion
 
 
+def _require_order(gamma: Umbra, n: int) -> None:
+    if gamma.order < n:
+        raise ValueError(f"need gamma to order {n}, have {gamma.order}")
+
+
 def abel_polynomials(gamma: Umbra, n_max: int) -> PolySequence:
     """p_n(x) = x (x - n.g)^{n-1}: the sequence associated to the derivative umbra g_D.
 
     g_D is built to order n_max from g_0..g_{n_max-1}.
     """
-    if gamma.order < max(n_max - 1, 0):
-        raise ValueError(f"need gamma to order {n_max - 1}, have {gamma.order}")
+    _require_order(gamma, n_max - 1)
     return associated_moments(derivative_umbra(gamma, n_max))
 
 
@@ -96,8 +100,7 @@ def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
     """E[(-n.g_bar)^{n-1}] for g_1 != 0; equals g_1^n times moment n of g^<-1>."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if gamma.order < n:
-        raise ValueError(f"need gamma to order {n}, have {gamma.order}")
+    _require_order(gamma, n)
     g1 = _require_scalar_first_moment(gamma)
     gbar = overbar_umbra(gamma)
     value = collapse(dot(-n, gbar).moment(n - 1))
@@ -168,8 +171,6 @@ def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
     c_n(x; a) = a^{-n} sum_k C(n,k) (-a)^{n-k} (x)_k.
     """
     b = Fraction(a)
-    if b == 0:
-        raise ValueError("parameter a must be nonzero")
     if n_max < 0:
         raise ValueError("n must be >= 0")
     table = sheffer_moments(poisson_charlier_pair(b, n_max))
@@ -195,8 +196,7 @@ def abel_identity_check(gamma: Umbra, n_max: int) -> tuple[str, ...]:
     involve y but not x.  Returns ("abel",), the check passed; a failure
     raises ConsistencyError.
     """
-    if gamma.order < n_max:
-        raise ValueError(f"need gamma to order {n_max}, have {gamma.order}")
+    _require_order(gamma, n_max)
     abel_y = [p.substitute(x=Y) for p in abel_polynomials(gamma, n_max)]
     shifts = [with_x_shift(dot(k, gamma)) for k in range(n_max + 1)]  # moments (x + k.g)^m
     lhs = ((X + Y) ** n for n in range(n_max + 1))
@@ -217,15 +217,11 @@ def polynomial_expand_abel(p: Poly, gamma: Umbra) -> list[Fraction]:
     if p.degree_in("y") > 0:
         raise ValueError("expansion is for polynomials in x only")
     d = max(p.degree_in("x"), 0)
-    if gamma.order < d:
-        raise ValueError(f"need gamma to order {d}, have {gamma.order}")
+    _require_order(gamma, d)
     coeffs: list[Fraction] = []
     deriv = p
     for k in range(d + 1):
-        if k == 0:
-            value = collapse(deriv(x=Fraction(0)))  # 0.g is the augmentation
-        else:
-            value = collapse(substitute([deriv], dot(k, gamma))[0])
+        value = collapse(substitute([deriv], dot(k, gamma))[0])  # 0.g is the augmentation: p(0)
         coeffs.append(collapse(value / Fraction(factorial(k))))
         deriv = deriv.derivative("x")
     abel = abel_polynomials(gamma, d)
@@ -241,10 +237,7 @@ def bell_expansion(gamma: Umbra, n: int) -> Poly:
     overbar umbra is g and its first moment is 1.  The run-time check of the
     dot chain against the sum happens there.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if gamma.order < n:
-        raise ValueError(f"need gamma to order {n}, have {gamma.order}")
+    _require_order(gamma, n)
     return bell_expansion_general(derivative_umbra(gamma, gamma.order + 1), n)
 
 
@@ -252,8 +245,7 @@ def bell_expansion_general(gamma: Umbra, n: int) -> Poly:
     """(x.bell.g)^n for g_1 != 0: equals sum_k C(n,k) g_1^k (k.g_bar)^{n-k} x^k."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if gamma.order <= n:
-        raise ValueError(f"need gamma to order {n + 1}, have {gamma.order}")
+    _require_order(gamma, n + 1)
     g1 = _require_scalar_first_moment(gamma)
     chain = dot(X, dot(bell_umbra(gamma.order), gamma))
     lhs = _as_poly(collapse(chain.moment(n)))

@@ -189,7 +189,7 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
     top = max((k for k in range(1, n + 1) if f[k]), default=0)
     (nf, df, polys), (nh, dh, polys_h) = _split(f), _split(h)
     polys |= polys_h
-    rows = _binomial_rows(nh[1:])  # row i - 1 holds C(i-1, d-1) H_d at index d - 1
+    rows = _binomial_rows(nh[1:]) if top > 1 else None  # row i - 1 holds C(i-1, d-1) H_d at index d - 1
     out: list = [_times(nf[0], dh**top)] + [0] * n
     terms = [(out[0], [1] + [0] * n)]  # the (F_k, column k) that Polys sum at the end
     column = nh  # B_(i,1) = H_i

@@ -272,17 +272,13 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
 # Identity checks (exact, coefficient-wise in R[x, y])
 
 
-def _shift_to_xy(p: Poly) -> Poly:
-    return p.substitute(x=X + Y)
-
-
 def _x_to_y(p: Poly) -> Poly:
     return p.substitute(x=Y)
 
 
 def _check_convolution(name: str, s: PolySequence, q: Sequence[Value]) -> str:
     """Require s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for every n."""
-    lhs = (_shift_to_xy(p) for p in s)
+    lhs = (p.substitute(x=X + Y) for p in s)
     rhs = (sum((binomial(n, k) * s[k] * q[n - k] for k in range(n + 1)), Fraction(0)) for n in range(len(s)))
     return require_equal(name, lhs, rhs)
 

@@ -166,10 +166,10 @@ def scalar_umbra(c, order: int) -> Umbra:
 # Moment-level operations
 
 
-def _check_same_order(a: Umbra, b: Umbra) -> int:
-    if a.order != b.order:
-        raise OrderMismatchError(f"umbra orders differ: {a.order} vs {b.order}")
-    return a.order
+def _check_same_order(m: int, n: int) -> int:
+    if m != n:
+        raise OrderMismatchError(f"umbra orders differ: {m} vs {n}")
+    return m
 
 
 def umbral_sum(a: Umbra, b: Umbra) -> Umbra:
@@ -178,12 +178,12 @@ def umbral_sum(a: Umbra, b: Umbra) -> Umbra:
 
 
 def disjoint_sum(a: Umbra, b: Umbra) -> Umbra:
-    n = _check_same_order(a, b)
+    n = _check_same_order(a.order, b.order)
     return Umbra([Fraction(1)] + [a.moment(i) + b.moment(i) for i in range(1, n + 1)])
 
 
 def disjoint_diff(a: Umbra, b: Umbra) -> Umbra:
-    n = _check_same_order(a, b)
+    n = _check_same_order(a.order, b.order)
     return Umbra([Fraction(1)] + [a.moment(i) - b.moment(i) for i in range(1, n + 1)])
 
 
@@ -223,8 +223,7 @@ def _dot_log(left, h: Series) -> Umbra:
     """left.a for the umbra a with log f(a, t) = h: f(left, h(t)), left an Umbra or a Poly."""
     if isinstance(left, Poly):
         left = scalar_umbra(left, len(h) - 1)
-    if left.order != len(h) - 1:
-        raise OrderMismatchError(f"umbra orders differ: {left.order} vs {len(h) - 1}")
+    _check_same_order(left.order, len(h) - 1)
     return Umbra(egf_compose(left.moments, h))
 
 
@@ -335,9 +334,6 @@ def substitute(polys: Sequence, a: Umbra) -> list[Value]:
             )
         acc: Value = Fraction(0)
         for (dx, dy), c in q.items():
-            term: Value = c * a.moment(dx)
-            if dy:
-                term = term * Poly.variable("y") ** dy
-            acc = acc + term
+            acc = acc + (Poly({(0, dy): c}) if dy else c) * a.moment(dx)
         out.append(collapse(acc))
     return out

@@ -6,15 +6,15 @@ Format::
 
 Moments are rational strings indexed by power.  Unknown fields anywhere in
 the document are preserved across read/modify/write cycles, and writes are
-atomic (write to a temp file in the same directory, then rename).  A document
-that does not have this shape raises :class:`WorkspaceError`.
+atomic (write to a temp file in the same directory, then rename) and keep an
+existing file's permission bits.  A document that does not have this shape
+raises :class:`WorkspaceError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from .errors import UmbraSyntaxError, WorkspaceError
@@ -95,10 +95,14 @@ def set_umbra(data: dict, name: str, umbra: Umbra) -> None:
 
 
 def save_raw(path: str | Path, data: dict) -> None:
+    import tempfile  # here: it is slow to import, and only define writes
+
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{p.name}.", dir=p.parent)
     try:
+        if p.exists():  # mkstemp makes the file 0600
+            os.chmod(tmp, p.stat().st_mode & 0o7777)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -5,6 +5,7 @@ import inspect
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from umbralcalc import cli
 from umbralcalc.cli import main
 from umbralcalc.parser import pretty_print
+from umbralcalc.rationals import format_rational
+from umbralcalc.umbra import bell_umbra, overbar_umbra
 
 from test_parser import expressions as corpus
 
@@ -398,12 +401,13 @@ def test_module_entry_point(tmp_path):
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     """The CLI starts one process per command, so its import path stays off
-    the slow-to-import modules: checked on a plain interpreter (-S), whose
-    site hooks preload nothing."""
+    the slow-to-import modules (dataclasses, inspect, typing, and tempfile,
+    which only define's write imports): checked on a plain interpreter (-S),
+    whose site hooks preload nothing."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import umbralcalc.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
@@ -552,6 +556,69 @@ def test_bar_at_max_order(run):
     code, out, _ = run("eval", "bar(bell)", "--order", "64", "--format", "json")
     assert code == 0
     assert len(_assert_valid_json(out)["results"][0]["moments"]) == 65
+
+
+def test_nested_bar_gets_no_order_past_the_cap(run):
+    """A bar inside a bar does not lift the cap one order more: nothing is
+    read past max(order, 64) + 1 = 65, at any depth."""
+    start = time.perf_counter()
+    code, out, err = run("eval", "bar(bar(bell))", "--order", "64")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "umbra: error: expression needs order 66, past the order cap 65\n")
+    code, out, err = run("eval", "bar(bar(bell))", "--order", "63", "--format", "json")
+    assert (code, err) == (0, "")
+    expected = overbar_umbra(overbar_umbra(bell_umbra(65)))
+    assert _assert_valid_json(out)["results"][0]["moments"] == [format_rational(m) for m in expected.moments]
+
+
+# Each define mode, and the longest argument it takes: an umbra of order 65.
+_DEFINE_AT_CAP = [
+    ("--moments", ["1"] * 66),
+    ("--egf", ["1"] * 66),
+    ("--cumulants", ["1"] * 65),
+]
+
+
+@pytest.mark.parametrize("option, entries", _DEFINE_AT_CAP)
+def test_define_past_the_order_cap_exits_1(run, option, entries):
+    """define refuses, before any work, an umbra longer than any expression
+    reads, and leaves the workspace as it was; at the cap it stores it."""
+    run("define", "keep", "--moments", "1,2")
+    before = run.workspace.read_bytes()
+    code, out, err = run("define", "w", option, ",".join(entries + ["1"]))
+    assert (code, out) == (1, "")
+    assert err == f"umbra: error: {option} gives an umbra of order 66, past the order cap 65\n"
+    assert run.workspace.read_bytes() == before
+    code, out, err = run("define", "w", option, ",".join(entries), "--format", "json")
+    assert (code, err) == (0, "")
+    assert _assert_valid_json(out)["order"] == 65
+
+
+def test_a_workspace_entry_past_the_define_cap_still_loads(run):
+    run.workspace.write_text(json.dumps({"version": 1, "umbrae": {"w": {"moments": ["1"] * 100}}}))
+    code, out, _ = run("eval", "w", "--order", "64", "--format", "json")
+    assert code == 0
+    assert _assert_valid_json(out)["results"][0]["moments"] == ["1"] * 65
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+def test_define_keeps_the_workspace_permission_bits(run):
+    run("define", "a", "--moments", "1,2")
+    run.workspace.chmod(0o640)
+    code, _, err = run("define", "b", "--moments", "1,3")
+    assert (code, err) == (0, "")
+    assert run.workspace.stat().st_mode & 0o7777 == 0o640
+
+
+def test_help_lists_the_subcommands_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    order = ["eval", "sheffer", "associated", "appell", "connect", "stirling", "abel", "example", "define", "list"]
+    out = capsys.readouterr().out
+    assert "{" + ",".join(order) + "}" in out
+    listed = [line.split()[0] for line in out.splitlines() if line[:4] == "    " and line[4] != " "]
+    assert listed == order
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")

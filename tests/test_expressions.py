@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbralcalc.errors import OrderMismatchError, UnknownUmbraError
+from umbralcalc.errors import OrderCapError, OrderMismatchError, UnknownUmbraError
 from umbralcalc.expressions import (
     OPERATIONS,
     Atom,
@@ -235,6 +235,19 @@ def test_each_atom_is_fetched_once_at_the_order_it_needs(monkeypatch):
     assert orders == [40]
     prod = dot(bell_umbra(40), bernoulli_umbra(40))
     assert got.moments == tuple(prod.moment(2 * n) for n in range(21))
+
+
+def test_nested_operations_read_nothing_past_the_outer_ceiling(monkeypatch):
+    """Each bar reads its operand one order up, but nested evaluations keep
+    the outermost ceiling, max(order, MAX_ORDER) + 1: three bars at order 64
+    are refused before bell is read past 65."""
+    orders = []
+    monkeypatch.setitem(BUILTIN_UMBRAE, "bell", lambda n: orders.append(n) or bell_umbra(n))
+    with pytest.raises(OrderCapError, match="needs order 66, past the order cap 65"):
+        evaluate(parse("bar(bar(bar(bell)))"), 64)
+    assert max(orders, default=0) <= 65
+    assert evaluate(parse("bar(bell)"), 64) == overbar_umbra(bell_umbra(65))
+    assert orders[-1] == 65
 
 
 # ---------------------------------------------------------------------------
