@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import gcd
 
 from .combinatorics import binomial
 from .errors import ConsistencyError, VariableCaptureError
-from .poly import X, Y, Poly, Value, _monomial_str, collapse
+from .poly import X, Y, Poly, Value, _make, _monomial_str, collapse
 from .records import Record
 from .series import (
     Series,
@@ -220,18 +221,33 @@ class ConnectionConstants(Record):
         return self.matrix[n][k]
 
 
-def _triangular_expand(p: Poly, basis: PolySequence) -> list[Fraction]:
-    """Coefficients of p in the triangular basis, by back-substitution on Polys:
-    from the top, c_k is the x^k coefficient of the residue over that of basis[k]."""
+def _x_numerators(p: Poly, deg: int) -> list[int]:
+    """The numerators of p's coefficients of x^0, ..., x^deg, over p's denominator."""
+    return [p._num.get((j, 0), 0) for j in range(deg + 1)]
+
+
+def _triangular_expand(p: Poly, basis: list[tuple[list[int], int]]) -> list[Fraction]:
+    """Coefficients of p in the triangular basis, by fraction-free back-substitution.
+
+    ``basis`` holds each basis polynomial's x-coefficient numerators B and its
+    denominator b.  The residue R / rho starts as p's x-coefficients; from the
+    top, c_k = R[k] b / (rho B[k]) and the residue becomes
+    (B[k] R - R[k] B) / (rho B[k]), brought to lowest terms by one gcd.
+    """
     deg = max(p.degree_in("x"), 0)
+    R, rho = _x_numerators(p, deg), p._den
     out = [Fraction(0)] * (deg + 1)
-    residue = p
     for k in range(deg, -1, -1):
-        c = residue.coefficient(k) / basis[k].coefficient(k)
-        out[k] = c
-        if c:
-            residue = residue - basis[k] * c
+        rk, (B, b) = R.pop(), basis[k]
+        if rk:
+            bk = B[k]
+            out[k] = Fraction(rk * b, rho * bk)
+            R = [bk * c - rk * d for c, d in zip(R, B)]
+            rho *= bk
+            g = gcd(rho, *R)
+            R, rho = [c // g for c in R], rho // g
     # Terms in y are in no basis polynomial, so they stay in the residue.
+    residue = _make({key: c for key, c in p._num.items() if key[1]}, p._den)
     require_equal("triangular expansion residue", (residue,), (0,), first=deg)
     return out
 
@@ -242,7 +258,9 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     The reference values come from a triangular linear solve over the two
     sequences; the umbral route evaluates the change-of-basis Sheffer umbra
     [(d - 1.a).z* + x.u].(g.bell.z^<-1>)*, whose moment n is sum_k c_{n,k} x^k,
-    and must agree exactly.
+    and must agree exactly.  With r_to the reversion of f(z, t) - 1,
+    f(z^<-1>, t) = 1 + r_to and f(bell.w, t) = exp(f(w, t) - 1), so
+    g.bell.z^<-1> is f(g, r_to), one composition with no log or exp.
     """
     if frm.order != to.order:
         raise ValueError("pairs must share one truncation order")
@@ -256,12 +274,12 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
         return ConnectionConstants(((Fraction(1),),), verified=True)
     r_to = _reversion(to.gamma)
     s = sheffer_moments(frm)
-    basis = _sheffer_table(to, r_to)
+    basis = [(_x_numerators(q, k), q._den) for k, q in enumerate(_sheffer_table(to, r_to))]
     solve = [tuple(_triangular_expand(s[i], basis)) for i in range(n + 1)]
 
     # Umbral route.
     d_part = _dot_log(umbral_sum(to.alpha, inverse_dot(frm.alpha)), r_to)
-    g_comp = dot(frm.gamma, dot(bell_umbra(n), _comp_inverse_of(r_to)))
+    g_comp = _dot_log(frm.gamma, r_to)
     eta = _dot_log(with_x_shift(d_part), _reversion(g_comp))
     solve_polys = [Poly({(k, 0): c for k, c in enumerate(row)}) for row in solve]
     require_equal("connection constants formula vs solve", eta.moments, solve_polys)

@@ -35,9 +35,11 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import NonInvertibleError, OrderMismatchError
-from .poly import Poly, Value, _power_table, collapse
+from .poly import Poly, Value, _make, _power_table, collapse
 from .series import (
     Series,
+    _pascal,
+    _split,
     egf_compose,
     egf_exp,
     egf_log,
@@ -309,8 +311,22 @@ def overbar_umbra(g: Umbra) -> Umbra:
 
 
 def with_x_shift(a: Umbra) -> Umbra:
-    """The polynomial umbra a + x.u: moments sum_k C(n,k) a_{n-k} x^k."""
-    return umbral_sum(a, indeterminate_umbra("x", a.order))
+    """The polynomial umbra a + x.u: moments sum_k C(n,k) a_{n-k} x^k, built
+    on a's numerators A / D (``series._split``) and reduced by one gcd each."""
+    nums, d, polys = _split(a.moments)
+    out = []
+    for n in range(len(nums)):
+        terms = enumerate(zip(_pascal(n), nums[n::-1]))
+        if not polys:
+            out.append(_make({(k, 0): c * v for k, (c, v) in terms if v}, d))
+            continue
+        num: dict = {}
+        for k, (c, v) in terms:
+            for (dx, dy), m in v._num.items() if isinstance(v, Poly) else (((0, 0), v),):
+                key = (dx + k, dy)
+                num[key] = num.get(key, 0) + c * m
+        out.append(_make(num, d))
+    return Umbra(out)
 
 
 # ---------------------------------------------------------------------------

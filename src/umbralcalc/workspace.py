@@ -6,9 +6,9 @@ Format::
 
 Moments are rational strings indexed by power.  Unknown fields anywhere in
 the document are preserved across read/modify/write cycles, and writes are
-atomic (write to a temp file in the same directory, then rename) and keep an
-existing file's permission bits.  A document that does not have this shape
-raises :class:`WorkspaceError`.
+atomic (write to a temp file in the same directory, then rename), keep an
+existing file's permission bits and give a new file 0o666 less the umask.
+A document that does not have this shape raises :class:`WorkspaceError`.
 """
 
 from __future__ import annotations
@@ -102,7 +102,12 @@ def save_raw(path: str | Path, data: dict) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f".{p.name}.", dir=p.parent)
     try:
         if p.exists():  # mkstemp makes the file 0600
-            os.chmod(tmp, p.stat().st_mode & 0o7777)
+            mode = p.stat().st_mode & 0o7777
+        else:  # as open() would make it: 0o666 less the umask, which only os.umask reads
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -31,7 +31,7 @@ count that this scanner does not have).  ``FractionPoly`` is the polynomial
 ring with one Fraction per coefficient (production: ``Poly``, int numerators
 over one denominator), and ``connection_matrix`` solves for connection
 constants by back-substitution on Fraction coefficient rows (production:
-on Polys).
+fraction-free, on int numerator rows).
 """
 
 from __future__ import annotations
@@ -493,8 +493,8 @@ def _fp(value) -> FractionPoly:
 def triangular_expand_rows(p: Poly, basis: list[list[Fraction]]) -> list[Fraction]:
     """Coefficients of the y-free p in the triangular basis with coefficient
     rows ``basis`` (row k ends in its x^k coefficient), by back-substitution
-    on p's row of x-coefficients (production: on Polys, in
-    ``sheffer._triangular_expand``)."""
+    on p's row of x-coefficients (production: fraction-free on int
+    numerator rows, in ``sheffer._triangular_expand``)."""
     deg = max(p.degree_in("x"), 0)
     residue = [p.coefficient(k) for k in range(deg + 1)]
     out = [Fraction(0)] * (deg + 1)

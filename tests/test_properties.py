@@ -7,13 +7,13 @@ condition), so hypothesis gets to pick the moments.
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import stirling_second_classical
 from umbralcalc.poly import Poly, X, Y
 from umbralcalc.series import egf_mul, egf_power
-from umbralcalc.sheffer import ShefferPair, connection_constants
+from umbralcalc.sheffer import ShefferPair, connection_constants, poisson_charlier_pair
 from umbralcalc.umbra import (
     Umbra,
     adjoint,
@@ -23,9 +23,12 @@ from umbralcalc.umbra import (
     derivative_umbra,
     dot,
     factorial_moments,
+    indeterminate_umbra,
     inverse_dot,
     singleton,
     umbral_sum,
+    unity,
+    with_x_shift,
 )
 
 from oracles import connection_matrix, dot_via_partitions
@@ -143,6 +146,20 @@ def poly_umbrae(order):
     return st.builds(lambda tail: Umbra([F(1)] + tail), st.lists(values, min_size=order, max_size=order))
 
 
+def y_umbrae(order):
+    """Umbrae whose moments mix scalars and polynomials in y alone."""
+    values = st.one_of(fractions, st.builds(lambda c, cy: c + cy * Y, fractions, fractions))
+    return st.builds(lambda tail: Umbra([F(1)] + tail), st.lists(values, min_size=order, max_size=order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.one_of(umbrae(n), y_umbrae(n), poly_umbrae(n))))
+def test_with_x_shift_is_the_sum_with_x(a):
+    """a + x.u built on a's numerators equals the binomial convolution of a
+    with the umbra of moments x^n."""
+    assert with_x_shift(a) == umbral_sum(a, indeterminate_umbra("x", a.order))
+
+
 def dot_lefts(order):
     """Every kind of left operand: rational, x + c, scalar umbra, Poly-moment umbra."""
     return st.one_of(
@@ -187,10 +204,23 @@ def sheffer_pairs(order):
     return st.builds(ShefferPair, umbrae(order), invertible_umbrae(order) if order else umbrae(0))
 
 
+def _appell_pair(alpha):
+    return ShefferPair(alpha, singleton(alpha.order))
+
+
+# Rows that cancel to zero constants: a pair against itself gives the identity,
+# and Appell pairs whose alphas differ by chi give c_(n,k) = C(n,k) chi_(n-k),
+# zero for n - k >= 2.
+_PC = poisson_charlier_pair(2, 12)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10).flatmap(lambda n: st.tuples(sheffer_pairs(n), sheffer_pairs(n))))
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(sheffer_pairs(n), sheffer_pairs(n))))
+@example((_PC, _PC))
+@example((_appell_pair(unity(12)), _appell_pair(umbral_sum(unity(12), singleton(12)))))
+@example((_appell_pair(bell_umbra(9)), _appell_pair(umbral_sum(bell_umbra(9), singleton(9)))))
 def test_connection_constants_match_fraction_back_substitution(pairs):
-    """The solve on Polys gives the constants that back-substitution on
-    Fraction coefficient rows gives, at orders 0-10."""
+    """The fraction-free solve on int coefficient rows gives the constants
+    that back-substitution on Fraction coefficient rows gives, at orders 0-12."""
     frm, to = pairs
     assert connection_constants(frm, to).matrix == connection_matrix(frm, to)

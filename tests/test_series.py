@@ -4,7 +4,7 @@ instead, through the test-local bridge ``coeffs_of`` / ``moments_of``, so they
 share no code with the kernel they check."""
 
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -227,6 +227,9 @@ def invertible_series(max_order, tail=coefficients, lead=nonzero_scalars):
     )
 
 
+APPELL_B = [F(1), F(1, 2), F(-1, 3), F(2), F(0), F(5, 7), F(-1)]
+
+
 @settings(max_examples=60)
 @given(
     st.tuples(families, families, st.integers(min_value=0, max_value=8)).flatmap(
@@ -236,8 +239,17 @@ def invertible_series(max_order, tail=coefficients, lead=nonzero_scalars):
         )
     )
 )
+@example(([sum((comb(n, k) * b * X**k for k, b in enumerate(APPELL_B[n::-1])), F(0)) for n in range(7)],
+          [F(3, 2), F(-1, 3), F(1, 5), F(0), F(2), F(-1, 7)]))
+@example(([X**k for k in range(9)], [F(2, 3), F(1), F(-1, 2), F(0), F(5, 3), F(1, 4), F(-2), F(7)]))
+@example(([(X + Y + F(1, 3)) ** k for k in range(7)], [F(-1, 2), F(3), F(0), F(1, 6), F(-4, 5), F(2)]))
+@example(([F(1), X + Y, X - Y, X, F(0)], [F(1), F(-1), F(1, 2), F(0)]))
+@example(([F(0), X, X, F(0), X * Y], [F(1), F(-1), F(0), F(0)]))
 def test_compose_matches_horner_oracle(fh):
-    """Outer and inner series each from its own family, so D_f and D_h differ."""
+    """Outer and inner series each from its own family, so D_f and D_h differ.
+    The examples compose Poly outers (dense Appell rows, sparse x^k, powers of
+    x + y + c, and rows whose monomials cancel, some to zero) over rational
+    inner series."""
     f_moments, h_tail = fh
     f, h = tuple(f_moments), (F(0),) + tuple(h_tail)
     assert normal(egf_compose(f, h)) == moments_of(horner_compose(coeffs_of(f), coeffs_of(h)))

@@ -372,8 +372,8 @@ def test_each_call_reverts_each_gamma_once(monkeypatch):
 
 def test_tables_take_no_log_of_an_adjoint(monkeypatch):
     """The Sheffer and associated tables dot into g* = exp(r) through r
-    itself, so they take no egf_log; connection constants take exactly two,
-    the dots of the chain frm.gamma . (bell . to.gamma^<-1>)."""
+    itself, so they take no egf_log; nor do connection constants, whose chain
+    frm.gamma . bell . to.gamma^<-1> is the composition f(frm.gamma, r_to)."""
     frm, to = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
     random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
     calls = []
@@ -392,4 +392,26 @@ def test_tables_take_no_log_of_an_adjoint(monkeypatch):
     inverse_pair(random_pair)
     assert calls == []
     connection_constants(frm, to)
-    assert calls == [8, 8]
+    connection_constants(random_pair, bernoulli_appell_pair(4))
+    assert calls == []
+
+
+def test_connection_constants_make_no_exp_log_round_trip(monkeypatch):
+    """One connection_constants call reverts the two gammas and the change of
+    basis, takes no egf_log and builds no Bell umbra."""
+    from umbralcalc import sheffer
+
+    calls = {"egf_revert": 0, "egf_log": 0, "bell_umbra": 0}
+
+    def counted(name, fn):
+        return lambda *args: calls.update({name: calls[name] + 1}) or fn(*args)
+
+    for module, name in [(series, "egf_revert"), (umbra, "egf_revert"), (series, "egf_log"), (umbra, "egf_log"),
+                         (umbra, "bell_umbra"), (sheffer, "bell_umbra")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    pc2, pc1 = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
+    random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
+    for frm, to in [(pc2, pc1), (random_pair, bernoulli_appell_pair(4))]:
+        calls.update(dict.fromkeys(calls, 0))
+        connection_constants(frm, to)
+        assert calls == {"egf_revert": 3, "egf_log": 0, "bell_umbra": 0}

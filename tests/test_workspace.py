@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_raw(path, raw)
     save_raw(path, raw)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_new_file_mode_follows_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "w.json"
+    old = os.umask(umask)
+    try:
+        save_raw(path, empty_workspace())
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o7777 == mode
 
 
 def test_umbrae_from_raw_rejects_non_unital():
