@@ -204,13 +204,13 @@ def sheffer_pairs(order):
     return st.builds(ShefferPair, umbrae(order), invertible_umbrae(order) if order else umbrae(0))
 
 
+# Rows that cancel to zero constants: a pair against itself gives the identity,
+# and Appell pairs whose alphas differ by chi give c_(n,k) = C(n,k) chi_(n-k),
+# zero for n - k >= 2.
 def _appell_pair(alpha):
     return ShefferPair(alpha, singleton(alpha.order))
 
 
-# Rows that cancel to zero constants: a pair against itself gives the identity,
-# and Appell pairs whose alphas differ by chi give c_(n,k) = C(n,k) chi_(n-k),
-# zero for n - k >= 2.
 _PC = poisson_charlier_pair(2, 12)
 
 
