@@ -175,25 +175,46 @@ def _reciprocal_numerators(nums: list, a0: int, polys: bool) -> list:
 def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
     """f(h(t)) mod t^(N+1): moment n is sum_k f_k B_(n,k)(h_1, h_2, ...).
 
-    h must have zero constant term.  The partial Bell values are built one
-    column from the next, B_(n,k) = sum_d C(n-1,d-1) h_d B_(n-d,k-1).  Column
-    k vanishes below row k, so those entries are never computed, and the
-    columns stop at f's last nonzero moment (its index is ``top``).
-    Fraction-free: B_(n,k) is homogeneous of degree k, so with f = F / D_f
-    and h = H / D_h the columns are built on H and moment n is
-    sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top).
+    h must have zero constant term.  The partial Bell columns of h come from
+    ``_bell_columns`` and stop at f's last nonzero moment; ``_compose_columns``
+    folds f over them.
     """
     n = _check_orders(f, h)
     if collapse(h[0]) != 0:
         raise ValueError("inner series of a composition must have zero constant term")
     top = max((k for k in range(1, n + 1) if f[k]), default=0)
     (nf, df, polys), (nh, dh, polys_h) = _split(f), _split(h)
-    polys |= polys_h
+    return _compose_columns(nf, df, _bell_columns(nh, top, polys_h), dh, polys or polys_h)
+
+
+def _bell_columns(nh: Sequence, top: int, polys: bool) -> list[list]:
+    """Columns 0, ..., top of the partial Bell table of the numerators H = nh
+    (nh[0] is the zero constant term): column k lists B_(i,k)(H) for
+    i = 0, ..., N, built from the column before by
+    B_(i,k) = sum_d C(i-1,d-1) H_d B_(i-d,k-1).  Column k vanishes above
+    row k, so those entries are never computed.  B_(i,k) is homogeneous of
+    degree k, so for h = H / D, B_(i,k)(h) = B_(i,k)(H) / D^k."""
+    n = len(nh) - 1
+    columns = [[1] + [0] * n]
+    if top:
+        columns.append([0, *nh[1:]])  # B_(i,1) = H_i
     rows = _binomial_rows(nh[1:]) if top > 1 else None  # row i - 1 holds C(i-1, d-1) H_d at index d - 1
-    out: list = [_times(nf[0], dh**top)] + [0] * n
-    terms = [(out[0], [1] + [0] * n)]  # the (F_k, column k) that Polys sum at the end
-    column = nh  # B_(i,1) = H_i
-    for k in range(1, top + 1):
+    for k in range(1, top):  # B_(i-d,k) vanishes for d > i - k
+        column = columns[k]
+        columns.append([0] * (k + 1) + [_sum(rows[i - 1], column[i - 1 : k - 1 : -1], polys)
+                                        for i in range(k + 1, n + 1)])
+    return columns
+
+
+def _compose_columns(nf: list, df: int, columns: list[list], dh: int, polys: bool) -> Series:
+    """f(h(t)) from f = F / D_f and the Bell columns 0, ..., top of h = H / D_h,
+    with top at least f's last nonzero index: moment n is
+    sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top).  ``polys`` says
+    whether F or the columns hold a Poly."""
+    n, top = len(nf) - 1, len(columns) - 1
+    out: list = [0] * (n + 1)
+    terms = []  # the (F_k, column k) that Polys sum at the end
+    for k, column in enumerate(columns):
         fk = nf[k]
         if fk:
             fk = _times(fk, dh ** (top - k))
@@ -202,9 +223,6 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
             else:
                 for i in range(k, n + 1):
                     out[i] = out[i] + fk * column[i]
-        if k < top:  # B_(i-d,k) vanishes for d > i - k
-            column = [0] * (k + 1) + [_sum(rows[i - 1], column[i - 1 : k - 1 : -1], polys_h)
-                                      for i in range(k + 1, n + 1)]
     if polys:
         out = [_sum_products((fk, col[i]) for fk, col in terms) for i in range(n + 1)]
     den = df * dh**top

@@ -3,9 +3,12 @@ connection-constants solver.
 
 A Sheffer pair (a, g) with E[g] != 0 determines the polynomial umbra
 (-1.a + x.u).g*, whose moments s_0(x), ..., s_N(x) are the Sheffer sequence
-of the pair.  ``sheffer_moments`` computes them twice -- once through the
-generating-function composition, once through the moment-level dot product --
-and insists the two agree, so every returned sequence is self-checked.
+of the pair.  Every table is read off one fraction-free table of the partial
+Bell values of r, the reversion of f(g, t) - 1, built once per reversion.
+``sheffer_moments`` computes its table twice on it -- once as the generating
+function e^{x r(t)} / f(a, r(t)), once as the moment-level dot product
+f(-1.a + x.u, r) -- and insists the two agree, so every returned sequence is
+self-checked.
 
 Connection constants between two Sheffer sequences are likewise computed both
 by the closed umbral formula and by an unconditional triangular linear solve.
@@ -17,19 +20,22 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
+from operator import mul
 
 from .combinatorics import binomial
 from .errors import ConsistencyError, VariableCaptureError
-from .poly import X, Y, Poly, Value, _make, _monomial_str, collapse
+from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, collapse
 from .records import Record
 from .series import (
     Series,
-    egf_compose,
-    egf_exp,
-    egf_mul,
+    _bell_columns,
+    _compose_columns,
+    _pascal,
+    _split,
+    _sum,
+    _times,
     egf_reciprocal,
-    egf_scale,
 )
 from .umbra import (
     Umbra,
@@ -134,28 +140,107 @@ class PolySequence(Record):
 
 # ---------------------------------------------------------------------------
 # The three sequence constructors
+#
+# Every table is read off the Bell table of one reversion r = R / D: column k
+# holds the partial Bell values B_(i,k)(R), and B_(i,k)(r) = B_(i,k)(R) / D^k
+# (the exponential Riordan array [1/f(a, r), r]).  A pair member mentions no
+# x, so row n over D^n has each x^j coefficient an int (or a Poly in y)
+# summed off the table, and becomes one Poly by one gcd.
 
 
-def _reversion_of(gamma: Umbra) -> Series | None:
-    """The reversion r of f(g, t) - 1, or None at order 0, where every table is (1,)."""
-    return _reversion(gamma) if gamma.order else None
+def _bell_table(r: Series) -> tuple[list[list], int, bool]:
+    """(B, D, polys) for r = R / D: B[k][i] = B_(i,k)(R), for every column
+    k <= N, and ``polys`` says whether B holds a Poly (r in y)."""
+    nums, d, polys = _split(r)
+    return _bell_columns(nums, len(nums) - 1, polys), d, polys
+
+
+def _table_of(gamma: Umbra) -> tuple[list[list], int, bool]:
+    """The Bell table of the reversion r of f(g, t) - 1.  At order 0, where
+    every table is (1,), r is the zero series."""
+    return _bell_table(_reversion(gamma) if gamma.order else (Fraction(0),))
+
+
+def _x_row(coeffs: list, den: int) -> Poly:
+    """sum_j coeffs[j] x^j / den in lowest terms, by one gcd; each coefficient
+    is an int or a Poly over denominator 1 free of x."""
+    num: dict = {}
+    for j, c in enumerate(coeffs):
+        if isinstance(c, Poly):
+            num.update(((j, dy), v) for (_, dy), v in c._num.items())
+        elif c:
+            num[(j, 0)] = c
+    return _make(num, den)
+
+
+def _row_over(columns: list[list], powers: list[int], n: int) -> list:
+    """[B_(n,m)(R) D^(n-m) for m = 0..n]: row n of the table over D^n."""
+    return [_times(columns[m][n], powers[n - m]) for m in range(n + 1)]
+
+
+def _compose(f: Sequence[Value], table) -> Series:
+    """f(r(t)), folded over r's Bell table."""
+    columns, d, polys = table
+    nf, df, polys_f = _split(f)
+    return _compose_columns(nf, df, columns, d, polys or polys_f)
+
+
+def _shifted_composition(b: Sequence[Value], table) -> list[Poly]:
+    """f(b + x.u, r): the coefficient of x^j in moment n is
+    sum_m C(m,j) b_(m-j) B_(n,m)(r).  With b = B_b / D_b it is, over D_b D^n,
+    sum_m (C(m,j) B_b,(m-j)) (B_(n,m)(R) D^(n-m))."""
+    columns, d, polys = table
+    nb, db, polys_b = _split(b)
+    polys |= polys_b
+    n = len(nb) - 1
+    # shift[j][i] = C(j+i, j) B_b,i: D_b times the x^j coefficient of moment j + i of b + x.u
+    shift = [list(map(mul, (comb(j + i, j) for i in range(n + 1 - j)), nb)) for j in range(n + 1)]
+    powers = _power_table(d, n)
+    out = []
+    for row in range(n + 1):
+        w = _row_over(columns, powers, row)
+        out.append(_x_row([_sum(shift[j], w[j:], polys) for j in range(row + 1)], db * powers[row]))
+    return out
+
+
+def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
+    """n! [t^n] e^{x r(t)} / f(a, r(t)): with 1/f(a, r) = A / D_a, the
+    coefficient of x^j in moment n is sum_i C(n,i) a_(n-i) B_(i,j)(r), over
+    D_a D^n the sum (sum_i (C(n,i) A_(n-i)) B_(i,j)(R)) D^(n-j)."""
+    columns, d, polys = table
+    na, da, polys_a = _split(egf_reciprocal(_compose(alpha, table)))
+    polys |= polys_a
+    n = len(na) - 1
+    powers = _power_table(d, n)
+    out = []
+    for row in range(n + 1):
+        ca = list(map(mul, _pascal(row), na[row::-1]))  # C(n,i) A_(n-i) at index i
+        coeffs = [_times(_sum(ca[j:], columns[j][j : row + 1], polys), powers[row - j]) for j in range(row + 1)]
+        out.append(_x_row(coeffs, da * powers[row]))
+    return out
+
+
+def _associated_rows(table) -> list[Poly]:
+    """p_n(x) = sum_k B_(n,k)(r) x^k, the moments of x.g* = f(x.u, r)."""
+    columns, d, _ = table
+    powers = _power_table(d, len(columns) - 1)
+    return [_x_row(_row_over(columns, powers, n), powers[n]) for n in range(len(columns))]
 
 
 def sheffer_moments(pair: ShefferPair) -> PolySequence:
     """Moments of (-1.a + x.u).g*, computed by two independent routes."""
-    return _sheffer_table(pair, _reversion_of(pair.gamma))
+    return _sheffer_table(pair, _table_of(pair.gamma))
 
 
-def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
-    """sheffer_moments, given r = _reversion_of(pair.gamma)."""
-    if r is None:
-        return PolySequence((Poly(1),))
-    # Series route: s_n(x) = n! [t^n] e^{x r(t)} / f(a, r(t)).
-    fa_at_r = egf_compose(pair.alpha.moments, r)
-    via_series = egf_mul(egf_reciprocal(fa_at_r), egf_exp(egf_scale(X, r)))
-    # Moment route: dot the Appell-style umbra into the adjoint g* = exp(r).
-    appell_part = with_x_shift(inverse_dot(pair.alpha))
-    via_moments = _dot_log(appell_part, r).moments  # log f(g*, t) = r
+def _sheffer_table(pair: ShefferPair, table) -> PolySequence:
+    """sheffer_moments, given the Bell table of the reversion r of f(g, t) - 1.
+
+    Moment route: the Appell umbra -1.a + x.u dotted into g* = exp(r),
+    f(-1.a + x.u, r).  Series route: e^{x r(t)} / f(a, r(t)), a binomial
+    product with the associated table.
+    """
+    via_moments = _shifted_composition(inverse_dot(pair.alpha).moments, table)
+    via_series = _series_route(pair.alpha.moments, table)
     require_equal("sheffer moments vs series", via_moments, via_series)
     return PolySequence(via_moments)
 
@@ -163,14 +248,7 @@ def _sheffer_table(pair: ShefferPair, r: Series | None) -> PolySequence:
 def associated_moments(gamma: Umbra) -> PolySequence:
     """Moments of x.g*: the binomial-type sequence associated to g."""
     _require_free_of(gamma, "x", "gamma")
-    return _associated_table(gamma, _reversion_of(gamma))
-
-
-def _associated_table(gamma: Umbra, r: Series | None) -> PolySequence:
-    """associated_moments, given r = _reversion_of(gamma)."""
-    if r is None:
-        return PolySequence((Poly(1),))
-    return PolySequence(_dot_log(X, r).moments)
+    return PolySequence(_associated_rows(_table_of(gamma)))
 
 
 def appell_moments(alpha: Umbra) -> PolySequence:
@@ -205,8 +283,12 @@ def inverse_pair(pair: ShefferPair) -> ShefferPair:
 
 
 def inverse_sequence(pair: ShefferPair) -> PolySequence:
-    """Sheffer sequence composing with the pair's own sequence to {x^n}."""
-    return sheffer_moments(inverse_pair(pair))
+    """Sheffer sequence composing with the pair's own sequence to {x^n}.
+
+    The inverse pair's gamma is 1 + r, so the reversion its table needs is
+    f(g, t) - 1 itself, and no second reversion is taken.
+    """
+    return _sheffer_table(inverse_pair(pair), _bell_table((Fraction(0),) + pair.gamma.moments[1:]))
 
 
 class ConnectionConstants(Record):
@@ -260,7 +342,8 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     [(d - 1.a).z* + x.u].(g.bell.z^<-1>)*, whose moment n is sum_k c_{n,k} x^k,
     and must agree exactly.  With r_to the reversion of f(z, t) - 1,
     f(z^<-1>, t) = 1 + r_to and f(bell.w, t) = exp(f(w, t) - 1), so
-    g.bell.z^<-1> is f(g, r_to), one composition with no log or exp.
+    g.bell.z^<-1> is f(g, r_to), one composition with no log or exp.  One
+    Bell table of r_to serves the `to` table, d - 1.a and g.bell.z^<-1>.
     """
     if frm.order != to.order:
         raise ValueError("pairs must share one truncation order")
@@ -272,17 +355,17 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     if n == 0:
         # Both sequences are the constant 1; either route gives the 1x1 identity.
         return ConnectionConstants(((Fraction(1),),), verified=True)
-    r_to = _reversion(to.gamma)
+    to_table = _table_of(to.gamma)
     s = sheffer_moments(frm)
-    basis = [(_x_numerators(q, k), q._den) for k, q in enumerate(_sheffer_table(to, r_to))]
+    basis = [(_x_numerators(q, k), q._den) for k, q in enumerate(_sheffer_table(to, to_table))]
     solve = [tuple(_triangular_expand(s[i], basis)) for i in range(n + 1)]
 
     # Umbral route.
-    d_part = _dot_log(umbral_sum(to.alpha, inverse_dot(frm.alpha)), r_to)
-    g_comp = _dot_log(frm.gamma, r_to)
-    eta = _dot_log(with_x_shift(d_part), _reversion(g_comp))
+    d_part = _compose(umbral_sum(to.alpha, inverse_dot(frm.alpha)).moments, to_table)
+    g_comp = Umbra(_compose(frm.gamma.moments, to_table))
+    eta = _shifted_composition(d_part, _table_of(g_comp))
     solve_polys = [Poly({(k, 0): c for k, c in enumerate(row)}) for row in solve]
-    require_equal("connection constants formula vs solve", eta.moments, solve_polys)
+    require_equal("connection constants formula vs solve", eta, solve_polys)
     return ConnectionConstants(tuple(solve), verified=True)
 
 
@@ -317,8 +400,8 @@ def check_sheffer_identity(pair: ShefferPair) -> tuple[str, ...]:
     g + x.u sends s_k to s_k + k s_{k-1}.  Returns ("sheffer",
     "sheffer-derivative"), the checks passed; a failure raises ConsistencyError.
     """
-    r = _reversion_of(pair.gamma)
-    s, p = _sheffer_table(pair, r), _associated_table(pair.gamma, r)
+    table = _table_of(pair.gamma)
+    s, p = _sheffer_table(pair, table), PolySequence(_associated_rows(table))
     convolution = _check_convolution("sheffer", s, [_x_to_y(q) for q in p])
     lhs = substitute(list(s), with_x_shift(pair.gamma))
     rhs = (s[k] + (k * s[k - 1] if k else 0) for k in range(len(s)))

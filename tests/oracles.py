@@ -23,6 +23,15 @@ them:
   t/h built from the one before (production: ``series.egf_revert``, which
   takes about 2 sqrt(N) products by baby steps and giant steps).
 
+The Sheffer and associated tables also have their Poly-kernel routes here,
+each the composition of a polynomial-moment series with r, the reversion of
+f(g, t) - 1 (production: every table read off one integer Bell table of r):
+
+* ``sheffer_series_route`` -- e^{x r} / f(a, r) by ``egf_mul``,
+  ``egf_reciprocal``, ``egf_compose`` and ``egf_exp``;
+* ``sheffer_moment_route`` -- f(-1.a + x.u, r) by ``umbra._dot_log``;
+* ``associated_route`` -- f(x.u, r) by ``umbra._dot_log``.
+
 It also holds the two Sheffer pairs that only the tests use, ``power_pair``
 and ``factorial_pair``, and ``tokenize``, a character-by-character scanner
 that tracks the line and column of every token (production: one token
@@ -47,11 +56,11 @@ from umbralcalc.combinatorics import stirling_first_classical
 from umbralcalc.errors import OrderMismatchError, UmbraSyntaxError
 from umbralcalc.expressions import Environment, Expr, _degree, _Evaluator, default_environment
 from umbralcalc.parser import KEYWORDS
-from umbralcalc.poly import Poly, Value, _monomial_str, collapse
+from umbralcalc.poly import X, Poly, Value, _monomial_str, collapse
 from umbralcalc.rationals import format_rational
-from umbralcalc.series import egf_mul, egf_reciprocal
+from umbralcalc.series import Series, egf_compose, egf_exp, egf_mul, egf_reciprocal, egf_scale
 from umbralcalc.sheffer import ShefferPair, sheffer_moments
-from umbralcalc.umbra import Umbra, augmentation, singleton, unity
+from umbralcalc.umbra import Umbra, _dot_log, augmentation, inverse_dot, singleton, unity, with_x_shift
 
 
 def falling_factorial(a, n: int) -> Value:
@@ -104,6 +113,21 @@ def lagrange_revert_by_powers(h: Sequence[Value]) -> tuple[Value, ...]:
             power = egf_mul(power, q)
         r.append(power[m - 1])
     return tuple(r)
+
+
+def sheffer_series_route(pair: ShefferPair, r: Series) -> Series:
+    """s_n = n! [t^n] e^{x r(t)} / f(a, r(t)), on the Poly series kernel."""
+    return egf_mul(egf_reciprocal(egf_compose(pair.alpha.moments, r)), egf_exp(egf_scale(X, r)))
+
+
+def sheffer_moment_route(pair: ShefferPair, r: Series) -> Series:
+    """The moments of (-1.a + x.u).g*, f(-1.a + x.u, r), on the Poly series kernel."""
+    return _dot_log(with_x_shift(inverse_dot(pair.alpha)), r).moments
+
+
+def associated_route(r: Series) -> Series:
+    """The moments of x.g*, f(x.u, r), on the Poly series kernel."""
+    return _dot_log(X, r).moments
 
 
 def power_pair(order: int) -> ShefferPair:

@@ -60,8 +60,9 @@ FIBONACCI = partial(sequences.recurrence_example_fibonacci, N)
 
 # id: (module, name, patch, call, check, n, monomial)
 CASES = {
+    # sheffer: moment 3 of 1/f(alpha, r) off by 1, so s_3 gains 1.
     "sheffer": (
-        sheffer, "egf_exp", off(3), lambda: sheffer_moments(PC1),
+        sheffer, "egf_reciprocal", off(3), lambda: sheffer_moments(PC1),
         "sheffer moments vs series", 3, "1"),
     # identity checks: C(3,1) off (so the sum gains x (y^2 - y), two
     # monomials, of which x*y comes first); q_2(y) off by 1; s_3(g + x.u) off; the

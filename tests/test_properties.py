@@ -13,9 +13,18 @@ from hypothesis import strategies as st
 from umbralcalc.combinatorics import stirling_second_classical
 from umbralcalc.poly import Poly, X, Y
 from umbralcalc.series import egf_mul, egf_power
-from umbralcalc.sheffer import ShefferPair, connection_constants, poisson_charlier_pair
+from umbralcalc.sequences import abel_polynomials
+from umbralcalc.sheffer import (
+    ShefferPair,
+    associated_moments,
+    check_sheffer_identity,
+    connection_constants,
+    poisson_charlier_pair,
+    sheffer_moments,
+)
 from umbralcalc.umbra import (
     Umbra,
+    _reversion,
     adjoint,
     comp_inverse,
     cumulant,
@@ -31,7 +40,13 @@ from umbralcalc.umbra import (
     with_x_shift,
 )
 
-from oracles import connection_matrix, dot_via_partitions
+from oracles import (
+    associated_route,
+    connection_matrix,
+    dot_via_partitions,
+    sheffer_moment_route,
+    sheffer_series_route,
+)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -150,6 +165,36 @@ def y_umbrae(order):
     """Umbrae whose moments mix scalars and polynomials in y alone."""
     values = st.one_of(fractions, st.builds(lambda c, cy: c + cy * Y, fractions, fractions))
     return st.builds(lambda tail: Umbra([F(1)] + tail), st.lists(values, min_size=order, max_size=order))
+
+
+def y_gammas(order):
+    """Umbrae with a nonzero scalar first moment and y in their higher moments."""
+    if not order:
+        return umbrae(0)
+    values = st.one_of(fractions, st.builds(lambda c, cy: c + cy * Y, fractions, fractions))
+    return st.builds(
+        lambda g1, tail: Umbra([F(1), g1] + tail),
+        fractions.filter(lambda c: c != 0),
+        st.lists(values, min_size=order - 1, max_size=order - 1),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.one_of(umbrae(n), y_umbrae(n)), y_gammas(n))))
+def test_tables_match_the_poly_kernel_routes(alpha_and_gamma):
+    """The Sheffer, associated and Abel tables read off one Bell table equal
+    the Poly-kernel compositions with r, and check_sheffer_identity passes on
+    its two tables of one Bell table, at orders 0-12."""
+    alpha, gamma = alpha_and_gamma
+    pair, n = ShefferPair(alpha, gamma), gamma.order
+    r = _reversion(gamma) if n else (F(0),)
+    table = list(sheffer_moments(pair))
+    assert table == list(sheffer_series_route(pair, r)) == list(sheffer_moment_route(pair, r))
+    assert list(associated_moments(gamma)) == list(associated_route(r))
+    if n:
+        abel_r = _reversion(derivative_umbra(gamma, n))
+        assert list(abel_polynomials(gamma, n)) == list(associated_route(abel_r))
+    assert check_sheffer_identity(pair) == ("sheffer", "sheffer-derivative")
 
 
 @settings(max_examples=60, deadline=None)

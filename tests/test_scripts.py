@@ -24,6 +24,28 @@ def test_script_exits_0(name):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("workload, kinds", [
+    ("sheffer-inverse", ["abel", "adjoint", "associated", "comp_inverse", "connect", "inverse_dot", "lagrange",
+                         "sheffer"]),
+    ("dot-moments", ["cumulant", "dot", "dot_power", "evaluate", "umbral_sum"]),
+])
+def test_paired_jobs_smoke(workload, kinds):
+    """One smoke round of HEAD against the working tree: the outputs agree
+    and every job kind of the ladder gets a row."""
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent, capture_output=True).returncode:
+        pytest.skip("needs a git checkout")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "paired_jobs.py"), "--rev", "HEAD", "--workload", workload,
+         "--rounds", "1", "--smoke"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "outputs equal on both sides" in lines[0]
+    assert sorted(line.split()[0] for line in lines[2:-1]) == kinds
+    assert lines[-1].startswith("total (ms)")
+
+
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
 from umbralcalc import series
-from umbralcalc.poly import X, Poly, collapse
+from umbralcalc.poly import X, Y, Poly, collapse
 from umbralcalc.series import (
     egf_compose,
     egf_exp,
@@ -253,6 +253,25 @@ def test_compose_matches_horner_oracle(fh):
     f_moments, h_tail = fh
     f, h = tuple(f_moments), (F(0),) + tuple(h_tail)
     assert normal(egf_compose(f, h)) == moments_of(horner_compose(coeffs_of(f), coeffs_of(h)))
+
+
+@pytest.mark.parametrize("h", [
+    (F(0), F(2, 3), F(-1), F(5, 2), F(0), F(1, 7), F(3), F(-4, 9)),
+    (F(0), F(1, 2), 1 + Y, F(-2), 2 * Y - F(1, 3), F(0), Y / 5),
+], ids=["rational", "in-y"])
+def test_bell_columns_match_partition_sums(h):
+    """Column k of the fraction-free Bell table of h = H / D holds
+    B_(i,k)(H) = D^k B_(i,k)(h), zero above row k; a table cut at column
+    ``top`` is the first top + 1 columns."""
+    nums, d, polys = series._split(h)
+    n = len(h) - 1
+    columns = series._bell_columns(nums, n, polys)
+    assert len(columns) == n + 1
+    assert columns[0] == [1] + [0] * n
+    for k in range(1, n + 1):
+        assert columns[k][:k] == [0] * k
+        assert columns[k][k:] == [collapse(bell_partial(i, k, h[1:]) * d**k) for i in range(k, n + 1)]
+    assert series._bell_columns(nums, 3, polys) == columns[:4]
 
 
 @settings(max_examples=40, deadline=None)

@@ -350,9 +350,9 @@ def test_order_zero_sequences():
 
 
 def test_each_call_reverts_each_gamma_once(monkeypatch):
-    """sheffer_moments, inverse_pair and check_sheffer_identity revert their
-    gamma once; connection_constants reverts its two gammas and the change of
-    basis once each."""
+    """sheffer_moments, inverse_pair, inverse_sequence and
+    check_sheffer_identity revert their gamma once; connection_constants
+    reverts its two gammas and the change of basis once each."""
     from umbralcalc import umbra
 
     calls = []
@@ -363,6 +363,7 @@ def test_each_call_reverts_each_gamma_once(monkeypatch):
         (lambda: sheffer_moments(frm), 1),
         (lambda: connection_constants(frm, to), 3),
         (lambda: inverse_pair(frm), 1),
+        (lambda: inverse_sequence(frm), 1),
         (lambda: check_sheffer_identity(frm), 1),
     ]:
         calls.clear()
@@ -415,3 +416,35 @@ def test_connection_constants_make_no_exp_log_round_trip(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         connection_constants(frm, to)
         assert calls == {"egf_revert": 3, "egf_log": 0, "bell_umbra": 0}
+
+
+def test_each_table_is_read_off_one_bell_table(monkeypatch):
+    """sheffer_moments and check_sheffer_identity build one Bell table, of r;
+    connection_constants builds three, of r_frm, r_to and the change of basis,
+    and takes no egf_exp.  Its one egf_mul is the umbral_sum forming
+    to.alpha - 1.frm.alpha; the tables take none."""
+    from umbralcalc import sheffer
+
+    calls = {"_bell_columns": 0, "egf_exp": 0, "egf_mul": 0}
+
+    def counted(name, fn):
+        return lambda *args: calls.update({name: calls[name] + 1}) or fn(*args)
+
+    for module, name in [(series, "_bell_columns"), (sheffer, "_bell_columns"), (series, "egf_exp"),
+                         (umbra, "egf_exp"), (series, "egf_mul"), (umbra, "egf_mul")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    pc2, pc1 = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
+    random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
+    y_pair = ShefferPair(Umbra([F(1), Y, F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), 1 + Y, F(0)]))
+    for run, expected in [
+        (lambda: sheffer_moments(pc2), (1, 0, 0)),
+        (lambda: sheffer_moments(y_pair), (1, 0, 0)),
+        (lambda: check_sheffer_identity(random_pair), (1, 0, 0)),
+        (lambda: check_sheffer_identity(y_pair), (1, 0, 0)),
+        (lambda: associated_moments(y_pair.gamma), (1, 0, 0)),
+        (lambda: connection_constants(pc2, pc1), (3, 0, 1)),
+        (lambda: connection_constants(random_pair, bernoulli_appell_pair(4)), (3, 0, 1)),
+    ]:
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert tuple(calls.values()) == expected
