@@ -87,7 +87,10 @@ class Side:
         self.ms[kind] = self.ms.get(kind, 0.0) + ms
         return out
 
-    def close(self) -> None:
+    def __enter__(self) -> "Side":
+        return self
+
+    def __exit__(self, *exc) -> None:
         self.proc.stdin.close()
         self.proc.wait(timeout=60)
 
@@ -102,20 +105,16 @@ def archived_src(rev: str, into: str) -> Path:
 
 
 def compare(args) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        base, tree = Side(args.rev, archived_src(args.rev, tmp), args), Side("tree", ROOT / "src", args)
-        try:
-            kinds = base.kinds
-            for index, kind in enumerate(kinds):
-                first, second = (base, tree) if index % 2 == 0 else (tree, base)
-                outputs = {side.label: side.run(index) for side in (first, second)}
-                if outputs[base.label] != outputs[tree.label]:
-                    print(f"job {index} ({kind}): outputs differ\n{args.rev}: {outputs[base.label][:400]}\n"
-                          f"tree: {outputs[tree.label][:400]}", file=sys.stderr)
-                    return 1
-        finally:
-            base.close()
-            tree.close()
+    with tempfile.TemporaryDirectory() as tmp, Side(args.rev, archived_src(args.rev, tmp), args) as base, \
+            Side("tree", ROOT / "src", args) as tree:
+        kinds = base.kinds
+        for index, kind in enumerate(kinds):
+            first, second = (base, tree) if index % 2 == 0 else (tree, base)
+            outputs = {side.label: side.run(index) for side in (first, second)}
+            if outputs[base.label] != outputs[tree.label]:
+                print(f"job {index} ({kind}): outputs differ\n{args.rev}: {outputs[base.label][:400]}\n"
+                      f"tree: {outputs[tree.label][:400]}", file=sys.stderr)
+                return 1
     counts = {kind: kinds.count(kind) for kind in kinds}
     print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {len(kinds)} jobs; "
           f"outputs equal on both sides")
