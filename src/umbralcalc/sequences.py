@@ -20,8 +20,9 @@ from math import factorial
 
 from .combinatorics import binomial, binomial_row
 from .combinatorics import stirling_first_classical, stirling_second_classical
-from .poly import X, Y, Poly, Value, collapse, poly_definite_integral
+from .poly import X, Y, Poly, Value, _power_table, collapse, poly_definite_integral
 from .records import Record
+from .series import egf_mul
 from .sheffer import (
     associated_moments,
     _as_poly,
@@ -175,10 +176,7 @@ def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
         raise ValueError("n must be >= 0")
     table = sheffer_moments(poisson_charlier_pair(b, n_max))
     falling = [factorial(k) * c for k, c in enumerate(binomial_row(X, n_max))]  # (x)_k = k! C(x, k)
-    closed = (
-        sum((binomial(n, k) * (-b) ** (n - k) * falling[k] for k in range(n + 1)), Fraction(0)) / b**n
-        for n in range(n_max + 1)
-    )
+    closed = (c / b**n for n, c in enumerate(egf_mul(falling, _power_table(-b, n_max))))
     require_equal("poisson-charlier table vs closed form", table, closed)
     return table
 

@@ -8,6 +8,9 @@ binomial recurrences of the same shape, and reversion is the Lagrange
 formula: moment m of the reversion of h is moment m - 1 of (t/h)^m, the
 umbral E[(-m.g)^(m-1)] with g the overbar umbra of h, up to a factor h_1^m,
 read off about 2 sqrt(N) products by baby steps and giant steps.
+Composition is a fold of f over the partial Bell table of h: ``_bell_table``
+builds the table and ``_compose`` folds over it, and the Sheffer layer reads
+its tables off the same two.
 
 Every operation is exact and fraction-free inside.  An op splits each
 operand once into numerators over the operand's least common denominator D
@@ -175,16 +178,20 @@ def _reciprocal_numerators(nums: list, a0: int, polys: bool) -> list:
 def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
     """f(h(t)) mod t^(N+1): moment n is sum_k f_k B_(n,k)(h_1, h_2, ...).
 
-    h must have zero constant term.  The partial Bell columns of h come from
-    ``_bell_columns`` and stop at f's last nonzero moment; ``_compose_columns``
-    folds f over them.
+    h must have zero constant term.  ``_compose`` folds f over h's Bell
+    table, whose columns stop at f's last nonzero moment.
     """
     n = _check_orders(f, h)
     if collapse(h[0]) != 0:
         raise ValueError("inner series of a composition must have zero constant term")
-    top = max((k for k in range(1, n + 1) if f[k]), default=0)
-    (nf, df, polys), (nh, dh, polys_h) = _split(f), _split(h)
-    return _compose_columns(nf, df, _bell_columns(nh, top, polys_h), dh, polys or polys_h)
+    return _compose(f, _bell_table(h, max((k for k in range(1, n + 1) if f[k]), default=0)))
+
+
+def _bell_table(h: Sequence[Value], top: int | None = None) -> tuple[list[list], int, bool]:
+    """(columns, D, polys) for h = H / D with zero constant term: the Bell
+    columns 0, ..., top (default N) of H, and whether they hold a Poly."""
+    nums, d, polys = _split(h)
+    return _bell_columns(nums, len(nums) - 1 if top is None else top, polys), d, polys
 
 
 def _bell_columns(nh: Sequence, top: int, polys: bool) -> list[list]:
@@ -206,11 +213,13 @@ def _bell_columns(nh: Sequence, top: int, polys: bool) -> list[list]:
     return columns
 
 
-def _compose_columns(nf: list, df: int, columns: list[list], dh: int, polys: bool) -> Series:
-    """f(h(t)) from f = F / D_f and the Bell columns 0, ..., top of h = H / D_h,
-    with top at least f's last nonzero index: moment n is
-    sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top).  ``polys`` says
-    whether F or the columns hold a Poly."""
+def _compose(f: Sequence[Value], table) -> Series:
+    """f(h(t)) from the Bell table (columns 0, ..., top; D_h; polys) of
+    h = H / D_h, with top at least f's last nonzero index: for f = F / D_f,
+    moment n is sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top)."""
+    columns, dh, polys = table
+    nf, df, polys_f = _split(f)
+    polys |= polys_f
     n, top = len(nf) - 1, len(columns) - 1
     out: list = [0] * (n + 1)
     terms = []  # the (F_k, column k) that Polys sum at the end

@@ -4,7 +4,8 @@ connection-constants solver.
 A Sheffer pair (a, g) with E[g] != 0 determines the polynomial umbra
 (-1.a + x.u).g*, whose moments s_0(x), ..., s_N(x) are the Sheffer sequence
 of the pair.  Every table is read off one fraction-free table of the partial
-Bell values of r, the reversion of f(g, t) - 1, built once per reversion.
+Bell values of r, the reversion of f(g, t) - 1, built once per reversion by
+``series._bell_table``; compositions over it are ``series._compose``.
 ``sheffer_moments`` computes its table twice on it -- once as the generating
 function e^{x r(t)} / f(a, r(t)), once as the moment-level dot product
 f(-1.a + x.u, r) -- and insists the two agree, so every returned sequence is
@@ -14,6 +15,7 @@ Connection constants between two Sheffer sequences are likewise computed both
 by the closed umbral formula and by an unconditional triangular linear solve.
 Every such run-time check goes through ``require_equal``, which raises
 ``ConsistencyError`` naming the check and the first differing coefficient.
+The identity checks' binomial convolutions are ``series.egf_mul``.
 """
 
 from __future__ import annotations
@@ -23,20 +25,10 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from .combinatorics import binomial
 from .errors import ConsistencyError, VariableCaptureError
-from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, collapse
+from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table
 from .records import Record
-from .series import (
-    Series,
-    _bell_columns,
-    _compose_columns,
-    _pascal,
-    _split,
-    _sum,
-    _times,
-    egf_reciprocal,
-)
+from .series import _bell_table, _compose, _over, _pascal, _split, _sum, _times, egf_mul, egf_reciprocal
 from .umbra import (
     Umbra,
     _comp_inverse_of,
@@ -148,13 +140,6 @@ class PolySequence(Record):
 # summed off the table, and becomes one Poly by one gcd.
 
 
-def _bell_table(r: Series) -> tuple[list[list], int, bool]:
-    """(B, D, polys) for r = R / D: B[k][i] = B_(i,k)(R), for every column
-    k <= N, and ``polys`` says whether B holds a Poly (r in y)."""
-    nums, d, polys = _split(r)
-    return _bell_columns(nums, len(nums) - 1, polys), d, polys
-
-
 def _table_of(gamma: Umbra) -> tuple[list[list], int, bool]:
     """The Bell table of the reversion r of f(g, t) - 1.  At order 0, where
     every table is (1,), r is the zero series."""
@@ -176,13 +161,6 @@ def _x_row(coeffs: list, den: int) -> Poly:
 def _row_over(columns: list[list], powers: list[int], n: int) -> list:
     """[B_(n,m)(R) D^(n-m) for m = 0..n]: row n of the table over D^n."""
     return [_times(columns[m][n], powers[n - m]) for m in range(n + 1)]
-
-
-def _compose(f: Sequence[Value], table) -> Series:
-    """f(r(t)), folded over r's Bell table."""
-    columns, d, polys = table
-    nf, df, polys_f = _split(f)
-    return _compose_columns(nf, df, columns, d, polys or polys_f)
 
 
 def _shifted_composition(b: Sequence[Value], table) -> list[Poly]:
@@ -262,18 +240,14 @@ def appell_moments(alpha: Umbra) -> PolySequence:
 
 
 def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
-    """s_n(r(x)) = sum_k s_{n,k} r_k(x)."""
+    """s_n(r(x)) = sum_k s_{n,k} r_k(x): with r = R / D, row n is one sum of
+    s_n's x-numerators against R, over s_n's denominator times D."""
     if s.order != r.order:
         raise ValueError("sequences must share one truncation order")
-    out = []
-    for n in range(len(s)):
-        coeffs = s.coefficients(n)
-        acc: Value = Fraction(0)
-        for k, c in enumerate(coeffs):
-            if c:
-                acc = acc + c * r[k]
-        out.append(_as_poly(collapse(acc)))
-    return PolySequence(tuple(out))
+    if any(p.degree_in("y") > 0 for p in s):
+        raise ValueError("polynomial involves y")
+    nr, d, _ = _split(r.polys)
+    return PolySequence(tuple(_over(_sum(_x_numerators(p, n), nr, True), p._den * d) for n, p in enumerate(s)))
 
 
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
@@ -351,14 +325,10 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     members = {"from-alpha": frm.alpha, "from-gamma": frm.gamma, "to-alpha": to.alpha, "to-gamma": to.gamma}
     for role, a in members.items():
         _require_free_of(a, "y", role, "which connect does not take")
-    n = frm.order
-    if n == 0:
-        # Both sequences are the constant 1; either route gives the 1x1 identity.
-        return ConnectionConstants(((Fraction(1),),), verified=True)
     to_table = _table_of(to.gamma)
     s = sheffer_moments(frm)
     basis = [(_x_numerators(q, k), q._den) for k, q in enumerate(_sheffer_table(to, to_table))]
-    solve = [tuple(_triangular_expand(s[i], basis)) for i in range(n + 1)]
+    solve = [tuple(_triangular_expand(p, basis)) for p in s]
 
     # Umbral route.
     d_part = _compose(umbral_sum(to.alpha, inverse_dot(frm.alpha)).moments, to_table)
@@ -379,9 +349,7 @@ def _x_to_y(p: Poly) -> Poly:
 
 def _check_convolution(name: str, s: PolySequence, q: Sequence[Value]) -> str:
     """Require s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for every n."""
-    lhs = (p.substitute(x=X + Y) for p in s)
-    rhs = (sum((binomial(n, k) * s[k] * q[n - k] for k in range(n + 1)), Fraction(0)) for n in range(len(s)))
-    return require_equal(name, lhs, rhs)
+    return require_equal(name, (p.substitute(x=X + Y) for p in s), egf_mul(s.polys, q))
 
 
 def check_binomial_identity(gamma: Umbra) -> tuple[str, ...]:

@@ -64,13 +64,12 @@ CASES = {
     "sheffer": (
         sheffer, "egf_reciprocal", off(3), lambda: sheffer_moments(PC1),
         "sheffer moments vs series", 3, "1"),
-    # identity checks: C(3,1) off (so the sum gains x (y^2 - y), two
-    # monomials, of which x*y comes first); q_2(y) off by 1; s_3(g + x.u) off; the
-    # Appell p_3 off by x (so p_3(x+y) and p_3(x) differ by y); moment 2 of
-    # 1.u + x.u off.
+    # identity checks: the convolution's entry 3 off by 1; q_2(y) off by 1;
+    # s_3(g + x.u) off; the Appell p_3 off by x (so p_3(x+y) and p_3(x)
+    # differ by y); moment 2 of 1.u + x.u off.
     "binomial-identity": (
-        sheffer, "binomial", off_at((3, 1)), lambda: sheffer.check_binomial_identity(unity(N)),
-        "binomial", 3, "x*y"),
+        sheffer, "egf_mul", off(3), lambda: sheffer.check_binomial_identity(unity(N)),
+        "binomial", 3, "1"),
     "sheffer-identity": (
         sheffer, "_x_to_y", off(0, call=2), lambda: sheffer.check_sheffer_identity(PC1),
         "sheffer", 2, "1"),

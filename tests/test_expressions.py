@@ -340,3 +340,25 @@ def test_dot_chains_associate(g1, g2, g3, order):
         alone = evaluate(a, order)
         assert evaluate(Dot(Atom("u"), a), order) == alone, a
         assert evaluate(Dot(a, Atom("u")), order) == alone, a
+
+
+def _groupings(links):
+    """Every bracketing of the dot chain links[0] . ... . links[-1]."""
+    if len(links) == 1:
+        yield links[0]
+        return
+    for i in range(1, len(links)):
+        for left in _groupings(links[:i]):
+            for right in _groupings(links[i:]):
+                yield Dot(left, right)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(_links, st.builds(lambda c: Sum(Sum(Indet("x"), Indet("y")), Const(c)), _scalars)),
+                min_size=2, max_size=5),
+       st.integers(0, 6))
+def test_longer_dot_chains_associate(links, order):
+    """Chains of two to five links, x + y + c among them, give the same
+    moments under every grouping (at most 14, for five links)."""
+    first, *rest = (evaluate(chain, order) for chain in _groupings(links))
+    assert all(other == first for other in rest)

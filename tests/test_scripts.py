@@ -13,7 +13,9 @@ import pytest
 
 import umbralcalc
 from umbralcalc import sequences, sheffer
-from umbralcalc.combinatorics import binomial, stirling_second_classical
+from umbralcalc.combinatorics import stirling_second_classical
+
+from test_consistency import off
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -67,14 +69,11 @@ def test_failed_check_exits_1(monkeypatch, capsys):
 
 
 def test_failed_identity_check_exits_1(monkeypatch, capsys):
-    def off_at_2_1(n, k):
-        return binomial(n, k) + (1 if (n, k) == (2, 1) else 0)
-
     script = _load("print_sequence_tables")
-    monkeypatch.setattr(sheffer, "binomial", off_at_2_1)
+    monkeypatch.setattr(sheffer, "egf_mul", off(2)(sheffer.egf_mul))
     monkeypatch.setattr(sys, "argv", ["print_sequence_tables.py", "3"])
     assert script.main() == 1
-    assert capsys.readouterr().err == "self-check 'binomial' failed at n = 2: coefficient of x*y is 2, expected 3\n"
+    assert capsys.readouterr().err == "self-check 'binomial' failed at n = 2: coefficient of 1 is 0, expected 1\n"
 
 
 def test_package_names_are_the_readme_library_api():

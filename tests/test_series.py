@@ -245,11 +245,15 @@ APPELL_B = [F(1), F(1, 2), F(-1, 3), F(2), F(0), F(5, 7), F(-1)]
 @example(([(X + Y + F(1, 3)) ** k for k in range(7)], [F(-1, 2), F(3), F(0), F(1, 6), F(-4, 5), F(2)]))
 @example(([F(1), X + Y, X - Y, X, F(0)], [F(1), F(-1), F(1, 2), F(0)]))
 @example(([F(0), X, X, F(0), X * Y], [F(1), F(-1), F(0), F(0)]))
+@example(([(X - Y / 2 + F(2, 5)) ** k for k in range(9)], moments_of(clog(coeffs_of(bernoulli_numbers(8))))[1:]))
+@example(([F(1), X * Y, Y - X / 3, F(0), X * X + Y / 7, F(-5, 4), (X + Y) ** 2, X * Y * Y],
+          [F(3, 7), F(-5, 11), F(2, 13), F(1, 17), F(-4, 19), F(6, 23), F(1, 29)]))
 def test_compose_matches_horner_oracle(fh):
     """Outer and inner series each from its own family, so D_f and D_h differ.
     The examples compose Poly outers (dense Appell rows, sparse x^k, powers of
     x + y + c, and rows whose monomials cancel, some to zero) over rational
-    inner series."""
+    inner series, two of them with a wide common denominator (the log of the
+    Bernoulli umbra, and coprime prime denominators) under outers in x and y."""
     f_moments, h_tail = fh
     f, h = tuple(f_moments), (F(0),) + tuple(h_tail)
     assert normal(egf_compose(f, h)) == moments_of(horner_compose(coeffs_of(f), coeffs_of(h)))

@@ -124,6 +124,11 @@ def test_umbral_compose():
     s = sheffer_moments(poisson_charlier_pair(1, N))
     powers = PolySequence(tuple(X**n * 1 + 0 for n in range(N + 1)))
     assert list(umbral_compose(s, powers)) == list(s)
+    # r may mention y; s may not, since its x-coefficients are read as scalars
+    y_seq = sheffer_moments(ShefferPair(dot(Y, bell_umbra(N)), unity(N)))
+    assert list(umbral_compose(powers, y_seq)) == list(y_seq)
+    with pytest.raises(ValueError, match="involves y"):
+        umbral_compose(y_seq, powers)
 
 
 def test_inverse_sequences():
@@ -200,6 +205,20 @@ def test_connection_constants_third_combination():
     for n in range(7):
         for k in range(n + 1):
             assert cc[n, k] == binomial(n, k) * b.moment(n - k)
+
+
+def test_connection_constants_at_order_0_run_their_checks(monkeypatch):
+    """At order 0 both sequences are the constant 1, and the general path
+    still runs the table, residue and formula-vs-solve checks."""
+    from umbralcalc import sheffer
+
+    passed = []
+    real = sheffer.require_equal
+    monkeypatch.setattr(sheffer, "require_equal", lambda *args, **kwargs: passed.append(real(*args, **kwargs)))
+    cc = connection_constants(poisson_charlier_pair(2, 0), bernoulli_appell_pair(0))
+    assert cc.matrix == ((1,),) and cc.verified
+    assert {"sheffer moments vs series", "triangular expansion residue",
+            "connection constants formula vs solve"} <= set(passed)
 
 
 def test_identity_checks():
@@ -422,7 +441,8 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
     """sheffer_moments and check_sheffer_identity build one Bell table, of r;
     connection_constants builds three, of r_frm, r_to and the change of basis,
     and takes no egf_exp.  Its one egf_mul is the umbral_sum forming
-    to.alpha - 1.frm.alpha; the tables take none."""
+    to.alpha - 1.frm.alpha, and check_sheffer_identity's is its convolution;
+    the tables take none."""
     from umbralcalc import sheffer
 
     calls = {"_bell_columns": 0, "egf_exp": 0, "egf_mul": 0}
@@ -430,8 +450,8 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
     def counted(name, fn):
         return lambda *args: calls.update({name: calls[name] + 1}) or fn(*args)
 
-    for module, name in [(series, "_bell_columns"), (sheffer, "_bell_columns"), (series, "egf_exp"),
-                         (umbra, "egf_exp"), (series, "egf_mul"), (umbra, "egf_mul")]:
+    for module, name in [(series, "_bell_columns"), (series, "egf_exp"), (umbra, "egf_exp"),
+                         (series, "egf_mul"), (umbra, "egf_mul"), (sheffer, "egf_mul")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     pc2, pc1 = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
     random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
@@ -439,8 +459,8 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
     for run, expected in [
         (lambda: sheffer_moments(pc2), (1, 0, 0)),
         (lambda: sheffer_moments(y_pair), (1, 0, 0)),
-        (lambda: check_sheffer_identity(random_pair), (1, 0, 0)),
-        (lambda: check_sheffer_identity(y_pair), (1, 0, 0)),
+        (lambda: check_sheffer_identity(random_pair), (1, 0, 1)),
+        (lambda: check_sheffer_identity(y_pair), (1, 0, 1)),
         (lambda: associated_moments(y_pair.gamma), (1, 0, 0)),
         (lambda: connection_constants(pc2, pc1), (3, 0, 1)),
         (lambda: connection_constants(random_pair, bernoulli_appell_pair(4)), (3, 0, 1)),
