@@ -142,13 +142,7 @@ class Poly:
 
     def derivative(self, var: str = "x") -> "Poly":
         i = _var_index(var)
-        return _make({_raised(key, i, -1): c * key[i] for key, c in self._num.items() if key[i]}, self._den)
-
-    def antiderivative(self, var: str = "x") -> "Poly":
-        """Over the lcm m of the new exponents, each numerator gains the factor m / exponent."""
-        i = _var_index(var)
-        m = lcm(*(key[i] + 1 for key in self._num))
-        return _make({_raised(key, i, 1): c * (m // (key[i] + 1)) for key, c in self._num.items()}, self._den * m)
+        return _make({_lowered(key, i): c * key[i] for key, c in self._num.items() if key[i]}, self._den)
 
     def substitute(self, x=None, y=None) -> "Poly":
         """Substitute values (scalars or Polys) for x and/or y.
@@ -227,9 +221,9 @@ def _var_index(var: str) -> int:
         raise ValueError(f"unknown indeterminate {var!r}") from None
 
 
-def _raised(key: tuple[int, int], i: int, step: int) -> tuple[int, int]:
-    """key with exponent i (0 for x, 1 for y) moved by step."""
-    return (key[0] + step, key[1]) if i == 0 else (key[0], key[1] + step)
+def _lowered(key: tuple[int, int], i: int) -> tuple[int, int]:
+    """key with exponent i (0 for x, 1 for y) lowered by one."""
+    return (key[0] - 1, key[1]) if i == 0 else (key[0], key[1] - 1)
 
 
 def _power_table(base, degree: int) -> list:
@@ -356,9 +350,3 @@ def value_to_str(value: Value) -> str:
         return format_rational(v)
     return str(v)
 
-
-def poly_definite_integral(p: Value, var: str, lo, hi) -> Value:
-    if not isinstance(p, Poly):
-        return _as_fraction(p) * (_as_fraction(hi) - _as_fraction(lo))
-    anti = p.antiderivative(var)
-    return collapse(anti.substitute(**{var: hi}) - anti.substitute(**{var: lo}))

@@ -3,14 +3,17 @@ umbral Stirling numbers, Poisson-Charlier polynomials, and three worked
 difference-equation solutions.
 
 Each table is read off one umbra: the Abel polynomials are the sequence
-associated to the derivative umbra g_D, column k of a Stirling triangle comes
-from one dot product with the Bernoulli umbra, and the Poisson-Charlier rows
-from one Sheffer table.  Most operations are also deliberately redundant: the
-umbral result is compared with an independent route (classical triangle
-recurrence, closed formula, series reversion, recursive initial-condition
-expansion) and the two must agree exactly, or ``require_equal`` raises
-ConsistencyError.  The redundancy is the point -- these are the consistency
-theorems of the calculus, kept executable.
+associated to the derivative umbra g_D, the Stirling triangles are the
+coefficient tables of the sequences associated to u (the falling factorials)
+and to uinv (the exponential polynomials), and the Poisson-Charlier rows come
+from one Sheffer table.  Two of the worked difference equations are solved
+by one Sheffer-table solver: E[s_n(x + g)] - s_n(x) = s_{n-1}(x) under the
+condition E[s_n(a)] = w_n / n! on the umbra a.  Most operations are also
+deliberately redundant: the umbral result is compared with an independent
+route (classical triangle recurrence, closed formula, series reversion,
+recursive initial-condition expansion) and the two must agree exactly, or
+``require_equal`` raises ConsistencyError.  The redundancy is the point --
+these are the consistency theorems of the calculus, kept executable.
 """
 
 from __future__ import annotations
@@ -20,32 +23,36 @@ from math import factorial
 
 from .combinatorics import binomial, binomial_row
 from .combinatorics import stirling_first_classical, stirling_second_classical
-from .poly import X, Y, Poly, Value, _power_table, collapse, poly_definite_integral
+from .poly import X, Y, Poly, _power_table, collapse
 from .records import Record
 from .series import egf_mul
 from .sheffer import (
     associated_moments,
     _as_poly,
+    _check_shift,
     PolySequence,
+    ShefferPair,
     poisson_charlier_pair,
     require_equal,
     sheffer_moments,
 )
 from .umbra import (
     Umbra,
+    _dot_log,
     _require_scalar_first_moment,
+    augmentation,
     bell_umbra,
-    bernoulli_umbra,
     comp_inverse,
     derivative_umbra,
     dot,
-    factorial_umbra,
-    indeterminate_umbra,
+    inverse_dot,
     overbar_umbra,
     singleton,
     substitute,
     ubar_umbra,
+    uinv_umbra,
     umbral_sum,
+    unity,
     with_x_shift,
 )
 
@@ -110,55 +117,38 @@ def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
     return value
 
 
-def _stirling_base(kind: str, order: int) -> Umbra:
-    """The umbra every column of a Stirling triangle is a dot power of: bern, or bern.chi."""
-    bern = bernoulli_umbra(order)
-    return bern if kind == "second" else factorial_umbra(bern)
-
-
-def _stirling_column(kind: str, k: int, n_max: int, base: Umbra) -> list[Fraction]:
-    """Column k, rows k..n_max, of a Stirling triangle from one dot product.
-
-    S(n,k) = C(n,k) E[(-k.bern)^{n-k}] and s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}],
-    with ``base`` the umbra of :func:`_stirling_base` to order n_max - k or
-    more; every entry is checked against the classical triangle.
-    """
-    base = base.truncated(n_max - k)
-    if kind == "second":
-        umbra, classical = dot(-k, base), stirling_second_classical
-    else:
-        umbra, classical = dot(k, base), stirling_first_classical
-    column = [collapse(binomial(n, k) * umbra.moment(n - k)) for n in range(k, n_max + 1)]
-    triangle = (classical(n, k) for n in range(k, n_max + 1))
-    require_equal(f"stirling {kind} column {k} vs triangle", column, triangle, first=k)
-    return column
-
-
 def stirling_triangle(kind: str, n_max: int) -> list[list[Fraction]]:
     """Rows 0..n_max of the "first" or "second" kind umbral Stirling triangle.
 
-    Built from n_max + 1 columns, one dot product each, all read off one base
-    umbra built at order n_max; every entry is checked.
+    The coefficient table of the sequence associated to u (the falling
+    factorials (x)_n = sum_k s(n,k) x^k) or to uinv (the exponential
+    polynomials sum_k S(n,k) x^k), read off one Bell table; every row is
+    checked against the classical triangle recurrence.
     """
     if kind not in ("first", "second"):
         raise ValueError("kind must be 'first' or 'second'")
-    base = _stirling_base(kind, n_max)
-    columns = [_stirling_column(kind, k, n_max, base) for k in range(n_max + 1)]
-    return [[columns[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
+    if kind == "first":
+        gamma, classical = unity(n_max), stirling_first_classical
+    else:
+        gamma, classical = uinv_umbra(n_max), stirling_second_classical
+    table = associated_moments(gamma)
+    rows = (Poly({(k, 0): classical(n, k) for k in range(n + 1)}) for n in range(n_max + 1))
+    require_equal(f"stirling {kind} table vs triangle", table, rows)
+    return table.coefficient_table()
 
 
 def stirling_second_umbral(n: int, k: int) -> Fraction:
-    """S(n,k) = C(n,k) E[(-k.bern)^{n-k}]: entry n of column k, checked against the triangle."""
+    """S(n,k): entry (n, k) of the checked second-kind triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _stirling_column("second", k, n, _stirling_base("second", n - k))[-1]
+    return stirling_triangle("second", n)[n][k]
 
 
 def stirling_first_umbral(n: int, k: int) -> Fraction:
-    """s(n,k) = C(n,k) E[(k.(bern.chi))^{n-k}]: entry n of column k, checked against the triangle."""
+    """s(n,k): entry (n, k) of the checked first-kind triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _stirling_column("first", k, n, _stirling_base("first", n - k))[-1]
+    return stirling_triangle("first", n)[n][k]
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +256,39 @@ class RecurrenceSolution(Record):
     _defaults = {"notes": dict}
 
 
+def _solve_difference(gamma: Umbra, alpha: Umbra, omega: Umbra, checks: tuple[str, str]) -> tuple[PolySequence, tuple]:
+    """Solve E[s_n(x + g)] - s_n(x) = s_{n-1}(x) under E[s_n(a)] = w_n / n!.
+
+    s_n = S_n / n!, with S the Sheffer table of the pair (a', g) for
+    -1.a' = -1.a + w.bell.g, where f(w.bell.g, t) = f(w, f(g, t) - 1) is one
+    composition.  Both conditions are checked on the returned polynomials,
+    the operator one by the substitution that checks the Sheffer derivative
+    rule, under the two names in ``checks``.  Returns the sequence and the
+    names of the checks passed.
+    """
+    minus_alpha = umbral_sum(inverse_dot(alpha), _dot_log(omega, (Fraction(0),) + gamma.moments[1:]))
+    table = sheffer_moments(ShefferPair(inverse_dot(minus_alpha), gamma), minus_alpha)
+    polys = [p / factorial(n) for n, p in enumerate(table)]
+    operator, functional = checks
+    values = (w / factorial(n) for n, w in enumerate(omega.moments))
+    return PolySequence(tuple(polys)), (
+        _check_shift(operator, polys, gamma, [1] * len(polys)),
+        require_equal(functional, substitute(polys, alpha), values),
+    )
+
+
 def recurrence_example_bernoulli(n_max: int) -> RecurrenceSolution:
     """Solve s_n(x+1) = s_n(x) + s_{n-1}(x) with unit integral over [0, 1].
 
-    The solution is s_n(x) = E[((bern + ubar.bell + x.u).chi)^n] / n!: the
-    integral condition says substituting the inverse Bernoulli umbra for x
-    must produce the all-factorial umbra, whose singleton pre-image is
-    ubar.bell.
+    The integral of p over [0, 1] is E[p(a)] for a = -1.bern, whose moments
+    are the integrals 1/(n+1) of x^n, so this is the solver's equation for
+    g = u, a = -1.bern and w = ubar; its solution is
+    s_n(x) = E[((bern + ubar.bell + x.u).chi)^n] / n!.
     """
-    order = n_max
-    weight = dot(ubar_umbra(order), bell_umbra(order))
-    carrier = umbral_sum(umbral_sum(bernoulli_umbra(order), weight), indeterminate_umbra("x", order))
-    sheffer = dot(carrier, singleton(order))
-    polys = [_as_poly(collapse(sheffer.moment(n) / Fraction(factorial(n)))) for n in range(n_max + 1)]
-    seq = PolySequence(tuple(polys))
-    difference = require_equal(
-        "forward difference s_n(x+1) - s_n(x) = s_{n-1}(x)",
-        (polys[n].substitute(x=X + 1) - polys[n] for n in range(1, n_max + 1)),
-        polys[:-1],
-        first=1,
-    )
-    integral = require_equal(
-        "unit integral over [0,1]", (poly_definite_integral(p, "x", 0, 1) for p in polys), [1] * len(polys)
-    )
-    return RecurrenceSolution("bernoulli-diff", seq, (difference, integral))
+    alpha = Umbra([Fraction(1, n + 1) for n in range(n_max + 1)])
+    checks = ("forward difference s_n(x+1) - s_n(x) = s_{n-1}(x)", "unit integral over [0,1]")
+    seq, passed = _solve_difference(unity(n_max), alpha, ubar_umbra(n_max), checks)
+    return RecurrenceSolution("bernoulli-diff", seq, passed)
 
 
 def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
@@ -358,38 +357,23 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
 def recurrence_example_fibonacci(n_max: int) -> RecurrenceSolution:
     """Solve F_n(m) = F_n(m-1) + F_{n-1}(m-2) along the shifted variable.
 
-    Returns G_n(x) = F_n(x+n) = sum_k C(x+k, n-k); the claim F_n(0) = 1 is
-    reported (it fails for n >= 2) but never asserted.
+    Returns G_n(x) = F_n(x+n) = sum_k C(x+k, n-k), the solver's solution for
+    g = u, a = eps and w = fib_bar: G_n(x+1) = G_n(x) + G_{n-1}(x) with
+    G_n(0) = Fib(n).  The claim F_n(0) = 1 is reported (it fails for n >= 2)
+    but never asserted.
     """
-    order = n_max
-    rows = [binomial_row(X + k, n_max - k) for k in range(n_max + 1)]  # rows[k][j] = C(x+k, j)
-    closed: list[Poly] = []
-    for n in range(n_max + 1):
-        p: Value = Fraction(0)
-        for k in range(n + 1):
-            p = p + rows[k][n - k]
-        closed.append(_as_poly(collapse(p)))
-    seq = PolySequence(tuple(closed))
-
-    recurrence = require_equal(
-        "shifted recurrence G_n(x+1) = G_n(x) + G_{n-1}(x)",
-        (closed[n].substitute(x=X + 1) for n in range(1, n_max + 1)),
-        (closed[n] + closed[n - 1] for n in range(1, n_max + 1)),
-        first=1,
-    )
-    diagonal = require_equal(
-        "diagonal G_n(0) = Fib(n)", (p(x=Fraction(0)) for p in closed), fibonacci_numbers(n_max)
-    )
+    fib_bar = fibonacci_factorial_umbra(n_max)
+    checks = ("shifted recurrence G_n(x+1) = G_n(x) + G_{n-1}(x)", "diagonal G_n(0) = Fib(n)")
+    seq, passed = _solve_difference(unity(n_max), augmentation(n_max), fib_bar, checks)
 
     # Same polynomials from the umbral closed form (fib_bar + x.chi)^n / n!.
-    total = umbral_sum(fibonacci_factorial_umbra(order), dot(X, singleton(order)))
+    total = umbral_sum(fib_bar, dot(X, singleton(n_max)))
     umbral = require_equal(
         "umbral closed form (fib_bar + x.chi)^n / n!",
-        closed,
+        seq,
         (total.moment(n) / factorial(n) for n in range(n_max + 1)),
     )
 
-    f_at_zero = [collapse(closed[n](x=Fraction(-n))) for n in range(n_max + 1)]
-    return RecurrenceSolution(
-        "fibonacci", seq, (recurrence, diagonal, umbral), notes={"F_n(0) by direct evaluation": f_at_zero}
-    )
+    f_at_zero = [collapse(p(x=Fraction(-n))) for n, p in enumerate(seq)]
+    notes = {"F_n(0) by direct evaluation": f_at_zero}
+    return RecurrenceSolution("fibonacci", seq, (*passed, umbral), notes=notes)

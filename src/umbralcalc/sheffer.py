@@ -15,7 +15,8 @@ Connection constants between two Sheffer sequences are likewise computed both
 by the closed umbral formula and by an unconditional triangular linear solve.
 Every such run-time check goes through ``require_equal``, which raises
 ``ConsistencyError`` naming the check and the first differing coefficient.
-The identity checks' binomial convolutions are ``series.egf_mul``.
+The identity checks' binomial convolutions are ``series.egf_mul``, and each
+of their substitutions is one ``umbra.substitute`` over one table of powers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import comb, gcd
 from operator import mul
 
 from .errors import ConsistencyError, VariableCaptureError
-from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table
+from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _sum_products
 from .records import Record
 from .series import _bell_table, _compose, _over, _pascal, _split, _sum, _times, egf_mul, egf_reciprocal
 from .umbra import (
@@ -39,7 +40,9 @@ from .umbra import (
     bernoulli_umbra,
     cumulant,
     dot,
+    indeterminate_umbra,
     inverse_dot,
+    scalar_umbra,
     singleton,
     substitute,
     umbral_sum,
@@ -205,19 +208,22 @@ def _associated_rows(table) -> list[Poly]:
     return [_x_row(_row_over(columns, powers, n), powers[n]) for n in range(len(columns))]
 
 
-def sheffer_moments(pair: ShefferPair) -> PolySequence:
-    """Moments of (-1.a + x.u).g*, computed by two independent routes."""
-    return _sheffer_table(pair, _table_of(pair.gamma))
+def sheffer_moments(pair: ShefferPair, minus_alpha: Umbra | None = None) -> PolySequence:
+    """Moments of (-1.a + x.u).g*, computed by two independent routes.  A
+    caller that holds -1.a passes it as ``minus_alpha``; only the moment
+    route reads it, so a wrong one fails the check of the two routes."""
+    return _sheffer_table(pair, _table_of(pair.gamma), minus_alpha)
 
 
-def _sheffer_table(pair: ShefferPair, table) -> PolySequence:
+def _sheffer_table(pair: ShefferPair, table, minus_alpha: Umbra | None = None) -> PolySequence:
     """sheffer_moments, given the Bell table of the reversion r of f(g, t) - 1.
 
     Moment route: the Appell umbra -1.a + x.u dotted into g* = exp(r),
     f(-1.a + x.u, r).  Series route: e^{x r(t)} / f(a, r(t)), a binomial
     product with the associated table.
     """
-    via_moments = _shifted_composition(inverse_dot(pair.alpha).moments, table)
+    minus_alpha = inverse_dot(pair.alpha) if minus_alpha is None else minus_alpha
+    via_moments = _shifted_composition(minus_alpha.moments, table)
     via_series = _series_route(pair.alpha.moments, table)
     require_equal("sheffer moments vs series", via_moments, via_series)
     return PolySequence(via_moments)
@@ -241,13 +247,20 @@ def appell_moments(alpha: Umbra) -> PolySequence:
 
 def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
     """s_n(r(x)) = sum_k s_{n,k} r_k(x): with r = R / D, row n is one sum of
-    s_n's x-numerators against R, over s_n's denominator times D."""
+    s_n's x^k numerators, Polys in y, against R, over s_n's denominator times D."""
     if s.order != r.order:
         raise ValueError("sequences must share one truncation order")
-    if any(p.degree_in("y") > 0 for p in s):
-        raise ValueError("polynomial involves y")
     nr, d, _ = _split(r.polys)
-    return PolySequence(tuple(_over(_sum(_x_numerators(p, n), nr, True), p._den * d) for n, p in enumerate(s)))
+    return PolySequence(tuple(_over(_sum_products(zip(_x_coefficients(p), nr)), p._den * d) for p in s))
+
+
+def _x_coefficients(p: Poly) -> list:
+    """The numerators of p's coefficients of x^0, ..., x^deg over p's
+    denominator: an int, or a Poly in y over denominator 1 if it mentions y."""
+    out: list[dict] = [{} for _ in range(p.degree_in("x") + 1)]
+    for (dx, dy), c in p._num.items():
+        out[dx][(0, dy)] = c
+    return [m.get((0, 0), 0) if m.keys() <= {(0, 0)} else _make(m, 1) for m in out]
 
 
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
@@ -326,12 +339,13 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     for role, a in members.items():
         _require_free_of(a, "y", role, "which connect does not take")
     to_table = _table_of(to.gamma)
-    s = sheffer_moments(frm)
+    minus_a = inverse_dot(frm.alpha)
+    s = sheffer_moments(frm, minus_a)
     basis = [(_x_numerators(q, k), q._den) for k, q in enumerate(_sheffer_table(to, to_table))]
     solve = [tuple(_triangular_expand(p, basis)) for p in s]
 
     # Umbral route.
-    d_part = _compose(umbral_sum(to.alpha, inverse_dot(frm.alpha)).moments, to_table)
+    d_part = _compose(umbral_sum(to.alpha, minus_a).moments, to_table)
     g_comp = Umbra(_compose(frm.gamma.moments, to_table))
     eta = _shifted_composition(d_part, _table_of(g_comp))
     solve_polys = [Poly({(k, 0): c for k, c in enumerate(row)}) for row in solve]
@@ -343,13 +357,23 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
 # Identity checks (exact, coefficient-wise in R[x, y])
 
 
-def _x_to_y(p: Poly) -> Poly:
-    return p.substitute(x=Y)
+def _x_to_y(s: PolySequence) -> list[Value]:
+    """q_n(y) for each q_n, off one table of the powers y^k."""
+    return substitute(s.polys, indeterminate_umbra("y", s.order))
 
 
 def _check_convolution(name: str, s: PolySequence, q: Sequence[Value]) -> str:
-    """Require s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for every n."""
-    return require_equal(name, (p.substitute(x=X + Y) for p in s), egf_mul(s.polys, q))
+    """Require s_n(x+y) = sum_k C(n,k) s_k(x) q_{n-k}(y) for every n, with
+    s_n(x+y) read off one table of the powers (x + y)^k."""
+    return require_equal(name, substitute(s.polys, scalar_umbra(X + Y, s.order)), egf_mul(s.polys, q))
+
+
+def _check_shift(name: str, polys: Sequence[Value], gamma: Umbra, weights: Sequence[int]) -> str:
+    """Require E[p_n(x + g)] = p_n(x) + w_n p_{n-1}(x) for every n: the
+    substitution x -> g + x.u, off one table of the moments of g + x.u."""
+    lhs = substitute(polys, with_x_shift(gamma))
+    rhs = (p + (w * polys[n - 1] if n else 0) for n, (p, w) in enumerate(zip(polys, weights)))
+    return require_equal(name, lhs, rhs)
 
 
 def check_binomial_identity(gamma: Umbra) -> tuple[str, ...]:
@@ -358,7 +382,7 @@ def check_binomial_identity(gamma: Umbra) -> tuple[str, ...]:
     Returns ("binomial",), the check passed; a failure raises ConsistencyError.
     """
     seq = associated_moments(gamma)
-    return (_check_convolution("binomial", seq, [_x_to_y(p) for p in seq]),)
+    return (_check_convolution("binomial", seq, _x_to_y(seq)),)
 
 
 def check_sheffer_identity(pair: ShefferPair) -> tuple[str, ...]:
@@ -370,10 +394,8 @@ def check_sheffer_identity(pair: ShefferPair) -> tuple[str, ...]:
     """
     table = _table_of(pair.gamma)
     s, p = _sheffer_table(pair, table), PolySequence(_associated_rows(table))
-    convolution = _check_convolution("sheffer", s, [_x_to_y(q) for q in p])
-    lhs = substitute(list(s), with_x_shift(pair.gamma))
-    rhs = (s[k] + (k * s[k - 1] if k else 0) for k in range(len(s)))
-    return (convolution, require_equal("sheffer-derivative", lhs, rhs))
+    convolution = _check_convolution("sheffer", s, _x_to_y(p))
+    return (convolution, _check_shift("sheffer-derivative", s.polys, pair.gamma, range(len(s))))
 
 
 def check_appell_identity(alpha: Umbra) -> tuple[str, ...]:

@@ -35,9 +35,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import NonInvertibleError, OrderMismatchError
-from .poly import Poly, Value, _make, _power_table, collapse
+from .poly import Poly, Value, _make, _power_table, _sum_products, collapse
 from .series import (
     Series,
+    _over,
     _pascal,
     _split,
     egf_compose,
@@ -338,7 +339,11 @@ def substitute(polys: Sequence, a: Umbra) -> list[Value]:
 
     ``polys`` holds Poly values (or scalars for degree 0); entries beyond the
     umbra's order raise, since their evaluation would need missing moments.
+    With a = A / D (``series._split``, once for every polynomial) and
+    q = Q / d, E[q(a)] is one sum of Q's numerators times A_k over d D, as in
+    ``Poly.substitute``: one ``_sum_products`` and one gcd per polynomial.
     """
+    nums, d, _ = _split(a.moments)
     out: list[Value] = []
     for q in polys:
         if not isinstance(q, Poly):
@@ -348,8 +353,6 @@ def substitute(polys: Sequence, a: Umbra) -> list[Value]:
             raise OrderMismatchError(
                 f"polynomial of degree {q.degree_in('x')} needs moments beyond order {a.order}"
             )
-        acc: Value = Fraction(0)
-        for (dx, dy), c in q.items():
-            acc = acc + (Poly({(0, dy): c}) if dy else c) * a.moment(dx)
-        out.append(collapse(acc))
+        terms = ((_make({(0, dy): c}, 1) if dy else c, nums[dx]) for (dx, dy), c in q._num.items())
+        out.append(_over(_sum_products(terms), q._den * d))
     return out

@@ -21,7 +21,11 @@ them:
   t/(e^t - 1) on the kernel);
 * ``lagrange_revert_by_powers`` -- the Lagrange formula with every power of
   t/h built from the one before (production: ``series.egf_revert``, which
-  takes about 2 sqrt(N) products by baby steps and giant steps).
+  takes about 2 sqrt(N) products by baby steps and giant steps);
+* ``stirling_by_bernoulli`` -- the Stirling triangles column by column,
+  S(n,k) = C(n,k) E[(-k.bern)^(n-k)] and s(n,k) = C(n,k) E[(k.(bern.chi))^(n-k)],
+  one dot product per column (production: the coefficient tables of the
+  sequences associated to uinv and u).
 
 The Sheffer and associated tables also have their Poly-kernel routes here,
 each the composition of a polynomial-moment series with r, the reversion of
@@ -40,7 +44,9 @@ count that this scanner does not have).  ``FractionPoly`` is the polynomial
 ring with one Fraction per coefficient (production: ``Poly``, int numerators
 over one denominator), and ``connection_matrix`` solves for connection
 constants by back-substitution on Fraction coefficient rows (production:
-fraction-free, on int numerator rows).
+fraction-free, on int numerator rows).  ``definite_integral`` integrates a
+polynomial over an interval by its FractionPoly antiderivative (production:
+the integral over [0, 1] is E[p(-1.bern)], a substitution).
 """
 
 from __future__ import annotations
@@ -60,7 +66,18 @@ from umbralcalc.poly import X, Poly, Value, _monomial_str, collapse
 from umbralcalc.rationals import format_rational
 from umbralcalc.series import Series, egf_compose, egf_exp, egf_mul, egf_reciprocal, egf_scale
 from umbralcalc.sheffer import ShefferPair, sheffer_moments
-from umbralcalc.umbra import Umbra, _dot_log, augmentation, inverse_dot, singleton, unity, with_x_shift
+from umbralcalc.umbra import (
+    Umbra,
+    _dot_log,
+    augmentation,
+    bernoulli_umbra,
+    dot,
+    factorial_umbra,
+    inverse_dot,
+    singleton,
+    unity,
+    with_x_shift,
+)
 
 
 def falling_factorial(a, n: int) -> Value:
@@ -113,6 +130,18 @@ def lagrange_revert_by_powers(h: Sequence[Value]) -> tuple[Value, ...]:
             power = egf_mul(power, q)
         r.append(power[m - 1])
     return tuple(r)
+
+
+def stirling_by_bernoulli(kind: str, n_max: int) -> list[list[Fraction]]:
+    """Rows 0..n_max of the Stirling triangle of the "first" or "second"
+    kind, column k from one dot power of bern (second) or bern.chi (first)."""
+    bern = bernoulli_umbra(n_max)
+    base = bern if kind == "second" else factorial_umbra(bern)
+    columns = []
+    for k in range(n_max + 1):
+        umbra = dot(-k if kind == "second" else k, base.truncated(n_max - k))
+        columns.append([collapse(comb(n, k) * umbra.moment(n - k)) for n in range(k, n_max + 1)])
+    return [[columns[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
 
 
 def sheffer_series_route(pair: ShefferPair, r: Series) -> Series:
@@ -508,6 +537,12 @@ class FractionPoly:
 
 def _fp(value) -> FractionPoly:
     return value if isinstance(value, FractionPoly) else FractionPoly.of(value)
+
+
+def definite_integral(p, var: str, lo, hi) -> FractionPoly:
+    """The integral of p over [lo, hi] in ``var``, by the antiderivative."""
+    anti = _fp(p).antiderivative(var)
+    return anti.substitute(**{var: hi}) - anti.substitute(**{var: lo})
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from umbralcalc.expressions import (
     Sum,
 )
 from umbralcalc.parser import parse, pretty_print
-from umbralcalc.poly import Poly, X, collapse, poly_definite_integral
+from umbralcalc.poly import Poly, X, collapse
 from umbralcalc.sequences import (
     bell_expansion,
     fibonacci_factorial_umbra,
@@ -66,7 +66,7 @@ from umbralcalc.umbra import (
     unity,
 )
 
-from oracles import dot_via_partitions, factorial_pair, power_pair
+from oracles import definite_integral, dot_via_partitions, factorial_pair, power_pair
 from test_parser import MALFORMED as PARSER_MALFORMED
 from test_sequences import abel_by_powers
 
@@ -208,7 +208,7 @@ def test_criterion_09_recurrence_examples():
         for n in range(1, 9):
             s = sol1.sequence
             assert collapse(s[n].substitute(x=X + 1) - s[n]) == s[n - 1]
-            assert poly_definite_integral(s[n], "x", 0, 1) == 1
+            assert definite_integral(s[n], "x", 0, 1) == 1
 
         sol2 = recurrence_example_backward(8)
         assert len(sol2.checks) == 5

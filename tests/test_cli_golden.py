@@ -152,6 +152,18 @@ GOLDEN = [
      "9682c8e3bff4ed1388d900abc106d87dbafe082b1587ca65a62de5c3cab898c9"),
     (["list", "--format", "csv"],
      "8d4cd86fff38e891b14257be99e569152a94526dcf3e231204a34267debe9aaf"),
+    # The Stirling triangles and worked examples at the top order, and the
+    # check names a worked example prints.
+    (["stirling", "first", "--n", "64"],
+     "a96af1b5ddf2a4faf028c7cd0df6c2667424c6aaa01cc7fcb2c56b5f5106ff45"),
+    (["stirling", "second", "--n", "64"],
+     "56214c66f55e53e76331cff86370e494eeb003dbd10732342322cddf90b2e1bf"),
+    (["example", "bernoulli-diff", "--order", "64"],
+     "147f7126987f1880b8383660116d2c4f64ea4b64e284589ede3866c5c0fa8b36"),
+    (["example", "fibonacci", "--order", "64"],
+     "7b3d24fd4ba9a6c07700193a22bd6e0d334b5aa3ec2e9d0bdbaa68dc01e83198"),
+    (["example", "fibonacci", "--order", "12", "--format", "pretty"],
+     "d106c14fbd184920affa97d5da16a69ca678cae6396b9ebdd1bbc35a2b85c2df"),
 ]
 
 

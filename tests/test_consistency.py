@@ -1,7 +1,7 @@
 """Every run-time self-check raises ConsistencyError when one of its routes is
 off: each case patches one route so that it is wrong at a chosen entry and
 asserts the check name, the entry n and the first differing monomial (the
-second-kind Stirling column is forced off in test_sequences).  The CLI maps
+second-kind Stirling triangle is forced off in test_sequences).  The CLI maps
 the error to exit 4 with one stderr line and nothing on stdout."""
 
 import itertools
@@ -65,16 +65,17 @@ CASES = {
         sheffer, "egf_reciprocal", off(3), lambda: sheffer_moments(PC1),
         "sheffer moments vs series", 3, "1"),
     # identity checks: the convolution's entry 3 off by 1; q_2(y) off by 1;
-    # s_3(g + x.u) off; the Appell p_3 off by x (so p_3(x+y) and p_3(x)
-    # differ by y); moment 2 of 1.u + x.u off.
+    # s_3(g + x.u) off (the third substitution, after q(y) and s(x + y)); the
+    # Appell p_3 off by x (so p_3(x+y) and p_3(x) differ by y); moment 2 of
+    # 1.u + x.u off.
     "binomial-identity": (
         sheffer, "egf_mul", off(3), lambda: sheffer.check_binomial_identity(unity(N)),
         "binomial", 3, "1"),
     "sheffer-identity": (
-        sheffer, "_x_to_y", off(0, call=2), lambda: sheffer.check_sheffer_identity(PC1),
+        sheffer, "_x_to_y", off(2), lambda: sheffer.check_sheffer_identity(PC1),
         "sheffer", 2, "1"),
     "sheffer-derivative": (
-        sheffer, "substitute", off(3), lambda: sheffer.check_sheffer_identity(PC1),
+        sheffer, "substitute", off(3, call=2), lambda: sheffer.check_sheffer_identity(PC1),
         "sheffer-derivative", 3, "1"),
     "appell-identity": (
         sheffer, "appell_moments", off(3, delta=X), lambda: sheffer.check_appell_identity(unity(N)),
@@ -94,7 +95,7 @@ CASES = {
         "lagrange inversion vs reversion", 3, "1"),
     "stirling-first": (
         sequences, "stirling_first_classical", off_at((4, 2)), lambda: sequences.stirling_triangle("first", N),
-        "stirling first column 2 vs triangle", 4, "1"),
+        "stirling first table vs triangle", 4, "x^2"),
     "poisson-charlier": (
         sequences, "binomial_row", off(3), lambda: sequences.poisson_charlier_sequence(N, 1),
         "poisson-charlier table vs closed form", 3, "1"),
@@ -104,12 +105,12 @@ CASES = {
     "bell-expansion": (
         sequences, "bell_umbra", off(3), lambda: sequences.bell_expansion(unity(N), 3),
         "bell expansion dot chain vs sum", 3, "x"),
-    # bernoulli-diff: s_3 divided by 3! + 1; the integral of s_2 off.
+    # bernoulli-diff: s_3 divided by 3! + 1; the integral E[s_2(-1.bern)] off.
     "bernoulli-difference": (
         sequences, "factorial", off(0, call=3), lambda: sequences.recurrence_example_bernoulli(N),
         "forward difference s_n(x+1) - s_n(x) = s_{n-1}(x)", 3, "1"),
     "bernoulli-integral": (
-        sequences, "poly_definite_integral", off(0, call=2), lambda: sequences.recurrence_example_bernoulli(N),
+        sequences, "substitute", off(2), lambda: sequences.recurrence_example_bernoulli(N),
         "unit integral over [0,1]", 2, "1"),
     # backward-diff: the closed route's ubar off at moment 3; the last shared
     # row C(x+N-1, 0) off by x (both routes still agree, the difference does
@@ -130,15 +131,15 @@ CASES = {
     "backward-chain": (
         sequences, "singleton", off(2), BACKWARD,
         "ubar.bell.chi_D has the shifted-Fibonacci moments", 3, "1"),
-    # fibonacci: C(x, 3) off by x in the closed route; Fib(3) off; fib_bar off.
+    # fibonacci: G_3(x + 1) off by 1; G_3(0) off; (x)_3 off in the umbral route.
     "fibonacci-recurrence": (
-        sequences, "binomial_row", off(3, call=0, delta=X), FIBONACCI,
+        sheffer, "substitute", off(3), FIBONACCI,
         "shifted recurrence G_n(x+1) = G_n(x) + G_{n-1}(x)", 3, "1"),
     "fibonacci-diagonal": (
-        sequences, "fibonacci_numbers", off(3), FIBONACCI,
+        sequences, "substitute", off(3), FIBONACCI,
         "diagonal G_n(0) = Fib(n)", 3, "1"),
     "fibonacci-umbral": (
-        sequences, "fibonacci_factorial_umbra", off(3), FIBONACCI,
+        sequences, "dot", off(3), FIBONACCI,
         "umbral closed form (fib_bar + x.chi)^n / n!", 3, "1"),
 }
 
@@ -165,7 +166,7 @@ def test_off_route_raises_consistency_error(monkeypatch, case):
          ["connect", "--from-alpha", "2 . bell", "--from-gamma", "chi . (2 . bell)",
           "--to-alpha", "1 . bell", "--to-gamma", "chi . (1 . bell)", "--order", "4"],
          "connection constants formula vs solve"),
-        (sequences, "fibonacci_numbers",
+        (sequences, "substitute",
          ["example", "fibonacci", "--order", "4", "--format", "json"],
          "diagonal G_n(0) = Fib(n)"),
     ],

@@ -16,9 +16,13 @@ from umbralcalc.series import egf_mul, egf_power
 from umbralcalc.sequences import abel_polynomials
 from umbralcalc.sheffer import (
     ShefferPair,
+    _check_shift,
+    appell_moments,
     associated_moments,
     check_sheffer_identity,
     connection_constants,
+    inverse_pair,
+    inverse_sequence,
     poisson_charlier_pair,
     sheffer_moments,
 )
@@ -195,6 +199,28 @@ def test_tables_match_the_poly_kernel_routes(alpha_and_gamma):
         abel_r = _reversion(derivative_umbra(gamma, n))
         assert list(abel_polynomials(gamma, n)) == list(associated_route(abel_r))
     assert check_sheffer_identity(pair) == ("sheffer", "sheffer-derivative")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.one_of(umbrae(n), y_umbrae(n)), y_gammas(n))))
+def test_every_table_passes_the_shift_check(alpha_and_gamma):
+    """E[s_n(x + g)] = s_n(x) + n s_(n-1)(x), the check of the Sheffer
+    derivative rule, holds for the Sheffer table of (a, g), the associated
+    table of g (a = eps), the Appell table of a (g = chi), the Abel table
+    of g (the associated table of g_D) and the inverse table (the Sheffer
+    table of the inverse pair), at orders 0-12."""
+    alpha, gamma = alpha_and_gamma
+    pair, n = ShefferPair(alpha, gamma), gamma.order
+    tables = [
+        (sheffer_moments(pair), gamma),
+        (associated_moments(gamma), gamma),
+        (appell_moments(alpha), singleton(n)),
+        (abel_polynomials(gamma, n), derivative_umbra(gamma, n)),
+    ]
+    if n:  # the inverse pair reverts gamma, which needs order 1
+        tables.append((inverse_sequence(pair), inverse_pair(pair).gamma))
+    for table, g in tables:
+        assert _check_shift("shift", table.polys, g, range(n + 1)) == "shift"
 
 
 @settings(max_examples=60, deadline=None)

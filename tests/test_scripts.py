@@ -64,7 +64,7 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["run_worked_examples.py", "3"])
     assert script.main() == 1
     assert capsys.readouterr().err == (
-        "self-check 'stirling second column 2 vs triangle' failed at n = 3: coefficient of 1 is 3, expected 4\n"
+        "self-check 'stirling second table vs triangle' failed at n = 3: coefficient of x^2 is 3, expected 4\n"
     )
 
 

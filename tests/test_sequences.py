@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbralcalc import sequences
+from umbralcalc import sequences, sheffer
 from umbralcalc.errors import ConsistencyError
 from umbralcalc.combinatorics import (
     binomial,
     stirling_first_classical,
     stirling_second_classical,
 )
-from umbralcalc.poly import Poly, X, Y, collapse, poly_definite_integral
+from umbralcalc.poly import Poly, X, Y, collapse
 from umbralcalc.sequences import (
     abel_identity_check,
     abel_polynomials,
@@ -48,7 +48,7 @@ from umbralcalc.umbra import (
     unity,
 )
 
-from oracles import bell_numbers
+from oracles import bell_numbers, definite_integral, stirling_by_bernoulli
 
 N = 12
 
@@ -145,13 +145,20 @@ def test_umbral_stirling_triangles():
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
-def test_stirling_triangle_is_one_dot_per_column(kind, monkeypatch):
-    calls = []
-    real_dot = sequences.dot
-    monkeypatch.setattr(sequences, "dot", lambda left, a: calls.append(left) or real_dot(left, a))
+def test_stirling_triangle_is_one_bell_table(kind, monkeypatch):
+    tables, dots = [], []
+    real_table, real_dot = sheffer._bell_table, sequences.dot
+    monkeypatch.setattr(sheffer, "_bell_table", lambda *args: tables.append(args) or real_table(*args))
+    monkeypatch.setattr(sequences, "dot", lambda left, a: dots.append(left) or real_dot(left, a))
     classical = stirling_first_classical if kind == "first" else stirling_second_classical
     assert stirling_triangle(kind, 24) == [[classical(n, k) for k in range(n + 1)] for n in range(25)]
-    assert len(calls) == 25
+    assert (len(tables), len(dots)) == (1, 0)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_stirling_triangle_matches_bernoulli_columns(kind):
+    for n_max in (0, 1, 7, 24):
+        assert stirling_triangle(kind, n_max) == stirling_by_bernoulli(kind, n_max)
 
 
 def test_stirling_triangle_checks_every_entry(monkeypatch):
@@ -159,9 +166,9 @@ def test_stirling_triangle_checks_every_entry(monkeypatch):
         return stirling_second_classical(n, k) + (1 if (n, k) == (5, 2) else 0)
 
     monkeypatch.setattr(sequences, "stirling_second_classical", off_at_5_2)
-    with pytest.raises(ConsistencyError, match="'stirling second column 2 vs triangle' failed at n = 5") as info:
+    with pytest.raises(ConsistencyError, match="'stirling second table vs triangle' failed at n = 5") as info:
         stirling_triangle("second", 6)
-    assert (info.value.monomial, info.value.lhs, info.value.rhs) == ("1", 15, 16)
+    assert (info.value.monomial, info.value.lhs, info.value.rhs) == ("x^2", 15, 16)
     with pytest.raises(ValueError):
         stirling_triangle("third", 3)
 
@@ -296,7 +303,7 @@ def test_recurrence_bernoulli():
     assert seq[0] == 1
     assert seq[1] == X + F(1, 2)
     for n in range(9):
-        assert poly_definite_integral(seq[n], "x", 0, 1) == 1
+        assert definite_integral(seq[n], "x", 0, 1) == 1
     for n in range(1, 9):
         assert collapse(seq[n].substitute(x=X + 1) - seq[n]) == seq[n - 1]
 

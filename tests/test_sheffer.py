@@ -124,11 +124,15 @@ def test_umbral_compose():
     s = sheffer_moments(poisson_charlier_pair(1, N))
     powers = PolySequence(tuple(X**n * 1 + 0 for n in range(N + 1)))
     assert list(umbral_compose(s, powers)) == list(s)
-    # r may mention y; s may not, since its x-coefficients are read as scalars
+    # r and s may mention y: s_n's x^k coefficients are polynomials in y
     y_seq = sheffer_moments(ShefferPair(dot(Y, bell_umbra(N)), unity(N)))
     assert list(umbral_compose(powers, y_seq)) == list(y_seq)
-    with pytest.raises(ValueError, match="involves y"):
-        umbral_compose(y_seq, powers)
+    assert list(umbral_compose(y_seq, powers)) == list(y_seq)
+    expected = [sum((c * Y**dy * fact[dx] for (dx, dy), c in p.items()), Poly(0)) for p in y_seq]
+    assert list(umbral_compose(y_seq, fact)) == expected
+    assert list(umbral_compose(y_seq, y_seq)) == [
+        sum((c * Y**dy * y_seq[dx] for (dx, dy), c in p.items()), Poly(0)) for p in y_seq
+    ]
 
 
 def test_inverse_sequences():
@@ -468,3 +472,20 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         run()
         assert tuple(calls.values()) == expected
+
+
+def test_connection_constants_invert_frm_alpha_once(monkeypatch):
+    """-1.frm.alpha serves both the frm table's moment route and
+    to.alpha - 1.frm.alpha, so frm.alpha's moments meet one egf_reciprocal."""
+    from umbralcalc import sheffer
+
+    seen = []
+    real = series.egf_reciprocal
+    for module in (series, umbra, sheffer):
+        monkeypatch.setattr(module, "egf_reciprocal", lambda f: seen.append(tuple(f)) or real(f))
+    pc2, pc1 = poisson_charlier_pair(2, 10), poisson_charlier_pair(1, 10)
+    random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
+    for frm, to in [(pc2, pc1), (random_pair, bernoulli_appell_pair(4))]:
+        seen.clear()
+        connection_constants(frm, to)
+        assert seen.count(frm.alpha.moments) == 1
