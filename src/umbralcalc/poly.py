@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .rationals import _check_digits, format_rational
@@ -232,6 +233,13 @@ def _power_table(base, degree: int) -> list:
     for _ in range(degree):
         table.append(table[-1] * base)
     return table
+
+
+@lru_cache(maxsize=None)
+def _powers_of(var: str, degree: int) -> tuple[Poly, ...]:
+    """(1, var, ..., var^degree) for var x or y, each built as one monomial."""
+    ((dx, dy),) = Poly.variable(var)._num
+    return tuple(_make({(n * dx, n * dy): 1}, 1) for n in range(degree + 1))
 
 
 def _madd(out: dict, key, c: Fraction) -> None:

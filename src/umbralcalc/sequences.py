@@ -25,7 +25,7 @@ from .combinatorics import binomial, binomial_row
 from .combinatorics import stirling_first_classical, stirling_second_classical
 from .poly import X, Y, Poly, _power_table, collapse
 from .records import Record
-from .series import egf_mul
+from .series import _bell_table, egf_mul
 from .sheffer import (
     associated_moments,
     _as_poly,
@@ -137,18 +137,26 @@ def stirling_triangle(kind: str, n_max: int) -> list[list[Fraction]]:
     return table.coefficient_table()
 
 
-def stirling_second_umbral(n: int, k: int) -> Fraction:
-    """S(n,k): entry (n, k) of the checked second-kind triangle."""
+def _stirling_entry(kind: str, n: int, k: int, inverse, classical) -> Fraction:
+    """Entry (n, k) of that triangle, B_(n,k) of r = f(inverse, t) - 1, the reversion
+    of f(g, t) - 1 (u and uinv are each other's compositional inverse): columns
+    0..k of one Bell table of r, checked against the classical triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return stirling_triangle("second", n)[n][k]
+    columns, d, _ = _bell_table((Fraction(0),) + inverse(n).moments[1:], k)
+    entry = Fraction(columns[k][n], d**k)
+    require_equal(f"stirling {kind} table vs triangle", (entry * X**k,), (classical(n, k) * X**k,), first=n)
+    return entry
+
+
+def stirling_second_umbral(n: int, k: int) -> Fraction:
+    """S(n,k): entry (n, k) of the checked second-kind triangle, the table of g = uinv."""
+    return _stirling_entry("second", n, k, unity, stirling_second_classical)
 
 
 def stirling_first_umbral(n: int, k: int) -> Fraction:
-    """s(n,k): entry (n, k) of the checked first-kind triangle."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return stirling_triangle("first", n)[n][k]
+    """s(n,k): entry (n, k) of the checked first-kind triangle, the table of g = u."""
+    return _stirling_entry("first", n, k, uinv_umbra, stirling_first_classical)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ formula: moment m of the reversion of h is moment m - 1 of (t/h)^m, the
 umbral E[(-m.g)^(m-1)] with g the overbar umbra of h, up to a factor h_1^m,
 read off about 2 sqrt(N) products by baby steps and giant steps.
 Composition is a fold of f over the partial Bell table of h: ``_bell_table``
-builds the table and ``_compose`` folds over it, and the Sheffer layer reads
-its tables off the same two.
+builds the table and ``_compose`` folds over it (a polynomial f over an integer
+table row by row), and the Sheffer layer reads every table off the same two.
 
 Every operation is exact and fraction-free inside.  An op splits each
 operand once into numerators over the operand's least common denominator D
@@ -42,7 +42,7 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
-from .poly import Poly, Value, _make, _sum_products, collapse
+from .poly import Poly, Value, _coerce, _make, _power_table, _sum_products, collapse
 
 Series = tuple[Value, ...]
 
@@ -216,8 +216,11 @@ def _bell_columns(nh: Sequence, top: int, polys: bool) -> list[list]:
 def _compose(f: Sequence[Value], table) -> Series:
     """f(h(t)) from the Bell table (columns 0, ..., top; D_h; polys) of
     h = H / D_h, with top at least f's last nonzero index: for f = F / D_f,
-    moment n is sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top)."""
+    moment n is sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top), or, for a
+    Poly f over int columns, ``_compose_rows``."""
     columns, dh, polys = table
+    if not polys and Poly in map(type, f):
+        return _compose_rows(f, columns, dh)
     nf, df, polys_f = _split(f)
     polys |= polys_f
     n, top = len(nf) - 1, len(columns) - 1
@@ -236,6 +239,32 @@ def _compose(f: Sequence[Value], table) -> Series:
         out = [_sum_products((fk, col[i]) for fk, col in terms) for i in range(n + 1)]
     den = df * dh**top
     return tuple(_over(c, den) for c in out)
+
+
+def _compose_rows(f: Sequence[Value], columns: list[list], dh: int) -> Series:
+    """_compose for a Poly f over int columns.  Row n, m = min(n, top), is over
+    D_f D_h^m with entries B_(n,k)(H) D_h^(m-k): one int sum per monomial of F
+    (Bareiss, Math. Comp. 22 (1968): a row divides out only the factor it has)."""
+    top = len(columns) - 1
+    fs = [_coerce(v) for v in f[1 : top + 1]]
+    df = lcm(*(v._den for v in fs))
+    runs: dict = {}  # monomial -> (k0, [its coefficients in F_k0, F_(k0+1), ..., up to its last])
+    for k, v in enumerate(fs, 1):
+        scale = df // v._den
+        for key, c in v._num.items():
+            k0, run = runs.setdefault(key, (k, []))
+            if k - k0 > len(run):
+                run += [0] * (k - k0 - len(run))
+            run.append(c * scale)
+    powers = _power_table(dh, top)
+    out = [collapse(f[0])]  # column 0 is 1, 0, 0, ...: F_0 reaches moment 0 alone
+    for i in range(1, len(f)):
+        m = min(i, top)
+        row = [columns[k][i] * powers[m - k] for k in range(m + 1)]  # B_(i,k)(H) D_h^(m-k)
+        num = {key: run[0] * row[k0] if len(run) == 1 else sum(map(mul, run, row[k0:]))
+               for key, (k0, run) in runs.items() if k0 <= m}
+        out.append(collapse(_make(num, df * powers[m])))
+    return tuple(out)
 
 
 def egf_revert(h: Sequence[Value]) -> Series:

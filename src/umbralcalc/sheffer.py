@@ -5,11 +5,11 @@ A Sheffer pair (a, g) with E[g] != 0 determines the polynomial umbra
 (-1.a + x.u).g*, whose moments s_0(x), ..., s_N(x) are the Sheffer sequence
 of the pair.  Every table is read off one fraction-free table of the partial
 Bell values of r, the reversion of f(g, t) - 1, built once per reversion by
-``series._bell_table``; compositions over it are ``series._compose``.
-``sheffer_moments`` computes its table twice on it -- once as the generating
-function e^{x r(t)} / f(a, r(t)), once as the moment-level dot product
-f(-1.a + x.u, r) -- and insists the two agree, so every returned sequence is
-self-checked.
+``series._bell_table``; every composition over it, f(x.u, r) for the
+associated table among them, is ``series._compose``.  ``sheffer_moments``
+computes its table twice on it -- once as f(-1.a + x.u, r) of the Appell
+moments, once by the hand-written series route e^{x r(t)} / f(a, r(t)) --
+and insists the two agree, so every returned sequence is self-checked.
 
 Connection constants between two Sheffer sequences are likewise computed both
 by the closed umbral formula and by an unconditional triangular linear solve.
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from operator import mul
 
 from .errors import ConsistencyError, VariableCaptureError
-from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _sum_products
+from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _powers_of
 from .records import Record
-from .series import _bell_table, _compose, _over, _pascal, _split, _sum, _times, egf_mul, egf_reciprocal
+from .series import _bell_table, _compose, _pascal, _split, _sum, _times, egf_mul, egf_reciprocal
 from .umbra import (
     Umbra,
     _comp_inverse_of,
@@ -161,29 +161,6 @@ def _x_row(coeffs: list, den: int) -> Poly:
     return _make(num, den)
 
 
-def _row_over(columns: list[list], powers: list[int], n: int) -> list:
-    """[B_(n,m)(R) D^(n-m) for m = 0..n]: row n of the table over D^n."""
-    return [_times(columns[m][n], powers[n - m]) for m in range(n + 1)]
-
-
-def _shifted_composition(b: Sequence[Value], table) -> list[Poly]:
-    """f(b + x.u, r): the coefficient of x^j in moment n is
-    sum_m C(m,j) b_(m-j) B_(n,m)(r).  With b = B_b / D_b it is, over D_b D^n,
-    sum_m (C(m,j) B_b,(m-j)) (B_(n,m)(R) D^(n-m))."""
-    columns, d, polys = table
-    nb, db, polys_b = _split(b)
-    polys |= polys_b
-    n = len(nb) - 1
-    # shift[j][i] = C(j+i, j) B_b,i: D_b times the x^j coefficient of moment j + i of b + x.u
-    shift = [list(map(mul, (comb(j + i, j) for i in range(n + 1 - j)), nb)) for j in range(n + 1)]
-    powers = _power_table(d, n)
-    out = []
-    for row in range(n + 1):
-        w = _row_over(columns, powers, row)
-        out.append(_x_row([_sum(shift[j], w[j:], polys) for j in range(row + 1)], db * powers[row]))
-    return out
-
-
 def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
     """n! [t^n] e^{x r(t)} / f(a, r(t)): with 1/f(a, r) = A / D_a, the
     coefficient of x^j in moment n is sum_i C(n,i) a_(n-i) B_(i,j)(r), over
@@ -201,13 +178,6 @@ def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
     return out
 
 
-def _associated_rows(table) -> list[Poly]:
-    """p_n(x) = sum_k B_(n,k)(r) x^k, the moments of x.g* = f(x.u, r)."""
-    columns, d, _ = table
-    powers = _power_table(d, len(columns) - 1)
-    return [_x_row(_row_over(columns, powers, n), powers[n]) for n in range(len(columns))]
-
-
 def sheffer_moments(pair: ShefferPair, minus_alpha: Umbra | None = None) -> PolySequence:
     """Moments of (-1.a + x.u).g*, computed by two independent routes.  A
     caller that holds -1.a passes it as ``minus_alpha``; only the moment
@@ -219,11 +189,11 @@ def _sheffer_table(pair: ShefferPair, table, minus_alpha: Umbra | None = None) -
     """sheffer_moments, given the Bell table of the reversion r of f(g, t) - 1.
 
     Moment route: the Appell umbra -1.a + x.u dotted into g* = exp(r),
-    f(-1.a + x.u, r).  Series route: e^{x r(t)} / f(a, r(t)), a binomial
-    product with the associated table.
+    f(-1.a + x.u, r), one ``_compose`` of its moments.  Series route:
+    e^{x r(t)} / f(a, r(t)), a binomial product with the associated table.
     """
     minus_alpha = inverse_dot(pair.alpha) if minus_alpha is None else minus_alpha
-    via_moments = _shifted_composition(minus_alpha.moments, table)
+    via_moments = _compose(with_x_shift(minus_alpha).moments, table)
     via_series = _series_route(pair.alpha.moments, table)
     require_equal("sheffer moments vs series", via_moments, via_series)
     return PolySequence(via_moments)
@@ -232,7 +202,7 @@ def _sheffer_table(pair: ShefferPair, table, minus_alpha: Umbra | None = None) -
 def associated_moments(gamma: Umbra) -> PolySequence:
     """Moments of x.g*: the binomial-type sequence associated to g."""
     _require_free_of(gamma, "x", "gamma")
-    return PolySequence(_associated_rows(_table_of(gamma)))
+    return PolySequence(_compose(_powers_of("x", gamma.order), _table_of(gamma)))
 
 
 def appell_moments(alpha: Umbra) -> PolySequence:
@@ -246,21 +216,11 @@ def appell_moments(alpha: Umbra) -> PolySequence:
 
 
 def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
-    """s_n(r(x)) = sum_k s_{n,k} r_k(x): with r = R / D, row n is one sum of
-    s_n's x^k numerators, Polys in y, against R, over s_n's denominator times D."""
+    """s_n(r(x)) = sum_k s_{n,k} r_k(x), where s_{n,k} may mention y: E[s_n(p)]
+    for the umbra p of moments r_k, one ``umbra.substitute``."""
     if s.order != r.order:
         raise ValueError("sequences must share one truncation order")
-    nr, d, _ = _split(r.polys)
-    return PolySequence(tuple(_over(_sum_products(zip(_x_coefficients(p), nr)), p._den * d) for p in s))
-
-
-def _x_coefficients(p: Poly) -> list:
-    """The numerators of p's coefficients of x^0, ..., x^deg over p's
-    denominator: an int, or a Poly in y over denominator 1 if it mentions y."""
-    out: list[dict] = [{} for _ in range(p.degree_in("x") + 1)]
-    for (dx, dy), c in p._num.items():
-        out[dx][(0, dy)] = c
-    return [m.get((0, 0), 0) if m.keys() <= {(0, 0)} else _make(m, 1) for m in out]
+    return PolySequence(substitute(s.polys, Umbra(r.polys)))
 
 
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
@@ -347,7 +307,7 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     # Umbral route.
     d_part = _compose(umbral_sum(to.alpha, minus_a).moments, to_table)
     g_comp = Umbra(_compose(frm.gamma.moments, to_table))
-    eta = _shifted_composition(d_part, _table_of(g_comp))
+    eta = _compose(with_x_shift(Umbra(d_part)).moments, _table_of(g_comp))
     solve_polys = [Poly({(k, 0): c for k, c in enumerate(row)}) for row in solve]
     require_equal("connection constants formula vs solve", eta, solve_polys)
     return ConnectionConstants(tuple(solve), verified=True)
@@ -393,7 +353,7 @@ def check_sheffer_identity(pair: ShefferPair) -> tuple[str, ...]:
     "sheffer-derivative"), the checks passed; a failure raises ConsistencyError.
     """
     table = _table_of(pair.gamma)
-    s, p = _sheffer_table(pair, table), PolySequence(_associated_rows(table))
+    s, p = _sheffer_table(pair, table), PolySequence(_compose(_powers_of("x", pair.order), table))
     convolution = _check_convolution("sheffer", s, _x_to_y(p))
     return (convolution, _check_shift("sheffer-derivative", s.polys, pair.gamma, range(len(s))))
 

@@ -33,9 +33,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .errors import NonInvertibleError, OrderMismatchError
-from .poly import Poly, Value, _make, _power_table, _sum_products, collapse
+from .poly import Poly, Value, _make, _power_table, _powers_of, _sum_products, collapse
 from .series import (
     Series,
     _over,
@@ -57,7 +58,7 @@ class Umbra:
     __slots__ = ("_moments", "name")
 
     def __init__(self, moments: Sequence, name: str | None = None):
-        ms = tuple(collapse(m) for m in moments)
+        ms = tuple(map(collapse, moments))
         if not ms:
             raise ValueError("an umbra needs at least the 0th moment")
         if ms[0] != 1:
@@ -157,7 +158,7 @@ BUILTIN_UMBRAE: dict[str, Callable[[int], Umbra]] = {
 
 def indeterminate_umbra(var: str, order: int) -> Umbra:
     """The deterministic umbra with moments var^n (var is x or y)."""
-    return Umbra(_power_table(Poly.variable(var), order), name=var)
+    return Umbra(_powers_of(var, order), name=var)
 
 
 def scalar_umbra(c, order: int) -> Umbra:
@@ -312,22 +313,15 @@ def overbar_umbra(g: Umbra) -> Umbra:
 
 
 def with_x_shift(a: Umbra) -> Umbra:
-    """The polynomial umbra a + x.u: moments sum_k C(n,k) a_{n-k} x^k, built
-    on a's numerators A / D (``series._split``) and reduced by one gcd each."""
+    """The polynomial umbra a + x.u: moments sum_k C(n,k) a_{n-k} x^k over the
+    D of a = A / D (``series._split``), reduced by one gcd each."""
     nums, d, polys = _split(a.moments)
-    out = []
-    for n in range(len(nums)):
-        terms = enumerate(zip(_pascal(n), nums[n::-1]))
-        if not polys:
-            out.append(_make({(k, 0): c * v for k, (c, v) in terms if v}, d))
-            continue
-        num: dict = {}
-        for k, (c, v) in terms:
-            for (dx, dy), m in v._num.items() if isinstance(v, Poly) else (((0, 0), v),):
-                key = (dx + k, dy)
-                num[key] = num.get(key, 0) + c * m
-        out.append(_make(num, d))
-    return Umbra(out)
+    if polys:
+        xs = _powers_of("x", a.order)
+        return Umbra([_over(_sum_products(zip(map(mul, _pascal(n), nums[n::-1]), xs)), d)
+                      for n in range(len(nums))])
+    keys = [(k, 0) for k in range(len(nums))]
+    return Umbra([_make(dict(zip(keys, map(mul, _pascal(n), nums[n::-1]))), d) for n in range(len(nums))])
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,21 @@ them:
 * ``stirling_by_bernoulli`` -- the Stirling triangles column by column,
   S(n,k) = C(n,k) E[(-k.bern)^(n-k)] and s(n,k) = C(n,k) E[(k.(bern.chi))^(n-k)],
   one dot product per column (production: the coefficient tables of the
-  sequences associated to uinv and u).
+  sequences associated to uinv and u);
+* ``cmul`` / ``horner_compose`` -- the Cauchy product and composition by
+  Horner's rule, f(h) = f_0 + h (f_1 + h (f_2 + ...)), on coefficient lists
+  c_n = a_n / n! (production: ``series.egf_mul``, and ``series._compose``,
+  a fold over the partial Bell table of h).
 
-The Sheffer and associated tables also have their Poly-kernel routes here,
-each the composition of a polynomial-moment series with r, the reversion of
-f(g, t) - 1 (production: every table read off one integer Bell table of r):
+The Sheffer and associated tables also have their routes here, each the
+composition of a polynomial-moment series with r, the reversion of
+f(g, t) - 1 (production: ``series._compose`` over one integer Bell table of
+r, a row at a time):
 
 * ``sheffer_series_route`` -- e^{x r} / f(a, r) by ``egf_mul``,
   ``egf_reciprocal``, ``egf_compose`` and ``egf_exp``;
-* ``sheffer_moment_route`` -- f(-1.a + x.u, r) by ``umbra._dot_log``;
-* ``associated_route`` -- f(x.u, r) by ``umbra._dot_log``.
+* ``sheffer_moment_route`` -- f(-1.a + x.u, r) by ``horner_compose``;
+* ``associated_route`` -- f(x.u, r) by ``horner_compose``.
 
 It also holds the two Sheffer pairs that only the tests use, ``power_pair``
 and ``factorial_pair``, and ``tokenize``, a character-by-character scanner
@@ -68,7 +73,6 @@ from umbralcalc.series import Series, egf_compose, egf_exp, egf_mul, egf_recipro
 from umbralcalc.sheffer import ShefferPair, sheffer_moments
 from umbralcalc.umbra import (
     Umbra,
-    _dot_log,
     augmentation,
     bernoulli_umbra,
     dot,
@@ -149,14 +153,39 @@ def sheffer_series_route(pair: ShefferPair, r: Series) -> Series:
     return egf_mul(egf_reciprocal(egf_compose(pair.alpha.moments, r)), egf_exp(egf_scale(X, r)))
 
 
+def _sum(terms) -> Value:
+    return collapse(sum(terms, Fraction(0)))
+
+
+def cmul(f, g):
+    """Cauchy product of coefficient lists (zero terms skipped)."""
+    return tuple(_sum(f[k] * g[n - k] for k in range(n + 1) if f[k] and g[n - k]) for n in range(len(f)))
+
+
+def horner_compose(f, h):
+    """Composition of coefficient lists by Horner's rule f(h) = f_0 + h (f_1 + h (f_2 + ...))."""
+    n = len(f) - 1
+    result = (f[n],) + (Fraction(0),) * n
+    for k in range(n - 1, -1, -1):
+        result = cmul(result, h)
+        result = (collapse(result[0] + f[k]),) + result[1:]
+    return result
+
+
+def _compose_moments(f: Sequence[Value], r: Series) -> Series:
+    """f(r(t)) on moment tuples, by ``horner_compose`` on the coefficients a_n / n!."""
+    coeffs = [tuple(collapse(a) / factorial(n) for n, a in enumerate(s)) for s in (f, r)]
+    return tuple(collapse(c * factorial(n)) for n, c in enumerate(horner_compose(*coeffs)))
+
+
 def sheffer_moment_route(pair: ShefferPair, r: Series) -> Series:
-    """The moments of (-1.a + x.u).g*, f(-1.a + x.u, r), on the Poly series kernel."""
-    return _dot_log(with_x_shift(inverse_dot(pair.alpha)), r).moments
+    """The moments of (-1.a + x.u).g*, f(-1.a + x.u, r), by Horner's rule."""
+    return _compose_moments(with_x_shift(inverse_dot(pair.alpha)).moments, r)
 
 
 def associated_route(r: Series) -> Series:
-    """The moments of x.g*, f(x.u, r), on the Poly series kernel."""
-    return _dot_log(X, r).moments
+    """The moments of x.g*, f(x.u, r), by Horner's rule."""
+    return _compose_moments([X**n for n in range(len(r))], r)
 
 
 def power_pair(order: int) -> ShefferPair:

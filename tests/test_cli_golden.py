@@ -164,6 +164,18 @@ GOLDEN = [
      "7b3d24fd4ba9a6c07700193a22bd6e0d334b5aa3ec2e9d0bdbaa68dc01e83198"),
     (["example", "fibonacci", "--order", "12", "--format", "pretty"],
      "d106c14fbd184920affa97d5da16a69ca678cae6396b9ebdd1bbc35a2b85c2df"),
+    # Polynomial outers in x and y composed over rational Bell tables, where a
+    # change to the row-by-row fold would first show.
+    (["eval", "(x + y) . bell . bern", "--order", "12"],
+     "7171f48a8e9e5c26927b524a66f69b25acad623751f8f2fa1ae9b85c03bcbf67"),
+    (["eval", "(x . bell + y) . bern", "--order", "12"],
+     "754993370cec328001faffd38e495841792f8ee1256341d15537cc7d72fa13a5"),
+    (["eval", "(x . bell + y . bern) . bern", "--order", "12"],
+     "1d951c43fb27a6349092dad80c286ccdc03fa43f89a231a862cb9b3d0bb8b917"),
+    (["eval", "x . bell . (x + y) . bern", "--order", "12"],
+     "24940bd9bccd72a8c8eacb3aff39e3d28ccd4f83dd330ccc98176472c9cd8c9d"),
+    (["eval", "(x + 1) . bern", "--order", "12"],
+     "1aacd3046d6478cdece60d71b8e00d078b2a73d0bfb94c27295fc168ab38b620"),
 ]
 
 

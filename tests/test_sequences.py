@@ -173,6 +173,39 @@ def test_stirling_triangle_checks_every_entry(monkeypatch):
         stirling_triangle("third", 3)
 
 
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_stirling_entry_is_k_plus_one_bell_columns(kind, monkeypatch):
+    """Entry (n, k) reads columns 0..k of one Bell table of the reversion,
+    known in closed form (u and uinv are each other's compositional inverse),
+    so no entry takes a reversion."""
+    from umbralcalc import umbra
+
+    tables, reverts = [], []
+    real_table, real_revert = sequences._bell_table, umbra.egf_revert
+    monkeypatch.setattr(sequences, "_bell_table", lambda h, top: tables.append((len(h) - 1, top)) or real_table(h, top))
+    monkeypatch.setattr(umbra, "egf_revert", lambda h: reverts.append(h) or real_revert(h))
+    entry = stirling_first_umbral if kind == "first" else stirling_second_umbral
+    classical = stirling_first_classical if kind == "first" else stirling_second_classical
+    assert [entry(n, k) for n in range(10) for k in range(n + 1)] == [
+        classical(n, k) for n in range(10) for k in range(n + 1)
+    ]
+    assert tables == [(n, k) for n in range(10) for k in range(n + 1)] and not reverts
+
+
+def test_stirling_entry_is_checked(monkeypatch):
+    def off_at_5_2(n, k):
+        return stirling_second_classical(n, k) + (1 if (n, k) == (5, 2) else 0)
+
+    monkeypatch.setattr(sequences, "stirling_second_classical", off_at_5_2)
+    assert stirling_second_umbral(5, 3) == 25
+    with pytest.raises(ConsistencyError, match="'stirling second table vs triangle' failed at n = 5") as info:
+        stirling_second_umbral(5, 2)
+    assert (info.value.monomial, info.value.lhs, info.value.rhs) == ("x^2", 15, 16)
+    for n, k in [(3, 4), (3, -1)]:
+        with pytest.raises(ValueError):
+            stirling_first_umbral(n, k)
+
+
 @pytest.mark.parametrize("a", [1, F(3, 2)])
 def test_poisson_charlier_sequence_is_one_sheffer_table(a, monkeypatch):
     orders = []

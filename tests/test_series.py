@@ -23,7 +23,14 @@ from umbralcalc.series import (
     egf_revert,
 )
 
-from oracles import bell_partial, bernoulli_numbers, falling_factorial, lagrange_revert_by_powers
+from oracles import (
+    bell_partial,
+    bernoulli_numbers,
+    cmul,
+    falling_factorial,
+    horner_compose,
+    lagrange_revert_by_powers,
+)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -57,11 +64,6 @@ def _sum(terms):
     return collapse(sum(terms, F(0)))
 
 
-def cmul(f, g):
-    """Cauchy product of coefficient lists (zero terms skipped)."""
-    return tuple(_sum(f[k] * g[n - k] for k in range(n + 1) if f[k] and g[n - k]) for n in range(len(f)))
-
-
 def creciprocal(f):
     inv0 = 1 / F(f[0])
     out = [inv0]
@@ -88,16 +90,6 @@ def cexp(h):
 
 def cpower(f, e):
     return cexp(tuple(collapse(e * c) for c in clog(f)))
-
-
-def horner_compose(f, h):
-    """Composition oracle: Horner's rule f(h) = f_0 + h (f_1 + h (f_2 + ...))."""
-    n = len(f) - 1
-    result = (f[n],) + (F(0),) * n
-    for k in range(n - 1, -1, -1):
-        result = cmul(result, h)
-        result = (collapse(result[0] + f[k]),) + result[1:]
-    return result
 
 
 def recompose_revert(h):
@@ -248,12 +240,15 @@ APPELL_B = [F(1), F(1, 2), F(-1, 3), F(2), F(0), F(5, 7), F(-1)]
 @example(([(X - Y / 2 + F(2, 5)) ** k for k in range(9)], moments_of(clog(coeffs_of(bernoulli_numbers(8))))[1:]))
 @example(([F(1), X * Y, Y - X / 3, F(0), X * X + Y / 7, F(-5, 4), (X + Y) ** 2, X * Y * Y],
           [F(3, 7), F(-5, 11), F(2, 13), F(1, 17), F(-4, 19), F(6, 23), F(1, 29)]))
+@example(([F(1), X + 1, Y / 2 - 2, 3 * X, F(1, 5)], [F(2), F(-1, 3), F(0), F(5, 2)]))
 def test_compose_matches_horner_oracle(fh):
     """Outer and inner series each from its own family, so D_f and D_h differ.
     The examples compose Poly outers (dense Appell rows, sparse x^k, powers of
     x + y + c, and rows whose monomials cancel, some to zero) over rational
     inner series, two of them with a wide common denominator (the log of the
-    Bernoulli umbra, and coprime prime denominators) under outers in x and y."""
+    Bernoulli umbra, and coprime prime denominators) under outers in x and y.
+    The last has monomials whose runs of coefficients have interior zeros:
+    x is in f_1 and f_3 but not f_2, and 1 in f_1, f_2 and f_4 but not f_3."""
     f_moments, h_tail = fh
     f, h = tuple(f_moments), (F(0),) + tuple(h_tail)
     assert normal(egf_compose(f, h)) == moments_of(horner_compose(coeffs_of(f), coeffs_of(h)))

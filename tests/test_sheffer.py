@@ -446,28 +446,32 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
     connection_constants builds three, of r_frm, r_to and the change of basis,
     and takes no egf_exp.  Its one egf_mul is the umbral_sum forming
     to.alpha - 1.frm.alpha, and check_sheffer_identity's is its convolution;
-    the tables take none."""
+    the tables take none.  Every fold over a Bell table is one series._compose:
+    a Sheffer table takes two (the moment route, and f(a, r) in the series
+    route), an associated table one, and connection_constants seven (two
+    Sheffer tables, d - 1.a, g.bell.z^<-1> and the change of basis)."""
     from umbralcalc import sheffer
 
-    calls = {"_bell_columns": 0, "egf_exp": 0, "egf_mul": 0}
+    calls = {"_bell_columns": 0, "egf_exp": 0, "egf_mul": 0, "_compose": 0}
 
     def counted(name, fn):
         return lambda *args: calls.update({name: calls[name] + 1}) or fn(*args)
 
     for module, name in [(series, "_bell_columns"), (series, "egf_exp"), (umbra, "egf_exp"),
-                         (series, "egf_mul"), (umbra, "egf_mul"), (sheffer, "egf_mul")]:
+                         (series, "egf_mul"), (umbra, "egf_mul"), (sheffer, "egf_mul"),
+                         (series, "_compose"), (sheffer, "_compose")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     pc2, pc1 = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
     random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
     y_pair = ShefferPair(Umbra([F(1), Y, F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), 1 + Y, F(0)]))
     for run, expected in [
-        (lambda: sheffer_moments(pc2), (1, 0, 0)),
-        (lambda: sheffer_moments(y_pair), (1, 0, 0)),
-        (lambda: check_sheffer_identity(random_pair), (1, 0, 1)),
-        (lambda: check_sheffer_identity(y_pair), (1, 0, 1)),
-        (lambda: associated_moments(y_pair.gamma), (1, 0, 0)),
-        (lambda: connection_constants(pc2, pc1), (3, 0, 1)),
-        (lambda: connection_constants(random_pair, bernoulli_appell_pair(4)), (3, 0, 1)),
+        (lambda: sheffer_moments(pc2), (1, 0, 0, 2)),
+        (lambda: sheffer_moments(y_pair), (1, 0, 0, 2)),
+        (lambda: check_sheffer_identity(random_pair), (1, 0, 1, 3)),
+        (lambda: check_sheffer_identity(y_pair), (1, 0, 1, 3)),
+        (lambda: associated_moments(y_pair.gamma), (1, 0, 0, 1)),
+        (lambda: connection_constants(pc2, pc1), (3, 0, 1, 7)),
+        (lambda: connection_constants(random_pair, bernoulli_appell_pair(4)), (3, 0, 1, 7)),
     ]:
         calls.update(dict.fromkeys(calls, 0))
         run()
