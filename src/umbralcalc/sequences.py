@@ -105,7 +105,9 @@ def lagrange_inversion(gamma: Umbra, n: int) -> Fraction:
 
 
 def lagrange_inversion_general(gamma: Umbra, n: int) -> Fraction:
-    """E[(-n.g_bar)^{n-1}] for g_1 != 0; equals g_1^n times moment n of g^<-1>."""
+    """E[(-n.g_bar)^{n-1}] for g_1 != 0; equals g_1^n times moment n of g^<-1>,
+    which the run-time check takes from the direct solve of h(r) = t
+    (``comp_inverse``), not from a second evaluation of the formula."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_order(gamma, n)

@@ -4,13 +4,14 @@ A series f(t) = sum_n a_n t^n / n! mod t^(N+1) is held as the tuple of its
 moments (a_0, ..., a_N), the only form in which the umbral calculus knows
 an umbra.  A product is then the binomial convolution
 c_n = sum_k C(n,k) a_k b_(n-k); reciprocal, log, exp and composition have
-binomial recurrences of the same shape, and reversion is the Lagrange
-formula: moment m of the reversion of h is moment m - 1 of (t/h)^m, the
-umbral E[(-m.g)^(m-1)] with g the overbar umbra of h, up to a factor h_1^m,
-read off about 2 sqrt(N) products by baby steps and giant steps.
-Composition is a fold of f over the partial Bell table of h: ``_bell_table``
-builds the table and ``_compose`` folds over it (a polynomial f over an integer
-table row by row), and the Sheffer layer reads every table off the same two.
+binomial recurrences of the same shape.  Composition is a fold of f over
+the partial Bell table of h: ``_bell_table`` builds the table and
+``_compose`` folds over it (a polynomial f over an integer table row by
+row, ``_fold_runs``).  Reversion solves h(r) = t one moment at a time
+through the partial Bell values of r, and builds r's Bell table in the same
+loop, a row per moment (``_revert_columns``): ``egf_revert`` reads r off
+column 1, and ``_revert_table`` reads the whole table, which is the table
+the Sheffer layer folds over.
 
 Every operation is exact and fraction-free inside.  An op splits each
 operand once into numerators over the operand's least common denominator D
@@ -38,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
@@ -117,11 +118,6 @@ def _sum(w, g, polys: bool):
     return _sum_products(zip(w, g)) if polys else sum(map(mul, w, g))
 
 
-def _convolve(rows: list[list], g: Sequence, polys: bool) -> list:
-    """sum_k C(n,k) a_k g_(n-k) for every n, from the rows of a."""
-    return [_sum(row, g[n::-1], polys) for n, row in enumerate(rows)]
-
-
 def egf_scale(c, f: Sequence[Value]) -> Series:
     return tuple(collapse(c * a) for a in f)
 
@@ -157,22 +153,16 @@ def egf_reciprocal(f: Sequence[Value]) -> Series:
         raise SingularSeriesError("cannot invert a series with zero constant term")
     nums, d, polys = _split(f)
     a0 = _numerator(c0, d)
-    out: list[Value] = []
-    lead = 1
-    for g in _reciprocal_numerators(nums, a0, polys):
-        lead *= a0
-        out.append(_over(_times(g, d), lead))
-    return tuple(out)
-
-
-def _reciprocal_numerators(nums: list, a0: int, polys: bool) -> list:
-    """G_0, ..., G_N of egf_reciprocal for the numerators A = ``nums``, A_0 = a0."""
     scaled = [_times(a, a0 ** (k - 1)) if k else 0 for k, a in enumerate(nums)]  # A_k A_0^(k-1)
     G: list = [1]
-    for m in range(1, len(nums)):
+    out: list[Value] = [_over(d, a0)]
+    lead = a0
+    for m in range(1, n + 1):
         G.append(0)  # G_m, paired with the zero k = 0 term of its own sum
         G[m] = -_sum(map(mul, _pascal(m), scaled), reversed(G), polys)
-    return G
+        lead *= a0
+        out.append(_over(_times(G[m], d), lead))
+    return tuple(out)
 
 
 def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
@@ -242,13 +232,13 @@ def _compose(f: Sequence[Value], table) -> Series:
 
 
 def _compose_rows(f: Sequence[Value], columns: list[list], dh: int) -> Series:
-    """_compose for a Poly f over int columns.  Row n, m = min(n, top), is over
-    D_f D_h^m with entries B_(n,k)(H) D_h^(m-k): one int sum per monomial of F
-    (Bareiss, Math. Comp. 22 (1968): a row divides out only the factor it has)."""
+    """_compose for a Poly f over int columns: ``_fold_runs`` of f's
+    numerators F over their one denominator D_f, each monomial laid out as its
+    run of coefficients in F_k0, F_(k0+1), ..., up to its last."""
     top = len(columns) - 1
     fs = [_coerce(v) for v in f[1 : top + 1]]
     df = lcm(*(v._den for v in fs))
-    runs: dict = {}  # monomial -> (k0, [its coefficients in F_k0, F_(k0+1), ..., up to its last])
+    runs: dict = {}  # monomial -> (k0, run)
     for k, v in enumerate(fs, 1):
         scale = df // v._den
         for key, c in v._num.items():
@@ -256,9 +246,19 @@ def _compose_rows(f: Sequence[Value], columns: list[list], dh: int) -> Series:
             if k - k0 > len(run):
                 run += [0] * (k - k0 - len(run))
             run.append(c * scale)
+    return _fold_runs(f[0], runs, df, len(f) - 1, columns, dh)
+
+
+def _fold_runs(f0: Value, runs: dict, df: int, n: int, columns: list[list], dh: int) -> Series:
+    """Moments 0, ..., n of f(h(t)) for f = f_0 + sum_(k>=1) F_k / D_f over int
+    Bell columns of h = H / D_h, where ``runs`` maps each monomial of F to
+    (k0, its coefficients in F_k0, F_(k0+1), ...).  Row i, m = min(i, top), is
+    over D_f D_h^m with entries B_(i,k)(H) D_h^(m-k): one int sum per monomial
+    (Bareiss, Math. Comp. 22 (1968): a row divides out only the factor it has)."""
+    top = len(columns) - 1
     powers = _power_table(dh, top)
-    out = [collapse(f[0])]  # column 0 is 1, 0, 0, ...: F_0 reaches moment 0 alone
-    for i in range(1, len(f)):
+    out = [collapse(f0)]  # column 0 is 1, 0, 0, ...: f_0 reaches moment 0 alone
+    for i in range(1, n + 1):
         m = min(i, top)
         row = [columns[k][i] * powers[m - k] for k in range(m + 1)]  # B_(i,k)(H) D_h^(m-k)
         num = {key: run[0] * row[k0] if len(run) == 1 else sum(map(mul, run, row[k0:]))
@@ -268,18 +268,30 @@ def _compose_rows(f: Sequence[Value], columns: list[list], dh: int) -> Series:
 
 
 def egf_revert(h: Sequence[Value]) -> Series:
-    """The series r with h(r(t)) = t mod t^(N+1), by the Lagrange formula.
+    """The series r with h(r(t)) = t mod t^(N+1).
 
-    With q the moment form of t/h(t), the reciprocal of (h_(n+1)/(n+1))_n,
-    moment m of r is moment m - 1 of q^m (Knuth, TAOCP vol. 2 §4.7): the
-    umbral E[(-m.g)^(m-1)] for g the overbar umbra of h, up to a factor
-    h_1^m.  Baby steps and giant steps (Brent and Kung, J. ACM 25 (1978);
-    Johansson, Math. Comp. 84 (2015)): with k = isqrt(N-1) + 1 and
-    m - 1 = jk + s (s < k), r_m is one sum over q^(jk) q^(s+1), from the
-    powers q^1..q^k and one product per giant step, about 2 sqrt(N) products
-    instead of N.  Fraction-free: egf_reciprocal's recurrence gives q over
-    A_0^N, one gcd brings it to Q / D_q, and
-    r_m = [t^(m-1)] Q^(jk) Q^(s+1) / D_q^m.
+    Moment n of h(r) is sum_k h_k B_(n,k)(r), and B_(n,1)(r) = r_n, so r_n
+    solves h_1 r_n = -sum_(k>=2) h_k B_(n,k)(r), whose Bell values need only
+    r_1, ..., r_(n-1) (Comtet, Advanced Combinatorics, 1974, ch. 3).
+    ``_revert_columns`` builds the Bell table of r a row per moment in that
+    loop, fraction-free, and r_n = R_n / (D^(n-1) h_1^n) is read off its
+    column 1 with one gcd each.
+    """
+    return _revert_columns(h)[0]
+
+
+def _revert_columns(h: Sequence[Value]) -> tuple[Series, list[list], int, Fraction, bool]:
+    """(r, W, D, h_1, polys): the reversion r of h (see ``egf_revert``) and,
+    in the same loop, the fraction-free Bell table W of r-tilde, the
+    reversion of h / h_1.
+
+    With h / h_1 = H / D in lowest terms (H_1 = D) and r(t) = r-tilde(t / h_1),
+    W_(n,k) = B_(n,k)(r-tilde) D^(n-k) is integral, and row n is, with no
+    division (Bareiss, Math. Comp. 22 (1968): each entry carries only the
+    power of D it needs),
+    W_(n,k) = sum_d C(n-1,d-1) R_d W_(n-d,k-1) for k >= 2, then
+    R_n = W_(n,1) = -sum_(k>=2) H_k D^(k-2) W_(n,k), with R_1 = 1.
+    Column k of W lists W_(i,k) for i = 0, ..., N, zero above row k.
     """
     n = _order(h)
     if collapse(h[0]) != 0:
@@ -289,32 +301,50 @@ def egf_revert(h: Sequence[Value]) -> Series:
     h1 = _leading_scalar(h[1], "linear coefficient of a reversion")
     if h1 == 0:
         raise NonInvertibleError("reversion needs a nonzero linear coefficient")
-    # q is the reciprocal of A / D = (h_(i+1) / (i+1))_i: q_m = D G_m / A_0^(m+1)
-    nh, dh, polys = _split([collapse(v) for v in h[1:]])
-    span = lcm(*range(1, n + 1))
-    nums, d = _lowest([_times(c, span // (i + 1)) for i, c in enumerate(nh)], dh * span, polys)
-    G = _reciprocal_numerators(nums, nums[0], polys)
-    nq, dq = _lowest([_times(g, d * nums[0] ** (n - 1 - m)) for m, g in enumerate(G)], nums[0] ** n, polys)
-    k = isqrt(n - 1) + 1  # k^2 >= N, so j < k too
-    rows = _binomial_rows(nq)
-    baby = [nq]  # Q^1, ..., Q^k
-    for _ in range(1, k):
-        baby.append(_convolve(rows, baby[-1], polys))
+    nh, _, polys = _split([collapse(v) for v in h])
+    nh, d = _lowest(nh, nh[1], polys)  # h / h_1 = H / D, H_1 = D > 0
+    powers = _power_table(d, n)
+    scaled = [_times(c, -powers[k - 2]) for k, c in enumerate(nh) if k > 1]  # -H_k D^(k-2), k >= 2
+    columns = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    R = columns[1]
+    R[1] = 1
+    for m in range(2, n + 1):
+        b = list(map(mul, _pascal(m - 1), R[1:m]))  # C(m-1,d-1) R_d at index d - 1
+        row = [_sum(b, columns[k - 1][m - 1 : k - 2 : -1], polys) for k in range(2, m + 1)]
+        for k, w in enumerate(row, 2):
+            columns[k][m] = w
+        R[m] = _sum(scaled, row, polys)
+    p, q = h1.numerator, h1.denominator
     r: list[Value] = [Fraction(0)]
-    den = 1
+    num, den = q, p  # q^m and D^(m-1) p^m for h_1 = p / q
     for m in range(1, n + 1):
-        (j, s), c = divmod(m - 1, k), m - 1
-        if not j:
-            num = baby[s][c]
-        else:
-            if s == 0 and j == 1:  # giant steps multiply by Q^k
-                giant, rows = baby[-1], _binomial_rows(baby[-1])
-            elif s == 0:
-                giant = _convolve(rows, giant, polys)
-            num = _sum(map(mul, _pascal(c), giant), baby[s][c::-1], polys)
-        den *= dq
-        r.append(_over(num, den))
-    return tuple(r)
+        r.append(_over(_times(R[m], num), den))
+        num, den = num * q, den * d * p
+    return tuple(r), columns, d, h1, polys
+
+
+def _revert_table(h: Sequence[Value]) -> tuple[list[list], int, bool]:
+    """The Bell table of egf_revert(h) as ``_bell_table`` gives it, read off
+    the reversion loop: for
+    r = R_r / D_r, column k holds B_(i,k)(R_r) = B_(i,k)(r) D_r^k
+    = W_(i,k) D_r^k / (D^(i-k) h_1^i), an exact division each."""
+    r, columns, d, h1, polys = _revert_columns(h)
+    columns[1], dr, _ = _split(r)
+    n = len(r) - 1
+    scale, shift = _power_table(h1.denominator, n), _power_table(h1.numerator, n)  # q^i, p^i
+    powers, rpowers = _power_table(d, n), _power_table(dr, n)
+    for k in range(2, n + 1):
+        column = columns[k]
+        for i in range(k, n + 1):
+            column[i] = _exact(column[i], rpowers[k] * scale[i], powers[i - k] * shift[i])
+    return columns, dr, polys
+
+
+def _exact(v, m: int, den: int):
+    """v * m / den for an int or a Poly over denominator 1 that den divides exactly."""
+    if not isinstance(v, Poly):
+        return v * m // den
+    return _make({key: c * m // den for key, c in v._num.items()}, 1)
 
 
 def egf_log(f: Sequence[Value]) -> Series:

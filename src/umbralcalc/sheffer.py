@@ -4,12 +4,15 @@ connection-constants solver.
 A Sheffer pair (a, g) with E[g] != 0 determines the polynomial umbra
 (-1.a + x.u).g*, whose moments s_0(x), ..., s_N(x) are the Sheffer sequence
 of the pair.  Every table is read off one fraction-free table of the partial
-Bell values of r, the reversion of f(g, t) - 1, built once per reversion by
-``series._bell_table``; every composition over it, f(x.u, r) for the
-associated table among them, is ``series._compose``.  ``sheffer_moments``
-computes its table twice on it -- once as f(-1.a + x.u, r) of the Appell
-moments, once by the hand-written series route e^{x r(t)} / f(a, r(t)) --
-and insists the two agree, so every returned sequence is self-checked.
+Bell values of r, the reversion of f(g, t) - 1, which the loop that solves
+for r builds as it goes (``series._revert_table``, one per reversion).  Every
+composition over it, f(x.u, r) for the associated table among them, is
+``series._compose``, or, for f(b + x.u, r) with a scalar b, a fold of the
+runs C(m, j) b_(m-j) read off b (``_shifted_composition``).
+``sheffer_moments`` computes its table twice on it -- once as
+f(-1.a + x.u, r) of the Appell moments, once by the hand-written series
+route e^{x r(t)} / f(a, r(t)) -- and insists the two agree, so every
+returned sequence is self-checked.
 
 Connection constants between two Sheffer sequences are likewise computed both
 by the closed umbral formula and by an unconditional triangular linear solve.
@@ -23,13 +26,26 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import ConsistencyError, VariableCaptureError
 from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _powers_of
 from .records import Record
-from .series import _bell_table, _compose, _pascal, _split, _sum, _times, egf_mul, egf_reciprocal
+from .series import (
+    Series,
+    _bell_table,
+    _compose,
+    _fold_runs,
+    _pascal,
+    _revert_table,
+    _split,
+    _sum,
+    _times,
+    egf_mul,
+    egf_reciprocal,
+)
 from .umbra import (
     Umbra,
     _comp_inverse_of,
@@ -144,9 +160,13 @@ class PolySequence(Record):
 
 
 def _table_of(gamma: Umbra) -> tuple[list[list], int, bool]:
-    """The Bell table of the reversion r of f(g, t) - 1.  At order 0, where
-    every table is (1,), r is the zero series."""
-    return _bell_table(_reversion(gamma) if gamma.order else (Fraction(0),))
+    """The Bell table of the reversion r of f(g, t) - 1, built by the loop
+    that solves for r.  At order 0, where every table is (1,), r is the zero
+    series."""
+    if not gamma.order:
+        return _bell_table((Fraction(0),))
+    _require_scalar_first_moment(gamma)
+    return _revert_table((Fraction(0),) + gamma.moments[1:])
 
 
 def _x_row(coeffs: list, den: int) -> Poly:
@@ -159,6 +179,23 @@ def _x_row(coeffs: list, den: int) -> Poly:
         elif c:
             num[(j, 0)] = c
     return _make(num, den)
+
+
+def _shifted_composition(b: Umbra, table) -> Series:
+    """f(b + x.u, r): ``_compose`` of with_x_shift(b) over the Bell table of r.
+    For a scalar b = B / D_b over int columns, the run of x^j, its
+    coefficients in moments max(j, 1), ..., N, is C(m, j) B_(m-j), read off
+    B with no Appell Poly built; a b or a table in y composes the Polys."""
+    columns, dh, polys = table
+    nums, d, polys_b = _split(b.moments)
+    if polys or polys_b:
+        return _compose(with_x_shift(b).moments, table)
+    top = len(columns) - 1
+    runs = {}
+    for j in range(top + 1):
+        k0 = max(j, 1)
+        runs[(j, 0)] = (k0, list(map(mul, map(comb, range(k0, top + 1), repeat(j)), nums[k0 - j :])))
+    return _fold_runs(b.moments[0], runs, d, b.order, columns, dh)
 
 
 def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
@@ -189,11 +226,11 @@ def _sheffer_table(pair: ShefferPair, table, minus_alpha: Umbra | None = None) -
     """sheffer_moments, given the Bell table of the reversion r of f(g, t) - 1.
 
     Moment route: the Appell umbra -1.a + x.u dotted into g* = exp(r),
-    f(-1.a + x.u, r), one ``_compose`` of its moments.  Series route:
+    f(-1.a + x.u, r), one ``_shifted_composition``.  Series route:
     e^{x r(t)} / f(a, r(t)), a binomial product with the associated table.
     """
     minus_alpha = inverse_dot(pair.alpha) if minus_alpha is None else minus_alpha
-    via_moments = _compose(with_x_shift(minus_alpha).moments, table)
+    via_moments = _shifted_composition(minus_alpha, table)
     via_series = _series_route(pair.alpha.moments, table)
     require_equal("sheffer moments vs series", via_moments, via_series)
     return PolySequence(via_moments)
@@ -307,8 +344,11 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     # Umbral route.
     d_part = _compose(umbral_sum(to.alpha, minus_a).moments, to_table)
     g_comp = Umbra(_compose(frm.gamma.moments, to_table))
-    eta = _compose(with_x_shift(Umbra(d_part)).moments, _table_of(g_comp))
-    solve_polys = [Poly({(k, 0): c for k, c in enumerate(row)}) for row in solve]
+    eta = _shifted_composition(Umbra(d_part), _table_of(g_comp))
+    solve_polys = []
+    for row in solve:  # one Poly of numerators over the row's one denominator
+        den = lcm(*(c.denominator for c in row))
+        solve_polys.append(_x_row([c.numerator * (den // c.denominator) for c in row], den))
     require_equal("connection constants formula vs solve", eta, solve_polys)
     return ConnectionConstants(tuple(solve), verified=True)
 

@@ -21,7 +21,7 @@ them:
   t/(e^t - 1) on the kernel);
 * ``lagrange_revert_by_powers`` -- the Lagrange formula with every power of
   t/h built from the one before (production: ``series.egf_revert``, which
-  takes about 2 sqrt(N) products by baby steps and giant steps);
+  solves h(r) = t through the partial Bell values of r);
 * ``stirling_by_bernoulli`` -- the Stirling triangles column by column,
   S(n,k) = C(n,k) E[(-k.bern)^(n-k)] and s(n,k) = C(n,k) E[(k.(bern.chi))^(n-k)],
   one dot product per column (production: the coefficient tables of the

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from umbralcalc import sequences, sheffer
+from umbralcalc import sequences, series, sheffer
 from umbralcalc.errors import ConsistencyError
 from umbralcalc.combinatorics import (
     binomial,
@@ -146,13 +146,16 @@ def test_umbral_stirling_triangles():
 
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_stirling_triangle_is_one_bell_table(kind, monkeypatch):
-    tables, dots = [], []
-    real_table, real_dot = sheffer._bell_table, sequences.dot
-    monkeypatch.setattr(sheffer, "_bell_table", lambda *args: tables.append(args) or real_table(*args))
+    """The triangle reverts its gamma once and reads every row off the one
+    Bell table that reversion builds; it takes no dot product."""
+    reversions, tables, dots = [], [], []
+    real_loop, real_table, real_dot = series._revert_columns, sheffer._revert_table, sequences.dot
+    monkeypatch.setattr(series, "_revert_columns", lambda h: reversions.append(h) or real_loop(h))
+    monkeypatch.setattr(sheffer, "_revert_table", lambda h: tables.append(h) or real_table(h))
     monkeypatch.setattr(sequences, "dot", lambda left, a: dots.append(left) or real_dot(left, a))
     classical = stirling_first_classical if kind == "first" else stirling_second_classical
     assert stirling_triangle(kind, 24) == [[classical(n, k) for k in range(n + 1)] for n in range(25)]
-    assert (len(tables), len(dots)) == (1, 0)
+    assert (len(reversions), len(tables), len(dots)) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
@@ -178,12 +181,10 @@ def test_stirling_entry_is_k_plus_one_bell_columns(kind, monkeypatch):
     """Entry (n, k) reads columns 0..k of one Bell table of the reversion,
     known in closed form (u and uinv are each other's compositional inverse),
     so no entry takes a reversion."""
-    from umbralcalc import umbra
-
     tables, reverts = [], []
-    real_table, real_revert = sequences._bell_table, umbra.egf_revert
+    real_table, real_revert = sequences._bell_table, series._revert_columns
     monkeypatch.setattr(sequences, "_bell_table", lambda h, top: tables.append((len(h) - 1, top)) or real_table(h, top))
-    monkeypatch.setattr(umbra, "egf_revert", lambda h: reverts.append(h) or real_revert(h))
+    monkeypatch.setattr(series, "_revert_columns", lambda h: reverts.append(h) or real_revert(h))
     entry = stirling_first_umbral if kind == "first" else stirling_second_umbral
     classical = stirling_first_classical if kind == "first" else stirling_second_classical
     assert [entry(n, k) for n in range(10) for k in range(n + 1)] == [

@@ -336,6 +336,36 @@ def test_revert_matches_recompose_oracle(h):
     assert normal(egf_revert(h)) == moments_of(recompose_revert(coeffs_of(h)))
 
 
+def bernoulli_tail(n):
+    """f(bern, t) - 1 = t/(e^t - 1) - 1 to order n, with h_1 = -1/2."""
+    return (F(0), *bernoulli_numbers(n)[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        invertible_series(12, fractions),
+        invertible_series(12, wide_fractions, st.sampled_from([F(-5, 2), F(3, 7)]) | wide_fractions.filter(bool)),
+        invertible_series(12, st.one_of(st.just(F(0)), polys_over(integers), small_polys), nonzero_scalars),
+    )
+)
+@example(bernoulli_tail(24))
+@example(bernoulli_tail(40))
+@example(egf_log(bernoulli_numbers(24)))
+@example(egf_log(bernoulli_numbers(40)))
+def test_revert_table_is_the_bell_table_of_the_reversion(h):
+    """The table the reversion loop builds is the Bell table of the reversion
+    the oracle solves coefficient by coefficient: ``_bell_columns`` of its
+    numerators, entry for entry, over the same denominator and with the same
+    Poly flag.  Orders 1-12 on small scalars (fractional and negative h_1),
+    wide numerators over coprime denominators and moments in x and y; f(bern,
+    t) - 1 and log f(bern, t), whose Bernoulli denominators are wide, at
+    orders 24 and 40."""
+    r = moments_of(recompose_revert(coeffs_of(h)))
+    nums, d, polys = series._split(r)
+    assert series._revert_table(h) == (series._bell_columns(nums, len(h) - 1, polys), d, polys)
+
+
 def fixed_series(n, lead=F(-3, 2), poly=False):
     """h of order n with a negative non-unit h_1 and mixed-sign moments over
     denominators 2-4; with ``poly``, moments in x and y too, some of them zero."""
@@ -346,10 +376,9 @@ def fixed_series(n, lead=F(-3, 2), poly=False):
     return (F(0), lead, *tail)
 
 
-def with_examples_around_k_squared(test):
-    """Orders where k = isqrt(N-1) + 1, the number of baby steps, changes
-    (N = 1, 2, 5, 10, 17, 26, 37) and their neighbours; a wide-numerator and a
-    polynomial series at a few of them."""
+def with_fixed_examples(test):
+    """``fixed_series`` at orders 1-37; a wide-numerator and a polynomial
+    series at a few of them."""
     for n in (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37):
         test = example(h=fixed_series(n))(test)
     for n in (4, 5, 9, 10):
@@ -368,11 +397,12 @@ def with_examples_around_k_squared(test):
         invertible_series(12, st.one_of(st.just(F(0)), polys_over(integers), small_polys), nonzero_scalars),
     )
 )
-@with_examples_around_k_squared
+@with_fixed_examples
 def test_revert_matches_lagrange_by_powers(h):
-    """Baby steps and giant steps give the same reversion as one power of t/h
-    after another, at orders 0-40 on small and wide scalars, and to order 12
-    on moments in x and y; order 0 has no reversion."""
+    """Solving h(r) = t through the Bell values of r gives the reversion the
+    Lagrange formula gives, moment m of r as moment m - 1 of (t/h)^m with one
+    power of t/h after another, at orders 0-40 on small and wide scalars, and
+    to order 12 on moments in x and y; order 0 has no reversion."""
     if len(h) == 1:
         with pytest.raises(NonInvertibleError):
             egf_revert(h)

@@ -375,23 +375,28 @@ def test_order_zero_sequences():
 def test_each_call_reverts_each_gamma_once(monkeypatch):
     """sheffer_moments, inverse_pair, inverse_sequence and
     check_sheffer_identity revert their gamma once; connection_constants
-    reverts its two gammas and the change of basis once each."""
-    from umbralcalc import umbra
+    reverts its two gammas and the change of basis once each.  Every
+    reversion is one run of the reversion loop, and each table is built in
+    the run that reverts for it; inverse_pair and inverse_sequence build no
+    table there (the inverse pair's table is that of f(g, t) - 1 itself)."""
+    from umbralcalc import sheffer
 
-    calls = []
-    real_revert = umbra.egf_revert
-    monkeypatch.setattr(umbra, "egf_revert", lambda h: calls.append(len(h)) or real_revert(h))
+    reversions, tables = [], []
+    real_loop, real_table = series._revert_columns, sheffer._revert_table
+    monkeypatch.setattr(series, "_revert_columns", lambda h: reversions.append(len(h)) or real_loop(h))
+    monkeypatch.setattr(sheffer, "_revert_table", lambda h: tables.append(len(h)) or real_table(h))
     frm, to = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
     for run, expected in [
-        (lambda: sheffer_moments(frm), 1),
-        (lambda: connection_constants(frm, to), 3),
-        (lambda: inverse_pair(frm), 1),
-        (lambda: inverse_sequence(frm), 1),
-        (lambda: check_sheffer_identity(frm), 1),
+        (lambda: sheffer_moments(frm), (1, 1)),
+        (lambda: connection_constants(frm, to), (3, 3)),
+        (lambda: inverse_pair(frm), (1, 0)),
+        (lambda: inverse_sequence(frm), (1, 0)),
+        (lambda: check_sheffer_identity(frm), (1, 1)),
     ]:
-        calls.clear()
+        reversions.clear()
+        tables.clear()
         run()
-        assert len(calls) == expected
+        assert (len(reversions), len(tables)) == expected
 
 
 def test_tables_take_no_log_of_an_adjoint(monkeypatch):
@@ -422,45 +427,50 @@ def test_tables_take_no_log_of_an_adjoint(monkeypatch):
 
 def test_connection_constants_make_no_exp_log_round_trip(monkeypatch):
     """One connection_constants call reverts the two gammas and the change of
-    basis, takes no egf_log and builds no Bell umbra."""
+    basis (three runs of the reversion loop, one per table), takes no egf_log
+    and builds no Bell umbra."""
     from umbralcalc import sheffer
 
-    calls = {"egf_revert": 0, "egf_log": 0, "bell_umbra": 0}
+    calls = {"_revert_columns": 0, "_revert_table": 0, "egf_log": 0, "bell_umbra": 0}
 
     def counted(name, fn):
         return lambda *args: calls.update({name: calls[name] + 1}) or fn(*args)
 
-    for module, name in [(series, "egf_revert"), (umbra, "egf_revert"), (series, "egf_log"), (umbra, "egf_log"),
-                         (umbra, "bell_umbra"), (sheffer, "bell_umbra")]:
+    for module, name in [(series, "_revert_columns"), (sheffer, "_revert_table"), (series, "egf_log"),
+                         (umbra, "egf_log"), (umbra, "bell_umbra"), (sheffer, "bell_umbra")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     pc2, pc1 = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
     random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
     for frm, to in [(pc2, pc1), (random_pair, bernoulli_appell_pair(4))]:
         calls.update(dict.fromkeys(calls, 0))
         connection_constants(frm, to)
-        assert calls == {"egf_revert": 3, "egf_log": 0, "bell_umbra": 0}
+        assert calls == {"_revert_columns": 3, "_revert_table": 3, "egf_log": 0, "bell_umbra": 0}
 
 
 def test_each_table_is_read_off_one_bell_table(monkeypatch):
-    """sheffer_moments and check_sheffer_identity build one Bell table, of r;
-    connection_constants builds three, of r_frm, r_to and the change of basis,
-    and takes no egf_exp.  Its one egf_mul is the umbral_sum forming
-    to.alpha - 1.frm.alpha, and check_sheffer_identity's is its convolution;
-    the tables take none.  Every fold over a Bell table is one series._compose:
-    a Sheffer table takes two (the moment route, and f(a, r) in the series
-    route), an associated table one, and connection_constants seven (two
-    Sheffer tables, d - 1.a, g.bell.z^<-1> and the change of basis)."""
+    """sheffer_moments and check_sheffer_identity build one Bell table, of r,
+    in the loop that reverts; connection_constants builds three, of r_frm,
+    r_to and the change of basis, and takes no egf_exp.  Its one egf_mul is
+    the umbral_sum forming to.alpha - 1.frm.alpha, and
+    check_sheffer_identity's is its convolution; the tables take none.  Every
+    fold over a Bell table is one series._compose, or one series._fold_runs
+    of the runs read off a scalar b in f(b + x.u, r): a Sheffer table takes
+    two (the moment route, and f(a, r) in the series route), an associated
+    table one, and connection_constants seven (two Sheffer tables, d - 1.a,
+    g.bell.z^<-1> and the change of basis)."""
     from umbralcalc import sheffer
 
-    calls = {"_bell_columns": 0, "egf_exp": 0, "egf_mul": 0, "_compose": 0}
+    calls = {"tables": 0, "egf_exp": 0, "egf_mul": 0, "folds": 0}
 
     def counted(name, fn):
         return lambda *args: calls.update({name: calls[name] + 1}) or fn(*args)
 
-    for module, name in [(series, "_bell_columns"), (series, "egf_exp"), (umbra, "egf_exp"),
-                         (series, "egf_mul"), (umbra, "egf_mul"), (sheffer, "egf_mul"),
-                         (series, "_compose"), (sheffer, "_compose")]:
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for module, name, key in [(series, "_bell_columns", "tables"), (sheffer, "_revert_table", "tables"),
+                              (series, "egf_exp", "egf_exp"), (umbra, "egf_exp", "egf_exp"),
+                              (series, "egf_mul", "egf_mul"), (umbra, "egf_mul", "egf_mul"),
+                              (sheffer, "egf_mul", "egf_mul"), (series, "_compose", "folds"),
+                              (sheffer, "_compose", "folds"), (sheffer, "_fold_runs", "folds")]:
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
     pc2, pc1 = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
     random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
     y_pair = ShefferPair(Umbra([F(1), Y, F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), 1 + Y, F(0)]))
