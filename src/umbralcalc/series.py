@@ -5,13 +5,17 @@ moments (a_0, ..., a_N), the only form in which the umbral calculus knows
 an umbra.  A product is then the binomial convolution
 c_n = sum_k C(n,k) a_k b_(n-k); reciprocal, log, exp and composition have
 binomial recurrences of the same shape.  Composition is a fold of f over
-the partial Bell table of h: ``_bell_table`` builds the table and
-``_compose`` folds over it (a polynomial f over an integer table row by
-row, ``_fold_runs``).  Reversion solves h(r) = t one moment at a time
-through the partial Bell values of r, and builds r's Bell table in the same
-loop, a row per moment (``_revert_columns``): ``egf_revert`` reads r off
-column 1, and ``_revert_table`` reads the whole table, which is the table
-the Sheffer layer folds over.
+the partial Bell table of h, which has one layout, (columns, E, polys): column
+k lists B_(i,k)(h) E^min(i, top), so row i is over its own denominator
+E^min(i, top).  Two builders emit it, and every reader folds it as it is:
+``_bell_table`` for a given h, and ``_revert_table`` for the reversion r of
+h.  Both run the one recurrence of ``_bell_columns``, a row at a time.
+Reversion solves h(r) = t one moment at a time through the partial Bell
+values of r (``_revert_columns``), so r's table comes out of the same loop:
+``egf_revert`` reads r off column 1, and ``_revert_table`` grades the whole
+table, which is the table the Sheffer layer folds over.  ``_compose`` sums
+each row of the table (a polynomial f over an integer table a run per
+monomial, ``_fold_runs``).
 
 Every operation is exact and fraction-free inside.  An op splits each
 operand once into numerators over the operand's least common denominator D
@@ -38,12 +42,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
-from .poly import Poly, Value, _coerce, _make, _power_table, _sum_products, collapse
+from .poly import Poly, Value, _make, _power_table, _sum_products, collapse
 
 Series = tuple[Value, ...]
 
@@ -104,12 +109,6 @@ def _over(num, den: int) -> Value:
 def _pascal(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle: C(n, 0), ..., C(n, n)."""
     return tuple(comb(n, k) for k in range(n + 1))
-
-
-def _binomial_rows(a: Sequence) -> list[list]:
-    """Row n lists C(n,k) a_k for k <= n, zeros kept: for an operand whose rows
-    are read more than once (a row read once is ``map(mul, _pascal(n), a)``)."""
-    return [list(map(mul, _pascal(n), a)) for n in range(len(a))]
 
 
 def _sum(w, g, polys: bool):
@@ -178,92 +177,77 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
 
 
 def _bell_table(h: Sequence[Value], top: int | None = None) -> tuple[list[list], int, bool]:
-    """(columns, D, polys) for h = H / D with zero constant term: the Bell
-    columns 0, ..., top (default N) of H, and whether they hold a Poly."""
+    """(columns, E, polys): the Bell table of h with zero constant term,
+    columns 0, ..., top (default N), and whether it holds a Poly.  Column k
+    lists B_(i,k)(h) E^min(i, top), so row i is over E^min(i, top): for
+    h = H / D, E = D and the entry is B_(i,k)(H) D^(min(i, top) - k), since
+    B_(i,k) is homogeneous of degree k."""
     nums, d, polys = _split(h)
-    return _bell_columns(nums, len(nums) - 1 if top is None else top, polys), d, polys
+    top = len(nums) - 1 if top is None else top
+    columns = _bell_columns([0, *nums[1:]], top, polys)
+    if d != 1:
+        powers = _power_table(d, top)
+        for k, column in enumerate(columns[1:top], 1):  # entry B_(k,k) and column top keep D^0
+            scale = powers[1 : top - k] + [powers[top - k]] * (len(column) - top)  # D^(min(i, top) - k), i > k
+            column[k + 1 :] = map(mul, column[k + 1 :], scale)
+    return columns, d, polys
 
 
-def _bell_columns(nh: Sequence, top: int, polys: bool) -> list[list]:
-    """Columns 0, ..., top of the partial Bell table of the numerators H = nh
-    (nh[0] is the zero constant term): column k lists B_(i,k)(H) for
-    i = 0, ..., N, built from the column before by
-    B_(i,k) = sum_d C(i-1,d-1) H_d B_(i-d,k-1).  Column k vanishes above
-    row k, so those entries are never computed.  B_(i,k) is homogeneous of
-    degree k, so for h = H / D, B_(i,k)(h) = B_(i,k)(H) / D^k."""
-    n = len(nh) - 1
-    columns = [[1] + [0] * n]
-    if top:
-        columns.append([0, *nh[1:]])  # B_(i,1) = H_i
-    rows = _binomial_rows(nh[1:]) if top > 1 else None  # row i - 1 holds C(i-1, d-1) H_d at index d - 1
-    for k in range(1, top):  # B_(i-d,k) vanishes for d > i - k
-        column = columns[k]
-        columns.append([0] * (k + 1) + [_sum(rows[i - 1], column[i - 1 : k - 1 : -1], polys)
-                                        for i in range(k + 1, n + 1)])
-    return columns
+def _bell_columns(x: list, top: int, polys: bool, solve: Sequence = ()) -> list[list]:
+    """Columns 0, ..., top of W_(i,k) = sum_d C(i-1,d-1) x_d W_(i-d,k-1),
+    W_(i,1) = x_i (x_0 = 0), for i = 0, ..., N, built a row at a time; for
+    x = H, W_(i,k) = B_(i,k)(H).  Column 1 is the list x itself, and column
+    k vanishes above row k, so those entries are never computed.  With
+    ``solve`` (the reversion, top = N), x_1 is given and each later x_i is
+    solved from its row, x_i = sum_(k>=2) solve_(k-2) W_(i,k)."""
+    n = len(x) - 1
+    total, pairs = (_sum_products, zip) if polys else (sum, partial(map, mul))  # _sum, with no call per entry
+    columns = [[1] + [0] * n, x] + [[0] * k for k in range(2, top + 1)]  # zero above row k
+    for i in range(2, n + 1) if top > 1 else ():
+        b = list(map(mul, _pascal(i - 1), x[1:i]))  # C(i-1,d-1) x_d at index d - 1
+        for k in range(2, min(i, top) + 1):
+            columns[k].append(total(pairs(b, columns[k - 1][i - 1 : k - 2 : -1])))
+        if solve:
+            x[i] = total(pairs(solve, [column[i] for column in columns[2 : i + 1]]))
+    return columns[: top + 1]
 
 
 def _compose(f: Sequence[Value], table) -> Series:
-    """f(h(t)) from the Bell table (columns 0, ..., top; D_h; polys) of
-    h = H / D_h, with top at least f's last nonzero index: for f = F / D_f,
-    moment n is sum_k (F_k D_h^(top-k)) B_(n,k)(H) / (D_f D_h^top), or, for a
-    Poly f over int columns, ``_compose_rows``."""
-    columns, dh, polys = table
-    if not polys and Poly in map(type, f):
-        return _compose_rows(f, columns, dh)
-    nf, df, polys_f = _split(f)
-    polys |= polys_f
-    n, top = len(nf) - 1, len(columns) - 1
-    out: list = [0] * (n + 1)
-    terms = []  # the (F_k, column k) that Polys sum at the end
-    for k, column in enumerate(columns):
-        fk = nf[k]
-        if fk:
-            fk = _times(fk, dh ** (top - k))
-            if polys:
-                terms.append((fk, column))
-            else:
-                for i in range(k, n + 1):
-                    out[i] = out[i] + fk * column[i]
-    if polys:
-        out = [_sum_products((fk, col[i]) for fk, col in terms) for i in range(n + 1)]
-    den = df * dh**top
-    return tuple(_over(c, den) for c in out)
-
-
-def _compose_rows(f: Sequence[Value], columns: list[list], dh: int) -> Series:
-    """_compose for a Poly f over int columns: ``_fold_runs`` of f's
-    numerators F over their one denominator D_f, each monomial laid out as its
-    run of coefficients in F_k0, F_(k0+1), ..., up to its last."""
+    """f(h(t)) from the Bell table (columns 0, ..., top; E; polys) of h, with
+    top at least f's last nonzero index: for f = F / D_f, moment i is
+    sum_k F_k (column k)_i, one sum over row i, over D_f E^min(i, top).  A
+    Poly f over an int table sums a run per monomial (``_fold_runs``)."""
+    columns, e, polys = table
     top = len(columns) - 1
-    fs = [_coerce(v) for v in f[1 : top + 1]]
-    df = lcm(*(v._den for v in fs))
-    runs: dict = {}  # monomial -> (k0, run)
-    for k, v in enumerate(fs, 1):
-        scale = df // v._den
-        for key, c in v._num.items():
-            k0, run = runs.setdefault(key, (k, []))
-            if k - k0 > len(run):
+    nf, df, polys_f = _split(f[: top + 1])
+    if polys_f and not polys:
+        runs: dict = {}  # monomial -> (k0, its coefficients in F_k0, F_(k0+1), ..., up to its last)
+        for k, v in enumerate(nf):
+            for key, c in v._num.items() if isinstance(v, Poly) else (((0, 0), v),) if v else ():
+                k0, run = runs.setdefault(key, (k, []))
                 run += [0] * (k - k0 - len(run))
-            run.append(c * scale)
-    return _fold_runs(f[0], runs, df, len(f) - 1, columns, dh)
+                run.append(c)
+        return _fold_runs(runs, df, columns, e)
+    return tuple(map(_over, map(_sum, repeat(nf), zip(*columns), repeat(polys)), _row_denominators(df, e, columns)))
 
 
-def _fold_runs(f0: Value, runs: dict, df: int, n: int, columns: list[list], dh: int) -> Series:
-    """Moments 0, ..., n of f(h(t)) for f = f_0 + sum_(k>=1) F_k / D_f over int
-    Bell columns of h = H / D_h, where ``runs`` maps each monomial of F to
-    (k0, its coefficients in F_k0, F_(k0+1), ...).  Row i, m = min(i, top), is
-    over D_f D_h^m with entries B_(i,k)(H) D_h^(m-k): one int sum per monomial
-    (Bareiss, Math. Comp. 22 (1968): a row divides out only the factor it has)."""
-    top = len(columns) - 1
-    powers = _power_table(dh, top)
-    out = [collapse(f0)]  # column 0 is 1, 0, 0, ...: f_0 reaches moment 0 alone
-    for i in range(1, n + 1):
-        m = min(i, top)
-        row = [columns[k][i] * powers[m - k] for k in range(m + 1)]  # B_(i,k)(H) D_h^(m-k)
-        num = {key: run[0] * row[k0] if len(run) == 1 else sum(map(mul, run, row[k0:]))
-               for key, (k0, run) in runs.items() if k0 <= m}
-        out.append(collapse(_make(num, df * powers[m])))
+def _row_denominators(df: int, e: int, columns: list[list]) -> list[int]:
+    """D_f E^min(i, top) for each row i of the Bell table (columns 0, ..., top; E)."""
+    dens = [df * p for p in _power_table(e, len(columns) - 1)]
+    return dens + dens[-1:] * (len(columns[0]) - len(dens))
+
+
+def _fold_runs(runs: dict, df: int, columns: list[list], e: int) -> Series:
+    """Moments 0, ..., N of f(h(t)) for f = F / D_f over the int Bell table
+    (columns, E) of h, where ``runs`` maps each monomial of F to (k0, its
+    coefficients in F_k0, F_(k0+1), ...).  Row i is over D_f E^min(i, top),
+    one C-level int sum per monomial (Bareiss, Math. Comp. 22 (1968): a row
+    divides out only the factor it has)."""
+    out = []
+    for i, (row, den) in enumerate(zip(zip(*columns), _row_denominators(df, e, columns))):
+        num = {key: run[0] * row[k0] if len(run) == 1 else sum(map(mul, run, row[k0 : i + 1]))
+               for key, (k0, run) in runs.items() if k0 <= i}
+        out.append(collapse(_make(num, den)))
     return tuple(out)
 
 
@@ -277,18 +261,24 @@ def egf_revert(h: Sequence[Value]) -> Series:
     loop, fraction-free, and r_n = R_n / (D^(n-1) h_1^n) is read off its
     column 1 with one gcd each.
     """
-    return _revert_columns(h)[0]
+    columns, d, h1, _ = _revert_columns(h)
+    p, q = h1.numerator, h1.denominator
+    r: list[Value] = [Fraction(0)]
+    num, den = q, p  # q^n and D^(n-1) p^n for h_1 = p / q
+    for rn in columns[1][1:]:
+        r.append(_over(_times(rn, num), den))
+        num, den = num * q, den * d * p
+    return tuple(r)
 
 
-def _revert_columns(h: Sequence[Value]) -> tuple[Series, list[list], int, Fraction, bool]:
-    """(r, W, D, h_1, polys): the reversion r of h (see ``egf_revert``) and,
-    in the same loop, the fraction-free Bell table W of r-tilde, the
-    reversion of h / h_1.
+def _revert_columns(h: Sequence[Value]) -> tuple[list[list], int, Fraction, bool]:
+    """(W, D, h_1, polys): the fraction-free Bell table W of r-tilde, the
+    reversion of h / h_1, built in the loop that solves for it.
 
     With h / h_1 = H / D in lowest terms (H_1 = D) and r(t) = r-tilde(t / h_1),
     W_(n,k) = B_(n,k)(r-tilde) D^(n-k) is integral, and row n is, with no
     division (Bareiss, Math. Comp. 22 (1968): each entry carries only the
-    power of D it needs),
+    power of D it needs), the ``_bell_columns`` recurrence
     W_(n,k) = sum_d C(n-1,d-1) R_d W_(n-d,k-1) for k >= 2, then
     R_n = W_(n,1) = -sum_(k>=2) H_k D^(k-2) W_(n,k), with R_1 = 1.
     Column k of W lists W_(i,k) for i = 0, ..., N, zero above row k.
@@ -305,46 +295,24 @@ def _revert_columns(h: Sequence[Value]) -> tuple[Series, list[list], int, Fracti
     nh, d = _lowest(nh, nh[1], polys)  # h / h_1 = H / D, H_1 = D > 0
     powers = _power_table(d, n)
     scaled = [_times(c, -powers[k - 2]) for k, c in enumerate(nh) if k > 1]  # -H_k D^(k-2), k >= 2
-    columns = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    R = columns[1]
-    R[1] = 1
-    for m in range(2, n + 1):
-        b = list(map(mul, _pascal(m - 1), R[1:m]))  # C(m-1,d-1) R_d at index d - 1
-        row = [_sum(b, columns[k - 1][m - 1 : k - 2 : -1], polys) for k in range(2, m + 1)]
-        for k, w in enumerate(row, 2):
-            columns[k][m] = w
-        R[m] = _sum(scaled, row, polys)
-    p, q = h1.numerator, h1.denominator
-    r: list[Value] = [Fraction(0)]
-    num, den = q, p  # q^m and D^(m-1) p^m for h_1 = p / q
-    for m in range(1, n + 1):
-        r.append(_over(_times(R[m], num), den))
-        num, den = num * q, den * d * p
-    return tuple(r), columns, d, h1, polys
+    return _bell_columns([0, 1] + [0] * (n - 1), n, polys, scaled), d, h1, polys
 
 
 def _revert_table(h: Sequence[Value]) -> tuple[list[list], int, bool]:
-    """The Bell table of egf_revert(h) as ``_bell_table`` gives it, read off
-    the reversion loop: for
-    r = R_r / D_r, column k holds B_(i,k)(R_r) = B_(i,k)(r) D_r^k
-    = W_(i,k) D_r^k / (D^(i-k) h_1^i), an exact division each."""
-    r, columns, d, h1, polys = _revert_columns(h)
-    columns[1], dr, _ = _split(r)
-    n = len(r) - 1
-    scale, shift = _power_table(h1.denominator, n), _power_table(h1.numerator, n)  # q^i, p^i
-    powers, rpowers = _power_table(d, n), _power_table(dr, n)
-    for k in range(2, n + 1):
-        column = columns[k]
-        for i in range(k, n + 1):
-            column[i] = _exact(column[i], rpowers[k] * scale[i], powers[i - k] * shift[i])
-    return columns, dr, polys
-
-
-def _exact(v, m: int, den: int):
-    """v * m / den for an int or a Poly over denominator 1 that den divides exactly."""
-    if not isinstance(v, Poly):
-        return v * m // den
-    return _make({key: c * m // den for key, c in v._num.items()}, 1)
+    """The Bell table (columns, E, polys) of egf_revert(h), read off the
+    reversion loop.  For h_1 = p / q with p > 0, B_(i,k)(r) is
+    W_(i,k) q^i / (D^(i-k) p^i), so with E = D p column k lists
+    W_(i,k) D^k q^i: one product per entry and no division."""
+    columns, d, h1, polys = _revert_columns(h)
+    p, q = h1.numerator, h1.denominator
+    if p < 0:
+        p, q = -p, -q
+    n = len(columns) - 1
+    scale = _power_table(q, n)
+    for k, column in enumerate(columns[1:], 1):
+        dk = d**k
+        column[k:] = map(mul, column[k:], [dk * s for s in scale[k:]])
+    return columns, d * p, polys
 
 
 def egf_log(f: Sequence[Value]) -> Series:

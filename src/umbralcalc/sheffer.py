@@ -3,12 +3,14 @@ connection-constants solver.
 
 A Sheffer pair (a, g) with E[g] != 0 determines the polynomial umbra
 (-1.a + x.u).g*, whose moments s_0(x), ..., s_N(x) are the Sheffer sequence
-of the pair.  Every table is read off one fraction-free table of the partial
-Bell values of r, the reversion of f(g, t) - 1, which the loop that solves
-for r builds as it goes (``series._revert_table``, one per reversion).  Every
-composition over it, f(x.u, r) for the associated table among them, is
-``series._compose``, or, for f(b + x.u, r) with a scalar b, a fold of the
-runs C(m, j) b_(m-j) read off b (``_shifted_composition``).
+of the pair.  Row n of every table is read off row n of one fraction-free
+table of the partial Bell values of r, the reversion of f(g, t) - 1, which
+the loop that solves for r builds as it goes (``series._revert_table``, one
+per reversion).  Its row i is over its own denominator E^i, so no reader
+rescales an entry.  Every composition over it, f(x.u, r) for the associated
+table among them, is ``series._compose``, or, for f(b + x.u, r) with a
+scalar b, a fold of the runs C(m, j) b_(m-j) read off b
+(``_shifted_composition``).
 ``sheffer_moments`` computes its table twice on it -- once as
 f(-1.a + x.u, r) of the Appell moments, once by the hand-written series
 route e^{x r(t)} / f(a, r(t)) -- and insists the two agree, so every
@@ -152,11 +154,12 @@ class PolySequence(Record):
 # ---------------------------------------------------------------------------
 # The three sequence constructors
 #
-# Every table is read off the Bell table of one reversion r = R / D: column k
-# holds the partial Bell values B_(i,k)(R), and B_(i,k)(r) = B_(i,k)(R) / D^k
-# (the exponential Riordan array [1/f(a, r), r]).  A pair member mentions no
-# x, so row n over D^n has each x^j coefficient an int (or a Poly in y)
-# summed off the table, and becomes one Poly by one gcd.
+# Every table is read off the Bell table (columns, E, polys) of one reversion
+# r: column k holds B_(i,k)(r) E^i, the partial Bell values of row i over
+# their one denominator E^i (the exponential Riordan array [1/f(a, r), r]).
+# A pair member mentions no x, so row n over D_f E^n has each x^j
+# coefficient an int (or a Poly in y) summed off row n of the table, and
+# becomes one Poly by one gcd.
 
 
 def _table_of(gamma: Umbra) -> tuple[list[list], int, bool]:
@@ -184,34 +187,32 @@ def _x_row(coeffs: list, den: int) -> Poly:
 def _shifted_composition(b: Umbra, table) -> Series:
     """f(b + x.u, r): ``_compose`` of with_x_shift(b) over the Bell table of r.
     For a scalar b = B / D_b over int columns, the run of x^j, its
-    coefficients in moments max(j, 1), ..., N, is C(m, j) B_(m-j), read off
-    B with no Appell Poly built; a b or a table in y composes the Polys."""
-    columns, dh, polys = table
+    coefficients in moments j, ..., N, is C(m, j) B_(m-j), read off B with
+    no Appell Poly built; a b or a table in y composes the Polys."""
+    columns, e, polys = table
     nums, d, polys_b = _split(b.moments)
     if polys or polys_b:
         return _compose(with_x_shift(b).moments, table)
     top = len(columns) - 1
-    runs = {}
-    for j in range(top + 1):
-        k0 = max(j, 1)
-        runs[(j, 0)] = (k0, list(map(mul, map(comb, range(k0, top + 1), repeat(j)), nums[k0 - j :])))
-    return _fold_runs(b.moments[0], runs, d, b.order, columns, dh)
+    runs = {(j, 0): (j, list(map(mul, map(comb, range(j, top + 1), repeat(j)), nums))) for j in range(top + 1)}
+    return _fold_runs(runs, d, columns, e)
 
 
 def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
     """n! [t^n] e^{x r(t)} / f(a, r(t)): with 1/f(a, r) = A / D_a, the
-    coefficient of x^j in moment n is sum_i C(n,i) a_(n-i) B_(i,j)(r), over
-    D_a D^n the sum (sum_i (C(n,i) A_(n-i)) B_(i,j)(R)) D^(n-j)."""
-    columns, d, polys = table
+    coefficient of x^j in moment n is sum_i C(n,i) a_(n-i) B_(i,j)(r).  The
+    table's row i is over E^i (its columns run to top = N, as every table of
+    a reversion's does), so with A_m E^m folded into A once, that
+    coefficient is sum_i (C(n,i) A_(n-i) E^(n-i)) (column j)_i over D_a E^n."""
+    columns, e, polys = table
     na, da, polys_a = _split(egf_reciprocal(_compose(alpha, table)))
     polys |= polys_a
-    n = len(na) - 1
-    powers = _power_table(d, n)
+    powers = _power_table(e, len(na) - 1)
+    na = list(map(_times, na, powers))  # A_m E^m
     out = []
-    for row in range(n + 1):
-        ca = list(map(mul, _pascal(row), na[row::-1]))  # C(n,i) A_(n-i) at index i
-        coeffs = [_times(_sum(ca[j:], columns[j][j : row + 1], polys), powers[row - j]) for j in range(row + 1)]
-        out.append(_x_row(coeffs, da * powers[row]))
+    for row, den in enumerate(powers):
+        ca = list(map(mul, _pascal(row), na[row::-1]))  # C(n,i) A_(n-i) E^(n-i) at index i
+        out.append(_x_row([_sum(ca[j:], columns[j][j : row + 1], polys) for j in range(row + 1)], da * den))
     return out
 
 

@@ -7,7 +7,9 @@ sharing no code with the kernel, so the tests can check production against
 them:
 
 * ``bell_partial`` / ``bell_complete`` -- partial and complete Bell
-  polynomials as partition sums (production: moment i of h^j / j!);
+  polynomials as partition sums (production: moment i of h^j / j!, entry
+  (i, j) of a Bell table over its row's denominator, built by
+  ``series._bell_table`` or, for a reversion, ``series._revert_table``);
 * ``partition_expand`` / ``dot_via_partitions`` -- the multinomial values of
   dot-product moments (production: ``umbra.dot``);
 * ``factorial_moments`` -- a_(n) = sum_k s(n, k) a_k by the signed Stirling
@@ -29,12 +31,12 @@ them:
 * ``cmul`` / ``horner_compose`` -- the Cauchy product and composition by
   Horner's rule, f(h) = f_0 + h (f_1 + h (f_2 + ...)), on coefficient lists
   c_n = a_n / n! (production: ``series.egf_mul``, and ``series._compose``,
-  a fold over the partial Bell table of h).
+  a sum over each row of the partial Bell table of h).
 
 The Sheffer and associated tables also have their routes here, each the
 composition of a polynomial-moment series with r, the reversion of
 f(g, t) - 1 (production: ``series._compose`` over one integer Bell table of
-r, a row at a time):
+r whose row i is over its own denominator E^i, a row at a time):
 
 * ``sheffer_series_route`` -- e^{x r} / f(a, r) by ``egf_mul``,
   ``egf_reciprocal``, ``egf_compose`` and ``egf_exp``;

@@ -257,11 +257,16 @@ def test_compose_matches_horner_oracle(fh):
 @pytest.mark.parametrize("h", [
     (F(0), F(2, 3), F(-1), F(5, 2), F(0), F(1, 7), F(3), F(-4, 9)),
     (F(0), F(1, 2), 1 + Y, F(-2), 2 * Y - F(1, 3), F(0), Y / 5),
-], ids=["rational", "in-y"])
+    (F(0), F(-3, 4), F(1, 5), F(0), F(-2, 3), F(7), F(1, 9)),
+], ids=["rational", "in-y", "negative-lead"])
 def test_bell_columns_match_partition_sums(h):
     """Column k of the fraction-free Bell table of h = H / D holds
     B_(i,k)(H) = D^k B_(i,k)(h), zero above row k; a table cut at column
-    ``top`` is the first top + 1 columns."""
+    ``top`` is the first top + 1 columns.  A Bell table (columns, E, polys)
+    has row i over E^min(i, top): each entry of ``_bell_table(h, top)`` for
+    top 0, 1, 3 and N, over that power of E, is the partition sum
+    B_(i,k)(h), and each entry of ``_revert_table(h)`` over E^i is B_(i,k)
+    of the reversion the oracle solves."""
     nums, d, polys = series._split(h)
     n = len(h) - 1
     columns = series._bell_columns(nums, n, polys)
@@ -271,6 +276,14 @@ def test_bell_columns_match_partition_sums(h):
         assert columns[k][:k] == [0] * k
         assert columns[k][k:] == [collapse(bell_partial(i, k, h[1:]) * d**k) for i in range(k, n + 1)]
     assert series._bell_columns(nums, 3, polys) == columns[:4]
+    r = moments_of(recompose_revert(coeffs_of(h)))
+    tables = [(series._bell_table(h, top), h) for top in (0, 1, 3, n)] + [(series._revert_table(h), r)]
+    for (table, e, flag), g in tables:
+        top = len(table) - 1
+        assert flag == polys and table[0] == [1] + [0] * n
+        for k in range(1, top + 1):
+            values = [collapse(w * F(1, e ** min(i, top))) for i, w in enumerate(table[k])]
+            assert values == [0] * k + [bell_partial(i, k, g[1:]) for i in range(k, n + 1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,15 +368,21 @@ def bernoulli_tail(n):
 @example(egf_log(bernoulli_numbers(40)))
 def test_revert_table_is_the_bell_table_of_the_reversion(h):
     """The table the reversion loop builds is the Bell table of the reversion
-    the oracle solves coefficient by coefficient: ``_bell_columns`` of its
-    numerators, entry for entry, over the same denominator and with the same
-    Poly flag.  Orders 1-12 on small scalars (fractional and negative h_1),
-    wide numerators over coprime denominators and moments in x and y; f(bern,
-    t) - 1 and log f(bern, t), whose Bernoulli denominators are wide, at
-    orders 24 and 40."""
+    the oracle solves coefficient by coefficient, compared by value: each
+    entry over E^i is B_(i,k)(r), which for the oracle's r = R / D is
+    ``_bell_columns`` of R over D^k, and the table holds a Poly exactly when
+    r does.  Orders 1-12 on small scalars (fractional and negative h_1), wide
+    numerators over coprime denominators and moments in x and y; f(bern, t)
+    - 1 and log f(bern, t), whose Bernoulli denominators are wide, at orders
+    24 and 40."""
     r = moments_of(recompose_revert(coeffs_of(h)))
     nums, d, polys = series._split(r)
-    assert series._revert_table(h) == (series._bell_columns(nums, len(h) - 1, polys), d, polys)
+    columns, e, flag = series._revert_table(h)
+    assert flag == polys
+    expected = series._bell_columns(nums, len(h) - 1, polys)
+    assert [[collapse(w * F(1, e**i)) for i, w in enumerate(column)] for column in columns] == [
+        [collapse(w * F(1, d**k)) for w in column] for k, column in enumerate(expected)
+    ]
 
 
 def fixed_series(n, lead=F(-3, 2), poly=False):

@@ -450,7 +450,8 @@ def test_connection_constants_make_no_exp_log_round_trip(monkeypatch):
 def test_each_table_is_read_off_one_bell_table(monkeypatch):
     """sheffer_moments and check_sheffer_identity build one Bell table, of r,
     in the loop that reverts; connection_constants builds three, of r_frm,
-    r_to and the change of basis, and takes no egf_exp.  Its one egf_mul is
+    r_to and the change of basis, and takes no egf_exp.  Every table, of a
+    reversion or not, is one run of series._bell_columns.  Its one egf_mul is
     the umbral_sum forming to.alpha - 1.frm.alpha, and
     check_sheffer_identity's is its convolution; the tables take none.  Every
     fold over a Bell table is one series._compose, or one series._fold_runs
@@ -465,11 +466,11 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
     def counted(name, fn):
         return lambda *args: calls.update({name: calls[name] + 1}) or fn(*args)
 
-    for module, name, key in [(series, "_bell_columns", "tables"), (sheffer, "_revert_table", "tables"),
-                              (series, "egf_exp", "egf_exp"), (umbra, "egf_exp", "egf_exp"),
-                              (series, "egf_mul", "egf_mul"), (umbra, "egf_mul", "egf_mul"),
-                              (sheffer, "egf_mul", "egf_mul"), (series, "_compose", "folds"),
-                              (sheffer, "_compose", "folds"), (sheffer, "_fold_runs", "folds")]:
+    for module, name, key in [(series, "_bell_columns", "tables"), (series, "egf_exp", "egf_exp"),
+                              (umbra, "egf_exp", "egf_exp"), (series, "egf_mul", "egf_mul"),
+                              (umbra, "egf_mul", "egf_mul"), (sheffer, "egf_mul", "egf_mul"),
+                              (series, "_compose", "folds"), (sheffer, "_compose", "folds"),
+                              (sheffer, "_fold_runs", "folds")]:
         monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
     pc2, pc1 = poisson_charlier_pair(2, 8), poisson_charlier_pair(1, 8)
     random_pair = ShefferPair(Umbra([F(1), F(-1, 2), F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), F(1), F(0)]))
