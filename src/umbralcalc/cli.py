@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: eval, sheffer, associated, appell, connect, stirling, abel,
-example, define, list.  All computation is exact and deterministic; identical
-invocations produce byte-identical output.
+example, define, list, each declared once in ``_SUBCOMMANDS``.  A process
+parses with its subcommand's parser alone; only ``umbra -h`` and a line naming
+no subcommand build the whole tree.  All computation is exact and
+deterministic; identical invocations produce byte-identical output.
 
 The five pair commands (sheffer, associated, appell, connect, abel) are
 declared once, in ``_PAIRS``, and run by ``cmd_pair``.  It evaluates every
@@ -28,6 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from pathlib import Path
 
@@ -118,42 +121,62 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="umbra", description="exact umbral-calculus calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = []
+def _pair_arguments(p, name: str) -> None:
+    for option in _PAIRS[name][1]:
+        p.add_argument(f"--{option}", required=True)
 
-    def command(name, help_text, pair=()):
-        p = sub.add_parser(name, help=help_text)
-        for option in pair:
-            p.add_argument(f"--{option}", required=True)
-        commands.append(p)
-        return p
 
-    # In the order `umbra -h` lists them, which puts abel after stirling.
-    p = command("eval", "evaluate umbral expressions to moment sequences")
-    p.add_argument("exprs", metavar="EXPR", nargs="+")
-    for name in _PAIRS:
-        if name != "abel":
-            command(name, *_PAIRS[name][:2])
-    p = command("stirling", "Stirling triangle from the umbral formulas")
+def _stirling_arguments(p) -> None:
     p.add_argument("kind", choices=("first", "second"))
     p.add_argument("--n", type=int, default=None, help="triangle size (default: order)")
-    command("abel", *_PAIRS["abel"][:2])
-    command("example", "worked difference-equation solutions").add_argument("name", choices=_EXAMPLES)
-    p = command("define", "store a user umbra in the workspace")
+
+
+def _define_arguments(p) -> None:
     p.add_argument("name")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--moments", help='comma-separated moments "1,a1,a2,..."')
     group.add_argument("--egf", help='comma-separated series coefficients "1,c1,..."')
     group.add_argument("--cumulants", help='comma-separated cumulants "k1,k2,..."')
-    command("list", "list known umbrae")
 
-    for p in commands:
-        p.add_argument("--order", type=int, default=10, help="truncation order N (default 10)")
-        p.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
-        p.add_argument("--workspace", type=Path, default=None, help="workspace JSON path")
+
+# Each subcommand: its help line and the function that adds its own arguments,
+# in the order `umbra -h` lists them, which puts abel after stirling.
+_SUBCOMMANDS = {
+    "eval": ("evaluate umbral expressions to moment sequences",
+             lambda p: p.add_argument("exprs", metavar="EXPR", nargs="+")),
+    **{name: (_PAIRS[name][0], partial(_pair_arguments, name=name)) for name in _PAIRS if name != "abel"},
+    "stirling": ("Stirling triangle from the umbral formulas", _stirling_arguments),
+    "abel": (_PAIRS["abel"][0], partial(_pair_arguments, name="abel")),
+    "example": ("worked difference-equation solutions", lambda p: p.add_argument("name", choices=_EXAMPLES)),
+    "define": ("store a user umbra in the workspace", _define_arguments),
+    "list": ("list known umbrae", lambda p: None),
+}
+
+
+def _fill(p: _ArgumentParser, name: str) -> _ArgumentParser:
+    """Add subcommand ``name``'s arguments, then the options every command takes."""
+    _SUBCOMMANDS[name][1](p)
+    p.add_argument("--order", type=int, default=10, help="truncation order N (default 10)")
+    p.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
+    p.add_argument("--workspace", type=Path, default=None, help="workspace JSON path")
+    return p
+
+
+def _build_parser() -> _ArgumentParser:
+    parser = _ArgumentParser(prog="umbra", description="exact umbral-calculus calculator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: list[str]):
+    """``_build_parser().parse_args(argv)``.  That tree hands every word after a
+    subcommand's name unchanged to the subcommand's parser: build only that one."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _fill(_ArgumentParser(prog=f"umbra {argv[0]}"), argv[0])
+        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _build_parser().parse_args(argv)
 
 
 def _settle_options(args) -> None:
@@ -421,9 +444,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         _settle_options(args)
         text = render(_COMMANDS[args.command](args), args.fmt)
     except (CliUsageError, OrderCapError, OutputSizeError) as exc:

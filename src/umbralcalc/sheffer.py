@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import ConsistencyError, VariableCaptureError
-from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _powers_of
+from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _powers_of, _sum_products
 from .records import Record
 from .series import (
     Series,
@@ -43,7 +44,6 @@ from .series import (
     _pascal,
     _revert_table,
     _split,
-    _sum,
     _times,
     egf_mul,
     egf_reciprocal,
@@ -206,13 +206,13 @@ def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
     coefficient is sum_i (C(n,i) A_(n-i) E^(n-i)) (column j)_i over D_a E^n."""
     columns, e, polys = table
     na, da, polys_a = _split(egf_reciprocal(_compose(alpha, table)))
-    polys |= polys_a
+    total, pairs = (_sum_products, zip) if polys or polys_a else (sum, partial(map, mul))  # _sum, chosen once
     powers = _power_table(e, len(na) - 1)
     na = list(map(_times, na, powers))  # A_m E^m
     out = []
     for row, den in enumerate(powers):
         ca = list(map(mul, _pascal(row), na[row::-1]))  # C(n,i) A_(n-i) E^(n-i) at index i
-        out.append(_x_row([_sum(ca[j:], columns[j][j : row + 1], polys) for j in range(row + 1)], da * den))
+        out.append(_x_row([total(pairs(ca[j:], columns[j][j : row + 1])) for j in range(row + 1)], da * den))
     return out
 
 

@@ -621,6 +621,69 @@ def test_help_lists_the_subcommands_in_order(capsys):
     assert listed == order
 
 
+# ---------------------------------------------------------------------------
+# cli._parse_args builds one subcommand's parser; the whole tree must agree
+
+SUBCOMMANDS = ["eval", "sheffer", "associated", "appell", "connect", "stirling", "abel", "example", "define", "list"]
+OPTIONS = ["--order", "--format", "--workspace", "--alpha", "--gamma", "--from-alpha", "--from-gamma", "--to-alpha",
+           "--to-gamma", "--n", "--moments", "--egf", "--cumulants", "--help"]
+
+PARSE_CORPUS = [
+    [], ["-h"], ["nosuch"], ["--order", "3", "eval", "u"], ["-h", "eval"],
+    ["eval", "u", "--ord", "3"], ["eval", "u", "--order=3"], ["eval", "--format=json", "u"], ["eval", "u", "--w", "a"],
+    ["eval", "--", "-u"], ["eval", "-u", "--order", "2"], ["eval", "u", "-x"], ["eval", "u", "--", "--order", "3"],
+    ["eval", "--", "--", "u"], ["eval", "u", "--order", "2", "--order", "3"], ["eval"], ["eval", "u", "--bogus"],
+    ["stirling", "third"], ["stirling", "first", "--n", "x"], ["example", "fib"], ["sheffer", "--alpha", "u"],
+    ["connect", "--from", "u"], ["define", "a", "--moments", "1", "--egf", "1"], ["list", "extra"], ["list", "--"],
+    ["list", "--h"], ["list", "--he=x"], ["eval", "-h"], ["define", "-h"], ["eval", "u", "-h", "--order", "x"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """("args", Namespace), ("usage", message), or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return "args", parse(list(argv))
+    except cli.CliUsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+def _assert_parsed_as_by_the_whole_tree(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._build_parser().parse_args, argv), argv
+
+
+def test_parse_args_agrees_with_the_whole_tree_on_edge_cases(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(cli._SUBCOMMANDS) == SUBCOMMANDS
+    for argv in PARSE_CORPUS:
+        _assert_parsed_as_by_the_whole_tree(argv)
+
+
+_prefixes = st.sampled_from(OPTIONS).flatmap(lambda option: st.integers(3, len(option)).map(lambda k: option[:k]))
+_values = st.sampled_from(["u", "x . bell", "-u", "3", "-1", "70", "json", "first", "fibonacci", "1,2", "a b", ""])
+_words = st.one_of(
+    st.sampled_from([*SUBCOMMANDS, "nosuch", "--", "-h", "-x", "-", "--bogus"]),
+    _prefixes,
+    st.tuples(_prefixes, _values).map("=".join),
+    _values,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(
+    st.tuples(st.sampled_from(SUBCOMMANDS), st.lists(_words, max_size=6)).map(lambda t: [t[0], *t[1]]),
+    st.lists(_words, max_size=6),
+))
+def test_parse_args_agrees_with_the_whole_tree(monkeypatch, argv):
+    """The same Namespace (command included), the same CliUsageError text, or
+    the same SystemExit code and output, on generated command lines."""
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_parsed_as_by_the_whole_tree(argv)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv", "latex"])
 def test_output_past_digit_limit_exits_1(run, fmt):

@@ -1,6 +1,6 @@
 """Golden CLI output: sha256 of the stdout of the README's example commands,
 of high-order reversions and sequence tables, and of the pretty, csv and
-latex renderers.
+latex renderers, and of each subcommand's ``-h`` text.
 
 The CLI promises byte-identical output for identical invocations, and kernel
 rewrites must keep that promise across versions.  Each digest below pins one
@@ -10,7 +10,8 @@ scratch workspace (``define`` comes before the ``eval`` and ``list`` that read
 it), given as the relative path ``umbrae.json`` so that the ``define`` output
 does not depend on the temporary directory.
 
-After an intended output change, print fresh digests by running this file
+The help texts are taken with ``COLUMNS=80``, the width argparse wraps them
+to.  After an intended output change, print fresh digests by running this file
 from the repository root: ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -19,6 +20,8 @@ import hashlib
 import io
 import os
 import tempfile
+
+import pytest
 
 from umbralcalc.cli import main
 
@@ -178,6 +181,20 @@ GOLDEN = [
      "1aacd3046d6478cdece60d71b8e00d078b2a73d0bfb94c27295fc168ab38b620"),
 ]
 
+# sha256 of the stdout of `umbra <command> -h` at COLUMNS=80, in `umbra -h` order
+HELP_GOLDEN = {
+    "eval": "1f56945ea7e77ad4165fa066d6970b9659611e32ed301a22cabd4907dd065bd9",
+    "sheffer": "421255a4bd52ee486affbc4910e4da72ca1cc96f0b5b7b05d8cad74bab3dd79a",
+    "associated": "997c2cd93d763801968cc0184274b97efaced35e05268d4b4fee58c8ed487094",
+    "appell": "9d5b8f78e21f96b09798218281e6d11d118b6ac87b4c1aebaa5c383cde20fa1f",
+    "connect": "507fc594dce48e6cddeab1852666f0be119d7166d0f5b45a5560f93524998617",
+    "stirling": "fc73072494de18ed26120c5c747b7259124dd353ab64be6e7aeb982a25c146da",
+    "abel": "c22e4e40fd9aaf449f3373c0535e518ac06123179a27792e9d506ff8f34e35fa",
+    "example": "13dc9eab62aab7ced2c3ea40f7f114008ba7b8e1aded6be722de3ab4c9e77d48",
+    "define": "9879449c999720720ec5549ecc10a0319d7f59a43def5c1724f766260071b53b",
+    "list": "ac3498d236550ecf907b321b64aa86bc70e81691649fe1c9e27c7424c6e7a4ab",
+}
+
 
 def _digests() -> list[str]:
     """Run every golden command in order in the current directory."""
@@ -192,11 +209,26 @@ def _digests() -> list[str]:
     return out
 
 
+def _help_digest(command: str) -> str:
+    """The sha256 of ``umbra <command> -h``, which exits 0 after printing it."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0, command
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
 def test_readme_commands_json_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("UMBRA_WORKSPACE", raising=False)
     monkeypatch.chdir(tmp_path)
     for (argv, expected), got in zip(GOLDEN, _digests()):
         assert got == expected, argv
+
+
+def test_subcommand_help_is_byte_identical(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, expected in HELP_GOLDEN.items():
+        assert _help_digest(command) == expected, command
 
 
 if __name__ == "__main__":
@@ -205,3 +237,6 @@ if __name__ == "__main__":
         os.chdir(tmp)
         for (argv, _), digest in zip(GOLDEN, _digests()):
             print(digest, argv)
+    os.environ["COLUMNS"] = "80"
+    for command in HELP_GOLDEN:
+        print(_help_digest(command), [command, "-h"])

@@ -48,6 +48,25 @@ def test_paired_jobs_smoke(workload, kinds):
     assert lines[-1].startswith("total (ms)")
 
 
+def test_paired_cli_smoke():
+    """One run of HEAD against the working tree, one process per command on
+    each side: the outputs agree and every command gets a row."""
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent, capture_output=True).returncode:
+        pytest.skip("needs a git checkout")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "paired_cli.py"), "--rev", "HEAD", "--runs", "1", "--no-site"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "python -S -m umbralcalc; outputs equal on both sides" in lines[0]
+    assert [line.split()[0] for line in lines[2:-1]] == [
+        "eval", "sheffer", "associated", "appell", "connect", "stirling", "abel", "example", "define", "list", "help",
+        "refused",
+    ]
+    assert lines[-1].startswith("total (ms)")
+
+
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
