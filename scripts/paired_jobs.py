@@ -10,7 +10,9 @@ untimed pass over the first round, then a ``gc.collect()`` before each timed
 call.  The harness sends each job to both sides in turn, the revision first
 on even jobs and the tree first on odd ones, and stops with exit 1 if the
 two captured outputs differ.  It prints the mean ms per job kind on each side
-and their ratio (above 1: the tree is faster), then the total.
+and their ratio (above 1: the tree is faster), then the total.  Each DSL
+template of ``evaluate`` gets its own row (``evaluate:corr``, ...), so a
+change to one evaluator route shows where its time went.
 
 Usage: python scripts/paired_jobs.py [--rev REV] [--workload NAME]
        [--seed N] [--rounds N] [--smoke]
@@ -32,6 +34,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dot-moments", "sheffer-inverse")
 
 
+def kind_of(job: tuple) -> str:
+    """A job's row: its kind, and for ``evaluate`` its DSL template too
+    (``evaluate:corr``), since each template takes its own evaluator route."""
+    return f"{job[0]}:{job[1][0]}" if job[0] == "evaluate" else job[0]
+
+
 def serve(src: str, workload: str, seed: int, rounds: int, smoke: bool) -> None:
     """The worker: build the rounds, then run job i for each line i on stdin,
     answering with one JSON line of the call's ms and the captured output."""
@@ -46,7 +54,7 @@ def serve(src: str, workload: str, seed: int, rounds: int, smoke: bool) -> None:
     jobs = [job for jobs in bench.rounds(rounds) for job in jobs]
     for job in jobs[: len(bench.LADDER)]:  # untimed warm-up: imports, caches
         bench.prepare(job)()
-    print(json.dumps([job[0] for job in jobs]), flush=True)
+    print(json.dumps([kind_of(job) for job in jobs]), flush=True)
     for line in sys.stdin:
         job = jobs[int(line)]
         call = bench.prepare(job)
@@ -118,12 +126,12 @@ def compare(args) -> int:
     counts = {kind: kinds.count(kind) for kind in kinds}
     print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {len(kinds)} jobs; "
           f"outputs equal on both sides")
-    print(f"{'kind':<14} {args.rev + ' ms':>12} {'tree ms':>12} {'ratio':>7}")
+    print(f"{'kind':<22} {args.rev + ' ms':>12} {'tree ms':>12} {'ratio':>7}")
     for kind in sorted(counts, key=lambda k: -base.ms[k]):
         a, b = base.ms[kind] / counts[kind], tree.ms[kind] / counts[kind]
-        print(f"{kind:<14} {a:12.3f} {b:12.3f} {a / b:7.3f}")
+        print(f"{kind:<22} {a:12.3f} {b:12.3f} {a / b:7.3f}")
     a, b = sum(base.ms.values()), sum(tree.ms.values())
-    print(f"{'total (ms)':<14} {a:12.1f} {b:12.1f} {a / b:7.3f}")
+    print(f"{'total (ms)':<22} {a:12.1f} {b:12.1f} {a / b:7.3f}")
     return 0
 
 

@@ -28,10 +28,15 @@ E[e^n].  Moments may be polynomials in x, y.  It takes one of two routes:
   fetched once, at ``order``.  A whole expression L^m, L a linear form with
   an atom, has moment n equal to moment m n of L, computed at m order.
 * The expansion route, for a nonlinear polynomial such as ``a^2 + a'``:
-  e^n is expanded into monomials over the labelled atoms and E applied by
-  the product rule above.  A ``^`` inside e is expanded the same way
-  before either route is chosen, so an atom-free power such as (x + 1)^8 is
-  the polynomial P = (x + 1)^8, with moments P^n, and needs no order 8 n.
+  e is held fraction-free, as int numerators over one denominator, each
+  keyed by its exponent vector over x, y and the labels, so a product of
+  monomials adds two tuples.  Each atom's moments are split once into
+  numerators A_j over a denominator D (``series._split``), and moment n
+  is one sum over the monomials of e^n of c prod A_(e_i), by the product
+  rule above, over one denominator, reduced once.  A ``^`` inside e is
+  expanded the same way before either route is chosen, so an atom-free
+  power such as (x + 1)^8 is the polynomial P = (x + 1)^8, with moments
+  P^n, and needs no order 8 n.
 
 A ``Dot`` is computed as the tree groups it, its two sides first.  The
 parser groups a chain to the left, so g1 . g2 . g3 composes each link into
@@ -51,13 +56,16 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from itertools import repeat
+from math import comb, lcm
+from operator import add, getitem, mul
 
 from . import umbra
 from .errors import OrderCapError, UnknownUmbraError
-from .poly import Poly, Value, _madd, collapse
+from .poly import Poly, Value, _powers_of, _sum_products, collapse
+from .rationals import fraction
 from .records import Record
-from .series import egf_mul
+from .series import _over, _split, egf_mul
 from .umbra import (
     BUILTIN_UMBRAE,
     Umbra,
@@ -157,31 +165,65 @@ def default_environment() -> dict[str, MomentSource]:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-# A monomial over labelled atoms: (sorted ((label, exp), ...), x-exp, y-exp).
-_Monomial = tuple[tuple[tuple, ...], int, int]
-_UNIT: _Monomial = ((), 0, 0)
+# An umbral polynomial is a form (terms, den): int numerators over one
+# positive denominator, each keyed by its exponent vector (x, y, then one
+# entry per label).  The vectors of one evaluation all have its width.
+Form = tuple[dict[tuple[int, ...], int], int]
 
 
-def _umul(p: dict, q: dict) -> dict:
-    out: dict[_Monomial, Fraction] = {}
-    for (atoms1, x1, y1), c1 in p.items():
-        for (atoms2, x2, y2), c2 in q.items():
-            merged = dict(atoms1)
-            for label, e in atoms2:
-                merged[label] = merged.get(label, 0) + e
-            key = (tuple(sorted(merged.items())), x1 + x2, y1 + y2)
-            _madd(out, key, c1 * c2)
-    return out
+def _form(terms: dict, den: int) -> Form:
+    """terms / den with the zero numerators dropped."""
+    return (terms if all(terms.values()) else {key: c for key, c in terms.items() if c}), den
 
 
-def _degree(upoly: dict) -> int:
-    """The highest power of any one atom in an umbral polynomial."""
-    return max((e for atoms, _, _ in upoly for _, e in atoms), default=0)
+def _product(p: Form, q: Form) -> Form:
+    """p q: each pair of monomials adds its exponent vectors and multiplies its numerators."""
+    (pt, pd), (qt, qd) = p, q
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for a, c in pt.items():
+        for b, d in qt.items():
+            key = tuple(map(add, a, b))
+            out[key] = get(key, 0) + c * d
+    return _form(out, pd * qd)
 
 
-def _is_linear(upoly: dict) -> bool:
+def _form_sum(p: Form, q: Form) -> Form:
+    """p + q over the lcm of the two denominators."""
+    (pt, pd), (qt, qd) = p, q
+    den = lcm(pd, qd)
+    mp, mq = den // pd, den // qd
+    out = {key: c * mp for key, c in pt.items()}
+    get = out.get
+    for key, c in qt.items():
+        out[key] = get(key, 0) + c * mq
+    return _form(out, den)
+
+
+def _scaled(p: Form, c: Fraction) -> Form:
+    """c p for a nonzero rational c."""
+    terms, den = p
+    return {key: v * c.numerator for key, v in terms.items()}, den * c.denominator
+
+
+def _leaves(expr: Expr) -> int:
+    """The atoms and operations in expr outside any operation: no fewer than
+    the labels its form holds."""
+    if isinstance(expr, Sum):
+        return _leaves(expr.left) + _leaves(expr.right)
+    if isinstance(expr, (ScalarMul, Power)):
+        return _leaves(expr.expr)
+    return int(not isinstance(expr, (Indet, Const)))
+
+
+def _degree(form: Form) -> int:
+    """The highest power of any one atom in a form."""
+    return max((e for key in form[0] for e in key[2:]), default=0)
+
+
+def _is_linear(form: Form) -> bool:
     """True when no monomial has atom degree above 1: a linear form."""
-    return all(sum(e for _, e in atoms) <= 1 for atoms, _, _ in upoly)
+    return all(sum(key[2:]) <= 1 for key in form[0])
 
 
 def _variables(moments) -> tuple[bool, bool]:
@@ -194,16 +236,16 @@ def _variables(moments) -> tuple[bool, bool]:
 
 def _expansion_work(monomials, n: int) -> int:
     """An upper bound on the monomial products that build p, p^2, ..., p^n
-    one from the next, p a sum of the given m monomials: m times the
-    monomials of p^j for j < n.  p^j has no more monomials than j-multisets
-    of p's, nor than exponent vectors over p's k variables whose total
-    degree lies between j times p's lowest and highest degree."""
+    one from the next, p a sum of the given m monomials (exponent vectors):
+    m times the monomials of p^j for j < n.  p^j has no more monomials than
+    j-multisets of p's, nor than exponent vectors over p's k variables whose
+    total degree lies between j times p's lowest and highest degree."""
     if not monomials:
         return 0
     m = len(monomials)
-    degrees = [sum(e for _, e in atoms) + dx + dy for atoms, dx, dy in monomials]
+    degrees = [sum(key) for key in monomials]
     lo, hi = min(degrees), max(degrees)
-    k = len({v for atoms, dx, dy in monomials for v, e in atoms + (("x", dx), ("y", dy)) if e})
+    k = sum(map(any, zip(*monomials)))
     total = 0
     for j in range(n):
         band = comb(j * hi + k, k) - comb(j * lo + k - 1, k) if k else 1
@@ -212,26 +254,34 @@ def _expansion_work(monomials, n: int) -> int:
 
 
 class _Evaluator:
-    def __init__(self, order: int, env: Environment, ceiling: int | None = None):
+    def __init__(self, order: int, env: Environment, width: int, ceiling: int | None = None):
         self.order = order
         cap = max(order, MAX_ORDER)
         self.ceiling = cap + 1 if ceiling is None else ceiling  # the most a nested operand may need
         self.cap = min(cap, self.ceiling)
         self.env = env
-        self._fresh = 0
-        self._sources: dict[tuple, Callable[[int], Umbra]] = {}
-        self._cache: dict[tuple, tuple[Value, ...]] = {}
+        self.width = width  # of an exponent vector: x, y and each label
+        self._named_slots: dict[tuple[str, int], int] = {}
+        self._sources: list[Callable[[int], Umbra]] = []  # label i has slot 2 + i
 
     # -- atom bookkeeping ----------------------------------------------
 
-    def _named(self, name: str, primes: int) -> tuple:
-        label = ("atom", name, primes)
-        if label not in self._sources:
+    def _slot(self, source: Callable[[int], Umbra]) -> int:
+        self._sources.append(source)
+        return len(self._sources) + 1
+
+    def _named(self, name: str, primes: int) -> int:
+        slot = self._named_slots.get((name, primes))
+        if slot is None:
             if name not in self.env:
                 raise UnknownUmbraError(f"unknown umbra {name!r}")
             src = self.env[name]
-            self._sources[label] = src.truncated if isinstance(src, Umbra) else src
-        return label
+            slot = self._named_slots[name, primes] = self._slot(src.truncated if isinstance(src, Umbra) else src)
+        return slot
+
+    def _unit(self, slot: int | None = None) -> Form:
+        """The form 1, or the variable in the given slot."""
+        return {tuple(int(i == slot) for i in range(self.width)): 1}, 1
 
     def require(self, need: int) -> None:
         if need > self.cap:
@@ -245,49 +295,30 @@ class _Evaluator:
                 f"past the budget of {MAX_EXPANSION}"
             )
 
-    def _opaque(self, fn: Callable[[int], Umbra]) -> tuple:
-        self._fresh += 1
-        label = ("aux", self._fresh)
-        self._sources[label] = fn
-        return label
-
-    def plan(self, base: dict) -> None:
-        """Fetch each atom once, at the order moment n of base^order needs
-        it to: n e, e the highest power of a in base.  Every atom is
-        fetched, at order 0 too, so each operation runs its checks."""
-        need: dict[tuple, int] = {}
-        for atoms, _, _ in base:
-            for label, e in atoms:
-                need[label] = max(need.get(label, self.order), e * self.order)
-        self._cache = {label: self._sources[label](n).moments for label, n in need.items()}
-
     # -- normalization to a polynomial over atoms ------------------------
 
-    def upoly(self, expr: Expr) -> dict:
+    def upoly(self, expr: Expr) -> Form:
         if isinstance(expr, Atom):
-            label = self._named(expr.name, expr.primes)
-            return {(((label, 1),), 0, 0): Fraction(1)}
+            return self._unit(self._named(expr.name, expr.primes))
         if isinstance(expr, Indet):
             if expr.var not in ("x", "y"):
                 raise UnknownUmbraError(f"unknown indeterminate {expr.var!r}")
-            return {((), 1, 0) if expr.var == "x" else ((), 0, 1): Fraction(1)}
+            return self._unit(("x", "y").index(expr.var))
         if isinstance(expr, Const):
-            return {_UNIT: Fraction(expr.value)} if expr.value else {}
-        if isinstance(expr, Sum):
-            out = self.upoly(expr.left)
-            for key, c in self.upoly(expr.right).items():
-                _madd(out, key, c)
-            return out
+            c = Fraction(expr.value)
+            return _scaled(self._unit(), c) if c else ({}, 1)
         if isinstance(expr, ScalarMul):
             c = Fraction(expr.scalar)
-            return {key: c * v for key, v in self.upoly(expr.expr).items()} if c else {}
+            return _scaled(self.upoly(expr.expr), c) if c else ({}, 1)
+        if isinstance(expr, Sum):
+            return _form_sum(self.upoly(expr.left), self.upoly(expr.right))
         if isinstance(expr, Power):
             return self.expand(self.power_base(expr), expr.power)
         if isinstance(expr, DotPower) and expr.power > self.cap:
             raise OrderCapError(f"dot-power exponent {expr.power} is past the order cap {self.cap}")
-        return {(((self._opaque(self._opaque_fn(expr)), 1),), 0, 0): Fraction(1)}
+        return self._unit(self._slot(self._opaque_fn(expr)))
 
-    def power_base(self, expr: Power) -> dict:
+    def power_base(self, expr: Power) -> Form:
         """The base of a power, once its exponent is known to be within the cap."""
         if expr.power < 0:
             raise ValueError("powers must be nonnegative")
@@ -296,12 +327,12 @@ class _Evaluator:
         self.require(expr.power * max(_degree(base), 1))
         return base
 
-    def expand(self, base: dict, n: int) -> dict:
+    def expand(self, base: Form, n: int) -> Form:
         """base^n, refused before any product past the monomial budget."""
-        self.budget(base, n)
-        out = {_UNIT: Fraction(1)}
+        self.budget(base[0], n)
+        out = self._unit()
         for _ in range(n):
-            out = _umul(out, base)
+            out = _product(out, base)
         return out
 
     def _opaque_fn(self, expr: Expr) -> Callable[[int], Umbra]:
@@ -324,18 +355,20 @@ class _Evaluator:
 
     # -- the kernel route for linear forms --------------------------------
 
-    def linear(self, base: dict, order: int) -> tuple[Value, ...]:
+    def linear(self, base: Form, order: int) -> tuple[Value, ...]:
         """Moments to ``order`` of a linear form P_0 + sum_i P_i a_i, the P_i
         polynomials in x, y and the a_i distinct labels: the egf_mul product
         of the umbrae P_i a_i (moments P_i^n a_n) and of P_0 (moments P_0^n).
         Each atom is fetched once, at ``order``.  The scalar parts and those
         in x alone are multiplied first, those in y alone apart, the two joined
         by one product, and the parts in both x and y come last."""
-        self.budget({((), dx, dy) for _, dx, dy in base}, order)
+        terms, den = base
+        self.budget({key[:2] for key in terms}, order)
         parts: dict = {}
-        for (atoms, dx, dy), c in base.items():
-            label = atoms[0][0] if atoms else None
-            parts[label] = parts.get(label, 0) + (Poly({(dx, dy): c}) if dx or dy else c)
+        for key, c in terms.items():
+            label = key.index(1, 2) - 2 if any(key[2:]) else None
+            c = fraction(c, den)
+            parts[label] = parts.get(label, 0) + (Poly({key[:2]: c}) if key[0] or key[1] else c)
         constant = parts.pop(None, Fraction(0))
         umbrae = []
         for label, c in parts.items():
@@ -351,18 +384,40 @@ class _Evaluator:
             groups[key] = egf_mul(groups[key], moments) if key in groups else moments
         return reduce(egf_mul, groups.values())
 
-    # -- the functional E -------------------------------------------------
+    # -- the functional E on the expansion route ----------------------------
 
-    def apply_E(self, upoly: dict) -> Value:
-        total: Value = Fraction(0)
-        for (atoms, dx, dy), c in upoly.items():
-            term: Value = c
-            for label, e in atoms:
-                term = term * self._cache[label][e]
-            if dx or dy:
-                term = term * Poly({(dx, dy): 1})
-            total = total + term
-        return collapse(total)
+    def moments(self, base: Form) -> list[Value]:
+        """E[base^n] for n = 0, ..., order, base a nonlinear form.
+
+        Each slot is split once into numerators over a denominator: the
+        moments of label i, fetched at the order base^order needs, as
+        ``series._split`` gives them (A_0 = D_i for the unital a_0 = 1), and
+        x^k or y^k as a Poly over 1.  A monomial c x^dx y^dy prod a_i^e_i of
+        base^n = T / den^n then has E equal to c prod_slots A_(slot, e) over
+        den^n prod_i D_i, the same for every monomial, so moment n is one
+        sum over T's monomials, reduced once.  Every atom is fetched, at
+        order 0 too, so each operation runs its checks."""
+        terms, den = base
+        nums: list = []
+        common, polys = 1, False
+        for i, top in enumerate(map(max, zip(*terms))):
+            if not top:
+                nums.append((1,))
+            elif i < 2:
+                nums.append((1, *_powers_of("xy"[i], top * self.order)[1:]))
+                polys = True
+            else:
+                f, d, p = _split(self._sources[i - 2](max(self.order, top * self.order)).moments)
+                nums.append(f)
+                common, polys = common * d, polys or p
+        moments: list[Value] = [Fraction(1)]
+        power = self._unit()
+        for _ in range(self.order):
+            power = _product(power, base)
+            terms, den_n = power
+            values = (reduce(mul, map(getitem, nums, key), c) for key, c in terms.items())
+            moments.append(_over(_sum_products(zip(values, repeat(1))) if polys else sum(values), den_n * common))
+        return moments
 
 
 def evaluate(expr: Expr, order: int, env: Environment | None = None, _ceiling: int | None = None) -> Umbra:
@@ -370,7 +425,7 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None, _ceiling: i
     An operation's operands are evaluated under the outermost call's ``_ceiling``."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    ev = _Evaluator(order, default_environment() if env is None else env, _ceiling)
+    ev = _Evaluator(order, default_environment() if env is None else env, 2 + _leaves(expr), _ceiling)
     ev.require(order)
     if isinstance(expr, Power):
         base = ev.power_base(expr)
@@ -384,11 +439,5 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None, _ceiling: i
     ev.require(order * _degree(base))
     if _is_linear(base):
         return Umbra(ev.linear(base, order))
-    ev.budget(base, order)
-    ev.plan(base)
-    moments: list[Value] = [Fraction(1)]
-    power = {_UNIT: Fraction(1)}
-    for _ in range(order):
-        power = _umul(power, base)
-        moments.append(ev.apply_E(power))
-    return Umbra(moments)
+    ev.budget(base[0], order)
+    return Umbra(ev.moments(base))

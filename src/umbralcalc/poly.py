@@ -242,17 +242,6 @@ def _powers_of(var: str, degree: int) -> tuple[Poly, ...]:
     return tuple(_make({(n * dx, n * dy): 1}, 1) for n in range(degree + 1))
 
 
-def _madd(out: dict, key, c: Fraction) -> None:
-    """out[key] += c without building a zero default; a zero sum is never stored."""
-    s = out.get(key)
-    if s is not None:
-        c = s + c
-    if c:
-        out[key] = c
-    elif s is not None:
-        del out[key]
-
-
 def _numerator_powers(value, degree: int) -> tuple[list, list[int]]:
     """([V^0, ..., V^degree], [D^degree, ..., D^0]) for value = V / D in
     lowest terms, V an int or a Poly over denominator 1."""

@@ -29,8 +29,11 @@ pass (rows read more than once are kept as lists).  The split also says
 once per op whether the numerators hold a Poly.  If they do, each sum
 accumulates in place, every term into one numerator dict
 (``poly._sum_products``); if not, it is ``sum(map(mul, ...))`` on ints, run
-in C.  Results are reduced ``Fraction``s and collapsed Polys, as if
-computed in Q[x, y].
+in C.  Each result entry leaves the op as an int (or Poly) numerator over
+an int denominator and is reduced with one gcd, by ``_over``: a scalar
+becomes its ``Fraction`` through ``rationals.fraction``, with no second
+normalization, and a Poly is collapsed.  The values are as if computed in
+Q[x, y].
 
 Binary operations insist on equal truncation orders (mixing orders silently
 is how truncation bugs are born).  Moments may be rationals or polynomials
@@ -49,6 +52,7 @@ from operator import mul
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
 from .poly import Poly, Value, _make, _power_table, _sum_products, collapse
+from .rationals import fraction
 
 Series = tuple[Value, ...]
 
@@ -99,9 +103,10 @@ def _times(v, c: int):
 
 
 def _over(num, den: int) -> Value:
-    """num / den (den nonzero) as a reduced Fraction, or a collapsed Poly: one gcd either way."""
+    """num / den (den nonzero) as a reduced Fraction (``rationals.fraction``),
+    or a collapsed Poly: one gcd either way."""
     if not isinstance(num, Poly):
-        return Fraction(num, den)
+        return fraction(num, den)
     return collapse(_make(num._num if den > 0 else {key: -c for key, c in num._num.items()}, abs(den)))
 
 

@@ -16,8 +16,10 @@ them:
   triangle (production: the moments of a.chi);
 * ``falling_factorial`` -- (a)_n as a plain product (production: one
   ``binomial_row``);
-* ``expectation`` -- E[expr] by full symbolic expansion (production: the
-  evaluator's linear forms on the series kernel);
+* ``expectation`` -- E[expr] by full symbolic expansion, one Fraction per
+  monomial keyed by its sorted (label, exponent) pairs (production: the
+  evaluator's linear forms on the series kernel, and its expansion route,
+  int numerators over one denominator keyed by exponent vectors);
 * ``bell_numbers`` / ``bernoulli_numbers`` -- the classical recurrences
   (production: ``bell_umbra`` and ``bernoulli_umbra``, exp(e^t - 1) and
   t/(e^t - 1) on the kernel);
@@ -67,7 +69,18 @@ from typing import Sequence
 
 from umbralcalc.combinatorics import stirling_first_classical
 from umbralcalc.errors import OrderMismatchError, UmbraSyntaxError
-from umbralcalc.expressions import Environment, Expr, _degree, _Evaluator, default_environment
+from umbralcalc.expressions import (
+    Atom,
+    Const,
+    Environment,
+    Expr,
+    Indet,
+    Power,
+    ScalarMul,
+    Sum,
+    default_environment,
+    evaluate,
+)
 from umbralcalc.parser import KEYWORDS
 from umbralcalc.poly import X, Poly, Value, _monomial_str, collapse
 from umbralcalc.rationals import format_rational
@@ -96,13 +109,70 @@ def falling_factorial(a, n: int) -> Value:
     return collapse(result)
 
 
+def _umul(p: dict, q: dict) -> dict:
+    """The product of two umbral polynomials, each a dict from a monomial
+    (sorted ((label, exp), ...), x-exp, y-exp) to its Fraction coefficient."""
+    out: dict = {}
+    for (atoms1, x1, y1), c1 in p.items():
+        for (atoms2, x2, y2), c2 in q.items():
+            merged = dict(atoms1)
+            for label, e in atoms2:
+                merged[label] = merged.get(label, 0) + e
+            key = (tuple(sorted(merged.items())), x1 + x2, y1 + y2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
 def expectation(expr: Expr, env: Environment | None = None) -> Value:
-    """E[expr] for an umbral polynomial, by symbolic expansion and E on each monomial."""
-    ev = _Evaluator(1, default_environment() if env is None else env)
-    base = ev.upoly(expr)
-    ev.require(_degree(base))
-    ev.plan(base)
-    return ev.apply_E(base)
+    """E[expr] for an umbral polynomial, by symbolic expansion into Fraction
+    monomials and E on each by the product rule: E[a^i g^j] = a_i g_j for
+    distinct labels.  An operation (dot, dot-power, prime on a composite,
+    keyword call) is a fresh label whose moments ``evaluate`` gives."""
+    env = default_environment() if env is None else env
+    sources: dict = {}
+
+    def upoly(e: Expr) -> dict:
+        if isinstance(e, Atom):
+            label = ("atom", e.name, e.primes)
+            src = env[e.name]
+            sources[label] = src.truncated if isinstance(src, Umbra) else src
+        elif isinstance(e, Indet):
+            return {((), 1, 0) if e.var == "x" else ((), 0, 1): Fraction(1)}
+        elif isinstance(e, Const):
+            return {((), 0, 0): Fraction(e.value)} if e.value else {}
+        elif isinstance(e, Sum):
+            out = upoly(e.left)
+            for key, c in upoly(e.right).items():
+                out[key] = out.get(key, 0) + c
+            return {key: c for key, c in out.items() if c}
+        elif isinstance(e, ScalarMul):
+            c = Fraction(e.scalar)
+            return {key: c * v for key, v in upoly(e.expr).items()} if c else {}
+        elif isinstance(e, Power):
+            out, base = {((), 0, 0): Fraction(1)}, upoly(e.expr)
+            for _ in range(e.power):
+                out = _umul(out, base)
+            return out
+        else:
+            label = ("aux", len(sources))
+            sources[label] = lambda k, e=e: evaluate(e, k, env)
+        return {(((label, 1),), 0, 0): Fraction(1)}
+
+    base = upoly(expr)
+    need: dict = {}
+    for atoms, _, _ in base:
+        for label, e in atoms:
+            need[label] = max(need.get(label, 0), e)
+    moments = {label: sources[label](n).moments for label, n in need.items()}
+    total: Value = Fraction(0)
+    for (atoms, dx, dy), c in base.items():
+        term: Value = c
+        for label, e in atoms:
+            term = term * moments[label][e]
+        if dx or dy:
+            term = term * Poly({(dx, dy): 1})
+        total = total + term
+    return collapse(total)
 
 
 def bell_numbers(n_max: int) -> list[Fraction]:

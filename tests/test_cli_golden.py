@@ -179,6 +179,14 @@ GOLDEN = [
      "24940bd9bccd72a8c8eacb3aff39e3d28ccd4f83dd330ccc98176472c9cd8c9d"),
     (["eval", "(x + 1) . bern", "--order", "12"],
      "1aacd3046d6478cdece60d71b8e00d078b2a73d0bfb94c27295fc168ab38b620"),
+    # Nonlinear expressions on the expansion route: squares of atoms with
+    # rational moments, and of one with polynomial moments beside y . u.
+    (["eval", "bell^2 + bern^2 + u'", "--order", "32"],
+     "eca949edef5a054b02403eb07180d1f83994e438355867e93b9aa98ea332f419"),
+    (["eval", "(x . bell)^2 - bern' + y . u", "--order", "12"],
+     "6810a8cf76a639adad532996cb5beecf55093799ce583785381c0b3cc4b7ebde"),
+    (["eval", "(x . bell)^2 - bern' + y . u", "--order", "12", "--format", "pretty"],
+     "bb8ac5a3214d4c43677d941bc1e85e525d3dde3cee5b060d5f2babdf44b4d92e"),
 ]
 
 # sha256 of the stdout of `umbra <command> -h` at COLUMNS=80, in `umbra -h` order

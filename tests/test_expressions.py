@@ -308,13 +308,46 @@ def test_power_of_linear_form_reads_every_mth_moment(form, m, data):
         assert got.moment(n) == expectation(Power(form, m * n), ENV), n
 
 
+# The expansion route (nonlinear forms) against the Fraction oracle: squares
+# and cubes of one leaf or a sum of two, primes, negation, rational constants,
+# x and y, and atoms with polynomial moments (x . bell, y . u).
+_expansion_leaves = st.one_of(
+    st.builds(Atom, st.sampled_from(["u", "chi", "bell", "bern", "ubar"]), st.integers(0, 1)),
+    st.builds(Const, _coefficients.filter(bool)),
+    _indets,
+    st.sampled_from([Dot(Indet("x"), Atom("bell")), Dot(Indet("y"), Atom("u"))]),
+)
+
+
+def _expansion_term(leaves, power, negate):
+    base = leaves[0] if len(leaves) == 1 else Sum(*leaves)
+    term = base if power == 1 else Power(base, power)
+    return ScalarMul(F(-1), term) if negate else term
+
+
+_expansion_terms = st.builds(_expansion_term, st.lists(_expansion_leaves, min_size=1, max_size=2),
+                             st.integers(1, 3), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(Atom, st.sampled_from(["bell", "bern", "chi"]), st.integers(0, 1)), st.integers(2, 3),
+       st.lists(_expansion_terms, max_size=2), st.integers(0, 8))
+def test_expansion_route_matches_fraction_oracle(atom, power, rest, order):
+    expr = Power(atom, power)
+    for term in rest:
+        expr = Sum(expr, term)
+    got = evaluate(expr, order)
+    for n in range(order + 1):
+        assert got.moment(n) == expectation(Power(expr, n)), n
+
+
 def test_linear_forms_take_no_expansion(monkeypatch):
     """u + chi + bell + bern + x at the order cap multiplies no monomials."""
     from umbralcalc import expressions
 
     calls = []
-    real_umul = expressions._umul
-    monkeypatch.setattr(expressions, "_umul", lambda p, q: calls.append(1) or real_umul(p, q))
+    real_product = expressions._product
+    monkeypatch.setattr(expressions, "_product", lambda p, q: calls.append(1) or real_product(p, q))
     evaluate(Sum(Sum(Sum(Sum(Atom("u"), Atom("chi")), Atom("bell")), Atom("bern")), Indet("x")), 64)
     assert calls == []
 

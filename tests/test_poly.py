@@ -1,3 +1,4 @@
+import pickle
 import sys
 from fractions import Fraction as F
 from math import gcd
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralcalc.poly import Poly, X, Y, _sum_products, collapse
-from umbralcalc.rationals import OutputSizeError, format_rational
+from umbralcalc.rationals import OutputSizeError, format_rational, fraction
 
 from oracles import FractionPoly, definite_integral
 
@@ -217,3 +218,22 @@ def test_sum_products_matches_fraction_oracle(pairs, negate, cancel_all, constan
     total = _sum_products(terms)
     assert total._den == 1
     assert_matches(total, expected)
+
+
+_big_ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**120, 10**120),
+                      st.sampled_from([0, 1, -1, 10**100 + 1, -(10**101)]))
+
+
+@settings(max_examples=300)
+@given(_big_ints, _big_ints.filter(bool), st.integers(-5, 5))
+def test_fraction_helper_matches_fraction(num, den, k):
+    """rationals.fraction(num, den) is Fraction(num, den): equal, with equal
+    hash, repr, parts and pickle round trip, for negative and unit
+    denominators, zero numerators and ints past 10^100 (k times a common factor too)."""
+    for p, q in ((num, den), (num * den * k, den), (0, den), (num, 1), (num, -1)):
+        got, want = fraction(p, q), F(p, q)
+        assert type(got) is F
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        again = pickle.loads(pickle.dumps(got))
+        assert again == want and type(again) is F and hash(again) == hash(want)
