@@ -9,8 +9,10 @@ run each job through the workload's own ``prepare`` and ``capture``: one
 untimed pass over the first round, then a ``gc.collect()`` before each timed
 call.  The harness sends each job to both sides in turn, the revision first
 on even jobs and the tree first on odd ones, and stops with exit 1 if the
-two captured outputs differ.  It prints the mean ms per job kind on each side
-and their ratio (above 1: the tree is faster), then the total.  Each DSL
+two captured outputs differ.  It prints, per job kind, the mean ms on each
+side and their ratio (above 1: the tree is faster), the 90th-percentile ms
+on each side (``statistics.quantiles``, as the benchmark's ``job_p90_ms``)
+and the share of jobs the tree ran faster, then the same over all jobs.  Each DSL
 template of ``evaluate`` gets its own row (``evaluate:corr``, ...), so a
 change to one evaluator route shows where its time went.
 
@@ -24,6 +26,7 @@ import argparse
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -69,8 +72,13 @@ def serve(src: str, workload: str, seed: int, rounds: int, smoke: bool) -> None:
         print(json.dumps([ms, out]), flush=True)
 
 
+def p90(values: list[float]) -> float:
+    """The 90th percentile, as ``perfbench/run.py`` takes it for ``job_p90_ms``."""
+    return statistics.quantiles(values, n=10)[-1] if len(values) > 1 else values[0]
+
+
 class Side:
-    """One worker process and the ms it spent per job kind."""
+    """One worker process and the ms it spent on each job."""
 
     def __init__(self, label: str, src: Path, args):
         self.label = label
@@ -79,7 +87,7 @@ class Side:
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
         self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
         self.kinds = json.loads(self._line())
-        self.ms: dict[str, float] = {}
+        self.ms: dict[int, float] = {}
 
     def _line(self) -> str:
         line = self.proc.stdout.readline()
@@ -90,9 +98,7 @@ class Side:
     def run(self, index: int) -> str:
         self.proc.stdin.write(f"{index}\n")
         self.proc.stdin.flush()
-        ms, out = json.loads(self._line())
-        kind = self.kinds[index]
-        self.ms[kind] = self.ms.get(kind, 0.0) + ms
+        self.ms[index], out = json.loads(self._line())
         return out
 
     def __enter__(self) -> "Side":
@@ -112,6 +118,15 @@ def archived_src(rev: str, into: str) -> Path:
     return Path(into) / "src"
 
 
+def row(label: str, jobs, base: Side, tree: Side, per: int) -> str:
+    """One line of the table: each side's ms over ``jobs``, summed and divided
+    by ``per``, and their ratio; each side's p90; the share the tree won."""
+    a, b = ([side.ms[i] for i in jobs] for side in (base, tree))
+    won = sum(map(float.__lt__, b, a)) / len(a)
+    return (f"{label:<22} {sum(a) / per:12.3f} {sum(b) / per:12.3f} {sum(a) / sum(b):7.3f} "
+            f"{p90(a):12.3f} {p90(b):12.3f} {won:8.2f}")
+
+
 def compare(args) -> int:
     with tempfile.TemporaryDirectory() as tmp, Side(args.rev, archived_src(args.rev, tmp), args) as base, \
             Side("tree", ROOT / "src", args) as tree:
@@ -123,15 +138,14 @@ def compare(args) -> int:
                 print(f"job {index} ({kind}): outputs differ\n{args.rev}: {outputs[base.label][:400]}\n"
                       f"tree: {outputs[tree.label][:400]}", file=sys.stderr)
                 return 1
-    counts = {kind: kinds.count(kind) for kind in kinds}
     print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {len(kinds)} jobs; "
           f"outputs equal on both sides")
-    print(f"{'kind':<22} {args.rev + ' ms':>12} {'tree ms':>12} {'ratio':>7}")
-    for kind in sorted(counts, key=lambda k: -base.ms[k]):
-        a, b = base.ms[kind] / counts[kind], tree.ms[kind] / counts[kind]
-        print(f"{kind:<22} {a:12.3f} {b:12.3f} {a / b:7.3f}")
-    a, b = sum(base.ms.values()), sum(tree.ms.values())
-    print(f"{'total (ms)':<22} {a:12.1f} {b:12.1f} {a / b:7.3f}")
+    print(f"{'kind':<22} {args.rev + ' ms':>12} {'tree ms':>12} {'ratio':>7} "
+          f"{args.rev + ' p90':>12} {'tree p90':>12} {'tree won':>8}")
+    by_kind = {kind: [i for i, k in enumerate(kinds) if k == kind] for kind in kinds}
+    for kind in sorted(by_kind, key=lambda k: -sum(base.ms[i] for i in by_kind[k])):
+        print(row(kind, by_kind[kind], base, tree, len(by_kind[kind])))
+    print(row("total (ms)", range(len(kinds)), base, tree, 1))
     return 0
 
 

@@ -70,7 +70,7 @@ def run(order):
 
     banner("Poisson-Charlier connection constants, basis a=1 from b=2")
     cc = connection_constants(poisson_charlier_pair(2, order), poisson_charlier_pair(1, order))
-    print("  verified against triangular solve: True")  # connection_constants raises otherwise
+    print("  verified by substitution into the target basis: True")  # connection_constants raises otherwise
     for row in cc.matrix:
         print("    " + " ".join(format_rational(c) for c in row))
 

@@ -33,7 +33,9 @@ E[e^n].  Moments may be polynomials in x, y.  It takes one of two routes:
   monomials adds two tuples.  Each atom's moments are split once into
   numerators A_j over a denominator D (``series._split``), and moment n
   is one sum over the monomials of e^n of c prod A_(e_i), by the product
-  rule above, over one denominator, reduced once.  A ``^`` inside e is
+  rule above, over one denominator, reduced once; when the moments or e
+  hold x or y, each term's int factors go into c and only its Poly factors
+  are multiplied (``_term``).  A ``^`` inside e is
   expanded the same way before either route is chosen, so an atom-free
   power such as (x + 1)^8 is the polynomial P = (x + 1)^8, with moments
   P^n, and needs no order 8 n.
@@ -56,7 +58,6 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from math import comb, lcm
 from operator import add, getitem, mul
 
@@ -253,6 +254,20 @@ def _expansion_work(monomials, n: int) -> int:
     return m * total
 
 
+def _term(c: int, factors) -> tuple[int, Poly | int]:
+    """One term of a moment sum that holds x or y, as a (w, v) pair for
+    ``poly._sum_products``: w is c times the int factors and v the product of
+    the Poly factors (1 if none), so no Poly is built for an int factor and a
+    factor of 1 is skipped."""
+    poly = None
+    for v in factors:
+        if isinstance(v, Poly):
+            poly = v if poly is None else poly * v
+        elif v != 1:
+            c *= v
+    return c, 1 if poly is None else poly
+
+
 class _Evaluator:
     def __init__(self, order: int, env: Environment, width: int, ceiling: int | None = None):
         self.order = order
@@ -415,8 +430,11 @@ class _Evaluator:
         for _ in range(self.order):
             power = _product(power, base)
             terms, den_n = power
-            values = (reduce(mul, map(getitem, nums, key), c) for key, c in terms.items())
-            moments.append(_over(_sum_products(zip(values, repeat(1))) if polys else sum(values), den_n * common))
+            if polys:
+                total = _sum_products(_term(c, map(getitem, nums, key)) for key, c in terms.items())
+            else:
+                total = sum(reduce(mul, map(getitem, nums, key), c) for key, c in terms.items())
+            moments.append(_over(total, den_n * common))
         return moments
 
 

@@ -1,5 +1,5 @@
-"""Sheffer, associated and Appell sequences, umbral composition, and the
-connection-constants solver.
+"""Sheffer, associated and Appell sequences, umbral composition, and
+connection constants.
 
 A Sheffer pair (a, g) with E[g] != 0 determines the polynomial umbra
 (-1.a + x.u).g*, whose moments s_0(x), ..., s_N(x) are the Sheffer sequence
@@ -16,8 +16,10 @@ f(-1.a + x.u, r) of the Appell moments, once by the hand-written series
 route e^{x r(t)} / f(a, r(t)) -- and insists the two agree, so every
 returned sequence is self-checked.
 
-Connection constants between two Sheffer sequences are likewise computed both
-by the closed umbral formula and by an unconditional triangular linear solve.
+Connection constants between two Sheffer sequences come from the closed
+umbral formula and are checked by substituting them into the target basis,
+whose table is lower-triangular with a nonzero diagonal, so the check is as
+strong as a triangular solve.
 Every such run-time check goes through ``require_equal``, which raises
 ``ConsistencyError`` naming the check and the first differing coefficient.
 The identity checks' binomial convolutions are ``series.egf_mul``, and each
@@ -30,11 +32,12 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import mul
 
 from .errors import ConsistencyError, VariableCaptureError
 from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _powers_of, _sum_products
+from .rationals import fraction
 from .records import Record
 from .series import (
     Series,
@@ -288,47 +291,31 @@ class ConnectionConstants(Record):
         return self.matrix[n][k]
 
 
-def _x_numerators(p: Poly, deg: int) -> list[int]:
-    """The numerators of p's coefficients of x^0, ..., x^deg, over p's denominator."""
-    return [p._num.get((j, 0), 0) for j in range(deg + 1)]
-
-
-def _triangular_expand(p: Poly, basis: list[tuple[list[int], int]]) -> list[Fraction]:
-    """Coefficients of p in the triangular basis, by fraction-free back-substitution.
-
-    ``basis`` holds each basis polynomial's x-coefficient numerators B and its
-    denominator b.  The residue R / rho starts as p's x-coefficients; from the
-    top, c_k = R[k] b / (rho B[k]) and the residue becomes
-    (B[k] R - R[k] B) / (rho B[k]), brought to lowest terms by one gcd.
-    """
-    deg = max(p.degree_in("x"), 0)
-    R, rho = _x_numerators(p, deg), p._den
-    out = [Fraction(0)] * (deg + 1)
-    for k in range(deg, -1, -1):
-        rk, (B, b) = R.pop(), basis[k]
-        if rk:
-            bk = B[k]
-            out[k] = Fraction(rk * b, rho * bk)
-            R = [bk * c - rk * d for c, d in zip(R, B)]
-            rho *= bk
-            g = gcd(rho, *R)
-            R, rho = [c // g for c in R], rho // g
-    # Terms in y are in no basis polynomial, so they stay in the residue.
-    residue = _make({key: c for key, c in p._num.items() if key[1]}, p._den)
-    require_equal("triangular expansion residue", (residue,), (0,), first=deg)
-    return out
+def _x_coefficients(v: Value, n: int) -> tuple[list[int], int]:
+    """The numerators of v's x^0, ..., x^n coefficients, and v's denominator."""
+    if not isinstance(v, Poly):
+        return [v.numerator] + [0] * n, v.denominator
+    get = v._num.get
+    return [get((j, 0), 0) for j in range(n + 1)], v._den
 
 
 def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstants:
     """Expand the `frm` Sheffer sequence in the `to` Sheffer basis.
 
-    The reference values come from a triangular linear solve over the two
-    sequences; the umbral route evaluates the change-of-basis Sheffer umbra
-    [(d - 1.a).z* + x.u].(g.bell.z^<-1>)*, whose moment n is sum_k c_{n,k} x^k,
-    and must agree exactly.  With r_to the reversion of f(z, t) - 1,
+    The constants come from the umbral formula: the change-of-basis Sheffer
+    umbra [(d - 1.a).z* + x.u].(g.bell.z^<-1>)* has moment n
+    sum_k c_{n,k} x^k.  With r_to the reversion of f(z, t) - 1,
     f(z^<-1>, t) = 1 + r_to and f(bell.w, t) = exp(f(w, t) - 1), so
     g.bell.z^<-1> is f(g, r_to), one composition with no log or exp.  One
     Bell table of r_to serves the `to` table, d - 1.a and g.bell.z^<-1>.
+
+    They are checked by substitution into the target basis: sum_k c_{n,k}
+    r_k(x) must equal s_n(x) for every n, with s and r the two pairs' own
+    two-route tables.  The `to` table is lower-triangular with a nonzero
+    diagonal (g_1 != 0), so this holds exactly when the matrix is the
+    triangular solve's.  With the x-coefficients of r brought once to one
+    common denominator, each x^j coefficient of row n is one int sum over
+    column j.
     """
     if frm.order != to.order:
         raise ValueError("pairs must share one truncation order")
@@ -339,19 +326,24 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     to_table = _table_of(to.gamma)
     minus_a = inverse_dot(frm.alpha)
     s = sheffer_moments(frm, minus_a)
-    basis = [(_x_numerators(q, k), q._den) for k, q in enumerate(_sheffer_table(to, to_table))]
-    solve = [tuple(_triangular_expand(p, basis)) for p in s]
+    # The basis r_k holds no y, so a y in s_n is in no expansion.
+    residues = (_make({key: c for key, c in p._num.items() if key[1]}, p._den) for p in s)
+    require_equal("triangular expansion residue", residues, repeat(0, len(s)))
+    basis, dens = zip(*(_x_coefficients(r, k) for k, r in enumerate(_sheffer_table(to, to_table))))
+    den = lcm(*dens)
+    scales = [den // e for e in dens]
+    # Column j: the x^j numerators of r_0, ..., r_N over den (zero above row j).
+    columns = [[0] * j + list(map(mul, [row[j] for row in basis[j:]], scales[j:])) for j in range(len(basis))]
 
     # Umbral route.
     d_part = _compose(umbral_sum(to.alpha, minus_a).moments, to_table)
     g_comp = Umbra(_compose(frm.gamma.moments, to_table))
     eta = _shifted_composition(Umbra(d_part), _table_of(g_comp))
-    solve_polys = []
-    for row in solve:  # one Poly of numerators over the row's one denominator
-        den = lcm(*(c.denominator for c in row))
-        solve_polys.append(_x_row([c.numerator * (den // c.denominator) for c in row], den))
-    require_equal("connection constants formula vs solve", eta, solve_polys)
-    return ConnectionConstants(tuple(solve), verified=True)
+    rows = [_x_coefficients(v, n) for n, v in enumerate(eta)]  # c_(n,k) = row[k] / e
+    expanded = (_x_row([sum(map(mul, row, column)) for column in columns[: n + 1]], e * den)
+                for n, (row, e) in enumerate(rows))
+    require_equal("connection constants formula vs solve", expanded, s)
+    return ConnectionConstants(tuple(tuple(fraction(c, e) for c in row) for row, e in rows), verified=True)
 
 
 # ---------------------------------------------------------------------------

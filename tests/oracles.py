@@ -53,7 +53,7 @@ count that this scanner does not have).  ``FractionPoly`` is the polynomial
 ring with one Fraction per coefficient (production: ``Poly``, int numerators
 over one denominator), and ``connection_matrix`` solves for connection
 constants by back-substitution on Fraction coefficient rows (production:
-fraction-free, on int numerator rows).  ``definite_integral`` integrates a
+the umbral formula, checked by substitution into the target basis).  ``definite_integral`` integrates a
 polynomial over an interval by its FractionPoly antiderivative (production:
 the integral over [0, 1] is E[p(-1.bern)], a substitution).
 """
@@ -653,8 +653,9 @@ def definite_integral(p, var: str, lo, hi) -> FractionPoly:
 def triangular_expand_rows(p: Poly, basis: list[list[Fraction]]) -> list[Fraction]:
     """Coefficients of the y-free p in the triangular basis with coefficient
     rows ``basis`` (row k ends in its x^k coefficient), by back-substitution
-    on p's row of x-coefficients (production: fraction-free on int
-    numerator rows, in ``sheffer._triangular_expand``)."""
+    on p's row of x-coefficients (production takes the constants from the
+    umbral formula and checks them by substitution into the basis, in
+    ``sheffer.connection_constants``)."""
     deg = max(p.degree_in("x"), 0)
     residue = [p.coefficient(k) for k in range(deg + 1)]
     out = [Fraction(0)] * (deg + 1)

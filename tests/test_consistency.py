@@ -10,6 +10,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralcalc import sequences, sheffer
 from umbralcalc.cli import main
@@ -17,6 +19,8 @@ from umbralcalc.errors import ConsistencyError
 from umbralcalc.poly import X, Y
 from umbralcalc.sheffer import PolySequence, connection_constants, poisson_charlier_pair, sheffer_moments
 from umbralcalc.umbra import Umbra, scalar_multiple, unity
+
+from test_properties import fractions as scalars, sheffer_pairs
 
 N = 6
 
@@ -89,6 +93,11 @@ CASES = {
     "connection-constants": (
         sheffer, "umbral_sum", off(3), lambda: connection_constants(PC2, PC1),
         "connection constants formula vs solve", 3, "1"),
+    # the target table's r_3 off by 1 after its own two-route check passed
+    # (call 0 is the source table): row 3's expansion gains c_(3,3).
+    "connection-target-table": (
+        sheffer, "_sheffer_table", off(3, call=1), lambda: connection_constants(PC2, PC1),
+        "connection constants formula vs solve", 3, "1"),
     "lagrange": (
         sequences, "comp_inverse", off(3),
         lambda: sequences.lagrange_inversion_general(scalar_multiple(2, unity(N)), 3),
@@ -157,6 +166,32 @@ def test_off_route_raises_consistency_error(monkeypatch, case):
     assert str(err) == (
         f"self-check '{check}' failed at n = {n}: coefficient of {monomial} is {err.lhs}, expected {err.rhs}"
     )
+
+
+def _pairs(order):
+    """A Poisson-Charlier pair or a random Sheffer pair at ``order``."""
+    pc = scalars.filter(bool).map(lambda a: poisson_charlier_pair(a, order))
+    return st.one_of(pc, sheffer_pairs(order))
+
+
+def _entries(order):
+    """(n, k) with 0 <= k <= n <= order."""
+    return st.integers(0, order).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda order: st.tuples(_pairs(order), _pairs(order), _entries(order))))
+def test_bumped_connection_constant_fails_its_row(case):
+    """c_(n,k) of the formula route off by 1 (the third _shifted_composition,
+    after the two Sheffer tables' moment routes, returns the change-of-basis
+    moments sum_k c_(n,k) x^k) fails the substitution check at row n."""
+    frm, to, (n, k) = case
+    connection_constants(frm, to)  # passes unpatched
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sheffer, "_shifted_composition", off(n, call=2, delta=X**k)(sheffer._shifted_composition))
+        with pytest.raises(ConsistencyError) as info:
+            connection_constants(frm, to)
+    assert (info.value.check, info.value.n) == ("connection constants formula vs solve", n)
 
 
 @pytest.mark.parametrize(

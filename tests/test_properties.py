@@ -291,7 +291,8 @@ _PC = poisson_charlier_pair(2, 12)
 @example((_appell_pair(unity(12)), _appell_pair(umbral_sum(unity(12), singleton(12)))))
 @example((_appell_pair(bell_umbra(9)), _appell_pair(umbral_sum(bell_umbra(9), singleton(9)))))
 def test_connection_constants_match_fraction_back_substitution(pairs):
-    """The fraction-free solve on int coefficient rows gives the constants
-    that back-substitution on Fraction coefficient rows gives, at orders 0-12."""
+    """The umbral formula's constants, checked by substituting them into the
+    target basis, are those that back-substitution on Fraction coefficient
+    rows gives, at orders 0-12."""
     frm, to = pairs
     assert connection_constants(frm, to).matrix == connection_matrix(frm, to)

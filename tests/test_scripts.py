@@ -34,8 +34,9 @@ def test_script_exits_0(name):
                      "evaluate:xdot_sum", "umbral_sum"]),
 ])
 def test_paired_jobs_smoke(workload, kinds):
-    """One smoke round of HEAD against the working tree: the outputs agree
-    and every job kind of the ladder gets a row."""
+    """One smoke round of HEAD against the working tree: the outputs agree,
+    and every job kind of the ladder, then the total, gets a row of the mean
+    and the p90 on each side, their ratio and the share the tree won."""
     if subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent, capture_output=True).returncode:
         pytest.skip("needs a git checkout")
     proc = subprocess.run(
@@ -46,8 +47,15 @@ def test_paired_jobs_smoke(workload, kinds):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert "outputs equal on both sides" in lines[0]
+    assert lines[1].split() == ["kind", "HEAD", "ms", "tree", "ms", "ratio", "HEAD", "p90", "tree", "p90", "tree",
+                                "won"]
     assert sorted(line.split()[0] for line in lines[2:-1]) == kinds
     assert lines[-1].startswith("total (ms)")
+    for line in lines[2:]:
+        mean_a, mean_b, ratio, p90_a, p90_b, won = map(float, line.split()[-6:])
+        assert min(mean_a, mean_b, p90_a, p90_b) > 0
+        assert ratio == pytest.approx(mean_a / mean_b, rel=0.05)  # of the printed, rounded means
+        assert 0 <= won <= 1
 
 
 def test_paired_cli_smoke():
