@@ -6,13 +6,14 @@ Each command runs as ``python [-S] -m umbralcalc ...`` with ``PYTHONPATH``
 set to the ``src/`` of ``git archive <rev>`` on one side and to this tree's
 ``src/`` on the other, each side in its own scratch directory with the
 relative workspace ``umbrae.json``; both ``src/`` copies are byte-compiled
-first.  The commands are one per subcommand, then ``-h`` and one refused
-command.  Every command first runs once untimed on each side; then each
-timed run starts both sides in turn, the revision first on even runs and the
-tree first on odd ones.  The script stops with exit 1 if stdout, stderr or
-the exit code differ between the sides.  It prints the median ms per command
-on each side and their ratio (above 1: the tree is faster), then the sum of
-the medians.
+first.  The commands are one per subcommand and define's ``--name=value``
+form, then ``-h``, one refused command and one abbreviated option: the last
+three are the lines the CLI hands to argparse.  Every command first runs
+once untimed on each side; then each timed run starts both sides in turn,
+the revision first on even runs and the tree first on odd ones.  The script
+stops with exit 1 if stdout, stderr or the exit code differ between the
+sides.  It prints the median ms per command on each side and their ratio
+(above 1: the tree is faster), then the sum of the medians.
 
 Usage: python scripts/paired_cli.py [--rev REV] [--no-site] [--runs N]
 """
@@ -34,7 +35,8 @@ from paired_jobs import ROOT, archived_src
 CONNECT = ["--from-alpha", "2 . bell", "--from-gamma", "chi . (2 . bell)",
            "--to-alpha", "1 . bell", "--to-gamma", "chi . (1 . bell)"]
 
-# (label, argv): one command per subcommand, the help text and a refused command
+# (label, argv): one command per subcommand, define's --name=value form, the
+# help text, a refused command and an abbreviated option
 COMMANDS = [
     ("eval", ["eval", "x . bell", "bern", "--order", "8"]),
     ("sheffer", ["sheffer", "--alpha", "bern", "--gamma", "bell", "--order", "6"]),
@@ -45,9 +47,11 @@ COMMANDS = [
     ("abel", ["abel", "--gamma", "u", "--order", "6", "--format", "latex"]),
     ("example", ["example", "fibonacci", "--order", "8"]),
     ("define", ["define", "w", "--moments", "1,2,3"]),
+    ("define=", ["define", "w", "--cumulants=-1/2,1"]),
     ("list", ["list"]),
     ("help", ["-h"]),
     ("refused", ["stirling", "third"]),
+    ("abbrev", ["eval", "u", "--ord", "3"]),
 ]
 
 

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: eval, sheffer, associated, appell, connect, stirling, abel,
-example, define, list, each declared once in ``_SUBCOMMANDS``.  A process
-parses with its subcommand's parser alone; only ``umbra -h`` and a line naming
-no subcommand build the whole tree.  All computation is exact and
-deterministic; identical invocations produce byte-identical output.
+example, define, list, each declared once, as data, in ``_SUBCOMMANDS``.  A
+well-formed line is read from that table with no argparse import; help,
+errors and every other form go to the whole argparse tree, built from the same
+table.  All computation is exact and deterministic; identical invocations
+produce byte-identical output.
 
 The five pair commands (sheffer, associated, appell, connect, abel) are
 declared once, in ``_PAIRS``, and run by ``cmd_pair``.  It evaluates every
@@ -25,14 +26,13 @@ OSError is caught: any other exception is a bug and propagates.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from math import factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import ConsistencyError, OrderCapError, OutputSizeError, UmbralError
 from .errors import UmbraSyntaxError, UnknownUmbraError, WorkspaceError
@@ -109,74 +109,138 @@ class CliUsageError(Exception):
     pass
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we own the exit codes
-        raise CliUsageError(message)
-
-    def _parse_optional(self, arg_string):
-        # A single-dash word that names no option, such as "-x", is an
-        # expression; argparse would read it as an unknown option.
-        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
-            return None
-        return super()._parse_optional(arg_string)
+# The options every subcommand takes, after its own arguments.  An argument is
+# its name or flag and its add_argument keywords.
+_COMMON = (
+    ("--order", {"type": int, "default": 10, "help": "truncation order N (default 10)"}),
+    ("--format", {"dest": "fmt", "choices": FORMATS, "default": "pretty"}),
+    ("--workspace", {"type": Path, "default": None, "help": "workspace JSON path"}),
+)
 
 
-def _pair_arguments(p, name: str) -> None:
-    for option in _PAIRS[name][1]:
-        p.add_argument(f"--{option}", required=True)
+def _pair_arguments(name: str) -> tuple:
+    return tuple((f"--{option}", {"required": True}) for option in _PAIRS[name][1])
 
 
-def _stirling_arguments(p) -> None:
-    p.add_argument("kind", choices=("first", "second"))
-    p.add_argument("--n", type=int, default=None, help="triangle size (default: order)")
-
-
-def _define_arguments(p) -> None:
-    p.add_argument("name")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--moments", help='comma-separated moments "1,a1,a2,..."')
-    group.add_argument("--egf", help='comma-separated series coefficients "1,c1,..."')
-    group.add_argument("--cumulants", help='comma-separated cumulants "k1,k2,..."')
-
-
-# Each subcommand: its help line and the function that adds its own arguments,
-# in the order `umbra -h` lists them, which puts abel after stirling.
+# Each subcommand: its help line, its own arguments (at most one positional)
+# and the members of its required mutually exclusive group, in the order
+# `umbra -h` lists them, which puts abel after stirling.
 _SUBCOMMANDS = {
-    "eval": ("evaluate umbral expressions to moment sequences",
-             lambda p: p.add_argument("exprs", metavar="EXPR", nargs="+")),
-    **{name: (_PAIRS[name][0], partial(_pair_arguments, name=name)) for name in _PAIRS if name != "abel"},
-    "stirling": ("Stirling triangle from the umbral formulas", _stirling_arguments),
-    "abel": (_PAIRS["abel"][0], partial(_pair_arguments, name="abel")),
-    "example": ("worked difference-equation solutions", lambda p: p.add_argument("name", choices=_EXAMPLES)),
-    "define": ("store a user umbra in the workspace", _define_arguments),
-    "list": ("list known umbrae", lambda p: None),
+    "eval": ("evaluate umbral expressions to moment sequences", (("exprs", {"metavar": "EXPR", "nargs": "+"}),), ()),
+    **{name: (_PAIRS[name][0], _pair_arguments(name), ()) for name in _PAIRS if name != "abel"},
+    "stirling": ("Stirling triangle from the umbral formulas", (
+        ("kind", {"choices": ("first", "second")}),
+        ("--n", {"type": int, "default": None, "help": "triangle size (default: order)"}),
+    ), ()),
+    "abel": (_PAIRS["abel"][0], _pair_arguments("abel"), ()),
+    "example": ("worked difference-equation solutions", (("name", {"choices": _EXAMPLES}),), ()),
+    "define": ("store a user umbra in the workspace", (("name", {}),), (
+        ("--moments", {"help": 'comma-separated moments "1,a1,a2,..."'}),
+        ("--egf", {"help": 'comma-separated series coefficients "1,c1,..."'}),
+        ("--cumulants", {"help": 'comma-separated cumulants "k1,k2,..."'}),
+    )),
+    "list": ("list known umbrae", (), ()),
 }
 
 
-def _fill(p: _ArgumentParser, name: str) -> _ArgumentParser:
+def _fill(p, name: str) -> None:
     """Add subcommand ``name``'s arguments, then the options every command takes."""
-    _SUBCOMMANDS[name][1](p)
-    p.add_argument("--order", type=int, default=10, help="truncation order N (default 10)")
-    p.add_argument("--format", dest="fmt", choices=FORMATS, default="pretty")
-    p.add_argument("--workspace", type=Path, default=None, help="workspace JSON path")
-    return p
+    _, arguments, exclusive = _SUBCOMMANDS[name]
+    for flag, keywords in arguments:
+        p.add_argument(flag, **keywords)
+    if exclusive:
+        group = p.add_mutually_exclusive_group(required=True)
+        for flag, keywords in exclusive:
+            group.add_argument(flag, **keywords)
+    for flag, keywords in _COMMON:
+        p.add_argument(flag, **keywords)
 
 
-def _build_parser() -> _ArgumentParser:
+def _build_parser():
+    """The whole argparse tree: the reference parse, and the only one that
+    prints help and usage errors."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); we own the exit codes
+            raise CliUsageError(message)
+
+        def _parse_optional(self, arg_string):
+            # A single-dash word that names no option, such as "-x", is an
+            # expression; argparse would read it as an unknown option.
+            if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+                return None
+            return super()._parse_optional(arg_string)
+
     parser = _ArgumentParser(prog="umbra", description="exact umbral-calculus calculator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _SUBCOMMANDS.items():
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
         _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _value(keywords: dict, word: str):
+    """``word`` converted by its declared type; ValueError outside its choices."""
+    value = keywords.get("type", str)(word)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(word)
+    return value
+
+
+def _read(argv: list[str]):
+    """The arguments of a well-formed line, read from ``_SUBCOMMANDS``: a
+    subcommand, its positionals, then exact ``--name value`` or
+    ``--name=value`` options, each value converting and in its choices, every
+    required argument given and one member of a group.  None for any other
+    line, including every value that starts with "-" and is not after "="."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, arguments, exclusive = _SUBCOMMANDS[argv[0]]
+    positional = next((argument for argument in arguments if argument[0][0] != "-"), None)
+    options = {flag: (keywords.get("dest") or flag[2:].replace("-", "_"), keywords)
+               for flag, keywords in (*arguments, *exclusive, *_COMMON) if flag[0] == "-"}
+    words = argv[1:]
+    lead = next((k for k, word in enumerate(words) if word[:1] == "-"), len(words))
+    args = {"command": argv[0]}
+    try:
+        if positional:
+            dest, keywords = positional
+            if lead == 0 or lead > 1 and keywords.get("nargs") != "+":
+                return None
+            values = [_value(keywords, word) for word in words[:lead]]
+            args[dest] = values if "nargs" in keywords else values[0]
+        elif lead:
+            return None
+        k = lead
+        while k < len(words):
+            flag, eq, value = words[k].partition("=")
+            if flag not in options:
+                return None
+            if not eq:
+                k += 1
+                if k == len(words) or words[k][:1] == "-":
+                    return None
+                value = words[k]
+            k += 1
+            dest, keywords = options[flag]
+            args[dest] = _value(keywords, value)
+    except ValueError:
+        return None
+    if exclusive and sum(options[flag][0] in args for flag, _ in exclusive) != 1:
+        return None
+    for dest, keywords in options.values():
+        if dest not in args:
+            if keywords.get("required"):
+                return None
+            args[dest] = keywords.get("default")
+    return SimpleNamespace(**args)
+
+
 def _parse_args(argv: list[str]):
-    """``_build_parser().parse_args(argv)``.  That tree hands every word after a
-    subcommand's name unchanged to the subcommand's parser: build only that one."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = _fill(_ArgumentParser(prog=f"umbra {argv[0]}"), argv[0])
-        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-    return _build_parser().parse_args(argv)
+    """A well-formed line's arguments, read from ``_SUBCOMMANDS``; any other
+    line goes to ``_build_parser().parse_args(argv)``, with help and errors."""
+    args = _read(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def _settle_options(args) -> None:

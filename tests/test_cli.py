@@ -413,6 +413,59 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+CONNECT = ["--from-alpha", "2 . bell", "--from-gamma", "chi . (2 . bell)",
+           "--to-alpha", "1 . bell", "--to-gamma", "chi . (1 . bell)"]
+
+# One well-formed line per subcommand (those of scripts/paired_cli.py), then
+# the `--name=value` forms: each is read from cli._SUBCOMMANDS, not by argparse.
+WELL_FORMED = [
+    ["eval", "x . bell", "bern", "--order", "8"],
+    ["sheffer", "--alpha", "bern", "--gamma", "bell", "--order", "6"],
+    ["associated", "--gamma", "bell", "--order", "6"],
+    ["appell", "--alpha", "bern", "--order", "6", "--format", "json"],
+    ["connect", *CONNECT, "--order", "4"],
+    ["stirling", "first", "--n", "8", "--format", "csv"],
+    ["abel", "--gamma", "u", "--order", "6", "--format", "latex"],
+    ["example", "fibonacci", "--order", "8"],
+    ["define", "w", "--moments", "1,2,3"],
+    ["list"],
+    ["define", "w", "--cumulants=-1/2,1"],
+    ["eval", "u", "--order=3"],
+]
+
+
+def test_a_well_formed_line_loads_no_argparse(tmp_path):
+    """A well-formed line leaves argparse, gettext and locale unimported; help
+    and a refused line still exit as before, through argparse (-S, as above)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    workspace = ["--workspace", str(tmp_path / "umbrae.json")]
+    code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {str(src)!r})
+from umbralcalc import cli
+def loaded():
+    return sorted({{'argparse', 'gettext', 'locale'}} & set(sys.modules))
+seen = []
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+    for argv in {WELL_FORMED!r}:
+        seen.append([cli.main([*argv, *{workspace!r}]), loaded()])
+    try:
+        cli.main(['-h'])
+    except SystemExit as exc:
+        seen.append([exc.code, loaded(), 'usage: umbra' in out.getvalue()])
+    seen.append([cli.main(['stirling', 'third', *{workspace!r}]), loaded(), err.getvalue()])
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    seen = json.loads(proc.stdout)
+    assert seen[:-2] == [[0, []]] * len(WELL_FORMED)
+    modules = ["argparse", "gettext", "locale"]
+    assert seen[-2] == [0, modules, True]
+    refused = "umbra: error: argument kind: invalid choice: 'third' (choose from 'first', 'second')\n"
+    assert seen[-1] == [1, modules, refused]
+
+
 def test_csv_row_column_counts(run):
     code, out, _ = run("associated", "--gamma", "u", "--order", "4", "--format", "csv")
     lines = out.strip().splitlines()
@@ -622,7 +675,8 @@ def test_help_lists_the_subcommands_in_order(capsys):
 
 
 # ---------------------------------------------------------------------------
-# cli._parse_args builds one subcommand's parser; the whole tree must agree
+# cli._parse_args reads a well-formed line from cli._SUBCOMMANDS and hands any
+# other to the whole argparse tree; both must parse as the whole tree does
 
 SUBCOMMANDS = ["eval", "sheffer", "associated", "appell", "connect", "stirling", "abel", "example", "define", "list"]
 OPTIONS = ["--order", "--format", "--workspace", "--alpha", "--gamma", "--from-alpha", "--from-gamma", "--to-alpha",
@@ -636,15 +690,29 @@ PARSE_CORPUS = [
     ["stirling", "third"], ["stirling", "first", "--n", "x"], ["example", "fib"], ["sheffer", "--alpha", "u"],
     ["connect", "--from", "u"], ["define", "a", "--moments", "1", "--egf", "1"], ["list", "extra"], ["list", "--"],
     ["list", "--h"], ["list", "--he=x"], ["eval", "-h"], ["define", "-h"], ["eval", "u", "-h", "--order", "x"],
+    *WELL_FORMED,
+]
+# Lines the table reader hands to argparse: each is a near miss of a well-formed line.
+NEAR_MISSES = [
+    ["eval", "u", "--order="], ["eval", "u", "--order", "-1"], ["eval", "u", "--format", "JSON"],
+    ["stirling", "first", "--n", "x"], ["eval", "u", "--order", "3", "v"], ["eval", "u", "--ord", "3"],
+    ["stirling", "third"], ["define", "a", "--moments", "1", "--egf", "1"], ["define", "a"], ["list", "--"],
+    ["eval", "u", "--order"], ["eval", "--order", "3", "u"], ["example", "fibonacci", "bernoulli-diff"],
+]
+# Lines the table reader accepts whose reading is easy to get wrong.
+TRICKY = [
+    ["stirling", "first", "--n", "1_0"], ["define", "a", "--moments", "1", "--moments", "1,2"],
+    ["sheffer", "--alpha", "u", "--gamma", "u", "--gamma", "bell"], ["eval", "", "--workspace", ""],
 ]
 
 
 def _parse_outcome(parse, argv):
-    """("args", Namespace), ("usage", message), or ("exit", code, stdout, stderr)."""
+    """("args", the parsed attributes, command included), ("usage", message),
+    or ("exit", code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return "args", parse(list(argv))
+            return "args", vars(parse(list(argv)))
     except cli.CliUsageError as exc:
         return "usage", str(exc)
     except SystemExit as exc:
@@ -658,8 +726,10 @@ def _assert_parsed_as_by_the_whole_tree(argv):
 def test_parse_args_agrees_with_the_whole_tree_on_edge_cases(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert list(cli._SUBCOMMANDS) == SUBCOMMANDS
-    for argv in PARSE_CORPUS:
+    for argv in PARSE_CORPUS + NEAR_MISSES + TRICKY:
         _assert_parsed_as_by_the_whole_tree(argv)
+    assert [argv for argv in WELL_FORMED + TRICKY if cli._read(argv) is None] == []
+    assert [argv for argv in NEAR_MISSES if cli._read(argv) is not None] == []
 
 
 _prefixes = st.sampled_from(OPTIONS).flatmap(lambda option: st.integers(3, len(option)).map(lambda k: option[:k]))
@@ -668,6 +738,8 @@ _words = st.one_of(
     st.sampled_from([*SUBCOMMANDS, "nosuch", "--", "-h", "-x", "-", "--bogus"]),
     _prefixes,
     st.tuples(_prefixes, _values).map("=".join),
+    st.sampled_from(OPTIONS),
+    st.tuples(st.sampled_from(OPTIONS), _values).map("=".join),
     _values,
 )
 
@@ -680,6 +752,41 @@ _words = st.one_of(
 def test_parse_args_agrees_with_the_whole_tree(monkeypatch, argv):
     """The same Namespace (command included), the same CliUsageError text, or
     the same SystemExit code and output, on generated command lines."""
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_parsed_as_by_the_whole_tree(argv)
+
+
+# Each subcommand's positional values and own options, for lines that mostly
+# reach the table reader: random words seldom give every required option.
+OWN_ARGUMENTS = {
+    "eval": (["u", "x . bell"], []), "sheffer": ([], ["--alpha", "--gamma"]), "associated": ([], ["--gamma"]),
+    "appell": ([], ["--alpha"]), "connect": ([], ["--from-alpha", "--from-gamma", "--to-alpha", "--to-gamma"]),
+    "stirling": (["first", "second"], ["--n"]), "abel": ([], ["--gamma"]),
+    "example": (["fibonacci", "bernoulli-diff"], []), "define": (["w"], ["--moments", "--egf", "--cumulants"]),
+    "list": ([], []),
+}
+_GOOD_VALUES = {"--order": ["0", "3", "1_0"], "--n": ["0", "5"], "--format": ["json", "csv", "latex"],
+                "--workspace": ["w.json"]}
+
+
+def _option(option):
+    value = st.one_of(st.sampled_from(_GOOD_VALUES.get(option, ["u", "1,-1/2"])), _values)
+    return st.tuples(value, st.booleans()).map(lambda t: [f"{option}={t[0]}"] if t[1] else [option, t[0]])
+
+
+def _own_line(command):
+    positionals, options = OWN_ARGUMENTS[command]
+    heads = st.lists(st.sampled_from(positionals), min_size=1, max_size=2) if positionals else st.just([])
+    pairs = st.lists(st.sampled_from([*options * 3, "--order", "--format", "--workspace"]).flatmap(_option),
+                     max_size=7)
+    return st.tuples(st.one_of(heads, st.lists(_values, max_size=1)), pairs).map(
+        lambda t: [command, *t[0], *(word for pair in t[1] for word in pair)])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(SUBCOMMANDS).flatmap(_own_line))
+def test_table_reader_agrees_with_the_whole_tree(monkeypatch, argv):
+    """As above, on lines built from each subcommand's own arguments."""
     monkeypatch.setenv("COLUMNS", "80")
     _assert_parsed_as_by_the_whole_tree(argv)
 

@@ -71,8 +71,8 @@ def test_paired_cli_smoke():
     lines = proc.stdout.splitlines()
     assert "python -S -m umbralcalc; outputs equal on both sides" in lines[0]
     assert [line.split()[0] for line in lines[2:-1]] == [
-        "eval", "sheffer", "associated", "appell", "connect", "stirling", "abel", "example", "define", "list", "help",
-        "refused",
+        "eval", "sheffer", "associated", "appell", "connect", "stirling", "abel", "example", "define", "define=",
+        "list", "help", "refused", "abbrev",
     ]
     assert lines[-1].startswith("total (ms)")
 
