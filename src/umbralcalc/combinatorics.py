@@ -1,12 +1,11 @@
 """Binomials, partial Bell polynomials, Stirling triangles and friends.
 
 Everything here is an exact, order-deterministic building block.  A row of
-generalized binomials C(a, 0..m) is built entry from entry, and a single
-generalized binomial is the last entry of its row.  Stirling
-triangles come from the classical recurrences, so they stay independent
-oracles for the umbral Stirling formulas; the partial Bell polynomials are
-read off the series kernel (the partition sums they replace are test
-oracles in ``tests/oracles.py``).
+generalized binomials C(a, 0..m) is built entry from entry; an integer
+binomial is ``math.comb``.  Stirling triangles come from the classical
+recurrences, so they stay independent oracles for the umbral Stirling
+formulas; the partial Bell polynomials are read off the series kernel (the
+partition sums they replace are test oracles in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .poly import Value, collapse
 from .series import egf_compose
@@ -28,15 +26,6 @@ def binomial_row(a, m: int) -> list[Value]:
     for j in range(1, m + 1):
         row.append(collapse(row[-1] * (a - (j - 1)) / j))
     return row
-
-
-def binomial(n, k: int) -> Value:
-    """Generalized binomial C(n, k) = (n)_k / k!; n may be a Poly."""
-    if k < 0:
-        raise ValueError("binomial needs k >= 0")
-    if isinstance(n, int) and n >= 0:
-        return Fraction(comb(n, k))
-    return binomial_row(n, k)[k]
 
 
 def bell_partial(i: int, j: int, a: Sequence) -> Value:

@@ -19,17 +19,18 @@ these are the consistency theorems of the calculus, kept executable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .combinatorics import binomial, binomial_row
+from .combinatorics import binomial_row
 from .combinatorics import stirling_first_classical, stirling_second_classical
-from .poly import X, Y, Poly, _power_table, collapse
+from .poly import X, Y, Poly, collapse
 from .records import Record
-from .series import _bell_table, egf_mul
+from .series import egf_compose, egf_mul
 from .sheffer import (
     associated_moments,
     _as_poly,
     _check_shift,
+    _x_to_y,
     PolySequence,
     ShefferPair,
     poisson_charlier_pair,
@@ -47,6 +48,7 @@ from .umbra import (
     dot,
     inverse_dot,
     overbar_umbra,
+    scalar_umbra,
     singleton,
     substitute,
     ubar_umbra,
@@ -141,12 +143,13 @@ def stirling_triangle(kind: str, n_max: int) -> list[list[Fraction]]:
 
 def _stirling_entry(kind: str, n: int, k: int, inverse, classical) -> Fraction:
     """Entry (n, k) of that triangle, B_(n,k) of r = f(inverse, t) - 1, the reversion
-    of f(g, t) - 1 (u and uinv are each other's compositional inverse): columns
-    0..k of one Bell table of r, checked against the classical triangle."""
+    of f(g, t) - 1 (u and uinv are each other's compositional inverse): moment n
+    of the k-th unit series composed with r, checked against the classical triangle."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    columns, d, _ = _bell_table((Fraction(0),) + inverse(n).moments[1:], k)
-    entry = Fraction(columns[k][n], d**k)
+    unit = [Fraction(0)] * (n + 1)
+    unit[k] = Fraction(1)
+    entry = egf_compose(unit, (Fraction(0),) + inverse(n).moments[1:])[n]
     require_equal(f"stirling {kind} table vs triangle", (entry * X**k,), (classical(n, k) * X**k,), first=n)
     return entry
 
@@ -176,7 +179,7 @@ def poisson_charlier_sequence(n_max: int, a) -> PolySequence:
         raise ValueError("n must be >= 0")
     table = sheffer_moments(poisson_charlier_pair(b, n_max))
     falling = [factorial(k) * c for k, c in enumerate(binomial_row(X, n_max))]  # (x)_k = k! C(x, k)
-    closed = (c / b**n for n, c in enumerate(egf_mul(falling, _power_table(-b, n_max))))
+    closed = (c / b**n for n, c in enumerate(egf_mul(falling, scalar_umbra(-b, n_max).moments)))
     require_equal("poisson-charlier table vs closed form", table, closed)
     return table
 
@@ -195,11 +198,11 @@ def abel_identity_check(gamma: Umbra, n_max: int) -> tuple[str, ...]:
     raises ConsistencyError.
     """
     _require_order(gamma, n_max)
-    abel_y = [p.substitute(x=Y) for p in abel_polynomials(gamma, n_max)]
+    abel_y = _x_to_y(abel_polynomials(gamma, n_max))
     shifts = [with_x_shift(dot(k, gamma)) for k in range(n_max + 1)]  # moments (x + k.g)^m
-    lhs = ((X + Y) ** n for n in range(n_max + 1))
+    lhs = scalar_umbra(X + Y, n_max).moments
     rhs = (
-        sum((binomial(n, k) * abel_y[k] * shifts[k].moment(n - k) for k in range(n + 1)), Fraction(0))
+        sum((comb(n, k) * abel_y[k] * shifts[k].moment(n - k) for k in range(n + 1)), Fraction(0))
         for n in range(n_max + 1)
     )
     return (require_equal("abel", lhs, rhs),)
@@ -248,7 +251,7 @@ def bell_expansion_general(gamma: Umbra, n: int) -> Poly:
     chain = dot(X, dot(bell_umbra(gamma.order), gamma))
     lhs = _as_poly(collapse(chain.moment(n)))
     gbar = overbar_umbra(gamma)
-    rhs = sum((binomial(n, k) * g1**k * dot(k, gbar).moment(n - k) * X**k for k in range(n + 1)), Fraction(0))
+    rhs = sum((comb(n, k) * g1**k * dot(k, gbar).moment(n - k) * X**k for k in range(n + 1)), Fraction(0))
     require_equal("bell expansion dot chain vs sum", (lhs,), (rhs,), first=n)
     return lhs
 
@@ -336,11 +339,8 @@ def recurrence_example_backward(n_max: int) -> RecurrenceSolution:
 
     seq = PolySequence(tuple(closed))
     route = require_equal("closed form equals initial-condition expansion", closed, recursive)
-    difference = require_equal(
-        "backward difference s_n(x) - s_n(x-1) = s_{n-1}(x)",
-        (closed[n] - closed[n].substitute(x=X - 1) for n in range(1, n_max + 1)),
-        closed[:-1],
-        first=1,
+    difference = _check_shift(
+        "backward difference s_n(x) - s_n(x-1) = s_{n-1}(x)", closed, scalar_umbra(-1, n_max), [-1] * (n_max + 1)
     )
     initial = require_equal(
         "initial condition on the shifted diagonal",

@@ -397,7 +397,7 @@ def check_appell_identity(alpha: Umbra) -> tuple[str, ...]:
     Returns ("appell",), the check passed; a failure raises ConsistencyError.
     """
     seq = appell_moments(alpha)
-    return (_check_convolution("appell", seq, [Y**m for m in range(len(seq))]),)
+    return (_check_convolution("appell", seq, _powers_of("y", seq.order)),)
 
 
 def poisson_charlier_pair(a, order: int) -> ShefferPair:

@@ -33,14 +33,12 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import factorial
-from operator import mul
 
 from .errors import NonInvertibleError, OrderMismatchError
 from .poly import Poly, Value, _make, _power_table, _powers_of, _sum_products, collapse
 from .series import (
     Series,
     _over,
-    _pascal,
     _split,
     egf_compose,
     egf_exp,
@@ -313,15 +311,8 @@ def overbar_umbra(g: Umbra) -> Umbra:
 
 
 def with_x_shift(a: Umbra) -> Umbra:
-    """The polynomial umbra a + x.u: moments sum_k C(n,k) a_{n-k} x^k over the
-    D of a = A / D (``series._split``), reduced by one gcd each."""
-    nums, d, polys = _split(a.moments)
-    if polys:
-        xs = _powers_of("x", a.order)
-        return Umbra([_over(_sum_products(zip(map(mul, _pascal(n), nums[n::-1]), xs)), d)
-                      for n in range(len(nums))])
-    keys = [(k, 0) for k in range(len(nums))]
-    return Umbra([_make(dict(zip(keys, map(mul, _pascal(n), nums[n::-1]))), d) for n in range(len(nums))])
+    """The polynomial umbra a + x.u: the umbral sum of a and the umbra of moments x^n."""
+    return umbral_sum(a, indeterminate_umbra("x", a.order))
 
 
 # ---------------------------------------------------------------------------

@@ -95,20 +95,14 @@ def set_umbra(data: dict, name: str, umbra: Umbra) -> None:
 
 
 def save_raw(path: str | Path, data: dict) -> None:
-    import tempfile  # here: it is slow to import, and only define writes
-
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{p.name}.", dir=p.parent)
+    tmp = p.parent / f".{p.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0o666 less the umask, as open() makes it
     try:
-        if p.exists():  # mkstemp makes the file 0600
-            mode = p.stat().st_mode & 0o7777
-        else:  # as open() would make it: 0o666 less the umask, which only os.umask reads
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if p.exists():
+                os.chmod(tmp, p.stat().st_mode & 0o7777)
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, p)

@@ -8,11 +8,10 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 from umbralcalc.cli import main
 from umbralcalc.combinatorics import (
-    binomial,
     stirling_first_classical,
     stirling_second_classical,
 )
@@ -196,7 +195,7 @@ def test_criterion_08_connection_constants():
             assert cc.verified
             for n in range(9):
                 for k in range(n + 1):
-                    assert cc[n, k] == binomial(n, k) * (a / b) ** n * (1 - b / a) ** (n - k)
+                    assert cc[n, k] == comb(n, k) * (a / b) ** n * (1 - b / a) ** (n - k)
 
     _report(8, "connection constants: umbral formula equals triangular solve", check)
 

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from umbralcalc.combinatorics import (
     bell_partial,
-    binomial,
     binomial_row,
     stirling_first_classical,
     stirling_second_classical,
@@ -22,20 +21,6 @@ fractions = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
 
 # -- oracles -----------------------------------------------------------------
-
-
-def pascal_binomial(n, k):
-    if k == 0:
-        return F(1)
-    if n <= 0:
-        # fall back to the falling-factorial definition for the oracle
-        prod = F(1)
-        for i in range(k):
-            prod *= F(n - i)
-        return prod / F(
-            __import__("math").factorial(k)
-        )
-    return pascal_binomial(n - 1, k - 1) + pascal_binomial(n - 1, k) if k <= n else F(0)
 
 
 def brute_partitions(i):
@@ -73,28 +58,29 @@ def set_partitions(elements):
 
 
 def test_binomial_examples():
-    assert binomial(5, 0) == 1
-    assert binomial(5, 2) == 10
-    assert binomial(-2, 2) == 3
+    assert binomial_row(5, 2) == [1, 5, 10]
+    assert binomial_row(5, 0) == [1]
+    assert binomial_row(-2, 2)[2] == 3
     with pytest.raises(ValueError):
-        binomial(5, -1)
+        binomial_row(5, -1)
 
 
 def test_binomial_pascal_recurrence():
+    rows = [binomial_row(n, n + 1) for n in range(21)]  # one entry past the top, which is 0
     for n in range(1, 21):
         for k in range(1, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+            assert rows[n][k] == rows[n - 1][k - 1] + rows[n - 1][k]
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=45))
 def test_binomial_integer_matches_falling_factorial(n, k):
-    """The integer fast path agrees with (n)_k / k!, including 0 for k > n."""
-    assert binomial(n, k) == falling_factorial(n, k) / factorial(k)
+    """An integer row agrees with (n)_k / k! and math.comb, including 0 for k > n."""
+    assert binomial_row(n, k)[k] == falling_factorial(n, k) / factorial(k) == comb(n, k)
 
 
 def test_binomial_poly_argument():
-    assert binomial(X, 2) == (X**2 - X) / 2
-    assert binomial(X + 1, 1) == X + 1
+    assert binomial_row(X, 2)[2] == (X**2 - X) / 2
+    assert binomial_row(X + 1, 1)[1] == X + 1
 
 
 @settings(max_examples=60)
@@ -111,7 +97,6 @@ def test_binomial_row_matches_falling_factorial(a, m):
     assert len(row) == m + 1
     for j, entry in enumerate(row):
         assert entry == falling_factorial(a, j) / factorial(j)
-    assert binomial(a, m) == row[m]
 
 
 def test_falling_factorial():
@@ -296,7 +281,7 @@ def test_bernoulli_numbers():
     for n in range(12):
         if n == 1:
             continue
-        assert sum(binomial(n, k) * b[k] for k in range(n + 1)) == b[n]
+        assert sum(comb(n, k) * b[k] for k in range(n + 1)) == b[n]
 
 
 def test_bell_and_bernoulli_umbrae_match_the_classical_recurrences():

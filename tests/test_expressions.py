@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from umbralcalc.errors import OrderCapError, OrderMismatchError, UnknownUmbraError
@@ -333,11 +333,29 @@ _expansion_terms = st.builds(_expansion_term, st.lists(_expansion_leaves, min_si
 @given(st.builds(Atom, st.sampled_from(["bell", "bern", "chi"]), st.integers(0, 1)), st.integers(2, 3),
        st.lists(_expansion_terms, max_size=2), st.integers(0, 8))
 def test_expansion_route_matches_fraction_oracle(atom, power, rest, order):
+    """A draw past the expansion budget is refused by design, so it is
+    rejected; any other error fails."""
     expr = Power(atom, power)
     for term in rest:
         expr = Sum(expr, term)
-    got = evaluate(expr, order)
+    try:
+        got = evaluate(expr, order)
+    except OrderCapError as exc:
+        if "past the budget of" not in str(exc):
+            raise
+        reject()
     for n in range(order + 1):
+        assert got.moment(n) == expectation(Power(expr, n)), n
+
+
+def test_expansion_past_the_budget_is_refused():
+    """A draw of the property above: refused at order 8 by the expansion
+    budget, and equal to the oracle at order 7, which the budget admits."""
+    expr = parse("bell ^ 2 + (x + y) ^ 3 + (x . bell + x . bell) ^ 3")
+    with pytest.raises(OrderCapError, match="takes up to 102960 monomial products, past the budget of 100000"):
+        evaluate(expr, 8)
+    got = evaluate(expr, 7)
+    for n in range(8):
         assert got.moment(n) == expectation(Power(expr, n)), n
 
 

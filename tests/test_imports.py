@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module.  The
 package's ``__init__`` is exempt: its imports are the library API, which
-``test_scripts`` checks against the README."""
+``test_scripts`` checks against the README.  The Bell-table layout is read
+only by the series kernel and the Sheffer layer: no other module names a
+Bell-table helper."""
 
 import ast
 from pathlib import Path
@@ -33,3 +35,25 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+BELL_HELPERS = {"_bell_table", "_bell_columns", "_revert_table", "_compose", "_fold_runs"}
+BELL_READERS = {"series.py", "sheffer.py"}
+
+
+def bell_helpers_named(source: str) -> list[str]:
+    """The Bell-table helpers that ``source`` imports or reads as an attribute."""
+    tree = ast.parse(source)
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    attributes = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    return [name for name in imported + attributes if name in BELL_HELPERS]
+
+
+def test_bell_helpers_are_found():
+    source = "from .series import _compose, egf_mul\nfrom . import series\nseries._bell_table(h)\n"
+    assert bell_helpers_named(source) == ["_compose", "_bell_table"]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - BELL_READERS))
+def test_only_the_kernel_and_sheffer_read_bell_tables(module):
+    assert bell_helpers_named((PACKAGE / module).read_text()) == []

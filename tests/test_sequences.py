@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from umbralcalc import sequences, series, sheffer
 from umbralcalc.errors import ConsistencyError
 from umbralcalc.combinatorics import (
-    binomial,
     stirling_first_classical,
     stirling_second_classical,
 )
@@ -70,7 +69,7 @@ def abel_by_powers(gamma, n_max):
         neg = dot(-n, gamma)
         p = F(0)
         for k in range(n):
-            p = p + binomial(n - 1, k) * neg.moment(n - 1 - k) * X**k
+            p = p + comb(n - 1, k) * neg.moment(n - 1 - k) * X**k
         polys.append(collapse(X * p))
     return polys
 
@@ -178,12 +177,12 @@ def test_stirling_triangle_checks_every_entry(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_stirling_entry_is_k_plus_one_bell_columns(kind, monkeypatch):
-    """Entry (n, k) reads columns 0..k of one Bell table of the reversion,
-    known in closed form (u and uinv are each other's compositional inverse),
-    so no entry takes a reversion."""
+    """Entry (n, k) is one egf_compose over columns 0..k of one Bell table of
+    the reversion, known in closed form (u and uinv are each other's
+    compositional inverse), so no entry takes a reversion."""
     tables, reverts = [], []
-    real_table, real_revert = sequences._bell_table, series._revert_columns
-    monkeypatch.setattr(sequences, "_bell_table", lambda h, top: tables.append((len(h) - 1, top)) or real_table(h, top))
+    real_table, real_revert = series._bell_table, series._revert_columns
+    monkeypatch.setattr(series, "_bell_table", lambda h, top: tables.append((len(h) - 1, top)) or real_table(h, top))
     monkeypatch.setattr(series, "_revert_columns", lambda h: reverts.append(h) or real_revert(h))
     entry = stirling_first_umbral if kind == "first" else stirling_second_umbral
     classical = stirling_first_classical if kind == "first" else stirling_second_classical

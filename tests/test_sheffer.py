@@ -1,9 +1,10 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from umbralcalc import series, umbra
-from umbralcalc.combinatorics import binomial, stirling_second_classical
+from umbralcalc.combinatorics import stirling_second_classical
 from umbralcalc.errors import ConsistencyError, NonInvertibleError, VariableCaptureError
 from umbralcalc.expressions import Atom, Indet, Sum, evaluate
 from umbralcalc.poly import Poly, X, Y, collapse
@@ -73,7 +74,7 @@ def test_poisson_charlier_values():
     s2 = sheffer_moments(poisson_charlier_pair(a, 4))
     for n in range(5):
         expected = sum(
-            (binomial(n, k) * (-a) ** (n - k) * falling_factorial(X, k) for k in range(n + 1)),
+            (comb(n, k) * (-a) ** (n - k) * falling_factorial(X, k) for k in range(n + 1)),
             Poly(0),
         ) / a**n
         assert s2[n] == collapse(expected)
@@ -84,7 +85,7 @@ def test_bernoulli_polynomials():
     assert s[2] == X**2 - X + F(1, 6)
     b = bernoulli_umbra(4)
     for n in range(5):
-        expected = sum((binomial(n, k) * b.moment(n - k) * X**k for k in range(n + 1)), Poly(0))
+        expected = sum((comb(n, k) * b.moment(n - k) * X**k for k in range(n + 1)), Poly(0))
         assert s[n] == collapse(expected)
 
 
@@ -156,7 +157,7 @@ def test_connection_constants_poisson_charlier():
         assert cc.verified
         for n in range(N + 1):
             for k in range(n + 1):
-                assert cc[n, k] == binomial(n, k) * (a / b) ** n * (1 - b / a) ** (n - k), (a, b, n, k)
+                assert cc[n, k] == comb(n, k) * (a / b) ** n * (1 - b / a) ** (n - k), (a, b, n, k)
     assert connection_constants(poisson_charlier_pair(2, 4), poisson_charlier_pair(1, 4))[2, 1] == F(-1, 2)
 
 
@@ -208,7 +209,7 @@ def test_connection_constants_third_combination():
     b = bernoulli_umbra(6)
     for n in range(7):
         for k in range(n + 1):
-            assert cc[n, k] == binomial(n, k) * b.moment(n - k)
+            assert cc[n, k] == comb(n, k) * b.moment(n - k)
 
 
 def test_connection_constants_at_order_0_run_their_checks(monkeypatch):
@@ -451,14 +452,16 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
     """sheffer_moments and check_sheffer_identity build one Bell table, of r,
     in the loop that reverts; connection_constants builds three, of r_frm,
     r_to and the change of basis, and takes no egf_exp.  Every table, of a
-    reversion or not, is one run of series._bell_columns.  Its one egf_mul is
-    the umbral_sum forming to.alpha - 1.frm.alpha, and
-    check_sheffer_identity's is its convolution; the tables take none.  Every
-    fold over a Bell table is one series._compose, or one series._fold_runs
-    of the runs read off a scalar b in f(b + x.u, r): a Sheffer table takes
-    two (the moment route, and f(a, r) in the series route), an associated
-    table one, and connection_constants seven (two Sheffer tables, d - 1.a,
-    g.bell.z^<-1> and the change of basis)."""
+    reversion or not, is one run of series._bell_columns.  connection_constants
+    takes one egf_mul, the umbral_sum forming to.alpha - 1.frm.alpha;
+    check_sheffer_identity takes two, its convolution and g + x.u
+    (``with_x_shift``) for the derivative rule.  A Sheffer table of a scalar
+    pair takes none, and one of a pair in y takes one, -1.a + x.u in its
+    moment route.  Every fold over a Bell table is one series._compose, or
+    one series._fold_runs of the runs read off a scalar b in f(b + x.u, r): a
+    Sheffer table takes two (the moment route, and f(a, r) in the series
+    route), an associated table one, and connection_constants seven (two
+    Sheffer tables, d - 1.a, g.bell.z^<-1> and the change of basis)."""
     from umbralcalc import sheffer
 
     calls = {"tables": 0, "egf_exp": 0, "egf_mul": 0, "folds": 0}
@@ -477,9 +480,9 @@ def test_each_table_is_read_off_one_bell_table(monkeypatch):
     y_pair = ShefferPair(Umbra([F(1), Y, F(3), F(0), F(2, 7)]), Umbra([F(1), F(-2), F(1, 3), 1 + Y, F(0)]))
     for run, expected in [
         (lambda: sheffer_moments(pc2), (1, 0, 0, 2)),
-        (lambda: sheffer_moments(y_pair), (1, 0, 0, 2)),
-        (lambda: check_sheffer_identity(random_pair), (1, 0, 1, 3)),
-        (lambda: check_sheffer_identity(y_pair), (1, 0, 1, 3)),
+        (lambda: sheffer_moments(y_pair), (1, 0, 1, 2)),
+        (lambda: check_sheffer_identity(random_pair), (1, 0, 2, 3)),
+        (lambda: check_sheffer_identity(y_pair), (1, 0, 3, 3)),
         (lambda: associated_moments(y_pair.gamma), (1, 0, 0, 1)),
         (lambda: connection_constants(pc2, pc1), (3, 0, 1, 7)),
         (lambda: connection_constants(random_pair, bernoulli_appell_pair(4)), (3, 0, 1, 7)),

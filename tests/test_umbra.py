@@ -1,13 +1,11 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbralcalc.combinatorics import (
-    binomial,
-    stirling_second_classical,
-)
+from umbralcalc.combinatorics import stirling_second_classical
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError
 from umbralcalc.poly import Poly, X, collapse
 from umbralcalc.series import egf_log, egf_mul
@@ -385,7 +383,7 @@ def test_with_x_shift():
     a = bernoulli_umbra(4)
     shifted = with_x_shift(a)
     for n in range(5):
-        expected = sum((binomial(n, k) * a.moment(n - k) * X**k for k in range(n + 1)), Poly(0))
+        expected = sum((comb(n, k) * a.moment(n - k) * X**k for k in range(n + 1)), Poly(0))
         assert shifted.moment(n) == collapse(expected)
 
 

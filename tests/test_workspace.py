@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +81,24 @@ def test_new_file_mode_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert path.stat().st_mode & 0o7777 == mode
+
+
+def test_define_imports_no_tempfile(tmp_path):
+    """A define writes its workspace without importing tempfile (-S: no site
+    hooks that could have imported it first)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    workspace = tmp_path / "umbrae.json"
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {str(src)!r})
+from umbralcalc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(['define', 'w', '--moments', '1,1/2', '--workspace', {str(workspace)!r}])
+print(code, 'tempfile' in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 False\n")
+    assert load_umbrae(workspace)["w"].moments == (1, F(1, 2))
 
 
 def test_umbrae_from_raw_rejects_non_unital():
