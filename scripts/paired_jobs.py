@@ -14,7 +14,10 @@ side and their ratio (above 1: the tree is faster), the 90th-percentile ms
 on each side (``statistics.quantiles``, as the benchmark's ``job_p90_ms``)
 and the share of jobs the tree ran faster, then the same over all jobs.  Each DSL
 template of ``evaluate`` gets its own row (``evaluate:corr``, ...), so a
-change to one evaluator route shows where its time went.
+change to one evaluator route shows where its time went, and so does each
+operand kind of ``dot`` and ``cumulant`` (``dot:x/builtin``,
+``cumulant:umbra``, ...), so jobs on a shared builtin show apart from jobs
+on a fresh umbra.
 
 Usage: python scripts/paired_jobs.py [--rev REV] [--workload NAME]
        [--seed N] [--rounds N] [--smoke]
@@ -39,8 +42,16 @@ WORKLOADS = ("dot-moments", "sheffer-inverse")
 
 def kind_of(job: tuple) -> str:
     """A job's row: its kind, and for ``evaluate`` its DSL template too
-    (``evaluate:corr``), since each template takes its own evaluator route."""
-    return f"{job[0]}:{job[1][0]}" if job[0] == "evaluate" else job[0]
+    (``evaluate:corr``), since each template takes its own evaluator route;
+    for ``dot`` and ``cumulant`` the kinds of its operands (``dot:x/builtin``),
+    since a builtin is shared and remembers its cumulants."""
+    if job[0] == "evaluate":
+        return f"evaluate:{job[1][0]}"
+    if job[0] == "dot":
+        return f"dot:{job[1][0]}/{job[2][0]}"
+    if job[0] == "cumulant":
+        return f"cumulant:{job[1][0]}"
+    return job[0]
 
 
 def serve(src: str, workload: str, seed: int, rounds: int, smoke: bool) -> None:

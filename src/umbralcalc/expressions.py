@@ -43,6 +43,11 @@ E[e^n].  Moments may be polynomials in x, y.  It takes one of two routes:
 A ``Dot`` is computed as the tree groups it, its two sides first.  The
 parser groups a chain to the left, so g1 . g2 . g3 composes each link into
 the value so far, and a link's own series is the inner one of each compose.
+A bare atom evaluates to its source's own umbra: the environment's umbra
+(when it has exactly the order asked for) or the shared builtin of that
+order, not a copy of its moments.  So a dot whose right side is an atom
+reaches what that umbra remembers (:class:`umbralcalc.umbra.Umbra`): its
+cumulant series and their Bell table are computed once, not per dot.
 
 A power multiplies the order at which an atom's moments are needed: moment n
 of a^k needs a to order n k.  The evaluator works that order out before it
@@ -294,6 +299,10 @@ class _Evaluator:
             slot = self._named_slots[name, primes] = self._slot(src.truncated if isinstance(src, Umbra) else src)
         return slot
 
+    def atom(self, expr: Atom, order: int) -> Umbra:
+        """The umbra an atom names, from its source at ``order``."""
+        return self._sources[self._named(expr.name, expr.primes) - 2](order)
+
     def _unit(self, slot: int | None = None) -> Form:
         """The form 1, or the variable in the given slot."""
         return {tuple(int(i == slot) for i in range(self.width)): 1}, 1
@@ -445,6 +454,8 @@ def evaluate(expr: Expr, order: int, env: Environment | None = None, _ceiling: i
         raise ValueError("order must be >= 0")
     ev = _Evaluator(order, default_environment() if env is None else env, 2 + _leaves(expr), _ceiling)
     ev.require(order)
+    if isinstance(expr, Atom):  # the environment's own umbra, with what it remembers
+        return ev.atom(expr, order)
     if isinstance(expr, Power):
         base = ev.power_base(expr)
         if expr.power and _is_linear(base) and _degree(base):

@@ -13,7 +13,9 @@ h.  Both run the one recurrence of ``_bell_columns``, a row at a time.
 Reversion solves h(r) = t one moment at a time through the partial Bell
 values of r (``_revert_columns``), so r's table comes out of the same loop:
 ``egf_revert`` reads r off column 1, and ``_revert_table`` grades the whole
-table, which is the table the Sheffer layer folds over.  ``_compose`` sums
+table, which is the table the Sheffer layer folds over.  ``egf_bell_table``
+hands out h's whole table as a value for callers that compose many f with
+one h, and ``egf_compose_over`` folds f over it.  ``_compose`` sums
 each row of the table (a polynomial f over an integer table a run per
 monomial, ``_fold_runs``).
 
@@ -176,9 +178,28 @@ def egf_compose(f: Sequence[Value], h: Sequence[Value]) -> Series:
     table, whose columns stop at f's last nonzero moment.
     """
     n = _check_orders(f, h)
+    _require_inner(h)
+    return _compose(f, _bell_table(h, max((k for k in range(1, n + 1) if f[k]), default=0)))
+
+
+def _require_inner(h: Sequence[Value]) -> None:
     if collapse(h[0]) != 0:
         raise ValueError("inner series of a composition must have zero constant term")
-    return _compose(f, _bell_table(h, max((k for k in range(1, n + 1) if f[k]), default=0)))
+
+
+def egf_bell_table(h: Sequence[Value]) -> tuple[list[list], int, bool]:
+    """The whole Bell table of h (zero constant term), columns 0, ..., N, for
+    ``egf_compose_over``: built once, it serves every outer series."""
+    _order(h)
+    _require_inner(h)
+    return _bell_table(h)
+
+
+def egf_compose_over(f: Sequence[Value], table) -> Series:
+    """f(h(t)) mod t^(N+1) over h's whole table from ``egf_bell_table``:
+    ``egf_compose`` with no table built."""
+    _check_orders(f, table[0][0])
+    return _compose(f, table)
 
 
 def _bell_table(h: Sequence[Value], top: int | None = None) -> tuple[list[list], int, bool]:

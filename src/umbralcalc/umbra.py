@@ -11,7 +11,8 @@ moment-level maps:
 * ``umbral_sum``      -- binomial convolution (product of generating functions)
 * ``dot(g, a)``       -- the series route: f(g.a, t) = f(g, log f(a, t)) for
                          an umbra or a polynomial g (moments g^n), f(a, t)^c
-                         for a scalar c
+                         = exp(c log f(a, t)) for a scalar c
+* ``cumulant``        -- chi.a: 1, then the moments of log f(a, t)
 * ``dot_power``       -- k-th moment is a_k^n
 * ``inverse_dot``     -- reciprocal generating function
 * ``comp_inverse``    -- 1 + r, r the Lagrange reversion of f(a, t) - 1
@@ -21,6 +22,14 @@ moment-level maps:
 
 Each operation has one algorithm; the classical partition and Stirling sums
 these maps replace are kept as test oracles in ``tests/oracles.py``.
+
+g.a is linear in g: moment n is sum_k g_k B_(n,k)(k_a), over the partial
+Bell matrix of a's cumulants k_a = log f(a, t) (Comtet, *Advanced
+Combinatorics*, 1974, section 3.3).  That series and that matrix belong to a
+alone, so an :class:`Umbra` computes each once and remembers it, and the
+builtin constructors return one shared umbra per order: a dot, a cumulant or
+a rational multiple on a remembered right operand starts from its
+cumulants, and a composition folds over its table with no table built.
 
 Auxiliary umbrae produced by these operations carry no correlation with
 their operands: each application denotes a fresh symbol, known only through
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import factorial
 
 from .errors import NonInvertibleError, OrderMismatchError
@@ -40,20 +50,29 @@ from .series import (
     Series,
     _over,
     _split,
+    egf_bell_table,
     egf_compose,
+    egf_compose_over,
     egf_exp,
     egf_log,
     egf_mul,
-    egf_power,
     egf_reciprocal,
     egf_revert,
+    egf_scale,
 )
 
 
 class Umbra:
-    """A truncated unital moment sequence, optionally named for display."""
+    """A truncated unital moment sequence, optionally named for display.
 
-    __slots__ = ("_moments", "name")
+    An umbra remembers what its dots derive from it alone, in private slots
+    that take no part in ``==``, ``hash`` or ``repr``: its cumulant series
+    log f(a, t), on first use, and that series' whole Bell table, on the
+    first dot whose left side needs every column.  The moments and the name
+    are read-only, so a shared umbra stays what it was built as.
+    """
+
+    __slots__ = ("_moments", "_name", "_log", "_table")
 
     def __init__(self, moments: Sequence, name: str | None = None):
         ms = tuple(map(collapse, moments))
@@ -62,11 +81,17 @@ class Umbra:
         if ms[0] != 1:
             raise ValueError("moment sequences must be unital (a_0 = 1)")
         self._moments = ms
-        self.name = name
+        self._name = name
+        self._log: Series | None = None
+        self._table = None
 
     @property
     def moments(self) -> tuple[Value, ...]:
         return self._moments
+
+    @property
+    def name(self) -> str | None:
+        return self._name
 
     @property
     def order(self) -> int:
@@ -77,9 +102,23 @@ class Umbra:
 
     def truncated(self, order: int) -> "Umbra":
         if order > self.order:
-            who = f"umbra {self.name!r}" if self.name else "umbra"
+            who = f"umbra {self._name!r}" if self._name else "umbra"
             raise OrderMismatchError(f"{who} holds moments only to order {self.order}")
-        return Umbra(self._moments[: order + 1], name=self.name)
+        if order == self.order:
+            return self
+        return Umbra(self._moments[: order + 1], name=self._name)
+
+    def _cumulants(self) -> Series:
+        """log f(a, t), computed once."""
+        if self._log is None:
+            self._log = egf_log(self._moments)
+        return self._log
+
+    def _cumulant_table(self):
+        """The Bell table of log f(a, t), built once."""
+        if self._table is None:
+            self._table = egf_bell_table(self._cumulants())
+        return self._table
 
     def __eq__(self, other):
         if isinstance(other, Umbra):
@@ -90,24 +129,45 @@ class Umbra:
         return hash(self._moments)
 
     def __repr__(self):
-        label = f" {self.name}" if self.name else ""
+        label = f" {self._name}" if self._name else ""
         return f"Umbra{label}{list(self._moments)!r}"
 
 
 # ---------------------------------------------------------------------------
 # Named umbrae
+#
+# Each builtin constructor returns one shared Umbra per order up to
+# SHARED_ORDER, so what a dot derives from a builtin is derived once per
+# process; a higher order is built afresh on every call.
+
+# The most the evaluator reads: the CLI's --order cap plus one, for bar(a).
+SHARED_ORDER = 65
 
 
+def _shared(build: Callable[[int], Umbra]) -> Callable[[int], Umbra]:
+    """``build`` with one Umbra per order 0, ..., SHARED_ORDER."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def builtin(order: int) -> Umbra:
+        return cached(order) if 0 <= order <= SHARED_ORDER else build(order)
+
+    return builtin
+
+
+@_shared
 def augmentation(order: int) -> Umbra:
     """eps: E[eps^n] = [n == 0]; generating function 1."""
     return Umbra([Fraction(1)] + [Fraction(0)] * order, name="eps")
 
 
+@_shared
 def unity(order: int) -> Umbra:
     """u: all moments 1; generating function e^t."""
     return Umbra([Fraction(1)] * (order + 1), name="u")
 
 
+@_shared
 def singleton(order: int) -> Umbra:
     """chi: first moment 1, the rest 0; generating function 1 + t."""
     ms = [Fraction(1)] + [Fraction(0)] * order
@@ -116,17 +176,20 @@ def singleton(order: int) -> Umbra:
     return Umbra(ms, name="chi")
 
 
+@_shared
 def bell_umbra(order: int) -> Umbra:
     """bell: moments are the Bell numbers; exp(e^t - 1), e^t - 1 having moments 0, 1, 1, ..."""
     return Umbra(egf_exp((Fraction(0),) + (Fraction(1),) * order), name="bell")
 
 
+@_shared
 def bernoulli_umbra(order: int) -> Umbra:
     """bern: moments are the Bernoulli numbers (B_1 = -1/2); t/(e^t - 1), the
     reciprocal of (e^t - 1)/t, whose moments are 1/(n+1)."""
     return Umbra(egf_reciprocal(tuple(Fraction(1, n + 1) for n in range(order + 1))), name="bern")
 
 
+@_shared
 def ubar_umbra(order: int) -> Umbra:
     """ubar: moments n!; generating function 1/(1 - t)."""
     ms = [Fraction(1)]
@@ -135,6 +198,7 @@ def ubar_umbra(order: int) -> Umbra:
     return Umbra(ms, name="ubar")
 
 
+@_shared
 def uinv_umbra(order: int) -> Umbra:
     """uinv: the compositional inverse of u; 1 + log(1 + t)."""
     ms: list[Fraction] = [Fraction(1)]
@@ -205,20 +269,30 @@ def factorial_moments(a: Umbra) -> list[Value]:
 
 
 def dot(left, a: Umbra) -> Umbra:
-    """The dot-product left.a, computed on generating functions.
+    """The dot-product left.a, computed on generating functions from
+    a's cumulant series k = log f(a, t), which a remembers:
 
-    * left an Umbra g: f(g.a, t) = f(g, log f(a, t)) (requires equal orders);
+    * left an Umbra g: f(g.a, t) = f(g, k(t)) (requires equal orders).  A g
+      with g_N != 0 folds over k's whole Bell table, which a builds once
+      and remembers; so does any g with g_n != 0 for some n >= 2 once a
+      holds that table.  Any other g composes over only the columns up to
+      its last nonzero moment, as eps and chi always do;
     * left a Poly p (x, x + c, ...): the same composition, with g the
-      deterministic umbra of moments p^n, so f(p.a, t) = exp(p log f(a, t));
-    * left a rational c (any sign): the series power f(a, t)^c, which is
-      faster than the composition for a scalar exponent.
+      deterministic umbra of moments p^n, so f(p.a, t) = exp(p k(t));
+    * left a rational c (any sign): exp(c k(t)), which is faster than the
+      composition for a scalar exponent.
 
-    The first two take log f(a, t) and hand it to ``_dot_log``, which callers
-    holding that series already (an adjoint's r) call directly.
+    Callers holding some umbra's k already (an adjoint's r) call ``_dot_log``.
     """
-    if isinstance(left, (Umbra, Poly)):
-        return _dot_log(left, egf_log(a.moments))
-    return Umbra(egf_power(a.moments, left))
+    if not isinstance(left, (Umbra, Poly)):
+        return Umbra(egf_exp(egf_scale(left, a._cumulants())))
+    if isinstance(left, Poly):
+        left = scalar_umbra(left, a.order)
+    _check_same_order(left.order, a.order)
+    g = left.moments
+    if any(g[2:]) and (g[-1] or a._table is not None):
+        return Umbra(egf_compose_over(g, a._cumulant_table()))
+    return Umbra(egf_compose(g, a._cumulants()))
 
 
 def _dot_log(left, h: Series) -> Umbra:
@@ -287,15 +361,20 @@ def derivative_umbra(a: Umbra, order: int | None = None) -> Umbra:
     a_0..a_{order-1}.  Its overbar umbra is a and its first moment is 1, which
     is why the Abel, Lagrange and Bell theorems for a are the general ones for a_D.
     """
+    order = a.order if order is None else order
+    if order > a.order + 1:
+        raise OrderMismatchError(f"a derivative umbra to order {order} needs moments to order {order - 1}, "
+                                 f"past the umbra's {a.order}")
     out: list[Value] = [Fraction(1)]
-    for n in range(1, (a.order if order is None else order) + 1):
+    for n in range(1, order + 1):
         out.append(collapse(Fraction(n) * a.moment(n - 1)))
     return Umbra(out)
 
 
 def cumulant(a: Umbra) -> Umbra:
-    """chi.a: moment n >= 1 is n! times the t^n coefficient of log f(a, t)."""
-    return dot(singleton(a.order), a)
+    """chi.a: moment n >= 1 is n! times the t^n coefficient of log f(a, t),
+    the cumulant series that a remembers."""
+    return Umbra((Fraction(1),) + a._cumulants()[1:])
 
 
 def overbar_umbra(g: Umbra) -> Umbra:

@@ -53,6 +53,16 @@ def test_atom_lookup():
         evaluate(Atom("nope"), 2)
 
 
+def test_an_atom_evaluates_to_its_own_umbra():
+    # So a dot on it reaches what that umbra remembers.
+    for n in (0, 5, 64):
+        assert evaluate(parse("bell"), n) is bell_umbra(n)
+        assert evaluate(parse("bern'"), n) is bernoulli_umbra(n)
+    z = Umbra([1, 1, 2, 5])
+    assert evaluate(parse("z"), 3, {"z": z}) is z
+    assert evaluate(parse("z"), 2, {"z": z}) == Umbra([1, 1, 2])
+
+
 def test_correlated_monomial_expansion():
     # w = -3.u has moments (-3)^n.  With one label, (chi + chi + w)^2 is
     # (2 chi + w)^2: 4 chi_2 + 4 chi_1 w_1 + w_2 = 0 - 12 + 9.  With chi' apart,
@@ -150,10 +160,12 @@ def test_indeterminate_dot():
 def test_dot_chain_composes_one_link_at_a_time(monkeypatch):
     # Grouped from the left, x . bell . y . bern composes each link into the
     # value so far: an inner series is a scalar one or y's own cumulant
-    # series y t, never the Poly cumulants of y . bern.
+    # series y t, never the Poly cumulants of y . bern.  Each link's inner
+    # series is the one whose Bell table a dot builds (a builtin's may be
+    # remembered from an earlier call).
     inner = []
-    real = umbra.egf_compose
-    monkeypatch.setattr(umbra, "egf_compose", lambda f, h: inner.append(h) or real(f, h))
+    real = umbra.egf_bell_table
+    monkeypatch.setattr(umbra, "egf_bell_table", lambda h: inner.append(h) or real(h))
     evaluate(parse("x . bell . y . bern"), 8)
     assert inner
     for h in inner:

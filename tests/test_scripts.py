@@ -29,9 +29,11 @@ def test_script_exits_0(name):
 @pytest.mark.parametrize("workload, kinds", [
     ("sheffer-inverse", ["abel", "adjoint", "associated", "comp_inverse", "connect", "inverse_dot", "lagrange",
                          "sheffer"]),
-    ("dot-moments", ["cumulant", "dot", "dot_power", "evaluate:adj_dot", "evaluate:cinv_dotpow", "evaluate:corr",
-                     "evaluate:dot", "evaluate:dot_sq_chi", "evaluate:scalar_inv", "evaluate:shift_sq_dot",
-                     "evaluate:xdot_sum", "umbral_sum"]),
+    ("dot-moments", ["cumulant:builtin", "cumulant:umbra", "dot:builtin/umbra", "dot:rational/builtin",
+                     "dot:rational/umbra", "dot:umbra/builtin", "dot:umbra/umbra", "dot:x/builtin", "dot:x/umbra",
+                     "dot_power", "evaluate:adj_dot", "evaluate:cinv_dotpow", "evaluate:corr", "evaluate:dot",
+                     "evaluate:dot_sq_chi", "evaluate:scalar_inv", "evaluate:shift_sq_dot", "evaluate:xdot_sum",
+                     "umbral_sum"]),
 ])
 def test_paired_jobs_smoke(workload, kinds):
     """One smoke round of HEAD against the working tree: the outputs agree,

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from umbralcalc.combinatorics import stirling_second_classical
 from umbralcalc.errors import NonInvertibleError, OrderMismatchError
 from umbralcalc.poly import Poly, X, collapse
-from umbralcalc.series import egf_log, egf_mul
+from umbralcalc.series import egf_compose, egf_log, egf_mul, egf_power
+from umbralcalc import umbra
 from umbralcalc.umbra import (
+    BUILTIN_UMBRAE,
+    SHARED_ORDER,
     Umbra,
     _adjoint_of,
     _dot_log,
@@ -396,8 +399,58 @@ def test_indeterminate_and_scalar_umbrae():
 def test_truncated():
     a = bell_umbra(6)
     assert a.truncated(3).moments == (1, 1, 2, 5)
+    assert a.truncated(3).name == "bell"
+    assert a.truncated(6) is a
     with pytest.raises(OrderMismatchError):
         a.truncated(7)
+
+
+def test_name_is_read_only():
+    # Builtins are shared, so renaming one would rename it for every caller.
+    for a in (bell_umbra(4), Umbra([F(1), F(2)], name="z")):
+        with pytest.raises(AttributeError):
+            a.name = "other"
+    assert bell_umbra(4).name == "bell"
+
+
+def test_derivative_umbra_reads_at_most_one_order_past():
+    a = unity(3)
+    assert derivative_umbra(a, 4).moments == (1, 1, 2, 3, 4)
+    with pytest.raises(OrderMismatchError, match="to order 5 needs moments to order 4"):
+        derivative_umbra(a, 5)
+    with pytest.raises(OrderMismatchError):
+        derivative_umbra(a, 10)
+
+
+def test_builtins_are_shared_per_order():
+    for name, build in BUILTIN_UMBRAE.items():
+        assert build(7) is build(7), name
+        assert build(7) is not build(8), name
+        assert build(SHARED_ORDER) is build(SHARED_ORDER), name
+        assert build(SHARED_ORDER + 1) is not build(SHARED_ORDER + 1), name
+        assert build(SHARED_ORDER + 1) == build(SHARED_ORDER + 1), name
+
+
+def test_a_second_dot_builds_no_second_table(monkeypatch):
+    built = []
+    real = umbra.egf_bell_table
+    monkeypatch.setattr(umbra, "egf_bell_table", lambda h: built.append(h) or real(h))
+    a = Umbra([F(1), F(1, 2), F(-1, 3), F(2), F(1, 5), F(3)])
+    first = dot(bell_umbra(5), a)
+    assert dot(bell_umbra(5), a) == first
+    assert dot(X + 1, a) == dot(X + 1, Umbra(a.moments))
+    assert len(built) == 2  # a once, its fresh copy once
+    assert cumulant(a) == cumulant(Umbra(a.moments))
+    assert dot(F(-3, 2), a) == dot(F(-3, 2), Umbra(a.moments))
+    # chi and eps read column 1 at most, and a left side whose last moment
+    # is 0, such as chi + chi' (moments 1, 2, 2, 0, ...), reads columns up
+    # to its last nonzero one: none of them builds the whole table.
+    b = Umbra(a.moments)
+    short = umbral_sum(singleton(5), singleton(5))
+    assert dot(singleton(5), b) == cumulant(b)
+    assert dot(augmentation(5), b) == augmentation(5)
+    assert dot(short, b) == dot(short, a)  # a's remembered table serves it
+    assert len(built) == 2
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -430,3 +483,42 @@ def test_dot_log_refuses_mixed_orders():
         _dot_log(bell_umbra(3), (F(0),) * 5)
     with pytest.raises(OrderMismatchError, match="umbra orders differ: 3 vs 4"):
         dot(bell_umbra(3), bell_umbra(4))
+
+
+left_kinds = st.sampled_from(["umbra", "eps", "chi", "chi + chi'", "bell", "bern", "x", "x + c", "c"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.lists(small, min_size=n, max_size=n),
+            st.lists(small, min_size=n, max_size=n),
+            st.one_of(st.none(), st.sampled_from(sorted(BUILTIN_UMBRAE))),
+            left_kinds,
+            small,
+        )
+    )
+)
+def test_remembered_dot_is_the_kernel_route(data):
+    """dot and cumulant give the same result on a first and a second call,
+    on a fresh umbra and on a shared builtin (bern's wide denominators
+    included), and it is the unremembered kernel route: f(g, log f(a, t)),
+    or f(a, t)^c for a rational c.  The left sides eps, chi and chi + chi'
+    have their last nonzero moment at 0, 1 and 2."""
+    a_tail, g_tail, builtin, kind, c = data
+    n = len(a_tail)
+    a = BUILTIN_UMBRAE[builtin](n) if builtin else Umbra((F(1), *a_tail))
+    left = {"umbra": Umbra((F(1), *g_tail)), "eps": augmentation(n), "chi": singleton(n),
+            "chi + chi'": umbral_sum(singleton(n), singleton(n)), "bell": bell_umbra(n), "bern": bernoulli_umbra(n),
+            "x": X, "x + c": X + c, "c": c}[kind]
+    if kind == "c":
+        expected = egf_power(a.moments, c)
+    else:
+        g = scalar_umbra(left, n) if isinstance(left, Poly) else left
+        expected = egf_compose(g.moments, egf_log(a.moments))
+    assert dot(left, a).moments == expected
+    assert dot(left, a).moments == expected
+    kappa = (F(1),) + egf_log(a.moments)[1:]
+    assert cumulant(a).moments == kappa
+    assert cumulant(a).moments == kappa
