@@ -47,7 +47,6 @@ from .sequences import (
     recurrence_example_fibonacci,
     stirling_triangle,
 )
-from .series import egf_exp
 from .sheffer import (
     PolySequence,
     ShefferPair,
@@ -57,7 +56,7 @@ from .sheffer import (
     connection_constants,
     sheffer_moments,
 )
-from .umbra import BUILTIN_UMBRAE, Umbra, _require_scalar_first_moment
+from .umbra import BUILTIN_UMBRAE, Umbra, _from_cumulants, _require_scalar_first_moment
 from . import workspace as ws
 
 FORMATS = ("pretty", "json", "csv", "latex")
@@ -371,7 +370,7 @@ def cmd_define(args) -> dict:
     else:
         # The cumulants are the moments of log f, so f is their exp.
         kappa = _parse_csv_rationals(args.cumulants, "--cumulants", lead=1)
-        umbra = Umbra(egf_exp((Fraction(0), *kappa)), name=name)
+        umbra = _from_cumulants((Fraction(0), *kappa), name=name)
     raw = ws.load_raw(args.workspace)
     ws.umbrae_from_raw(raw, str(args.workspace))  # never rewrite a malformed workspace
     ws.set_umbra(raw, name, umbra)

@@ -74,17 +74,13 @@ from .records import Record
 from .series import _over, _split, egf_mul
 from .umbra import (
     BUILTIN_UMBRAE,
+    MAX_ORDER,
     Umbra,
     dot,
     dot_power,
     scalar_multiple,
     scalar_umbra,
 )
-
-# The CLI's --order cap.  The evaluator computes no operand's moments past
-# max(order, MAX_ORDER), and no nested operand's past one order more, at any
-# depth: that admits bar(a), which needs a to one order more than its own.
-MAX_ORDER = 64
 
 # The most monomial products a symbolic expansion may take.  The evaluator
 # refuses, with OrderCapError and before any product, a power whose
@@ -387,7 +383,9 @@ class _Evaluator:
         in x alone are multiplied first, those in y alone apart, the two joined
         by one product, and the parts in both x and y come last."""
         terms, den = base
-        self.budget({key[:2] for key in terms}, order)
+        monomials = {key[:2] for key in terms}
+        if max(map(sum, monomials), default=0) > 1:  # else only 1, x and y: bounded by the order cap
+            self.budget(monomials, order)
         parts: dict = {}
         for key, c in terms.items():
             label = key.index(1, 2) - 2 if any(key[2:]) else None

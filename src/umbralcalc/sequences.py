@@ -39,7 +39,7 @@ from .sheffer import (
 )
 from .umbra import (
     Umbra,
-    _dot_log,
+    _from_cumulants,
     _require_scalar_first_moment,
     augmentation,
     bell_umbra,
@@ -273,14 +273,16 @@ def _solve_difference(gamma: Umbra, alpha: Umbra, omega: Umbra, checks: tuple[st
     """Solve E[s_n(x + g)] - s_n(x) = s_{n-1}(x) under E[s_n(a)] = w_n / n!.
 
     s_n = S_n / n!, with S the Sheffer table of the pair (a', g) for
-    -1.a' = -1.a + w.bell.g, where f(w.bell.g, t) = f(w, f(g, t) - 1) is one
-    composition.  Both conditions are checked on the returned polynomials,
-    the operator one by the substitution that checks the Sheffer derivative
-    rule, under the two names in ``checks``.  Returns the sequence and the
-    names of the checks passed.
+    -1.a' = -1.a + w.bell.g, where f(w.bell.g, t) = f(w, f(g, t) - 1): one
+    dot on bell.g, the umbra built from its cumulant series f(g, t) - 1.
+    Both conditions are checked on the returned polynomials, the operator
+    one by the substitution that checks the Sheffer derivative rule, under
+    the two names in ``checks``.  Returns the sequence and the names of the
+    checks passed.
     """
-    minus_alpha = umbral_sum(inverse_dot(alpha), _dot_log(omega, (Fraction(0),) + gamma.moments[1:]))
-    table = sheffer_moments(ShefferPair(inverse_dot(minus_alpha), gamma), minus_alpha)
+    bell_gamma = _from_cumulants((Fraction(0),) + gamma.moments[1:])
+    alpha_prime = inverse_dot(umbral_sum(inverse_dot(alpha), dot(omega, bell_gamma)))
+    table = sheffer_moments(ShefferPair(alpha_prime, gamma))
     polys = [p / factorial(n) for n, p in enumerate(table)]
     operator, functional = checks
     values = (w / factorial(n) for n, w in enumerate(omega.moments))

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from .errors import ConsistencyError, VariableCaptureError
@@ -54,7 +54,7 @@ from .series import (
 from .umbra import (
     Umbra,
     _comp_inverse_of,
-    _dot_log,
+    _from_cumulants,
     _require_scalar_first_moment,
     _reversion,
     bell_umbra,
@@ -219,22 +219,21 @@ def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
     return out
 
 
-def sheffer_moments(pair: ShefferPair, minus_alpha: Umbra | None = None) -> PolySequence:
-    """Moments of (-1.a + x.u).g*, computed by two independent routes.  A
-    caller that holds -1.a passes it as ``minus_alpha``; only the moment
-    route reads it, so a wrong one fails the check of the two routes."""
-    return _sheffer_table(pair, _table_of(pair.gamma), minus_alpha)
+def sheffer_moments(pair: ShefferPair) -> PolySequence:
+    """Moments of (-1.a + x.u).g*, computed by two independent routes."""
+    return _sheffer_table(pair, _table_of(pair.gamma))
 
 
-def _sheffer_table(pair: ShefferPair, table, minus_alpha: Umbra | None = None) -> PolySequence:
-    """sheffer_moments, given the Bell table of the reversion r of f(g, t) - 1.
+def _sheffer_table(pair: ShefferPair, table, minus_a: Umbra | None = None) -> PolySequence:
+    """sheffer_moments, given the Bell table of the reversion r of f(g, t) - 1
+    and, from a caller that holds it, -1.a; only the moment route reads
+    ``minus_a``, so a wrong one fails the check of the two routes.
 
     Moment route: the Appell umbra -1.a + x.u dotted into g* = exp(r),
     f(-1.a + x.u, r), one ``_shifted_composition``.  Series route:
     e^{x r(t)} / f(a, r(t)), a binomial product with the associated table.
     """
-    minus_alpha = inverse_dot(pair.alpha) if minus_alpha is None else minus_alpha
-    via_moments = _shifted_composition(minus_alpha, table)
+    via_moments = _shifted_composition(inverse_dot(pair.alpha) if minus_a is None else minus_a, table)
     via_series = _series_route(pair.alpha.moments, table)
     require_equal("sheffer moments vs series", via_moments, via_series)
     return PolySequence(via_moments)
@@ -267,7 +266,7 @@ def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
     """The pair whose Sheffer sequence is the umbral-composition inverse."""
     r = _reversion(pair.gamma)
-    return ShefferPair(_dot_log(inverse_dot(pair.alpha), r), _comp_inverse_of(r))
+    return ShefferPair(dot(inverse_dot(pair.alpha), _from_cumulants(r)), _comp_inverse_of(r))
 
 
 def inverse_sequence(pair: ShefferPair) -> PolySequence:
@@ -310,12 +309,11 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     Bell table of r_to serves the `to` table, d - 1.a and g.bell.z^<-1>.
 
     They are checked by substitution into the target basis: sum_k c_{n,k}
-    r_k(x) must equal s_n(x) for every n, with s and r the two pairs' own
-    two-route tables.  The `to` table is lower-triangular with a nonzero
-    diagonal (g_1 != 0), so this holds exactly when the matrix is the
-    triangular solve's.  With the x-coefficients of r brought once to one
-    common denominator, each x^j coefficient of row n is one int sum over
-    column j.
+    r_k(x), one ``umbra.substitute`` of the umbra with moments r_k, must
+    equal s_n(x) for every n, with s and r the two pairs' own two-route
+    tables.  The `to` table is lower-triangular with a nonzero diagonal
+    (g_1 != 0), so this holds exactly when the matrix is the triangular
+    solve's.
     """
     if frm.order != to.order:
         raise ValueError("pairs must share one truncation order")
@@ -325,24 +323,18 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
         _require_free_of(a, "y", role, "which connect does not take")
     to_table = _table_of(to.gamma)
     minus_a = inverse_dot(frm.alpha)
-    s = sheffer_moments(frm, minus_a)
+    s = _sheffer_table(frm, _table_of(frm.gamma), minus_a)
     # The basis r_k holds no y, so a y in s_n is in no expansion.
     residues = (_make({key: c for key, c in p._num.items() if key[1]}, p._den) for p in s)
     require_equal("triangular expansion residue", residues, repeat(0, len(s)))
-    basis, dens = zip(*(_x_coefficients(r, k) for k, r in enumerate(_sheffer_table(to, to_table))))
-    den = lcm(*dens)
-    scales = [den // e for e in dens]
-    # Column j: the x^j numerators of r_0, ..., r_N over den (zero above row j).
-    columns = [[0] * j + list(map(mul, [row[j] for row in basis[j:]], scales[j:])) for j in range(len(basis))]
+    basis = _sheffer_table(to, to_table)
 
     # Umbral route.
     d_part = _compose(umbral_sum(to.alpha, minus_a).moments, to_table)
     g_comp = Umbra(_compose(frm.gamma.moments, to_table))
     eta = _shifted_composition(Umbra(d_part), _table_of(g_comp))
-    rows = [_x_coefficients(v, n) for n, v in enumerate(eta)]  # c_(n,k) = row[k] / e
-    expanded = (_x_row([sum(map(mul, row, column)) for column in columns[: n + 1]], e * den)
-                for n, (row, e) in enumerate(rows))
-    require_equal("connection constants formula vs solve", expanded, s)
+    require_equal("connection constants formula vs solve", substitute(eta, Umbra(basis.polys)), s)
+    rows = (_x_coefficients(v, n) for n, v in enumerate(eta))  # c_(n,k) = row[k] / e
     return ConnectionConstants(tuple(tuple(fraction(c, e) for c in row) for row, e in rows), verified=True)
 
 

@@ -29,7 +29,9 @@ Combinatorics*, 1974, section 3.3).  That series and that matrix belong to a
 alone, so an :class:`Umbra` computes each once and remembers it, and the
 builtin constructors return one shared umbra per order: a dot, a cumulant or
 a rational multiple on a remembered right operand starts from its
-cumulants, and a composition folds over its table with no table built.
+cumulants, and a composition folds over its table with no table built.  An
+umbra built as exp(h) (bell, an adjoint, a rational multiple c.a) remembers
+h = log f(a, t) from the start and never takes its log.
 
 Auxiliary umbrae produced by these operations carry no correlation with
 their operands: each application denotes a fresh symbol, known only through
@@ -67,9 +69,10 @@ class Umbra:
 
     An umbra remembers what its dots derive from it alone, in private slots
     that take no part in ``==``, ``hash`` or ``repr``: its cumulant series
-    log f(a, t), on first use, and that series' whole Bell table, on the
-    first dot whose left side needs every column.  The moments and the name
-    are read-only, so a shared umbra stays what it was built as.
+    log f(a, t), on first use or when built from it (``_from_cumulants``),
+    and that series' whole Bell table, on the first dot whose left side
+    needs every column.  The moments and the name are read-only, so a
+    shared umbra stays what it was built as.
     """
 
     __slots__ = ("_moments", "_name", "_log", "_table")
@@ -109,7 +112,7 @@ class Umbra:
         return Umbra(self._moments[: order + 1], name=self._name)
 
     def _cumulants(self) -> Series:
-        """log f(a, t), computed once."""
+        """log f(a, t), computed once unless the umbra was built from it."""
         if self._log is None:
             self._log = egf_log(self._moments)
         return self._log
@@ -133,6 +136,14 @@ class Umbra:
         return f"Umbra{label}{list(self._moments)!r}"
 
 
+def _from_cumulants(h: Series, name: str | None = None) -> Umbra:
+    """The umbra a with log f(a, t) = h, h_0 = 0: f(a, t) = exp(h), and a
+    remembers h, so no dot on a takes its log."""
+    a = Umbra(egf_exp(h), name=name)
+    a._log = tuple(h)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Named umbrae
 #
@@ -140,8 +151,12 @@ class Umbra:
 # SHARED_ORDER, so what a dot derives from a builtin is derived once per
 # process; a higher order is built afresh on every call.
 
-# The most the evaluator reads: the CLI's --order cap plus one, for bar(a).
-SHARED_ORDER = 65
+# The CLI's --order cap.  The evaluator computes no operand's moments past
+# max(order, MAX_ORDER), and no nested operand's past one order more, at any
+# depth: that admits bar(a), which needs a to one order more than its own,
+# so a builtin is shared up to SHARED_ORDER, the most the evaluator reads.
+MAX_ORDER = 64
+SHARED_ORDER = MAX_ORDER + 1
 
 
 def _shared(build: Callable[[int], Umbra]) -> Callable[[int], Umbra]:
@@ -178,8 +193,9 @@ def singleton(order: int) -> Umbra:
 
 @_shared
 def bell_umbra(order: int) -> Umbra:
-    """bell: moments are the Bell numbers; exp(e^t - 1), e^t - 1 having moments 0, 1, 1, ..."""
-    return Umbra(egf_exp((Fraction(0),) + (Fraction(1),) * order), name="bell")
+    """bell: moments are the Bell numbers; exp(e^t - 1), built from its
+    cumulant series e^t - 1 (moments 0, 1, 1, ...), which it remembers."""
+    return _from_cumulants((Fraction(0),) + (Fraction(1),) * order, name="bell")
 
 
 @_shared
@@ -280,12 +296,13 @@ def dot(left, a: Umbra) -> Umbra:
     * left a Poly p (x, x + c, ...): the same composition, with g the
       deterministic umbra of moments p^n, so f(p.a, t) = exp(p k(t));
     * left a rational c (any sign): exp(c k(t)), which is faster than the
-      composition for a scalar exponent.
+      composition for a scalar exponent, and which remembers c k(t).
 
-    Callers holding some umbra's k already (an adjoint's r) call ``_dot_log``.
+    A caller that knows some umbra's k (an adjoint's r) builds that umbra
+    with ``_from_cumulants``, so its dots take no log.
     """
     if not isinstance(left, (Umbra, Poly)):
-        return Umbra(egf_exp(egf_scale(left, a._cumulants())))
+        return _from_cumulants(egf_scale(left, a._cumulants()))
     if isinstance(left, Poly):
         left = scalar_umbra(left, a.order)
     _check_same_order(left.order, a.order)
@@ -293,14 +310,6 @@ def dot(left, a: Umbra) -> Umbra:
     if any(g[2:]) and (g[-1] or a._table is not None):
         return Umbra(egf_compose_over(g, a._cumulant_table()))
     return Umbra(egf_compose(g, a._cumulants()))
-
-
-def _dot_log(left, h: Series) -> Umbra:
-    """left.a for the umbra a with log f(a, t) = h: f(left, h(t)), left an Umbra or a Poly."""
-    if isinstance(left, Poly):
-        left = scalar_umbra(left, len(h) - 1)
-    _check_same_order(left.order, len(h) - 1)
-    return Umbra(egf_compose(left.moments, h))
 
 
 def dot_power(a: Umbra, n: int) -> Umbra:
@@ -339,19 +348,15 @@ def _comp_inverse_of(r: Series) -> Umbra:
     return Umbra((Fraction(1),) + r[1:])
 
 
-def _adjoint_of(r: Series) -> Umbra:
-    """The umbra with generating function exp(r)."""
-    return Umbra(egf_exp(r))
-
-
 def comp_inverse(a: Umbra) -> Umbra:
     """a^<-1>: f(a^<-1>, t) = 1 + r with r the reversion of f(a, t) - 1."""
     return _comp_inverse_of(_reversion(a))
 
 
 def adjoint(g: Umbra) -> Umbra:
-    """g* : the partition umbra of g^<-1>; f(g*, t) = exp(r), r as in comp_inverse."""
-    return _adjoint_of(_reversion(g))
+    """g* : the partition umbra of g^<-1>; f(g*, t) = exp(r), r as in
+    comp_inverse, and g* remembers r as its cumulant series."""
+    return _from_cumulants(_reversion(g))
 
 
 def derivative_umbra(a: Umbra, order: int | None = None) -> Umbra:

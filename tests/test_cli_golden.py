@@ -179,6 +179,10 @@ GOLDEN = [
      "24940bd9bccd72a8c8eacb3aff39e3d28ccd4f83dd330ccc98176472c9cd8c9d"),
     (["eval", "(x + 1) . bern", "--order", "12"],
      "1aacd3046d6478cdece60d71b8e00d078b2a73d0bfb94c27295fc168ab38b620"),
+    # A base in x and y of degree 1, charged to the order cap and not to the
+    # expansion budget.
+    (["eval", "(x + y + 1) . bern", "--order", "12"],
+     "00fa124ef1242e9ec0e58aea7bf8ecac0fcd5b74a8834a5d020ad7cc9555a721"),
     # Nonlinear expressions on the expansion route: squares of atoms with
     # rational moments, and of one with polynomial moments beside y . u.
     (["eval", "bell^2 + bern^2 + u'", "--order", "32"],

@@ -4,10 +4,12 @@ asserts the check name, the entry n and the first differing monomial (the
 second-kind Stirling triangle is forced off in test_sequences).  The CLI maps
 the error to exit 4 with one stderr line and nothing on stdout."""
 
+import ast
 import itertools
 import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -87,8 +89,9 @@ CASES = {
     "abel-identity": (
         sequences, "with_x_shift", off(2, call=1), lambda: sequences.abel_identity_check(unity(N), N),
         "abel", 3, "y"),
+    # the source table's s_3 gains y (call 0; call 1 is the target table).
     "triangular-residue": (
-        sheffer, "sheffer_moments", off(3, delta=Y), lambda: connection_constants(PC2, PC1),
+        sheffer, "_sheffer_table", off(3, delta=Y, call=0), lambda: connection_constants(PC2, PC1),
         "triangular expansion residue", 3, "y"),
     "connection-constants": (
         sheffer, "umbral_sum", off(3), lambda: connection_constants(PC2, PC1),
@@ -140,7 +143,8 @@ CASES = {
     "backward-chain": (
         sequences, "singleton", off(2), BACKWARD,
         "ubar.bell.chi_D has the shifted-Fibonacci moments", 3, "1"),
-    # fibonacci: G_3(x + 1) off by 1; G_3(0) off; (x)_3 off in the umbral route.
+    # fibonacci: G_3(x + 1) off by 1; G_3(0) off; (x)_3 off in the umbral route
+    # (the second dot: the first is the solver's w.bell.g).
     "fibonacci-recurrence": (
         sheffer, "substitute", off(3), FIBONACCI,
         "shifted recurrence G_n(x+1) = G_n(x) + G_{n-1}(x)", 3, "1"),
@@ -148,7 +152,7 @@ CASES = {
         sequences, "substitute", off(3), FIBONACCI,
         "diagonal G_n(0) = Fib(n)", 3, "1"),
     "fibonacci-umbral": (
-        sequences, "dot", off(3), FIBONACCI,
+        sequences, "dot", off(3, call=1), FIBONACCI,
         "umbral closed form (fib_bar + x.chi)^n / n!", 3, "1"),
 }
 
@@ -226,3 +230,37 @@ def test_message_of_a_value_too_large_to_print():
         f"<value too large to print: its numerator has more than {sys.get_int_max_str_digits()} digits>, "
         "expected 1/2"
     )
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "umbralcalc"
+
+# The literal check names each module passes to require_equal; ``name`` and
+# ``functional`` are the names that the shared check helpers are handed.
+CHECK_SITES = {
+    "sheffer.py": (5, {"sheffer moments vs series", "triangular expansion residue",
+                       "connection constants formula vs solve"}),
+    "sequences.py": (13, {"lagrange inversion vs reversion", "poisson-charlier table vs closed form",
+                          "abel expansion reconstructs the polynomial", "bell expansion dot chain vs sum",
+                          "closed form equals initial-condition expansion",
+                          "initial condition on the shifted diagonal", "f(fib_bar, t) (1 - t - t^2) = 1",
+                          "ubar.bell.chi_D has the shifted-Fibonacci moments",
+                          "umbral closed form (fib_bar + x.chi)^n / n!", "abel"}),
+}
+
+
+def require_equal_calls(source: str) -> list[ast.Call]:
+    """The calls of ``require_equal`` by name in ``source``."""
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "require_equal"]
+
+
+@pytest.mark.parametrize("module", CHECK_SITES)
+def test_every_two_route_check_stays(module):
+    """No run-time check of the Sheffer and sequence layers is dropped: each
+    module keeps at least its call sites of ``require_equal`` and every
+    check name it passes as a literal."""
+    least, names = CHECK_SITES[module]
+    calls = require_equal_calls((PACKAGE / module).read_text())
+    assert len(calls) >= least
+    literals = {call.args[0].value for call in calls if isinstance(call.args[0], ast.Constant)}
+    assert names <= literals

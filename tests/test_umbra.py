@@ -14,8 +14,7 @@ from umbralcalc.umbra import (
     BUILTIN_UMBRAE,
     SHARED_ORDER,
     Umbra,
-    _adjoint_of,
-    _dot_log,
+    _from_cumulants,
     adjoint,
     augmentation,
     bell_umbra,
@@ -456,6 +455,10 @@ def test_a_second_dot_builds_no_second_table(monkeypatch):
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
+def no_log(f):
+    raise AssertionError("egf_log called on an umbra that knows its cumulants")
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=12).flatmap(
@@ -463,24 +466,26 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
             st.lists(small, min_size=n, max_size=n),
             st.lists(small, min_size=n, max_size=n),
             small,
-            st.sampled_from(["umbra", "x", "x + c", "x-shifted"]),
+            st.sampled_from(["umbra", "x", "x + c", "x-shifted", "c"]),
         )
     )
 )
-def test_dot_log_is_dot_on_the_adjoint(data):
-    """f(g*, t) = exp(r) has log exactly r, so left.g* by dot (which takes the
-    log of exp(r)) equals _dot_log(left, r), for an umbra, x, x + c and an
-    x-shifted umbra on the left, at orders 0-12."""
-    r_tail, left_tail, c, kind = data
-    r = (F(0), *r_tail)
+def test_dot_on_known_cumulants_takes_no_log(data):
+    """The umbra built from its cumulant series h, f = exp(h), remembers h:
+    a dot on it calls no egf_log and equals the dot on a fresh umbra of the
+    same moments, for an umbra, x, x + c, an x-shifted umbra and a rational
+    c on the left, at orders 0-12."""
+    h_tail, left_tail, c, kind = data
+    known = _from_cumulants((F(0), *h_tail))
     a = Umbra((F(1), *left_tail))
-    left = {"umbra": a, "x": X, "x + c": X + c, "x-shifted": with_x_shift(a)}[kind]
-    assert _dot_log(left, r) == dot(left, _adjoint_of(r))
+    left = {"umbra": a, "x": X, "x + c": X + c, "x-shifted": with_x_shift(a), "c": c}[kind]
+    expected = dot(left, Umbra(known.moments))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(umbra, "egf_log", no_log)
+        assert dot(left, known) == expected
 
 
-def test_dot_log_refuses_mixed_orders():
-    with pytest.raises(OrderMismatchError, match="umbra orders differ: 3 vs 4"):
-        _dot_log(bell_umbra(3), (F(0),) * 5)
+def test_dot_refuses_mixed_orders():
     with pytest.raises(OrderMismatchError, match="umbra orders differ: 3 vs 4"):
         dot(bell_umbra(3), bell_umbra(4))
 
@@ -522,3 +527,11 @@ def test_remembered_dot_is_the_kernel_route(data):
     kappa = (F(1),) + egf_log(a.moments)[1:]
     assert cumulant(a).moments == kappa
     assert cumulant(a).moments == kappa
+    # A rational dot remembers its cumulant series c log f(a, t), and bell
+    # is built from its own, e^t - 1: neither needs a log to answer.
+    scaled = dot(c, a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(umbra, "egf_log", no_log)
+        remembered, bell_kappa = scaled._cumulants(), bell_umbra(n)._cumulants()
+    assert remembered == egf_log(scaled.moments)
+    assert bell_kappa == (F(0),) + (F(1),) * n == egf_log(bell_umbra(n).moments)
