@@ -7,17 +7,18 @@ c_n = sum_k C(n,k) a_k b_(n-k); reciprocal, log, exp and composition have
 binomial recurrences of the same shape.  Composition is a fold of f over
 the partial Bell table of h, which has one layout, (columns, E, polys): column
 k lists B_(i,k)(h) E^min(i, top), so row i is over its own denominator
-E^min(i, top).  Two builders emit it, and every reader folds it as it is:
-``_bell_table`` for a given h, and ``_revert_table`` for the reversion r of
-h.  Both run the one recurrence of ``_bell_columns``, a row at a time.
-Reversion solves h(r) = t one moment at a time through the partial Bell
-values of r (``_revert_columns``), so r's table comes out of the same loop:
-``egf_revert`` reads r off column 1, and ``_revert_table`` grades the whole
-table, which is the table the Sheffer layer folds over.  ``egf_bell_table``
-hands out h's whole table as a value for callers that compose many f with
-one h, and ``egf_compose_over`` folds f over it.  ``_compose`` sums
-each row of the table (a polynomial f over an integer table a run per
-monomial, ``_fold_runs``).
+E^min(i, top).  This module is the only reader of that layout: callers
+hold a table as an opaque value and fold over it with the public ops.
+``_bell_table`` builds it for a given h, and the reversion loop
+(``_revert_columns``) for the reversion r of h; both run the one recurrence
+of ``_bell_columns``, a row at a time.  Reversion solves h(r) = t one
+moment at a time through the partial Bell values of r, so r's table comes
+out of the same loop: ``egf_revert`` reads r off column 1, and
+``egf_revert_table`` grades the whole table.  ``egf_bell_table`` hands out
+h's whole table.  Over a whole table, ``egf_compose_over`` folds f(h),
+``egf_appell_over`` f(b + x.u, h) and ``egf_exp_x_over`` a e^{x h}, the
+folds the Sheffer layer runs.  ``_compose`` sums each row of the table (a
+polynomial f over an integer table a run per monomial, ``_fold_runs``).
 
 Every operation is exact and fraction-free inside.  An op splits each
 operand once into numerators over the operand's least common denominator D
@@ -53,7 +54,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import NonInvertibleError, OrderMismatchError, SingularSeriesError
-from .poly import Poly, Value, _make, _power_table, _sum_products, collapse
+from .poly import Poly, Value, _make, _power_table, _powers_of, _sum_products, collapse
 from .rationals import fraction
 
 Series = tuple[Value, ...]
@@ -324,9 +325,9 @@ def _revert_columns(h: Sequence[Value]) -> tuple[list[list], int, Fraction, bool
     return _bell_columns([0, 1] + [0] * (n - 1), n, polys, scaled), d, h1, polys
 
 
-def _revert_table(h: Sequence[Value]) -> tuple[list[list], int, bool]:
-    """The Bell table (columns, E, polys) of egf_revert(h), read off the
-    reversion loop.  For h_1 = p / q with p > 0, B_(i,k)(r) is
+def egf_revert_table(h: Sequence[Value]) -> tuple[list[list], int, bool]:
+    """The whole Bell table (columns, E, polys) of egf_revert(h), read off
+    the reversion loop.  For h_1 = p / q with p > 0, B_(i,k)(r) is
     W_(i,k) q^i / (D^(i-k) p^i), so with E = D p column k lists
     W_(i,k) D^k q^i: one product per entry and no division."""
     columns, d, h1, polys = _revert_columns(h)
@@ -339,6 +340,52 @@ def _revert_table(h: Sequence[Value]) -> tuple[list[list], int, bool]:
         dk = d**k
         column[k:] = map(mul, column[k:], [dk * s for s in scale[k:]])
     return columns, d * p, polys
+
+
+def egf_appell_over(b: Sequence[Value], table) -> Series:
+    """f(b + x.u, r) mod t^(N+1) over r's whole table: ``egf_compose_over`` of
+    the moments sum_j C(m, j) b_(m-j) x^j of b + x.u.  For a scalar b = B / D_b
+    over an int table, the run of x^j, its coefficients in moments j, ..., N,
+    is C(m, j) B_(m-j), read off B with no Poly moment built; a b or a table
+    in y composes the Polys."""
+    columns, e, polys = table
+    n = _check_orders(b, columns[0])
+    nums, d, polys_b = _split(b)
+    if polys or polys_b:
+        return _compose(egf_mul(b, _powers_of("x", n)), table)
+    runs = {(j, 0): (j, list(map(mul, map(comb, range(j, n + 1), repeat(j)), nums))) for j in range(n + 1)}
+    return _fold_runs(runs, d, columns, e)
+
+
+def egf_exp_x_over(a: Sequence[Value], table) -> list[Poly]:
+    """a(t) e^{x r(t)} mod t^(N+1) over r's whole table: the coefficient of
+    x^j in moment n is sum_i C(n,i) a_(n-i) B_(i,j)(r).  Row i of a whole
+    table is over E^i, so for a = A / D_a, with A_m E^m folded into A once,
+    that coefficient is sum_i (C(n,i) A_(n-i) E^(n-i)) (column j)_i over
+    D_a E^n, and moment n is one Poly by one gcd (``_x_row``)."""
+    columns, e, polys = table
+    _check_orders(a, columns[0])
+    na, da, polys_a = _split(a)
+    total, pairs = (_sum_products, zip) if polys or polys_a else (sum, partial(map, mul))  # _sum, chosen once
+    powers = _power_table(e, len(na) - 1)
+    na = list(map(_times, na, powers))  # A_m E^m
+    out = []
+    for row, den in enumerate(powers):
+        ca = list(map(mul, _pascal(row), na[row::-1]))  # C(n,i) A_(n-i) E^(n-i) at index i
+        out.append(_x_row([total(pairs(ca[j:], columns[j][j : row + 1])) for j in range(row + 1)], da * den))
+    return out
+
+
+def _x_row(coeffs: list, den: int) -> Poly:
+    """sum_j coeffs[j] x^j / den in lowest terms, by one gcd; each coefficient
+    is an int or a Poly over denominator 1 free of x."""
+    num: dict = {}
+    for j, c in enumerate(coeffs):
+        if isinstance(c, Poly):
+            num.update(((j, dy), v) for (_, dy), v in c._num.items())
+        elif c:
+            num[(j, 0)] = c
+    return _make(num, den)
 
 
 def egf_log(f: Sequence[Value]) -> Series:

@@ -3,22 +3,20 @@ connection constants.
 
 A Sheffer pair (a, g) with E[g] != 0 determines the polynomial umbra
 (-1.a + x.u).g*, whose moments s_0(x), ..., s_N(x) are the Sheffer sequence
-of the pair.  Row n of every table is read off row n of one fraction-free
-table of the partial Bell values of r, the reversion of f(g, t) - 1, which
-the loop that solves for r builds as it goes (``series._revert_table``, one
-per reversion).  Its row i is over its own denominator E^i, so no reader
-rescales an entry.  Every composition over it, f(x.u, r) for the associated
-table among them, is ``series._compose``, or, for f(b + x.u, r) with a
-scalar b, a fold of the runs C(m, j) b_(m-j) read off b
-(``_shifted_composition``).
-``sheffer_moments`` computes its table twice on it -- once as
-f(-1.a + x.u, r) of the Appell moments, once by the hand-written series
-route e^{x r(t)} / f(a, r(t)) -- and insists the two agree, so every
-returned sequence is self-checked.
+of the pair.  Every table is read off one table of the partial Bell values
+of r, the reversion of f(g, t) - 1, which the loop that solves for r builds
+as it goes (``series.egf_revert_table``, one per reversion).  The layout of
+that table is the series kernel's own: this module folds over it only with
+the kernel's public ops, f(x.u, r) for the associated table with
+``egf_compose_over``.  ``sheffer_moments`` computes its table twice on it --
+once as f(-1.a + x.u, r) of the Appell moments (``egf_appell_over``), once
+by the series route e^{x r(t)} / f(a, r(t)) (``egf_exp_x_over``) -- and
+insists the two agree, so every returned sequence is self-checked.
 
 Connection constants between two Sheffer sequences come from the closed
-umbral formula and are checked by substituting them into the target basis,
-whose table is lower-triangular with a nonzero diagonal, so the check is as
+umbral formula, folded over the two pairs' own tables and one plain Bell
+table, and are checked by substituting them into the target basis, whose
+table is lower-triangular with a nonzero diagonal, so the check is as
 strong as a triangular solve.
 Every such run-time check goes through ``require_equal``, which raises
 ``ConsistencyError`` naming the check and the first differing coefficient.
@@ -30,26 +28,20 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
-from math import comb
-from operator import mul
 
 from .errors import ConsistencyError, VariableCaptureError
-from .poly import X, Y, Poly, Value, _make, _monomial_str, _power_table, _powers_of, _sum_products
+from .poly import X, Y, Poly, Value, _make, _monomial_str, _powers_of
 from .rationals import fraction
 from .records import Record
 from .series import (
-    Series,
-    _bell_table,
-    _compose,
-    _fold_runs,
-    _pascal,
-    _revert_table,
-    _split,
-    _times,
+    egf_appell_over,
+    egf_bell_table,
+    egf_compose_over,
+    egf_exp_x_over,
     egf_mul,
     egf_reciprocal,
+    egf_revert_table,
 )
 from .umbra import (
     Umbra,
@@ -156,13 +148,6 @@ class PolySequence(Record):
 
 # ---------------------------------------------------------------------------
 # The three sequence constructors
-#
-# Every table is read off the Bell table (columns, E, polys) of one reversion
-# r: column k holds B_(i,k)(r) E^i, the partial Bell values of row i over
-# their one denominator E^i (the exponential Riordan array [1/f(a, r), r]).
-# A pair member mentions no x, so row n over D_f E^n has each x^j
-# coefficient an int (or a Poly in y) summed off row n of the table, and
-# becomes one Poly by one gcd.
 
 
 def _table_of(gamma: Umbra) -> tuple[list[list], int, bool]:
@@ -170,53 +155,9 @@ def _table_of(gamma: Umbra) -> tuple[list[list], int, bool]:
     that solves for r.  At order 0, where every table is (1,), r is the zero
     series."""
     if not gamma.order:
-        return _bell_table((Fraction(0),))
+        return egf_bell_table((Fraction(0),))
     _require_scalar_first_moment(gamma)
-    return _revert_table((Fraction(0),) + gamma.moments[1:])
-
-
-def _x_row(coeffs: list, den: int) -> Poly:
-    """sum_j coeffs[j] x^j / den in lowest terms, by one gcd; each coefficient
-    is an int or a Poly over denominator 1 free of x."""
-    num: dict = {}
-    for j, c in enumerate(coeffs):
-        if isinstance(c, Poly):
-            num.update(((j, dy), v) for (_, dy), v in c._num.items())
-        elif c:
-            num[(j, 0)] = c
-    return _make(num, den)
-
-
-def _shifted_composition(b: Umbra, table) -> Series:
-    """f(b + x.u, r): ``_compose`` of with_x_shift(b) over the Bell table of r.
-    For a scalar b = B / D_b over int columns, the run of x^j, its
-    coefficients in moments j, ..., N, is C(m, j) B_(m-j), read off B with
-    no Appell Poly built; a b or a table in y composes the Polys."""
-    columns, e, polys = table
-    nums, d, polys_b = _split(b.moments)
-    if polys or polys_b:
-        return _compose(with_x_shift(b).moments, table)
-    top = len(columns) - 1
-    runs = {(j, 0): (j, list(map(mul, map(comb, range(j, top + 1), repeat(j)), nums))) for j in range(top + 1)}
-    return _fold_runs(runs, d, columns, e)
-
-
-def _series_route(alpha: Sequence[Value], table) -> list[Poly]:
-    """n! [t^n] e^{x r(t)} / f(a, r(t)): with 1/f(a, r) = A / D_a, the
-    coefficient of x^j in moment n is sum_i C(n,i) a_(n-i) B_(i,j)(r).  The
-    table's row i is over E^i (its columns run to top = N, as every table of
-    a reversion's does), so with A_m E^m folded into A once, that
-    coefficient is sum_i (C(n,i) A_(n-i) E^(n-i)) (column j)_i over D_a E^n."""
-    columns, e, polys = table
-    na, da, polys_a = _split(egf_reciprocal(_compose(alpha, table)))
-    total, pairs = (_sum_products, zip) if polys or polys_a else (sum, partial(map, mul))  # _sum, chosen once
-    powers = _power_table(e, len(na) - 1)
-    na = list(map(_times, na, powers))  # A_m E^m
-    out = []
-    for row, den in enumerate(powers):
-        ca = list(map(mul, _pascal(row), na[row::-1]))  # C(n,i) A_(n-i) E^(n-i) at index i
-        out.append(_x_row([total(pairs(ca[j:], columns[j][j : row + 1])) for j in range(row + 1)], da * den))
-    return out
+    return egf_revert_table((Fraction(0),) + gamma.moments[1:])
 
 
 def sheffer_moments(pair: ShefferPair) -> PolySequence:
@@ -230,11 +171,12 @@ def _sheffer_table(pair: ShefferPair, table, minus_a: Umbra | None = None) -> Po
     ``minus_a``, so a wrong one fails the check of the two routes.
 
     Moment route: the Appell umbra -1.a + x.u dotted into g* = exp(r),
-    f(-1.a + x.u, r), one ``_shifted_composition``.  Series route:
-    e^{x r(t)} / f(a, r(t)), a binomial product with the associated table.
+    f(-1.a + x.u, r), one ``egf_appell_over``.  Series route:
+    e^{x r(t)} / f(a, r(t)), a binomial product with the associated table
+    (``egf_exp_x_over``).
     """
-    via_moments = _shifted_composition(inverse_dot(pair.alpha) if minus_a is None else minus_a, table)
-    via_series = _series_route(pair.alpha.moments, table)
+    via_moments = egf_appell_over((inverse_dot(pair.alpha) if minus_a is None else minus_a).moments, table)
+    via_series = egf_exp_x_over(egf_reciprocal(egf_compose_over(pair.alpha.moments, table)), table)
     require_equal("sheffer moments vs series", via_moments, via_series)
     return PolySequence(via_moments)
 
@@ -242,7 +184,7 @@ def _sheffer_table(pair: ShefferPair, table, minus_a: Umbra | None = None) -> Po
 def associated_moments(gamma: Umbra) -> PolySequence:
     """Moments of x.g*: the binomial-type sequence associated to g."""
     _require_free_of(gamma, "x", "gamma")
-    return PolySequence(_compose(_powers_of("x", gamma.order), _table_of(gamma)))
+    return PolySequence(egf_compose_over(_powers_of("x", gamma.order), _table_of(gamma)))
 
 
 def appell_moments(alpha: Umbra) -> PolySequence:
@@ -264,7 +206,10 @@ def umbral_compose(s: PolySequence, r: PolySequence) -> PolySequence:
 
 
 def inverse_pair(pair: ShefferPair) -> ShefferPair:
-    """The pair whose Sheffer sequence is the umbral-composition inverse."""
+    """The pair whose Sheffer sequence is the umbral-composition inverse; at
+    order 0, where every table is (1,), the pair itself."""
+    if not pair.order:
+        return pair
     r = _reversion(pair.gamma)
     return ShefferPair(dot(inverse_dot(pair.alpha), _from_cumulants(r)), _comp_inverse_of(r))
 
@@ -275,7 +220,7 @@ def inverse_sequence(pair: ShefferPair) -> PolySequence:
     The inverse pair's gamma is 1 + r, so the reversion its table needs is
     f(g, t) - 1 itself, and no second reversion is taken.
     """
-    return _sheffer_table(inverse_pair(pair), _bell_table((Fraction(0),) + pair.gamma.moments[1:]))
+    return _sheffer_table(inverse_pair(pair), egf_bell_table((Fraction(0),) + pair.gamma.moments[1:]))
 
 
 class ConnectionConstants(Record):
@@ -303,10 +248,13 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
 
     The constants come from the umbral formula: the change-of-basis Sheffer
     umbra [(d - 1.a).z* + x.u].(g.bell.z^<-1>)* has moment n
-    sum_k c_{n,k} x^k.  With r_to the reversion of f(z, t) - 1,
-    f(z^<-1>, t) = 1 + r_to and f(bell.w, t) = exp(f(w, t) - 1), so
-    g.bell.z^<-1> is f(g, r_to), one composition with no log or exp.  One
-    Bell table of r_to serves the `to` table, d - 1.a and g.bell.z^<-1>.
+    sum_k c_{n,k} x^k.  Its gamma part needs no reversion of its own:
+    (g.bell.z^<-1>)* = bell.(z.g*), because f(bell.w, t) = exp(f(w, t) - 1)
+    and f(g*, t) = exp(r_frm), with r_frm the reversion of f(g, t) - 1.
+    So (g.bell.z^<-1>)* = exp(f(z, r_frm) - 1), and the change of basis
+    folds over the Bell table of f(z, r_frm) - 1, read off the `frm` table.
+    With r_to the reversion of f(z, t) - 1, d - 1.a is dotted into z* as
+    f(d - 1.a, r_to), over the `to` table.
 
     They are checked by substitution into the target basis: sum_k c_{n,k}
     r_k(x), one ``umbra.substitute`` of the umbra with moments r_k, must
@@ -321,18 +269,18 @@ def connection_constants(frm: ShefferPair, to: ShefferPair) -> ConnectionConstan
     members = {"from-alpha": frm.alpha, "from-gamma": frm.gamma, "to-alpha": to.alpha, "to-gamma": to.gamma}
     for role, a in members.items():
         _require_free_of(a, "y", role, "which connect does not take")
-    to_table = _table_of(to.gamma)
+    frm_table, to_table = _table_of(frm.gamma), _table_of(to.gamma)
     minus_a = inverse_dot(frm.alpha)
-    s = _sheffer_table(frm, _table_of(frm.gamma), minus_a)
+    s = _sheffer_table(frm, frm_table, minus_a)
     # The basis r_k holds no y, so a y in s_n is in no expansion.
     residues = (_make({key: c for key, c in p._num.items() if key[1]}, p._den) for p in s)
     require_equal("triangular expansion residue", residues, repeat(0, len(s)))
     basis = _sheffer_table(to, to_table)
 
     # Umbral route.
-    d_part = _compose(umbral_sum(to.alpha, minus_a).moments, to_table)
-    g_comp = Umbra(_compose(frm.gamma.moments, to_table))
-    eta = _shifted_composition(Umbra(d_part), _table_of(g_comp))
+    d_part = egf_compose_over(umbral_sum(to.alpha, minus_a).moments, to_table)
+    z_of_r = egf_compose_over(to.gamma.moments, frm_table)  # f(z, r_frm)
+    eta = egf_appell_over(d_part, egf_bell_table((Fraction(0),) + z_of_r[1:]))
     require_equal("connection constants formula vs solve", substitute(eta, Umbra(basis.polys)), s)
     rows = (_x_coefficients(v, n) for n, v in enumerate(eta))  # c_(n,k) = row[k] / e
     return ConnectionConstants(tuple(tuple(fraction(c, e) for c in row) for row, e in rows), verified=True)
@@ -378,7 +326,7 @@ def check_sheffer_identity(pair: ShefferPair) -> tuple[str, ...]:
     "sheffer-derivative"), the checks passed; a failure raises ConsistencyError.
     """
     table = _table_of(pair.gamma)
-    s, p = _sheffer_table(pair, table), PolySequence(_compose(_powers_of("x", pair.order), table))
+    s, p = _sheffer_table(pair, table), PolySequence(egf_compose_over(_powers_of("x", pair.order), table))
     convolution = _check_convolution("sheffer", s, _x_to_y(p))
     return (convolution, _check_shift("sheffer-derivative", s.polys, pair.gamma, range(len(s))))
 

@@ -362,11 +362,13 @@ def adjoint(g: Umbra) -> Umbra:
 def derivative_umbra(a: Umbra, order: int | None = None) -> Umbra:
     """a_D: moments n * a_{n-1}; generating function 1 + t f(a, t).
 
-    Built to ``order`` (default a.order, at most a.order + 1) from
+    Built to ``order`` (default a.order, 0 to a.order + 1) from
     a_0..a_{order-1}.  Its overbar umbra is a and its first moment is 1, which
     is why the Abel, Lagrange and Bell theorems for a are the general ones for a_D.
     """
     order = a.order if order is None else order
+    if order < 0:
+        raise ValueError("a derivative umbra needs order >= 0")
     if order > a.order + 1:
         raise OrderMismatchError(f"a derivative umbra to order {order} needs moments to order {order - 1}, "
                                  f"past the umbra's {a.order}")

@@ -9,7 +9,7 @@ them:
 * ``bell_partial`` / ``bell_complete`` -- partial and complete Bell
   polynomials as partition sums (production: moment i of h^j / j!, entry
   (i, j) of a Bell table over its row's denominator, built by
-  ``series._bell_table`` or, for a reversion, ``series._revert_table``);
+  ``series.egf_bell_table`` or, for a reversion, ``series.egf_revert_table``);
 * ``partition_expand`` / ``dot_via_partitions`` -- the multinomial values of
   dot-product moments (production: ``umbra.dot``);
 * ``factorial_moments`` -- a_(n) = sum_k s(n, k) a_k by the signed Stirling
@@ -32,18 +32,23 @@ them:
   sequences associated to uinv and u);
 * ``cmul`` / ``horner_compose`` -- the Cauchy product and composition by
   Horner's rule, f(h) = f_0 + h (f_1 + h (f_2 + ...)), on coefficient lists
-  c_n = a_n / n! (production: ``series.egf_mul``, and ``series._compose``,
-  a sum over each row of the partial Bell table of h).
+  c_n = a_n / n! (production: ``series.egf_mul``, and
+  ``series.egf_compose_over``, a sum over each row of the partial Bell table
+  of h).
 
 The Sheffer and associated tables also have their routes here, each the
 composition of a polynomial-moment series with r, the reversion of
-f(g, t) - 1 (production: ``series._compose`` over one integer Bell table of
-r whose row i is over its own denominator E^i, a row at a time):
+f(g, t) - 1 (production: the kernel's folds over one integer Bell table of
+r, ``series.egf_revert_table``, whose row i is over its own denominator
+E^i, a row at a time):
 
 * ``sheffer_series_route`` -- e^{x r} / f(a, r) by ``egf_mul``,
-  ``egf_reciprocal``, ``egf_compose`` and ``egf_exp``;
-* ``sheffer_moment_route`` -- f(-1.a + x.u, r) by ``horner_compose``;
-* ``associated_route`` -- f(x.u, r) by ``horner_compose``.
+  ``egf_reciprocal``, ``egf_compose`` and ``egf_exp`` (production:
+  ``series.egf_exp_x_over``);
+* ``sheffer_moment_route`` -- f(-1.a + x.u, r) by ``horner_compose``
+  (production: ``series.egf_appell_over``);
+* ``associated_route`` -- f(x.u, r) by ``horner_compose`` (production:
+  ``series.egf_compose_over``).
 
 It also holds the two Sheffer pairs that only the tests use, ``power_pair``
 and ``factorial_pair``, and ``tokenize``, a character-by-character scanner

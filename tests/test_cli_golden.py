@@ -111,6 +111,10 @@ GOLDEN = [
      "33df8e0b3e96c812df2ffff35de0d61105a4e7ba9d7af8b94fbf4b8140dc624f"),
     ([*CONNECT[:-1], "10"],
      "bc216ce73223719bd662edce9e9e5189ec0837cb65c2cc545e0cec050a866464"),
+    # Connection constants between pairs over wide Bernoulli denominators.
+    (["connect", "--from-alpha", "bern", "--from-gamma", "bell", "--to-alpha", "u", "--to-gamma", "bern",
+      "--order", "12"],
+     "33ec3f4745f2e23aa6a19e391ffdce9667e5dce81e95894846b377c611d41576"),
     # Linear forms on the kernel route, powers of them, and an atom-free power.
     (["eval", "u+chi+bell+bern", "--order", "24"],
      "01b7001f00300631a9f6f4776c12b7ffc5ff1314b439b8622eb1ac0190d8931a"),

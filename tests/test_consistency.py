@@ -186,13 +186,13 @@ def _entries(order):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda order: st.tuples(_pairs(order), _pairs(order), _entries(order))))
 def test_bumped_connection_constant_fails_its_row(case):
-    """c_(n,k) of the formula route off by 1 (the third _shifted_composition,
+    """c_(n,k) of the formula route off by 1 (the third egf_appell_over,
     after the two Sheffer tables' moment routes, returns the change-of-basis
     moments sum_k c_(n,k) x^k) fails the substitution check at row n."""
     frm, to, (n, k) = case
     connection_constants(frm, to)  # passes unpatched
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sheffer, "_shifted_composition", off(n, call=2, delta=X**k)(sheffer._shifted_composition))
+        mp.setattr(sheffer, "egf_appell_over", off(n, call=2, delta=X**k)(sheffer.egf_appell_over))
         with pytest.raises(ConsistencyError) as info:
             connection_constants(frm, to)
     assert (info.value.check, info.value.n) == ("connection constants formula vs solve", n)

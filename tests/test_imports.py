@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module.  The
 package's ``__init__`` is exempt: its imports are the library API, which
 ``test_scripts`` checks against the README.  The Bell-table layout is read
-only by the series kernel and the Sheffer layer: no other module names a
-Bell-table helper."""
+only by the series kernel: no other module names a Bell-table helper, and
+the Sheffer layer, which folds over Bell tables, imports only the kernel's
+public ops."""
 
 import ast
 from pathlib import Path
@@ -37,8 +38,8 @@ def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-BELL_HELPERS = {"_bell_table", "_bell_columns", "_revert_table", "_compose", "_fold_runs"}
-BELL_READERS = {"series.py", "sheffer.py"}
+BELL_HELPERS = {"_bell_table", "_bell_columns", "_revert_columns", "_compose", "_fold_runs"}
+BELL_READERS = {"series.py"}
 
 
 def bell_helpers_named(source: str) -> list[str]:
@@ -56,4 +57,22 @@ def test_bell_helpers_are_found():
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - BELL_READERS))
 def test_only_the_kernel_and_sheffer_read_bell_tables(module):
+    """The Sheffer layer folds over Bell tables, but through the kernel's
+    public ops: like every module but the kernel, it names no helper."""
     assert bell_helpers_named((PACKAGE / module).read_text()) == []
+
+
+def private_series_imports(source: str) -> list[str]:
+    """The underscore names that ``source`` imports from ``.series``."""
+    tree = ast.parse(source)
+    return [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "series"
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_series_imports_are_found():
+    source = "from .series import _split, egf_mul\nfrom .poly import _make\n"
+    assert private_series_imports(source) == ["_split"]
+
+
+def test_sheffer_imports_only_public_kernel_ops():
+    assert private_series_imports((PACKAGE / "sheffer.py").read_text()) == []

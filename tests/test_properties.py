@@ -34,6 +34,7 @@ from umbralcalc.umbra import (
     comp_inverse,
     cumulant,
     bell_umbra,
+    bernoulli_umbra,
     derivative_umbra,
     dot,
     factorial_moments,
@@ -291,6 +292,8 @@ _PC = poisson_charlier_pair(2, 12)
 @example((_PC, _PC))
 @example((_appell_pair(unity(12)), _appell_pair(umbral_sum(unity(12), singleton(12)))))
 @example((_appell_pair(bell_umbra(9)), _appell_pair(umbral_sum(bell_umbra(9), singleton(9)))))
+# (bern, bell) to (u, bern): a reversion and a change of basis over wide Bernoulli denominators
+@example((ShefferPair(bernoulli_umbra(8), bell_umbra(8)), ShefferPair(unity(8), bernoulli_umbra(8))))
 def test_connection_constants_match_fraction_back_substitution(pairs):
     """The umbral formula's constants, checked by substituting them into the
     target basis, are those that back-substitution on Fraction coefficient

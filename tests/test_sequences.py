@@ -148,9 +148,9 @@ def test_stirling_triangle_is_one_bell_table(kind, monkeypatch):
     """The triangle reverts its gamma once and reads every row off the one
     Bell table that reversion builds; it takes no dot product."""
     reversions, tables, dots = [], [], []
-    real_loop, real_table, real_dot = series._revert_columns, sheffer._revert_table, sequences.dot
+    real_loop, real_table, real_dot = series._revert_columns, sheffer.egf_revert_table, sequences.dot
     monkeypatch.setattr(series, "_revert_columns", lambda h: reversions.append(h) or real_loop(h))
-    monkeypatch.setattr(sheffer, "_revert_table", lambda h: tables.append(h) or real_table(h))
+    monkeypatch.setattr(sheffer, "egf_revert_table", lambda h: tables.append(h) or real_table(h))
     monkeypatch.setattr(sequences, "dot", lambda left, a: dots.append(left) or real_dot(left, a))
     classical = stirling_first_classical if kind == "first" else stirling_second_classical
     assert stirling_triangle(kind, 24) == [[classical(n, k) for k in range(n + 1)] for n in range(25)]

@@ -265,7 +265,7 @@ def test_bell_columns_match_partition_sums(h):
     ``top`` is the first top + 1 columns.  A Bell table (columns, E, polys)
     has row i over E^min(i, top): each entry of ``_bell_table(h, top)`` for
     top 0, 1, 3 and N, over that power of E, is the partition sum
-    B_(i,k)(h), and each entry of ``_revert_table(h)`` over E^i is B_(i,k)
+    B_(i,k)(h), and each entry of ``egf_revert_table(h)`` over E^i is B_(i,k)
     of the reversion the oracle solves."""
     nums, d, polys = series._split(h)
     n = len(h) - 1
@@ -277,7 +277,7 @@ def test_bell_columns_match_partition_sums(h):
         assert columns[k][k:] == [collapse(bell_partial(i, k, h[1:]) * d**k) for i in range(k, n + 1)]
     assert series._bell_columns(nums, 3, polys) == columns[:4]
     r = moments_of(recompose_revert(coeffs_of(h)))
-    tables = [(series._bell_table(h, top), h) for top in (0, 1, 3, n)] + [(series._revert_table(h), r)]
+    tables = [(series._bell_table(h, top), h) for top in (0, 1, 3, n)] + [(series.egf_revert_table(h), r)]
     for (table, e, flag), g in tables:
         top = len(table) - 1
         assert flag == polys and table[0] == [1] + [0] * n
@@ -377,12 +377,39 @@ def test_revert_table_is_the_bell_table_of_the_reversion(h):
     24 and 40."""
     r = moments_of(recompose_revert(coeffs_of(h)))
     nums, d, polys = series._split(r)
-    columns, e, flag = series._revert_table(h)
+    columns, e, flag = series.egf_revert_table(h)
     assert flag == polys
     expected = series._bell_columns(nums, len(h) - 1, polys)
     assert [[collapse(w * F(1, e**i)) for i, w in enumerate(column)] for column in columns] == [
         [collapse(w * F(1, d**k)) for w in column] for k, column in enumerate(expected)
     ]
+
+
+@pytest.mark.parametrize("h", [
+    (F(0), F(2, 3), F(-1), F(5, 2), F(0), F(1, 7), F(3)),
+    (F(0), F(1, 2), 1 + Y, F(-2), 2 * Y - F(1, 3), F(0), Y / 5),
+    (F(0), F(-3, 4), F(1, 5), F(0), F(-2, 3), F(7), F(1, 9)),
+], ids=["rational", "in-y", "negative-lead"])
+@pytest.mark.parametrize("b", [
+    (F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(3, 4), F(2)),
+    (F(1), Y, F(3), F(0), F(2, 7), Y / 3 - 1, F(5)),
+], ids=["scalar", "in-y"])
+def test_folds_over_a_whole_table_match_horner(h, b):
+    """Over the whole table of h (``egf_bell_table``) or of its reversion r
+    (``egf_revert_table``), ``egf_appell_over(b)`` is f(b + x.u, h) and
+    ``egf_exp_x_over(b)`` is f(b, t) e^{x h}, each by Horner's rule on the
+    coefficients; a series of another order is refused."""
+    n = len(h) - 1
+    r = moments_of(recompose_revert(coeffs_of(h)))
+    shifted = [collapse(sum(comb(m, j) * b[m - j] * X**j for j in range(m + 1))) for m in range(n + 1)]
+    exp_x = [X**m for m in range(n + 1)]
+    for table, g in [(series.egf_bell_table(h), h), (series.egf_revert_table(h), r)]:
+        assert series.egf_appell_over(b, table) == moments_of(horner_compose(coeffs_of(shifted), coeffs_of(g)))
+        expected = cmul(coeffs_of(b), horner_compose(coeffs_of(exp_x), coeffs_of(g)))
+        assert list(map(collapse, series.egf_exp_x_over(b, table))) == list(moments_of(expected))
+        for fold in (series.egf_appell_over, series.egf_exp_x_over):
+            with pytest.raises(OrderMismatchError):
+                fold(b[:-1], table)
 
 
 def fixed_series(n, lead=F(-3, 2), poly=False):

@@ -247,6 +247,19 @@ def test_derivative_umbra_examples():
     assert derivative_umbra(factorial_umbra(bernoulli_umbra(12))) == uinv_umbra(12)
 
 
+def test_derivative_umbra_order_bounds():
+    """Orders 0 to a.order + 1 are built; a negative order is refused, as a
+    negative dot-power is, and one past a.order + 1 needs missing moments."""
+    a = bell_umbra(4)
+    assert derivative_umbra(a, 0).moments == (1,)
+    assert derivative_umbra(a, 5).moments == (1, 1, 2, 6, 20, 75)
+    for order in (-1, -5):
+        with pytest.raises(ValueError, match="order >= 0"):
+            derivative_umbra(a, order)
+    with pytest.raises(OrderMismatchError):
+        derivative_umbra(a, 6)
+
+
 def test_derivative_gf_law():
     a = bell_umbra(8)
     d = derivative_umbra(a)
